@@ -255,6 +255,10 @@ class _Emitter:
             indent,
             "_env = {_o: _loc[_k] for _k, _o in _VARS if _k in _loc}",
         )
+        # locals() is the frame's cached dict: left bound, _loc would be
+        # a member of itself from the next watched edge on, and every
+        # register value would wait for the cyclic GC.
+        self._emit(indent, "del _loc")
         if edge in self.observe_edges:
             if self.metered:
                 # Observers read meter.cycles mid-execution (per-PSE cycle

@@ -21,6 +21,9 @@ instead of an in-process callback or a simulated link:
 * :mod:`repro.net.broker` — the fan-out tier: one modulator publishing
   to N subscribers, each on its own active PSE, with modulation shared
   up to the deepest common split and forked per peer;
+* :mod:`repro.net.session` — the sans-I/O per-peer control plane both
+  publishers share: PLAN dedupe/defer/apply, breaker-driven retraction
+  and re-split, health feed, telemetry ingest, feedback flush;
 * :mod:`repro.net.live` — the runnable per-process half of the live
   harness (``python -m repro.net.live sender|receiver``), orchestrated
   by :mod:`repro.tools.liveexp`.
@@ -41,17 +44,14 @@ from repro.net.framing import (
 )
 from repro.net.tcp import FrameServer, TcpPeer, TcpTransport
 from repro.net.endpoint import NetReceiverEndpoint, NetSenderEndpoint
-from repro.net.broker import (
-    BrokerSubscriber,
-    NetBrokerEndpoint,
-    PlanRuntimeCache,
-)
+from repro.net.broker import NetBrokerEndpoint, PlanRuntimeCache
+from repro.net.session import PeerSession
 
 __all__ = [
     "NetSenderEndpoint",
     "NetReceiverEndpoint",
     "NetBrokerEndpoint",
-    "BrokerSubscriber",
+    "PeerSession",
     "PlanRuntimeCache",
     "FrameDecoder",
     "encode_frame",

@@ -55,33 +55,22 @@ from repro.core.plan import (
 from repro.core.runtime.feedback import RemoteProfilingProxy
 from repro.errors import TransportError
 from repro.ir.interpreter import CycleMeter, Edge
-from repro.jecho.events import (
-    ContinuationEnvelope,
-    FeedbackEnvelope,
-    PlanEnvelope,
-)
-from repro.net.endpoint import _adopt_rate
+from repro.jecho.events import ContinuationEnvelope, PlanEnvelope
 from repro.net.framing import FEATURE_ELECTION, Bye, Election, Telemetry
 from repro.net.resilience import (
-    BREAKER_CLOSED,
-    BREAKER_HALF_OPEN,
     BREAKER_OPEN,
     BREAKER_STATE_CODES,
     BreakerConfig,
     Bulkhead,
-    CircuitBreaker,
 )
+from repro.net.session import CalibratedRate, PeerSession
 from repro.net.tcp import TcpPeer, TcpTransport
-from repro.obs.health import (
-    WEDGED,
-    HealthConfig,
-    HealthMonitor,
-    PeerHealth,
-)
+from repro.obs.flight import wide_event
+from repro.obs.health import HealthConfig, HealthMonitor
 from repro.obs.trace import ContinuationShipped
 from repro.serialization import measure_size
 
-__all__ = ["PlanRuntimeCache", "BrokerSubscriber", "NetBrokerEndpoint"]
+__all__ = ["PlanRuntimeCache", "NetBrokerEndpoint"]
 
 
 class PlanRuntimeCache:
@@ -128,165 +117,19 @@ class PlanRuntimeCache:
         return runtime
 
 
-class BrokerSubscriber:
-    """One fan-out destination: peer, plan state, profiling proxy.
-
-    The subscriber's *receiver* owns the authoritative adaptation loop;
-    this record is the broker-side shadow of it — which plan the peer
-    is believed to run (with its idempotency version), the sender-side
-    profiling buffered for it, and per-peer delivery counters.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        peer: TcpPeer,
-        subscription_id: int,
-        plan: PartitioningPlan,
-        proxy: RemoteProfilingProxy,
-    ) -> None:
-        self.name = name
-        self.peer = peer
-        self.subscription_id = subscription_id
-        self.plan = plan
-        self.proxy = proxy
-        #: highest PLAN version applied for this peer (idempotency)
-        self.plan_version_applied = 0
-        self.plan_updates_applied = 0
-        self.plan_duplicates_ignored = 0
-        self.plans_seen: List[str] = []
-        self.shipped = 0
-        self.shared_ships = 0
-        self.forks = 0
-        self.elided = 0
-        self.completed_locally = 0
-        self.feedback_flushes = 0
-        #: TELEMETRY frames received from this peer's receiver
-        self.telemetry_frames = 0
-        #: latest TELEMETRY frame's metadata + payload (broker clock)
-        self.last_telemetry: Optional[Dict[str, object]] = None
-        #: health state machine, bound by the broker's HealthMonitor
-        self.health: Optional[PeerHealth] = None
-        #: circuit breaker + bulkhead, bound by the broker's resilience
-        #: plane (None when the broker was built with resilience off)
-        self.breaker: Optional[CircuitBreaker] = None
-        self.bulkhead: Optional[Bulkhead] = None
-        #: publishes whose tail ran fully broker-side because the
-        #: breaker was open (the live half of a retraction)
-        self.absorbed = 0
-        #: ship attempts refused at the last gate (forced-edge ship
-        #: while open, or bulkhead admission rejected)
-        self.ships_suppressed = 0
-        #: retraction state: ``retracting`` while the outbound queue
-        #: drains, ``retracted`` once the plan has switched sender-side
-        self.retracting = False
-        self.retracted = False
-        self.retraction_deadline: Optional[float] = None
-        self.retractions = 0
-        self.resplits = 0
-        #: the split to restore on recovery (plan + idempotency version)
-        self.saved_plan: Optional[PartitioningPlan] = None
-        self.saved_plan_version = 0
-        #: newest PLAN frame deferred while retracted (kept, not lost)
-        self.pending_plan: Optional[PlanEnvelope] = None
-        self.plans_deferred = 0
-        #: set by finish(); a disconnect after the goodbye drained is an
-        #: orderly exit, not a fault
-        self.bye_sent = False
-        self._drift_reported = 0
-        self._last_rtt_fed: Optional[float] = None
-        self._send_timeouts_fed = 0
-        self._g_breaker = None
-        # labeled per-peer instruments, bound by the broker when it has obs
-        self._c_shipped = None
-        self._c_forks = None
-        self._c_plan_updates = None
-        self._g_queue = None
-        self._g_dropped = None
-        self._g_rtt = None
-        self._g_connected = None
-
-    @property
-    def plan_edges(self) -> Tuple[Edge, ...]:
-        return tuple(sorted(self.plan.active))
-
-    def refresh_gauges(self) -> None:
-        """Push the peer's transport health into the labeled gauges."""
-        if self._g_queue is None:
-            return
-        self._g_queue.set(self.peer.queued)
-        self._g_dropped.set(self.peer.dropped_frames)
-        self._g_connected.set(1.0 if self.peer.connected else 0.0)
-        if self.peer.last_rtt is not None:
-            self._g_rtt.set(self.peer.last_rtt)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "subscription_id": self.subscription_id,
-            "plan_edges": [list(e) for e in self.plan_edges],
-            "plan_updates_applied": self.plan_updates_applied,
-            "plan_duplicates_ignored": self.plan_duplicates_ignored,
-            "plans_seen": list(self.plans_seen),
-            "shipped": self.shipped,
-            "shared_ships": self.shared_ships,
-            "forks": self.forks,
-            "elided": self.elided,
-            "completed_locally": self.completed_locally,
-            "feedback_flushes": self.feedback_flushes,
-            "telemetry_frames": self.telemetry_frames,
-            "telemetry_last_seq": (
-                self.last_telemetry.get("seq")
-                if self.last_telemetry is not None
-                else None
-            ),
-            "health": (
-                self.health.to_dict() if self.health is not None else None
-            ),
-            "breaker": (
-                self.breaker.to_dict()
-                if self.breaker is not None
-                else None
-            ),
-            "bulkhead": (
-                self.bulkhead.to_dict()
-                if self.bulkhead is not None
-                else None
-            ),
-            "absorbed": self.absorbed,
-            "ships_suppressed": self.ships_suppressed,
-            "retracting": self.retracting,
-            "retracted": self.retracted,
-            "retractions": self.retractions,
-            "resplits": self.resplits,
-            "plans_deferred": self.plans_deferred,
-            "transport": {
-                "queued": self.peer.queued,
-                "connections": self.peer.connections,
-                "reconnects": self.peer.reconnects,
-                "dropped_frames": self.peer.dropped_frames,
-                "frames_sent": self.peer.frames_sent,
-                "frame_bytes_sent": self.peer.frame_bytes_sent,
-                "heartbeats_sent": self.peer.heartbeats_sent,
-                "heartbeats_echoed": self.peer.heartbeats_seen,
-                "send_timeouts": self.peer.send_timeouts,
-                "last_rtt": self.peer.last_rtt,
-                "batching_negotiated": self.peer._batch_ok,
-                "telemetry_negotiated": self.peer.telemetry_negotiated,
-                "telemetry_frames_seen": self.peer.telemetry_frames_seen,
-                "batches_sent": self.peer.batches_sent,
-                "batched_frames_sent": self.peer.batched_frames_sent,
-            },
-        }
-
-
 class NetBrokerEndpoint:
     """One modulator publishing to N subscribers with per-peer PSEs.
+
+    The data path is here — the shared run, the forks, the ships; each
+    subscriber's control plane (PLAN frames, breaker and split
+    retraction, health, telemetry, feedback flush) is one
+    :class:`~repro.net.session.PeerSession` in ``subscribers``, whose
+    plan switch invalidates the shared-modulation hook.
 
     ``publish`` runs on the caller's thread; inbound PLAN frames arrive
     on the transport's loop thread and are routed to the subscriber
     whose connection carried them — one lock serializes both around the
-    per-peer plan table and the shared-modulation hook it derives.
+    sessions and the shared-modulation hook derived from their plans.
     """
 
     def __init__(
@@ -315,16 +158,13 @@ class NetBrokerEndpoint:
         self.default_plan = plan or receiver_heavy_plan(partitioned.cut)
         self.sample_period = sample_period
         self.feedback_period = feedback_period
-        self.rate_override = rate_override
-        self.recalibrate = recalibrate
-        self.recalibrations = 0
-        self._rate_stale = False
+        self.rate = CalibratedRate(partitioned, rate_override, recalibrate)
         #: default per-subscriber outbound bound (None → transport's)
         self.queue_limit = queue_limit
         self.obs = obs
         self.cache = PlanRuntimeCache(partitioned)
-        self.subscribers: List[BrokerSubscriber] = []
-        self._by_peer: Dict[TcpPeer, BrokerSubscriber] = {}
+        self.subscribers: List[PeerSession] = []
+        self._by_peer: Dict[TcpPeer, PeerSession] = {}
         self.lock = threading.Lock()
         self.published = 0
         #: shared modulation executions — exactly one per publish, no
@@ -333,7 +173,6 @@ class NetBrokerEndpoint:
         self.shared_cycles_total = 0.0
         self.fork_cycles_total = 0.0
         self.forks = 0
-        self.plan_updates_applied = 0
         self.exposer = None
         # Hot-path precomputation, mirroring Modulator: the PSE edge set
         # and per-edge INTER name tuples for size measurement.
@@ -351,38 +190,27 @@ class NetBrokerEndpoint:
         #: quiet (the drain phase is exactly when wedges surface).
         self.health = HealthMonitor(obs=obs, config=health_config)
         self.health_interval = health_interval
-        self.telemetry_frames = 0
         #: resilience plane: per-subscriber breakers fed by health
         #: transitions (a wedged peer trips) and send failures; on trip
         #: the peer's split is retracted fully sender-side, on recovery
         #: it is re-split.  A closed breaker costs the publish path one
         #: attribute check, so the plane defaults on.
-        self.resilience = resilience
         self.breaker_config = (
-            breaker_config if breaker_config is not None else BreakerConfig()
+            (breaker_config or BreakerConfig()) if resilience else None
         )
         self._retraction_plan = sender_heavy_plan(partitioned.cut)
-        self.retractions = 0
-        self.resplits = 0
         #: the last receiver to announce coordinatorship via a relayed
         #: ELECTION frame (None when no election traffic has flowed)
         self.leader: Optional[str] = None
         self.leader_priority: Optional[int] = None
         self.election_frames = 0
         self.elections_relayed = 0
-        self._by_name: Dict[str, BrokerSubscriber] = {}
-        if resilience:
-            self.health.add_listener(self._on_health_transition)
         self._health_stop = threading.Event()
         self._health_thread: Optional[threading.Thread] = None
         if obs is not None:
             metrics = obs.metrics
             self._c_published = metrics.counter("broker.published")
             self._c_forks = metrics.counter("broker.forks")
-            self._c_plan_updates = metrics.counter("broker.plan_updates")
-            self._c_telemetry = metrics.counter("broker.telemetry_frames")
-            self._c_retractions = metrics.counter("broker.retractions")
-            self._c_resplits = metrics.counter("broker.resplits")
             self._c_absorbed = metrics.counter("broker.absorbed")
             self._c_suppressed = metrics.counter("broker.ships_suppressed")
             self._c_elections = metrics.counter("broker.election_frames")
@@ -403,10 +231,6 @@ class NetBrokerEndpoint:
         else:
             self._c_published = None
             self._c_forks = None
-            self._c_plan_updates = None
-            self._c_telemetry = None
-            self._c_retractions = None
-            self._c_resplits = None
             self._c_absorbed = None
             self._c_suppressed = None
             self._c_elections = None
@@ -435,8 +259,8 @@ class NetBrokerEndpoint:
         name: Optional[str] = None,
         plan: Optional[PartitioningPlan] = None,
         queue_limit: Optional[int] = None,
-    ) -> BrokerSubscriber:
-        """Add a fan-out destination; returns its subscriber record."""
+    ) -> PeerSession:
+        """Add a fan-out destination; returns its session."""
         label = name or f"{host}:{port}"
         peer = self.transport.peer(
             host,
@@ -451,36 +275,49 @@ class NetBrokerEndpoint:
                 raise TransportError(
                     f"peer {label} is already subscribed"
                 )
-            sub = BrokerSubscriber(
-                name=label,
-                peer=peer,
-                subscription_id=len(self.subscribers) + 1,
-                plan=plan or self.default_plan,
-                proxy=RemoteProfilingProxy(
+            sub = PeerSession(
+                label,
+                peer,
+                len(self.subscribers) + 1,
+                plan or self.default_plan,
+                RemoteProfilingProxy(
                     self.partitioned.cut, sample_period=self.sample_period
                 ),
+                send=lambda envelope, size: self.transport.send(
+                    peer, envelope, size
+                ),
+                monitor=self.health,
+                rate=self.rate,
+                retraction_plan=self._retraction_plan,
+                apply_plan=self._plan_switched,
+                breaker_config=self.breaker_config,
+                obs=self.obs,
             )
-            sub.health = self.health.peer(label)
-            if self.resilience:
-                sub.breaker = CircuitBreaker(
-                    label,
-                    self.breaker_config,
-                    on_transition=self._on_breaker_transition,
-                )
-                if self.breaker_config.bulkhead_limit is not None:
-                    sub.bulkhead = Bulkhead(
-                        self.breaker_config.bulkhead_limit
-                    )
+            if (
+                self.breaker_config is not None
+                and self.breaker_config.bulkhead_limit is not None
+            ):
+                sub.bulkhead = Bulkhead(self.breaker_config.bulkhead_limit)
             if self.obs is not None:
                 metrics = self.obs.metrics
+                sub.counters = {
+                    "plan": (
+                        metrics.counter("broker.plan_updates"),
+                        metrics.counter(
+                            f'broker.plan_updates{{peer="{label}"}}'
+                        ),
+                    ),
+                    "retract": (metrics.counter("broker.retractions"),),
+                    "resplit": (metrics.counter("broker.resplits"),),
+                    "telemetry": (
+                        metrics.counter("broker.telemetry_frames"),
+                    ),
+                }
                 sub._c_shipped = metrics.counter(
                     f'broker.shipped{{peer="{label}"}}'
                 )
                 sub._c_forks = metrics.counter(
                     f'broker.forks{{peer="{label}"}}'
-                )
-                sub._c_plan_updates = metrics.counter(
-                    f'broker.plan_updates{{peer="{label}"}}'
                 )
                 sub._g_queue = metrics.gauge(
                     f'broker.queue_depth{{peer="{label}"}}'
@@ -503,7 +340,6 @@ class NetBrokerEndpoint:
                     )
             self.subscribers.append(sub)
             self._by_peer[peer] = sub
-            self._by_name[label] = sub
             self._union_dirty = True
         return sub
 
@@ -519,7 +355,11 @@ class NetBrokerEndpoint:
             self._union_dirty = False
         return self._union_runtime
 
-    def _peer_runtime(self, sub: BrokerSubscriber) -> PlanRuntime:
+    def _plan_switched(self, plan: PartitioningPlan) -> None:
+        """A session put another plan in force (lock held)."""
+        self._union_dirty = True
+
+    def _peer_runtime(self, sub: PeerSession) -> PlanRuntime:
         return self.cache.runtime(sub.plan, sub.plan_version_applied)
 
     def _measure_inter(self, edge: Edge, env: Dict[str, object]) -> float:
@@ -544,18 +384,7 @@ class NetBrokerEndpoint:
             subs = self.subscribers
             if not subs:
                 raise TransportError("broker has no subscribers")
-            if self._rate_stale:
-                self._rate_stale = False
-                if self.rate_override is not None:
-                    fresh = (
-                        self.recalibrate()
-                        if self.recalibrate is not None
-                        else self._recalibrate_against(event)
-                    )
-                    self.rate_override = _adopt_rate(
-                        self.rate_override, fresh
-                    )
-                    self.recalibrations += 1
+            self.rate.refresh(event)
             for sub in subs:
                 sub.proxy.record_message()
             union_rt = self._union()
@@ -613,15 +442,10 @@ class NetBrokerEndpoint:
             # Shallow subscribers first: each send encodes the frame on
             # this thread, so shipped bytes are immune to any mutation a
             # later fork's execution performs on shared values.
-            deep: List[BrokerSubscriber] = []
-            absorbed: List[BrokerSubscriber] = []
+            deep: List[PeerSession] = []
+            absorbed: List[PeerSession] = []
             for sub in subs:
-                br = sub.breaker
-                if (
-                    br is not None
-                    and not br.is_closed
-                    and not br.allow()
-                ):
+                if not sub.admits():
                     # Open breaker (or exhausted half-open probe
                     # budget): this message's tail runs broker-side —
                     # the live half of the retraction, active from the
@@ -678,7 +502,7 @@ class NetBrokerEndpoint:
 
     def _replay_shared(
         self,
-        sub: BrokerSubscriber,
+        sub: PeerSession,
         observations: List[Tuple[Edge, float, Optional[float]]],
         *,
         split_edge: Optional[Edge],
@@ -700,7 +524,7 @@ class NetBrokerEndpoint:
 
     def _fork(
         self,
-        sub: BrokerSubscriber,
+        sub: PeerSession,
         shared_msg: ContinuationMessage,
         shared_cycles: float,
         shared_elapsed: float,
@@ -793,7 +617,7 @@ class NetBrokerEndpoint:
 
     def _ship(
         self,
-        sub: BrokerSubscriber,
+        sub: PeerSession,
         message: ContinuationMessage,
         total_cycles: float,
         *,
@@ -847,64 +671,34 @@ class NetBrokerEndpoint:
             sub._c_shipped.inc()
 
     def _record_rate(
-        self, sub: BrokerSubscriber, cycles: float, elapsed: float
+        self, sub: PeerSession, cycles: float, elapsed: float
     ) -> None:
-        if cycles <= 0:
-            return
-        seconds = (
-            cycles * self.rate_override
-            if self.rate_override is not None
-            else elapsed
-        )
-        sub.proxy.record_sender_rate(seconds, cycles)
+        if cycles > 0:
+            sub.proxy.record_sender_rate(
+                self.rate.seconds(cycles, elapsed), cycles
+            )
 
-    def _feed_sub_health(self, sub: BrokerSubscriber) -> None:
-        """Pipe one peer's transport state into its health machine."""
-        ph = sub.health
-        if ph is None:
-            return
-        peer = sub.peer
-        if sub.bye_sent and not peer.connected and peer.queued == 0:
-            # Orderly exit: the goodbye drained and the peer hung up.
-            # Pin whatever state the run earned so the post-stream
-            # teardown cannot masquerade as a late fault.
-            if ph.forced_reason is None:
-                ph.force(ph.state, "retired (bye delivered)")
-            return
-        ph.note_connected(peer.connected)
-        if peer.last_heard is not None:
-            # last_heard is time.monotonic-based, same clock family as
-            # the default PeerHealth clock.
-            ph.note_signal(peer.last_heard)
-        if peer.last_rtt is not None and peer.last_rtt != sub._last_rtt_fed:
-            sub._last_rtt_fed = peer.last_rtt
-            ph.note_rtt(peer.last_rtt)
-        ph.note_sheds(peer.dropped_frames)
+    def _tick_sessions(self) -> None:
+        """Health feed, then breaker/retraction tick, per peer (lock held)."""
+        for sub in self.subscribers:
+            sub.feed_health()
+            sub.resilience_tick()
 
     def _health_loop(self) -> None:
         """Background evaluator: staleness ticks even when idle."""
         while not self._health_stop.wait(self.health_interval):
             with self.lock:
-                for sub in self.subscribers:
-                    self._feed_sub_health(sub)
-                self.health.evaluate_all()
-                now = time.monotonic()
-                for sub in self.subscribers:
-                    self._resilience_tick(sub, now)
+                self._tick_sessions()
 
     def _after_publish(self, span, *, outcome: str, **attrs) -> None:
         """Gauges, feedback cadence, span close (lock held)."""
         for sub in self.subscribers:
             sub.refresh_gauges()
-            self._feed_sub_health(sub)
-        self.health.evaluate_all()
-        now = time.monotonic()
-        for sub in self.subscribers:
-            self._resilience_tick(sub, now)
+        self._tick_sessions()
         if self.published % self.feedback_period == 0:
             for sub in self.subscribers:
                 if sub.proxy.pending > 0:
-                    self._flush_feedback(sub)
+                    sub.flush_feedback()
         if span is not None:
             span.attrs = {"outcome": outcome, **{
                 k: (list(v) if isinstance(v, tuple) else v)
@@ -912,218 +706,12 @@ class NetBrokerEndpoint:
             }}
             self.obs.tracing.end(span)
 
-    def _flush_feedback(self, sub: BrokerSubscriber) -> None:
-        payload, size = sub.proxy.flush()
-        envelope = FeedbackEnvelope(
-            subscription_id=sub.subscription_id, demod_stats=payload
-        )
-        self.transport.send(sub.peer, envelope, size)
-        sub.feedback_flushes += 1
-
-    def _recalibrate_against(self, event: object, repeats: int = 5) -> float:
-        """Same lazy post-transition recalibration as NetSenderEndpoint:
-        min-of-repeats, so noise spikes never inflate the estimate."""
-        best = None
-        for _ in range(repeats):
-            meter = CycleMeter()
-            started = time.perf_counter()
-            self.partitioned.interpreter.run(
-                self.partitioned.function, (event,), meter=meter
-            )
-            elapsed = time.perf_counter() - started
-            if meter.cycles > 0:
-                rate = elapsed / meter.cycles
-                best = rate if best is None else min(best, rate)
-        if best is None:
-            return self.rate_override
-        return best
-
-    # -- resilience plane (breaker / retraction / re-split) ----------------------
-    #
-    # Everything here runs with self.lock held: health transitions fire
-    # inside evaluate_all / force calls (publish thread, health thread,
-    # or inbound telemetry — all under the lock), and breaker
-    # transitions fire inside trip/allow/record_* calls driven from the
-    # same places.
-
-    def _flight(self):
-        return getattr(self.obs, "flight", None) if self.obs else None
-
-    def _on_health_transition(self, ph: PeerHealth, record: dict) -> None:
-        """HealthMonitor listener: a wedged peer trips its breaker."""
-        sub = self._by_name.get(ph.name)
-        if sub is None or sub.breaker is None:
-            return
-        if record["to"] == WEDGED:
-            sub.breaker.trip(f"health wedged: {record['reason']}")
-
-    def _on_breaker_transition(
-        self, breaker: CircuitBreaker, record: dict
-    ) -> None:
-        """Breaker edges actuate the split: trip retracts, close re-splits."""
-        sub = self._by_name.get(breaker.name)
-        if sub is None:
-            return
-        if sub._g_breaker is not None:
-            sub._g_breaker.set(BREAKER_STATE_CODES[record["to"]])
-        flight = self._flight()
-        if flight is not None:
-            flight.record(
-                "breaker.transition",
-                peer=breaker.name,
-                **{"from": record["from"], "to": record["to"]},
-                reason=record["reason"],
-            )
-        if record["to"] == BREAKER_OPEN:
-            self._start_retraction(sub)
-        elif record["to"] == BREAKER_CLOSED:
-            self._resplit(sub)
-
-    def _start_retraction(self, sub: BrokerSubscriber) -> None:
-        """Begin migrating *sub*'s split back to fully sender-side.
-
-        The plan swap waits (bounded by ``drain_timeout``) for the
-        peer's outbound queue to drain so continuations already encoded
-        toward the old split are not interleaved with the new plan;
-        publishes arriving meanwhile are absorbed broker-side by the
-        open breaker, so nothing is lost during the wait.
-        """
-        if sub.retracting or sub.retracted:
-            return
-        sub.retracting = True
-        sub.retraction_deadline = (
-            time.monotonic() + self.breaker_config.drain_timeout
-        )
-        flight = self._flight()
-        if flight is not None:
-            flight.record(
-                "breaker.retract_begin",
-                peer=sub.name,
-                queued=sub.peer.queued,
-            )
-        self._maybe_complete_retraction(sub, time.monotonic())
-
-    def _maybe_complete_retraction(
-        self, sub: BrokerSubscriber, now: float
-    ) -> None:
-        """Switch plans once in-flight frames drained (or timed out)."""
-        if not sub.retracting:
-            return
-        drained = sub.peer.queued == 0
-        if not drained and (
-            sub.retraction_deadline is None
-            or now < sub.retraction_deadline
-        ):
-            return
-        sub.saved_plan = sub.plan
-        sub.saved_plan_version = sub.plan_version_applied
-        sub.plan = self._retraction_plan
-        sub.retracting = False
-        sub.retracted = True
-        sub.retraction_deadline = None
-        sub.retractions += 1
-        self.retractions += 1
-        if self._c_retractions is not None:
-            self._c_retractions.inc()
-        self._union_dirty = True
-        if self.rate_override is not None:
-            self._rate_stale = True
-        flight = self._flight()
-        if flight is not None:
-            flight.record(
-                "breaker.retract",
-                peer=sub.name,
-                drained=drained,
-                saved_plan=sub.saved_plan.name,
-            )
-
-    def _resplit(self, sub: BrokerSubscriber) -> None:
-        """Restore the split after the breaker closed (recovery).
-
-        The receiver may have shipped newer PLAN frames while retracted
-        (they were deferred, not applied); the newest deferred version
-        wins over the saved pre-trip plan.
-        """
-        if not (sub.retracting or sub.retracted):
-            return
-        target: Optional[PartitioningPlan] = None
-        version = 0
-        pending = sub.pending_plan
-        if pending is not None and pending.version > sub.saved_plan_version:
-            target = pending.plan
-            version = pending.version
-        elif sub.saved_plan is not None:
-            target = sub.saved_plan
-            version = sub.saved_plan_version
-        sub.pending_plan = None
-        sub.retracting = False
-        sub.retracted = False
-        sub.retraction_deadline = None
-        if target is None:
-            return
-        sub.plan = target
-        if version > sub.plan_version_applied:
-            sub.plan_version_applied = version
-        sub.resplits += 1
-        self.resplits += 1
-        if self._c_resplits is not None:
-            self._c_resplits.inc()
-        self._union_dirty = True
-        if self.rate_override is not None:
-            self._rate_stale = True
-        flight = self._flight()
-        if flight is not None:
-            flight.record(
-                "breaker.resplit",
-                peer=sub.name,
-                plan=target.name,
-                version=version,
-            )
-
-    def _resilience_tick(self, sub: BrokerSubscriber, now: float) -> None:
-        """Advance one peer's breaker/retraction state (lock held)."""
-        br = sub.breaker
-        if br is None:
-            return
-        # Send failures count toward the trip threshold even while the
-        # health machine still calls the peer degraded.
-        delta = sub.peer.send_timeouts - sub._send_timeouts_fed
-        if delta > 0:
-            sub._send_timeouts_fed = sub.peer.send_timeouts
-            for _ in range(min(delta, 8)):
-                br.record_failure("send timeout", now)
-        if br.state == BREAKER_OPEN:
-            # Advancing past the probe backoff transitions to half-open
-            # (the consumed probe admits the next publish's ship).
-            br.allow(now)
-        if br.state == BREAKER_HALF_OPEN:
-            # Half-open: judge the probe window on connectivity + the
-            # health machine's verdict + signal freshness.
-            ph = sub.health
-            state = ph.state if ph is not None else None
-            if not sub.peer.connected or state == WEDGED:
-                br.record_failure("peer still wedged", now)
-            else:
-                last = sub.peer.last_heard
-                fresh = (
-                    last is not None
-                    and now - last < self.health.config.stale_degraded
-                )
-                if fresh:
-                    br.record_success(now)
-        if sub.retracting:
-            self._maybe_complete_retraction(sub, now)
-
-    def _suppress_ship(self, sub: BrokerSubscriber, reason: str) -> None:
+    def _suppress_ship(self, sub: PeerSession, reason: str) -> None:
         sub.ships_suppressed += 1
         sub.proxy.record_local_completion()
         if self._c_suppressed is not None:
             self._c_suppressed.inc()
-        flight = self._flight()
-        if flight is not None:
-            flight.record(
-                "breaker.suppress", peer=sub.name, reason=reason
-            )
+        wide_event("breaker.suppress", peer=sub.name, reason=reason)
 
     def _resilience_dump(self) -> Dict[str, object]:
         return {
@@ -1134,88 +722,24 @@ class NetBrokerEndpoint:
             "election_frames": self.election_frames,
             "elections_relayed": self.elections_relayed,
             "peers": {
-                sub.name: {
-                    "breaker": (
-                        sub.breaker.to_dict()
-                        if sub.breaker is not None
-                        else None
-                    ),
-                    "bulkhead": (
-                        sub.bulkhead.to_dict()
-                        if sub.bulkhead is not None
-                        else None
-                    ),
-                    "retracting": sub.retracting,
-                    "retracted": sub.retracted,
-                    "absorbed": sub.absorbed,
-                    "ships_suppressed": sub.ships_suppressed,
-                    "plans_deferred": sub.plans_deferred,
-                }
-                for sub in self.subscribers
+                sub.name: sub.resilience_dump() for sub in self.subscribers
             },
         }
 
     # -- control plane (transport loop thread) -----------------------------------
 
     def _on_inbound(self, envelope: object, peer: TcpPeer) -> None:
-        if isinstance(envelope, Telemetry):
-            with self.lock:
-                sub = self._by_peer.get(peer)
-                if sub is not None:
-                    self._ingest_telemetry(sub, envelope)
-            return
         if isinstance(envelope, Election):
             self._relay_election(envelope, peer)
             return
-        if not isinstance(envelope, PlanEnvelope):
-            return
-        tracer = self._tracer()
         with self.lock:
             sub = self._by_peer.get(peer)
             if sub is None:
                 return
-            if (
-                envelope.version
-                and envelope.version <= sub.plan_version_applied
-            ):
-                sub.plan_duplicates_ignored += 1
-                return
-            if sub.retracting or sub.retracted:
-                # The peer is mid-retraction: defer the update instead
-                # of re-splitting toward a tripped peer.  Newest
-                # version wins; _resplit applies it on recovery.
-                if (
-                    sub.pending_plan is None
-                    or envelope.version >= sub.pending_plan.version
-                ):
-                    sub.pending_plan = envelope
-                sub.plans_deferred += 1
-                return
-            sub.plan = envelope.plan
-            if envelope.version:
-                sub.plan_version_applied = envelope.version
-            sub.plan_updates_applied += 1
-            self.plan_updates_applied += 1
-            sub.plans_seen.append(
-                ",".join(str(e) for e in sorted(envelope.plan.active))
-            )
-            if self._c_plan_updates is not None:
-                self._c_plan_updates.inc()
-            if sub._c_plan_updates is not None:
-                sub._c_plan_updates.inc()
-            self._union_dirty = True
-            if self.rate_override is not None:
-                self._rate_stale = True
-        if tracer is not None and envelope.trace is not None:
-            now = tracer.clock()
-            tracer.record(
-                "plan.apply",
-                trace_id=envelope.trace[0],
-                parent_id=envelope.trace[1],
-                start=now,
-                end=now,
-                attrs={"plan": envelope.plan.name, "peer": sub.name},
-            )
+            if isinstance(envelope, Telemetry):
+                sub.ingest_telemetry(envelope)
+            elif isinstance(envelope, PlanEnvelope):
+                sub.on_plan(envelope)
 
     def _relay_election(self, envelope: Election, peer: TcpPeer) -> None:
         """Fan an ELECTION frame out to the other receivers.
@@ -1232,14 +756,12 @@ class NetBrokerEndpoint:
                 self._c_elections.inc()
             if envelope.op == "coordinator":
                 if self.leader != envelope.member:
-                    flight = self._flight()
-                    if flight is not None:
-                        flight.record(
-                            "election.leader",
-                            leader=envelope.member,
-                            priority=envelope.priority,
-                            term=envelope.term,
-                        )
+                    wide_event(
+                        "election.leader",
+                        leader=envelope.member,
+                        priority=envelope.priority,
+                        term=envelope.term,
+                    )
                 self.leader = envelope.member
                 self.leader_priority = envelope.priority
             targets = [
@@ -1255,37 +777,6 @@ class NetBrokerEndpoint:
                 except TransportError:
                     pass
 
-    def _ingest_telemetry(self, sub: BrokerSubscriber, frame: Telemetry) -> None:
-        """Fold one pushed TELEMETRY frame into the fleet view (lock held)."""
-        sub.telemetry_frames += 1
-        self.telemetry_frames += 1
-        if self._c_telemetry is not None:
-            self._c_telemetry.inc()
-        payload = frame.payload or {}
-        sub.last_telemetry = {
-            "source": frame.source,
-            "instance": frame.instance,
-            "seq": frame.seq,
-            "sent_at": frame.sent_at,
-            "received_at": time.time(),
-            "payload": payload,
-        }
-        ph = sub.health
-        if ph is None:
-            return
-        ph.note_telemetry()
-        counters = payload.get("counters") or {}
-        dupes = counters.get("duplicates_skipped")
-        if isinstance(dupes, (int, float)):
-            ph.note_duplicates(int(dupes))
-        drift = payload.get("drift_events")
-        if isinstance(drift, (int, float)):
-            delta = int(drift) - sub._drift_reported
-            if delta > 0:
-                ph.note_drift(delta)
-            sub._drift_reported = int(drift)
-        ph.evaluate()
-
     # -- lifecycle ---------------------------------------------------------------
 
     def close(self) -> None:
@@ -1300,7 +791,7 @@ class NetBrokerEndpoint:
         with self.lock:
             for sub in self.subscribers:
                 if sub.proxy.pending > 0:
-                    self._flush_feedback(sub)
+                    sub.flush_feedback()
                 self.transport.send(
                     sub.peer, Bye(sent=sub.shipped), 8.0
                 )
@@ -1327,6 +818,21 @@ class NetBrokerEndpoint:
 
     # -- results -----------------------------------------------------------------
 
+    def _total(self, counter: str) -> int:
+        return sum(getattr(sub, counter) for sub in self.subscribers)
+
+    @property
+    def plan_updates_applied(self) -> int:
+        return self._total("plan_updates_applied")
+
+    @property
+    def retractions(self) -> int:
+        return self._total("retractions")
+
+    @property
+    def resplits(self) -> int:
+        return self._total("resplits")
+
     def to_dict(self) -> Dict[str, object]:
         with self.lock:
             return {
@@ -1336,8 +842,8 @@ class NetBrokerEndpoint:
                 "shared_cycles_total": self.shared_cycles_total,
                 "fork_cycles_total": self.fork_cycles_total,
                 "plan_updates_applied": self.plan_updates_applied,
-                "recalibrations": self.recalibrations,
-                "telemetry_frames": self.telemetry_frames,
+                "recalibrations": self.rate.recalibrations,
+                "telemetry_frames": self._total("telemetry_frames"),
                 "retractions": self.retractions,
                 "resplits": self.resplits,
                 "leader": self.leader,

@@ -58,16 +58,13 @@ from repro.net.framing import (
     Telemetry,
 )
 from repro.net.resilience import (
-    BREAKER_CLOSED,
-    BREAKER_HALF_OPEN,
-    BREAKER_OPEN,
     BreakerConfig,
-    CircuitBreaker,
     ElectionConfig,
     ElectionMember,
 )
+from repro.net.session import CalibratedRate, PeerSession
 from repro.net.tcp import FrameServer, ServerConnection, TcpPeer, TcpTransport
-from repro.obs.health import WEDGED, HealthConfig, HealthMonitor
+from repro.obs.health import HealthConfig, HealthMonitor
 from repro.obs.trace import ContinuationShipped
 
 __all__ = ["NetSenderEndpoint", "NetReceiverEndpoint"]
@@ -75,36 +72,20 @@ __all__ = ["NetSenderEndpoint", "NetReceiverEndpoint"]
 #: wire size charged for a plan update (a handful of edge flags)
 _PLAN_UPDATE_BYTES = 64.0
 
-#: relative change below which a recalibrated rate is considered noise
-RATE_HYSTERESIS = 0.25
-
-
-def _adopt_rate(current: float, fresh: Optional[float]) -> float:
-    """Adopt a recalibrated seconds-per-cycle only on a material change.
-
-    Successive timed calibrations of an unchanged host land within
-    timer noise of each other, but adopting every measurement rescales
-    all subsequently profiled sender costs — after each plan transition
-    the cost model shifts a little, which can flap a knife-edge min-cut
-    on every recompute.  A fresh rate within :data:`RATE_HYSTERESIS` of
-    the current one is "same host, same speed" and is discarded; a
-    material change (the actual staleness the post-transition refresh
-    guards against) is adopted as measured.
-    """
-    if fresh is None or fresh <= 0.0:
-        return current
-    if abs(fresh - current) <= RATE_HYSTERESIS * current:
-        return current
-    return fresh
-
 
 class NetSenderEndpoint:
     """Modulator side of a live subscription.
 
+    The data path is here — ``publish`` runs the modulator and ships the
+    continuation; everything per-peer around it (PLAN frames, breaker
+    and split retraction, health, telemetry, feedback flush) is the one
+    :class:`~repro.net.session.PeerSession` in ``session``, whose plan
+    switch is this modulator's ``apply_plan``.
+
     ``publish`` runs on the caller's thread; inbound PLAN frames arrive
     on the transport's loop thread — one lock serializes the two around
     the modulator (``apply_plan`` flips the flags the interpreter
-    consults mid-run).
+    consults mid-run) and the session.
     """
 
     def __init__(
@@ -131,29 +112,23 @@ class NetSenderEndpoint:
         inflates the apparent sender rate by orders of magnitude; a rate
         calibrated against the full handler (see
         :func:`repro.net.live._calibrate`) measures the host, not the
-        per-message overhead.
+        per-message overhead.  Every applied plan marks it stale and the
+        next publish refreshes it, through ``recalibrate`` when given
+        (see :class:`~repro.net.session.CalibratedRate`).
 
-        A calibration is only valid under the conditions it was taken:
-        when a plan transition changes the modulator's share of the
-        handler, feedback priced with the old number would misstate the
-        new split's sender cost.  Every *applied* plan therefore marks
-        the override stale, and the next publish refreshes it — via
-        ``recalibrate`` (a callable returning a fresh seconds-per-cycle,
-        e.g. ``lambda: _calibrate(...)``) when provided, otherwise by
-        timing one full-handler run on the incoming event (same
-        amortize-the-overhead rationale as the startup calibration)."""
+        With ``resilience`` on, wedged health or send failures trip the
+        peer's breaker, and while it is not closed the split is
+        *retracted*: the modulator runs the sender-heavy plan,
+        continuations already in hand complete in-process (a lazily
+        built local demodulator), and inbound PLAN frames are deferred
+        until the breaker re-closes."""
         if feedback_period < 1:
             raise ValueError("feedback_period must be >= 1")
         self.partitioned = partitioned
         self.transport = transport
         self.peer = peer
-        self.subscription_id = subscription_id
         self.feedback_period = feedback_period
-        self.rate_override = rate_override
-        self.recalibrate = recalibrate
-        self.recalibrations = 0
-        #: set on plan apply; the next publish re-grounds the calibration
-        self._rate_stale = False
+        self.rate = CalibratedRate(partitioned, rate_override, recalibrate)
         self.obs = obs
         # Publish-path phase timers, same metric family as the broker's
         # (and as TcpTransport._deliver's encode/enqueue phases).
@@ -180,54 +155,43 @@ class NetSenderEndpoint:
         )
         self.lock = threading.Lock()
         self.published = 0
-        self.shipped = 0
-        self.completed_locally = 0
-        self.feedback_flushes = 0
-        self.plan_updates_applied = 0
-        self.plan_duplicates_ignored = 0
-        #: highest plan version applied; versioned frames at or below
-        #: this are duplicates and must not re-run the apply path
-        self.plan_version_applied = 0
-        self.plans_seen: List[str] = []
         self.exposer = None
-        #: per-peer health machine fed from transport state on every
-        #: publish and from inbound TELEMETRY frames; no thread of its
-        #: own — a bare endpoint behaves exactly as before.
+        #: the peer's health machine, fed from transport state on every
+        #: publish and from inbound TELEMETRY frames; no thread of its own
         self.health = HealthMonitor(obs=obs, config=health_config)
-        self.peer_health = self.health.peer(peer.name)
-        self.telemetry_seen = 0
-        self.last_telemetry: Optional[dict] = None
-        self._drift_reported = 0
-        self._last_rtt_fed: Optional[float] = None
-        #: circuit breaker over the single peer: wedged health or send
-        #: failures trip it, and while it is not closed the endpoint
-        #: *retracts the split* — the modulator runs the sender-heavy
-        #: plan, continuations complete in-process (via a lazily built
-        #: local demodulator for the one already in hand), and inbound
-        #: PLAN frames are deferred until the breaker re-closes.
-        self.resilience = resilience
-        self.breaker: Optional[CircuitBreaker] = None
-        self._retraction_plan = sender_heavy_plan(partitioned.cut)
         self._local_demod = None
-        self.absorbed = 0
-        self.retractions = 0
-        self.resplits = 0
-        self.retracted = False
-        self.saved_plan: Optional[PartitioningPlan] = None
-        self.saved_plan_version = 0
-        self.pending_plan: Optional[PlanEnvelope] = None
-        self.plans_deferred = 0
-        if resilience:
-            self.breaker = CircuitBreaker(
-                peer.name,
-                breaker_config,
-                on_transition=self._on_breaker_transition,
-            )
-            self.health.add_listener(self._on_health_transition)
+        self.session = PeerSession(
+            peer.name,
+            peer,
+            subscription_id,
+            self.modulator.plan_runtime.current_plan,
+            self.proxy,
+            # looked up per call: harnesses wrap ``transport.send``
+            send=lambda envelope, size: transport.send(peer, envelope, size),
+            monitor=self.health,
+            rate=self.rate,
+            retraction_plan=sender_heavy_plan(partitioned.cut),
+            apply_plan=self.modulator.apply_plan,
+            breaker_config=(
+                (breaker_config or BreakerConfig()) if resilience else None
+            ),
+            obs=obs,
+        )
         transport.inbound_handler = self._on_inbound
 
-    def _tracer(self):
-        return self.obs.tracing if self.obs is not None else None
+    # Read-outs of the session that harnesses sum across both roles.
+
+    @property
+    def plan_updates_applied(self) -> int:
+        return self.session.plan_updates_applied
+
+    @property
+    def retractions(self) -> int:
+        return self.session.retractions
+
+    @property
+    def absorbed(self) -> int:
+        return self.session.absorbed
 
     def expose_metrics(self, host: str = "127.0.0.1", port: int = 0):
         """Serve this process's observability over HTTP (OpenMetrics).
@@ -256,36 +220,22 @@ class NetSenderEndpoint:
     def publish(self, event: object) -> None:
         """Modulate one event and ship the continuation (if any)."""
         with self.lock:
-            if self._rate_stale:
-                self._rate_stale = False
-                if self.rate_override is not None:
-                    fresh = (
-                        self.recalibrate()
-                        if self.recalibrate is not None
-                        else self._recalibrate_against(event)
-                    )
-                    self.rate_override = _adopt_rate(
-                        self.rate_override, fresh
-                    )
-                    self.recalibrations += 1
+            session = self.session
+            self.rate.refresh(event)
             started = time.perf_counter()
             result = self.modulator.process(event)
             elapsed = time.perf_counter() - started
             if self._h_phase_modulate is not None:
                 self._h_phase_modulate.observe(elapsed)
             if result.cycles > 0:
-                seconds = (
-                    result.cycles * self.rate_override
-                    if self.rate_override is not None
-                    else elapsed
+                self.proxy.record_sender_rate(
+                    self.rate.seconds(result.cycles, elapsed), result.cycles
                 )
-                self.proxy.record_sender_rate(seconds, result.cycles)
             self.published += 1
             message = result.message
-            br = self.breaker
             if message is None:
-                self.completed_locally += 1
-            elif br is not None and not br.is_closed and not br.allow():
+                session.completed_locally += 1
+            elif not session.admits():
                 # Breaker open (or half-open with the probe budget
                 # spent): the continuation completes in-process instead
                 # of shipping toward a peer known to be in trouble.
@@ -299,7 +249,7 @@ class NetSenderEndpoint:
                 size = float(self.partitioned.codec.size(message))
                 envelope = ContinuationEnvelope(
                     continuation=message,
-                    subscription_id=self.subscription_id,
+                    subscription_id=session.subscription_id,
                 )
                 if self.obs is not None:
                     self.obs.trace.record(
@@ -315,11 +265,11 @@ class NetSenderEndpoint:
                 except TransportError as exc:
                     # The send path failing is a breaker signal *and*
                     # must not lose the message: absorb it locally.
-                    if br is not None:
-                        br.record_failure(f"send failed: {exc}")
+                    if session.breaker is not None:
+                        session.breaker.record_failure(f"send failed: {exc}")
                     self._absorb(message)
                 else:
-                    self.shipped += 1
+                    session.shipped += 1
                     if ship_started is not None:
                         self._h_phase_ship.observe(
                             time.perf_counter() - ship_started
@@ -328,26 +278,9 @@ class NetSenderEndpoint:
                 self.published % self.feedback_period == 0
                 and self.proxy.pending > 0
             ):
-                self._flush_feedback()
-            self._feed_peer_health()
-            if br is not None:
-                self._resilience_tick()
-
-    def _feed_peer_health(self) -> None:
-        """Refresh the peer's health signals from transport state (lock held)."""
-        peer = self.peer
-        ph = self.peer_health
-        ph.note_connected(peer.connected)
-        if peer.last_heard is not None:
-            ph.note_signal(peer.last_heard)
-        rtt = peer.last_rtt
-        if rtt is not None and rtt != self._last_rtt_fed:
-            self._last_rtt_fed = rtt
-            ph.note_rtt(rtt)
-        ph.note_sheds(peer.dropped_frames)
-        ph.evaluate()
-
-    # -- resilience (breaker + split retraction; all lock held) ----------------
+                session.flush_feedback()
+            session.feed_health()
+            session.resilience_tick()
 
     def _absorb(self, message) -> None:
         """Complete a continuation in-process instead of shipping it.
@@ -365,258 +298,31 @@ class NetSenderEndpoint:
                 record_rates=False
             )
         self._local_demod.process(message)
-        self.absorbed += 1
-        self.completed_locally += 1
-
-    def _on_health_transition(self, ph, record: dict) -> None:
-        """HealthMonitor listener: the peer going wedged trips the breaker."""
-        if self.breaker is None or ph is not self.peer_health:
-            return
-        if record["to"] == WEDGED:
-            self.breaker.trip(f"health wedged: {record['reason']}")
-
-    def _on_breaker_transition(
-        self, breaker: CircuitBreaker, record: dict
-    ) -> None:
-        """Breaker edges actuate the split (fires under ``self.lock``)."""
-        from repro.obs.flight import get_global_recorder
-
-        flight = get_global_recorder()
-        if flight is not None:
-            flight.record(
-                "breaker.transition",
-                peer=self.peer.name,
-                frm=record["from"],
-                to=record["to"],
-                reason=record["reason"],
-            )
-        if record["to"] == BREAKER_OPEN:
-            self._retract()
-        elif record["to"] == BREAKER_CLOSED:
-            self._restore_split()
-
-    def _retract(self) -> None:
-        """Swap the modulator to the sender-heavy plan (lock held).
-
-        Unlike the broker there is no receiver-side queue to drain — the
-        modulator *is* the only producer, and the caller already holds
-        the lock that serializes it, so the swap is immediate: every
-        message from the next ``process`` on completes locally.
-        """
-        if self.retracted:
-            return
-        plan = self.modulator.plan_runtime.current_plan
-        self.saved_plan = plan
-        self.saved_plan_version = self.plan_version_applied
-        self.modulator.apply_plan(self._retraction_plan)
-        self.retracted = True
-        self.retractions += 1
-
-    def _restore_split(self) -> None:
-        """Breaker closed: re-apply the best plan known (lock held).
-
-        A PLAN frame deferred during retraction supersedes the saved
-        plan when its version is fresher — the receiver recomputed
-        while we were retracted, and its view wins, exactly as it would
-        have had the breaker never opened.
-        """
-        if not self.retracted:
-            return
-        self.retracted = False
-        pending = self.pending_plan
-        self.pending_plan = None
-        if (
-            pending is not None
-            and pending.version > self.saved_plan_version
-        ):
-            self.modulator.apply_plan(pending.plan)
-            self.plan_version_applied = pending.version
-            self.plan_updates_applied += 1
-        elif self.saved_plan is not None:
-            self.modulator.apply_plan(self.saved_plan)
-        self.saved_plan = None
-        self.resplits += 1
-        self._refresh_rate_override()
-
-    def _resilience_tick(self) -> None:
-        """Feed the breaker's probe verdicts from transport state (lock held)."""
-        br = self.breaker
-        now = time.monotonic()
-        if br.state == BREAKER_OPEN:
-            # Past the backoff the next allow() flips to half-open; the
-            # publish path consults allow() anyway, so nothing to do.
-            return
-        if br.state == BREAKER_HALF_OPEN:
-            peer = self.peer
-            if not peer.connected or self.peer_health.state == WEDGED:
-                br.record_failure("probe: peer unhealthy")
-                return
-            heard = peer.last_heard
-            if (
-                heard is not None
-                and now - heard < self.health.config.stale_degraded
-            ):
-                br.record_success()
-
-    def resilience_dump(self) -> dict:
-        """Breaker + retraction state for dashboards and dumps."""
-        return {
-            "breaker": (
-                self.breaker.to_dict() if self.breaker is not None else None
-            ),
-            "absorbed": self.absorbed,
-            "retracted": self.retracted,
-            "retractions": self.retractions,
-            "resplits": self.resplits,
-            "plans_deferred": self.plans_deferred,
-        }
-
-    def _flush_feedback(self) -> None:
-        """Ship buffered observations as a FEEDBACK frame (lock held)."""
-        payload, size = self.proxy.flush()
-        envelope = FeedbackEnvelope(
-            subscription_id=self.subscription_id,
-            demod_stats=payload,
-        )
-        tracer = self._tracer()
-        if tracer is not None:
-            trace_id = tracer.start_trace(force=True)
-            flush_span = tracer.record(
-                "feedback.flush",
-                trace_id=trace_id,
-                start=tracer.clock(),
-                end=tracer.clock(),
-                attrs={"records": len(payload), "bytes": size},
-            )
-            envelope.trace = (trace_id, flush_span.span_id)
-        self.transport.send(self.peer, envelope, size)
-        self.feedback_flushes += 1
+        self.session.absorbed += 1
+        self.session.completed_locally += 1
 
     def finish(self) -> None:
         """Flush the tail of the profiling buffer and say goodbye."""
         with self.lock:
             if self.proxy.pending > 0:
-                self._flush_feedback()
-            self.transport.send(self.peer, Bye(sent=self.shipped), 8.0)
+                self.session.flush_feedback()
+            self.transport.send(
+                self.peer, Bye(sent=self.session.shipped), 8.0
+            )
 
     # -- control plane (runs on the transport's loop thread) -------------------
 
     def _on_inbound(self, envelope: object, peer: TcpPeer) -> None:
-        if isinstance(envelope, Telemetry):
-            with self.lock:
-                self._ingest_telemetry(envelope)
-            return
-        if not isinstance(envelope, PlanEnvelope):
-            return
-        tracer = self._tracer()
         with self.lock:
-            if (
-                envelope.version
-                and envelope.version <= self.plan_version_applied
-            ):
-                # Idempotency: a duplicated or retransmitted PLAN frame
-                # (at-least-once head-frame delivery across a reconnect)
-                # must not re-run the apply path.
-                self.plan_duplicates_ignored += 1
-                return
-            if self.retracted:
-                # Split is retracted while the breaker is open: park the
-                # plan (newest version wins) and apply it on re-split —
-                # actuating now would ship toward a peer in trouble.
-                if (
-                    self.pending_plan is None
-                    or envelope.version > self.pending_plan.version
-                ):
-                    self.pending_plan = envelope
-                self.plans_deferred += 1
-                return
-            self.modulator.apply_plan(envelope.plan)
-            if envelope.version:
-                self.plan_version_applied = envelope.version
-            self.plan_updates_applied += 1
-            self.plans_seen.append(
-                ",".join(
-                    str(e) for e in sorted(envelope.plan.active)
-                )
-            )
-            self._refresh_rate_override()
-        if tracer is not None and envelope.trace is not None:
-            now = tracer.clock()
-            tracer.record(
-                "plan.apply",
-                trace_id=envelope.trace[0],
-                parent_id=envelope.trace[1],
-                start=now,
-                end=now,
-                attrs={"plan": envelope.plan.name},
-            )
-
-    def _ingest_telemetry(self, envelope: Telemetry) -> None:
-        """Fold a pushed telemetry report into the peer's health (lock held)."""
-        self.telemetry_seen += 1
-        self.last_telemetry = envelope.payload
-        ph = self.peer_health
-        ph.note_telemetry()
-        payload = envelope.payload
-        counters = payload.get("counters") or {}
-        dupes = counters.get("duplicates_skipped")
-        if isinstance(dupes, (int, float)):
-            ph.note_duplicates(int(dupes))
-        drift = payload.get("drift_events")
-        if isinstance(drift, (int, float)) and drift > self._drift_reported:
-            ph.note_drift(int(drift) - self._drift_reported)
-            self._drift_reported = int(drift)
-        ph.evaluate()
-
-    def _refresh_rate_override(self) -> None:
-        """Mark the calibrated rate stale after a plan transition (lock held).
-
-        The old calibration was taken under the old split; pricing the
-        new split's cycles with it misreports the sender's rate until
-        the EWMA happens to wash it out.  The actual refresh happens
-        lazily on the next :meth:`publish` — recalibration needs a
-        representative event to run the handler on, and the publish
-        path is where one arrives.
-        """
-        if self.rate_override is None:
-            return
-        self._rate_stale = True
-
-    def _recalibrate_against(self, event: object, repeats: int = 5) -> float:
-        """Timed full-handler runs → fresh seconds-per-cycle (lock held).
-
-        Mirrors the startup calibration (:func:`repro.net.live._calibrate`)
-        on the event in hand: the full handler runs enough cycles to
-        amortize the fixed per-call overhead that dominates raw
-        per-message timings.  The reported rate is the *minimum* over
-        the repeats — timing noise (GC pauses, scheduler preemption)
-        only ever inflates a run, so the fastest run is the least-noise
-        estimate, and a stable estimate keeps successive recomputes
-        from flapping a knife-edge min-cut.  The runs' deliveries land
-        in this process's local sink, which the sender role never reads.
-        """
-        from repro.ir.interpreter import CycleMeter
-
-        best = None
-        for _ in range(repeats):
-            meter = CycleMeter()
-            started = time.perf_counter()
-            self.partitioned.interpreter.run(
-                self.partitioned.function, (event,), meter=meter
-            )
-            elapsed = time.perf_counter() - started
-            if meter.cycles > 0:
-                rate = elapsed / meter.cycles
-                best = rate if best is None else min(best, rate)
-        if best is None:
-            return self.rate_override  # nothing measurable; keep the old rate
-        return best
+            if isinstance(envelope, Telemetry):
+                self.session.ingest_telemetry(envelope)
+            elif isinstance(envelope, PlanEnvelope):
+                self.session.on_plan(envelope)
 
     @property
     def current_plan_edges(self) -> Tuple[Tuple[int, int], ...]:
         with self.lock:
-            plan = self.modulator.plan_runtime.current_plan
-            return tuple(sorted(plan.active)) if plan is not None else ()
+            return self.session.plan_edges
 
 
 class NetReceiverEndpoint:
@@ -748,6 +454,10 @@ class NetReceiverEndpoint:
         self.telemetry_pushes = 0
         self.telemetry_sent = 0
         self._telemetry_task: Optional[asyncio.Task] = None
+        #: tested by the background loops: on 3.11 the ``wait_for`` in
+        #: ``ServerConnection.send`` can swallow stop()'s cancel, and a
+        #: ``while True`` loop would then outlive it for good
+        self._stopping = False
         self._telemetry_prev: Optional[dict] = None
         #: this process's own health, exposed on /healthz and pushed in
         #: every telemetry report; live.py forces it around injected
@@ -777,6 +487,7 @@ class NetReceiverEndpoint:
         self, host: str = "127.0.0.1", port: int = 0
     ) -> Tuple[str, int]:
         bound = await self.server.start(host, port)
+        self._stopping = False
         if self.telemetry_interval > 0 and self._telemetry_task is None:
             self._telemetry_task = asyncio.get_running_loop().create_task(
                 self._telemetry_loop()
@@ -788,6 +499,7 @@ class NetReceiverEndpoint:
         return bound
 
     async def stop(self) -> None:
+        self._stopping = True
         for attr in ("_telemetry_task", "_election_task"):
             task = getattr(self, attr)
             if task is not None:
@@ -805,7 +517,7 @@ class NetReceiverEndpoint:
     # -- telemetry push (event-loop thread) ------------------------------------
 
     async def _telemetry_loop(self) -> None:
-        while True:
+        while not self._stopping:
             await asyncio.sleep(self.telemetry_interval)
             await self.push_telemetry()
 
@@ -950,7 +662,7 @@ class NetReceiverEndpoint:
             member.config.challenge_timeout,
             member.config.coordinator_interval,
         ) / 2.0
-        while True:
+        while not self._stopping:
             await asyncio.sleep(interval)
             member.tick()
             await self._flush_election()

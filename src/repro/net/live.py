@@ -393,16 +393,17 @@ def run_sender(args: argparse.Namespace) -> Dict[str, object]:
     # Leave a window for a PLAN frame racing the tail of the stream.
     time.sleep(0.3)
     elapsed = time.time() - started
+    session = endpoint.session
     result = {
         "role": "sender",
         "published": endpoint.published,
-        "shipped": endpoint.shipped,
-        "completed_locally": endpoint.completed_locally,
-        "feedback_flushes": endpoint.feedback_flushes,
+        "shipped": session.shipped,
+        "completed_locally": session.completed_locally,
+        "feedback_flushes": session.feedback_flushes,
         "plan_updates_applied": endpoint.plan_updates_applied,
-        "plan_duplicates_ignored": endpoint.plan_duplicates_ignored,
-        "telemetry_seen": endpoint.telemetry_seen,
-        "resilience": endpoint.resilience_dump(),
+        "plan_duplicates_ignored": session.plan_duplicates_ignored,
+        "telemetry_seen": session.telemetry_frames,
+        "resilience": session.resilience_dump(),
         "peer_health": endpoint.health.to_dict(),
         "initial_plan_edges": sorted(list(e) for e in plan.active),
         "final_plan_edges": [
@@ -497,8 +498,7 @@ def run_broker(args: argparse.Namespace) -> Dict[str, object]:
     endpoint.close()
     with endpoint.lock:
         for sub in endpoint.subscribers:
-            endpoint._feed_sub_health(sub)
-        endpoint.health.evaluate_all()
+            sub.feed_health()
         fleet_final = endpoint.health.to_dict()
     # Leave a window for PLAN frames racing the tail of the stream.
     time.sleep(0.3)

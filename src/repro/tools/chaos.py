@@ -103,7 +103,7 @@ def _scenario_plan_storm(
     from repro.jecho.events import PlanEnvelope
     from repro.net.endpoint import NetSenderEndpoint
     from repro.net.framing import NetEnvelopeCodec
-    from repro.net.resilience import BreakerConfig, CircuitBreaker
+    from repro.net.resilience import BreakerConfig
     from repro.net.tcp import TcpTransport
     from repro.obs import Observability
 
@@ -130,18 +130,15 @@ def _scenario_plan_storm(
             plan=plan_recv,
             rate_override=1e-7,
             obs=obs,
+            breaker_config=BreakerConfig(success_threshold=1),
         )
         # A scripted clock makes the probe schedule deterministic: the
         # breaker stays firmly open through the absorb phase (no wall
         # time passes) and is walked to half-open by advancing the
         # clock past the backoff by hand.
         fake_now = [0.0]
-        sender.breaker = CircuitBreaker(
-            peer.name,
-            BreakerConfig(success_threshold=1),
-            clock=lambda: fake_now[0],
-            on_transition=sender._on_breaker_transition,
-        )
+        session = sender.session
+        session.clock = lambda: fake_now[0]
 
         def plan_frame(version: int, plan) -> PlanEnvelope:
             return PlanEnvelope(
@@ -157,20 +154,20 @@ def _scenario_plan_storm(
             checks,
             "duplicate and stale plans ignored",
             sender.plan_updates_applied == 1
-            and sender.plan_duplicates_ignored == 2,
+            and session.plan_duplicates_ignored == 2,
             f"applied {sender.plan_updates_applied}, "
-            f"ignored {sender.plan_duplicates_ignored}",
+            f"ignored {session.plan_duplicates_ignored}",
         )
 
         # Scripted trip: retraction swaps to the sender-heavy plan and
         # every publish completes locally (the absorb path).
         with sender.lock:
-            sender.breaker.trip("chaos: scripted trip")
+            session.breaker.trip("chaos: scripted trip")
         _check(
             checks,
             "trip retracts the split",
-            sender.retracted and sender.retractions == 1,
-            f"retracted={sender.retracted} after trip",
+            session.retracted and sender.retractions == 1,
+            f"retracted={session.retracted} after trip",
         )
         for i in range(10):
             sender.publish(make_reading(i, 16))
@@ -179,10 +176,10 @@ def _scenario_plan_storm(
             "open breaker absorbs the stream locally",
             sender.absorbed == 10
             and sender.published
-            == sender.shipped + sender.completed_locally,
+            == session.shipped + session.completed_locally,
             f"absorbed {sender.absorbed}, published {sender.published}, "
-            f"shipped {sender.shipped}, "
-            f"local {sender.completed_locally}",
+            f"shipped {session.shipped}, "
+            f"local {session.completed_locally}",
         )
 
         # Plans arriving mid-retraction are parked, newest version wins;
@@ -193,45 +190,45 @@ def _scenario_plan_storm(
         _check(
             checks,
             "plans deferred while retracted, newest wins",
-            sender.plans_deferred == 3
-            and sender.pending_plan is not None
-            and sender.pending_plan.version == 4,
-            f"deferred {sender.plans_deferred}, pending version "
-            f"{sender.pending_plan.version if sender.pending_plan else None}",
+            session.plans_deferred == 3
+            and session.pending_plan is not None
+            and session.pending_plan.version == 4,
+            f"deferred {session.plans_deferred}, pending version "
+            f"{session.pending_plan.version if session.pending_plan else None}",
         )
 
         # Walk the breaker closed by hand (probe + success) and confirm
         # the re-split applied the deferred version, not the saved one.
         fake_now[0] += 60.0
         with sender.lock:
-            assert sender.breaker.allow()
-            sender.breaker.record_success()
+            assert session.breaker.allow()
+            session.breaker.record_success()
         _check(
             checks,
             "re-split applies the deferred plan",
-            not sender.retracted
-            and sender.plan_version_applied == 4
-            and sender.resplits == 1,
-            f"version {sender.plan_version_applied}, "
-            f"resplits {sender.resplits}",
+            not session.retracted
+            and session.plan_version_applied == 4
+            and session.resplits == 1,
+            f"version {session.plan_version_applied}, "
+            f"resplits {session.resplits}",
         )
         _check(
             checks,
             "breaker walked open -> half-open -> closed",
             _transition_path(
-                sender.breaker.to_dict(), "open", "half_open", "closed"
+                session.breaker.to_dict(), "open", "half_open", "closed"
             ),
             str(
                 [
                     t["to"]
-                    for t in sender.breaker.to_dict()["transitions"]
+                    for t in session.breaker.to_dict()["transitions"]
                 ]
             ),
         )
         summary = {
-            "resilience": sender.resilience_dump(),
+            "resilience": session.resilience_dump(),
             "plan_updates_applied": sender.plan_updates_applied,
-            "plan_duplicates_ignored": sender.plan_duplicates_ignored,
+            "plan_duplicates_ignored": session.plan_duplicates_ignored,
             "published": sender.published,
         }
     finally:

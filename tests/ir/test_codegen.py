@@ -423,6 +423,7 @@ def _mp_exec(env, _start, meter, _observer, _capture, _max_steps):
                         raise _IE('f: total + i failed: ' + str(_exc)) from _exc
                     _loc = locals()
                     _env = {_o: _loc[_k] for _k, _o in _VARS if _k in _loc}
+                    del _loc
                     meter.cycles += _cy; _cy = 0.0
                     meter.instructions += _n - _fn; _fn = _n
                     _observer((6, 7), _env)
@@ -484,3 +485,39 @@ def test_unmetered_source_carries_no_meter_code(registry):
         "def _mp_exec(env, _start, meter, _observer, _capture, _max_steps):",
         "",
     )
+
+
+def test_watched_edges_leave_no_cyclic_garbage():
+    """``locals()`` is the frame's cached dict, which from the second
+    watched edge on would contain ``_loc`` itself — a cycle pinning every
+    register value until the cyclic GC runs.  Refcounting alone must
+    free a modulate call's frame."""
+    import gc
+
+    from repro.apps.sensor.data import make_reading
+    from repro.apps.sensor.pipeline import build_partitioned_process
+    from repro.core.plan import PartitioningPlan
+
+    partitioned, _sink = build_partitioned_process(
+        n_stages=6, backend="codegen"
+    )
+    # Split late on every path, so that observed edges precede the split.
+    late = PartitioningPlan(
+        active=frozenset(
+            max(edges) for _path, edges in partitioned.cut.path_pse_edges
+        ),
+        name="late",
+    )
+    profiling = partitioned.make_profiling_unit()  # observes every PSE edge
+    modulator = partitioned.make_modulator(plan=late, profiling=profiling)
+    reading = make_reading(0, 8)
+    assert modulator.process(reading).message is not None  # it does split
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(200):
+            modulator.process(reading)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert not codegen.fallback_counts

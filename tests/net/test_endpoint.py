@@ -19,6 +19,11 @@ from repro.net.tcp import TcpTransport
 
 SAMPLES = 64
 
+#: a fixed seconds-per-cycle for both sides (the pipeline benchmark's):
+#: the plan a test asserts on then follows from cycle counts and sizes,
+#: not from how fast this host ran two timed calibrations
+FIXED_RATE = 2e-8
+
 
 def _wait_until(predicate, timeout=20.0, interval=0.01):
     deadline = time.monotonic() + timeout
@@ -32,12 +37,13 @@ def _wait_until(predicate, timeout=20.0, interval=0.01):
 class ReceiverHarness:
     """A NetReceiverEndpoint served from a dedicated event-loop thread."""
 
-    def __init__(self, **kwargs):
+    def __init__(self, rate=None, **kwargs):
         self.partitioned, self.sink = build_partitioned_process(
             n_stages=20, backend="compiled"
         )
         self.plan = receiver_heavy_plan(self.partitioned.cut)
-        rate = _calibrate(self.partitioned, self.sink, SAMPLES)
+        if rate is None:
+            rate = _calibrate(self.partitioned, self.sink, SAMPLES)
         self.endpoint = NetReceiverEndpoint(
             self.partitioned,
             plan=self.plan,
@@ -126,13 +132,13 @@ def test_live_subscription_ships_plan_and_delivers():
         receiver = harness.endpoint
 
         assert sender.published == published
-        assert sender.shipped >= 1
+        assert sender.session.shipped >= 1
         assert _wait_until(
-            lambda: receiver.demodulated + sender.completed_locally
+            lambda: receiver.demodulated + sender.session.completed_locally
             >= published
         )
         assert len(harness.sink.results) == receiver.demodulated
-        assert receiver.sender_reported_sent == sender.shipped
+        assert receiver.sender_reported_sent == sender.session.shipped
 
         # the reconfiguration crossed the wire, both directions
         assert receiver.plan_ships >= 1
@@ -160,13 +166,12 @@ def test_identical_recomputes_ship_plan_once():
     """Recomputes that confirm the incumbent plan must not re-ship it:
     PLAN frames go out only on actual transitions."""
     harness = ReceiverHarness(
-        trigger=RateTrigger(period=5), rate_scale=1.0
+        rate=FIXED_RATE, trigger=RateTrigger(period=5), rate_scale=1.0
     )
-    partitioned, sink = build_partitioned_process(
+    partitioned, _sink = build_partitioned_process(
         n_stages=20, backend="compiled"
     )
     plan = receiver_heavy_plan(partitioned.cut)
-    rate = _calibrate(partitioned, sink, SAMPLES)
     transport = TcpTransport(
         NetEnvelopeCodec(partitioned.serializer_registry),
         backoff_base=0.01,
@@ -179,7 +184,8 @@ def test_identical_recomputes_ship_plan_once():
         peer,
         plan=plan,
         feedback_period=4,
-        rate_override=rate,
+        rate_override=FIXED_RATE,
+        recalibrate=lambda: FIXED_RATE,
     )
     try:
         for i in range(30):

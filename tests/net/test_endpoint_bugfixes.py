@@ -108,7 +108,7 @@ def test_plan_apply_marks_rate_stale_and_next_publish_recalibrates():
     harness = ReceiverHarness(trigger=IDLE)
     sender, transport = _sender(harness, recalibrate=lambda: 1.25e-6)
     try:
-        old_rate = sender.rate_override
+        old_rate = sender.rate.override
         plan = sender_heavy_plan(sender.partitioned.cut)
         sender._on_inbound(
             PlanEnvelope(subscription_id=1, plan=plan, version=1),
@@ -116,16 +116,16 @@ def test_plan_apply_marks_rate_stale_and_next_publish_recalibrates():
         )
         # the apply itself only marks: no recalibration until an event
         # arrives to calibrate against
-        assert sender._rate_stale
-        assert sender.rate_override == old_rate
-        assert sender.recalibrations == 0
+        assert sender.rate.stale
+        assert sender.rate.override == old_rate
+        assert sender.rate.recalibrations == 0
         sender.publish(make_reading(0, SAMPLES))
-        assert sender.rate_override == 1.25e-6
-        assert sender.recalibrations == 1
-        assert not sender._rate_stale
+        assert sender.rate.override == 1.25e-6
+        assert sender.rate.recalibrations == 1
+        assert not sender.rate.stale
         # a second publish under the same plan does not thrash
         sender.publish(make_reading(1, SAMPLES))
-        assert sender.recalibrations == 1
+        assert sender.rate.recalibrations == 1
     finally:
         transport.close()
         harness.stop()
@@ -138,16 +138,16 @@ def test_recalibration_within_noise_keeps_the_current_rate():
     harness = ReceiverHarness(trigger=IDLE)
     sender, transport = _sender(harness)
     try:
-        old_rate = sender.rate_override
-        sender.recalibrate = lambda: old_rate * 1.05  # within the band
+        old_rate = sender.rate.override
+        sender.rate.recalibrate = lambda: old_rate * 1.05  # within the band
         plan = sender_heavy_plan(sender.partitioned.cut)
         sender._on_inbound(
             PlanEnvelope(subscription_id=1, plan=plan, version=1),
             sender.peer,
         )
         sender.publish(make_reading(0, SAMPLES))
-        assert sender.recalibrations == 1  # measured...
-        assert sender.rate_override == old_rate  # ...but not adopted
+        assert sender.rate.recalibrations == 1  # measured...
+        assert sender.rate.override == old_rate  # ...but not adopted
     finally:
         transport.close()
         harness.stop()
@@ -163,11 +163,11 @@ def test_builtin_recalibration_times_the_full_handler():
             sender.peer,
         )
         sender.publish(make_reading(0, SAMPLES))
-        assert sender.recalibrations == 1
+        assert sender.rate.recalibrations == 1
         # a plausible host rate, not a per-message-overhead artifact:
         # the sensor handler runs thousands of cycles in well under a
         # second, so seconds-per-cycle lands far below 1e-3
-        assert 0.0 < sender.rate_override < 1e-3
+        assert 0.0 < sender.rate.override < 1e-3
     finally:
         transport.close()
         harness.stop()
@@ -177,15 +177,15 @@ def test_no_override_means_no_recalibration():
     harness = ReceiverHarness(trigger=IDLE)
     sender, transport = _sender(harness)
     try:
-        sender.rate_override = None
+        sender.rate.override = None
         plan = sender_heavy_plan(sender.partitioned.cut)
         sender._on_inbound(
             PlanEnvelope(subscription_id=1, plan=plan, version=1),
             sender.peer,
         )
-        assert not sender._rate_stale  # raw wall clock needs no refresh
+        assert not sender.rate.stale  # raw wall clock needs no refresh
         sender.publish(make_reading(0, SAMPLES))
-        assert sender.recalibrations == 0
+        assert sender.rate.recalibrations == 0
     finally:
         transport.close()
         harness.stop()
@@ -205,7 +205,7 @@ def test_duplicated_plan_frame_is_applied_once():
         # the at-least-once retransmit redelivers the same frame
         sender._on_inbound(envelope, sender.peer)
         assert sender.plan_updates_applied == 1
-        assert sender.plan_duplicates_ignored == 1
+        assert sender.session.plan_duplicates_ignored == 1
         assert sender.modulator.plan_runtime.switch_count == switches
         # a stale lower version arriving late is also a duplicate
         sender._on_inbound(
@@ -216,7 +216,7 @@ def test_duplicated_plan_frame_is_applied_once():
             ),
             sender.peer,
         )
-        assert sender.plan_duplicates_ignored == 2
+        assert sender.session.plan_duplicates_ignored == 2
         assert sender.current_plan_edges == tuple(sorted(plan.active))
     finally:
         transport.close()
@@ -232,7 +232,7 @@ def test_legacy_unversioned_plan_frames_always_apply():
         sender._on_inbound(legacy, sender.peer)
         sender._on_inbound(legacy, sender.peer)
         assert sender.plan_updates_applied == 2
-        assert sender.plan_duplicates_ignored == 0
+        assert sender.session.plan_duplicates_ignored == 0
     finally:
         transport.close()
         harness.stop()
@@ -316,7 +316,7 @@ def test_two_senders_with_colliding_sequences_both_deliver():
         receiver = harness.endpoint
         assert _wait_until(
             lambda: receiver.demodulated
-            >= sender_a.shipped + sender_b.shipped
+            >= sender_a.session.shipped + sender_b.session.shipped
         )
         assert receiver.duplicates_skipped == 0
         assert len(receiver._dedupe_high) == 2  # one mark per source
@@ -345,10 +345,10 @@ def test_dedupe_survives_reconnect_effectively_once():
         assert receiver.drops_injected == 1
         assert _wait_until(
             lambda: receiver.demodulated + receiver.duplicates_skipped
-            >= sender.shipped
+            >= sender.session.shipped
         )
         # effectively-once: every shipped frame processed exactly once
-        assert receiver.demodulated == sender.shipped
+        assert receiver.demodulated == sender.session.shipped
         assert len(harness.sink.results) == receiver.demodulated
     finally:
         transport.close()

@@ -234,14 +234,10 @@ def wired_sender():
         peer,
         plan=receiver_heavy_plan(partitioned.cut),
         rate_override=1e-7,
+        breaker_config=BreakerConfig(success_threshold=1),
     )
     clock = FakeClock()
-    sender.breaker = CircuitBreaker(
-        peer.name,
-        BreakerConfig(success_threshold=1),
-        clock=clock,
-        on_transition=sender._on_breaker_transition,
-    )
+    sender.session.clock = clock
     try:
         yield partitioned, sender, peer, clock
     finally:
@@ -253,15 +249,15 @@ def test_open_breaker_absorbs_publishes_locally(wired_sender):
 
     partitioned, sender, peer, clock = wired_sender
     with sender.lock:
-        sender.breaker.trip("test")
-    assert sender.retracted
+        sender.session.breaker.trip("test")
+    assert sender.session.retracted
     assert sender.retractions == 1
     for i in range(5):
         sender.publish(make_reading(i, 8))
     assert sender.absorbed == 5
-    assert sender.shipped == 0
+    assert sender.session.shipped == 0
     # conservation: nothing lost, everything completed somewhere
-    assert sender.published == sender.shipped + sender.completed_locally
+    assert sender.published == sender.session.shipped + sender.session.completed_locally
 
 
 def test_plans_deferred_while_retracted_newest_wins(wired_sender):
@@ -272,7 +268,7 @@ def test_plans_deferred_while_retracted_newest_wins(wired_sender):
     plan_recv = receiver_heavy_plan(partitioned.cut)
     plan_none = sender_heavy_plan(partitioned.cut)
     with sender.lock:
-        sender.breaker.trip("test")
+        sender.session.breaker.trip("test")
     sender._on_inbound(
         PlanEnvelope(subscription_id=1, plan=plan_recv, version=3), peer
     )
@@ -282,39 +278,39 @@ def test_plans_deferred_while_retracted_newest_wins(wired_sender):
     sender._on_inbound(
         PlanEnvelope(subscription_id=1, plan=plan_recv, version=4), peer
     )
-    assert sender.plans_deferred == 3
-    assert sender.pending_plan is not None
-    assert sender.pending_plan.version == 5
+    assert sender.session.plans_deferred == 3
+    assert sender.session.pending_plan is not None
+    assert sender.session.pending_plan.version == 5
     assert sender.plan_updates_applied == 0
 
     # closing the breaker re-splits onto the deferred (newest) plan
     clock.advance(60.0)
     with sender.lock:
-        assert sender.breaker.allow()
-        sender.breaker.record_success()
-    assert not sender.retracted
-    assert sender.resplits == 1
-    assert sender.plan_version_applied == 5
-    assert sender.pending_plan is None
+        assert sender.session.breaker.allow()
+        sender.session.breaker.record_success()
+    assert not sender.session.retracted
+    assert sender.session.resplits == 1
+    assert sender.session.plan_version_applied == 5
+    assert sender.session.pending_plan is None
 
 
 def test_resplit_restores_saved_plan_when_nothing_deferred(wired_sender):
     partitioned, sender, peer, clock = wired_sender
     before = sender.modulator.plan_runtime.current_plan.active
     with sender.lock:
-        sender.breaker.trip("test")
+        sender.session.breaker.trip("test")
     assert sender.modulator.plan_runtime.current_plan.active != before  # sender-heavy now
     clock.advance(60.0)
     with sender.lock:
-        assert sender.breaker.allow()
-        sender.breaker.record_success()
+        assert sender.session.breaker.allow()
+        sender.session.breaker.record_success()
     assert sender.modulator.plan_runtime.current_plan.active == before
-    assert not sender.retracted
+    assert not sender.session.retracted
 
 
 def test_resilience_dump_shape(wired_sender):
     partitioned, sender, peer, clock = wired_sender
-    dump = sender.resilience_dump()
+    dump = sender.session.resilience_dump()
     assert dump["breaker"]["state"] == BREAKER_CLOSED
     assert dump["retracted"] is False
     assert set(dump) >= {

@@ -190,3 +190,40 @@ def test_telemetry_pushes_reach_subscribed_client():
         asyncio.run_coroutine_threadsafe(endpoint.stop(), loop).result(5.0)
         loop.call_soon_threadsafe(loop.stop)
         thread.join(5.0)
+
+
+def test_stop_never_strands_the_telemetry_loop():
+    """On 3.11 the ``wait_for`` inside ``ServerConnection.send`` can
+    swallow ``stop()``'s cancel; the push loop must end anyway.  The
+    near-zero interval keeps the loop inside a push at almost every
+    instant, which is where the cancel gets lost."""
+    partitioned, _sink = build_partitioned_process(n_stages=4)
+    codec = NetEnvelopeCodec(partitioned.serializer_registry)
+    endpoint = NetReceiverEndpoint(
+        partitioned, codec=codec, telemetry_interval=1e-6
+    )
+    loop = asyncio.new_event_loop()
+    thread = threading.Thread(target=loop.run_forever, daemon=True)
+    thread.start()
+
+    def run(coro):
+        return asyncio.run_coroutine_threadsafe(coro, loop).result(5.0)
+
+    transport = TcpTransport(
+        codec, backoff_base=0.005, backoff_cap=0.01
+    ).start()
+    try:
+        host, port = run(endpoint.start())
+        peer = transport.peer(host, port)
+        for _ in range(100):
+            seen = peer.telemetry_frames_seen
+            assert _wait_until(lambda: peer.telemetry_frames_seen > seen)
+            started = time.monotonic()
+            run(endpoint.stop())
+            assert time.monotonic() - started < 1.0
+            run(endpoint.start(host, port))
+    finally:
+        transport.close()
+        run(endpoint.stop())
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(5.0)
