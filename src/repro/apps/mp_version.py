@@ -88,7 +88,10 @@ class MethodPartitioningVersion(Version):
             from repro.core.runtime.feedback import RemoteProfilingProxy
 
             self.sender_proxy = RemoteProfilingProxy(
-                partitioned.cut, sample_period=sample_period, obs=obs
+                partitioned.cut,
+                ewma_alpha=ewma_alpha,
+                sample_period=sample_period,
+                obs=obs,
             )
             modulator_profiling = self.sender_proxy
         # Rates come from simulated service times (see on_*_done), so the
@@ -236,7 +239,7 @@ class MethodPartitioningVersion(Version):
             self._maybe_reconfigure(sim, testbed)
 
     def _maybe_flush_feedback(self, sim: Simulator, testbed: Testbed) -> None:
-        """Ship buffered sender-side observations over the feedback link."""
+        """Ship the folded sender-side observations over the feedback link."""
         proxy = self.sender_proxy
         if proxy.messages_seen == 0 or (
             proxy.messages_seen % self.feedback_period != 0
@@ -262,7 +265,7 @@ class MethodPartitioningVersion(Version):
                 start=sim.now,
                 end=sim.now,
                 host=self._sender_host,
-                attrs={"records": len(payload), "bytes": size},
+                attrs={"records": payload.records, "bytes": size},
             )
             ship_span = tracer.record(
                 "feedback.ship",
@@ -287,7 +290,7 @@ class MethodPartitioningVersion(Version):
                     start=t,
                     end=t,
                     host=self._receiver_host,
-                    attrs={"records": len(p)},
+                    attrs={"records": p.records},
                 )
             ingest(self.profiling, p)
 

@@ -1,7 +1,7 @@
 """Runtime Profiling and Reconfiguration Units (paper section 2.5)."""
 
 from repro.core.runtime.feedback import (
-    ObservationRecord,
+    FeedbackSummary,
     RemoteProfilingProxy,
     ingest,
 )
@@ -45,6 +45,6 @@ __all__ = [
     "exhaustive_best_plan",
     "first_split_on_path",
     "RemoteProfilingProxy",
-    "ObservationRecord",
+    "FeedbackSummary",
     "ingest",
 ]

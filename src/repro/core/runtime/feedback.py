@@ -6,51 +6,39 @@ application-defined triggers" — feedback is a *message*, not shared
 memory.  This module makes that explicit:
 
 * :class:`RemoteProfilingProxy` — stands in for the Profiling Unit on the
-  side that does NOT host it.  It accepts the exact same recording calls
-  the modulator/demodulator make, applies the same flag/sampling gating,
-  and buffers :class:`ObservationRecord` entries instead of updating
-  state.
-* :meth:`RemoteProfilingProxy.flush` — drains the buffer into a feedback
-  payload with an estimated wire size (what the FeedbackEnvelope carries).
-* :func:`ingest` — replays a payload into the authoritative
-  :class:`~repro.core.runtime.profiling.ProfilingUnit` on the other side.
+  modulator side, away from it.  The recording calls the modulator makes
+  land in a private :class:`ProfilingUnit` that holds one *flush window*:
+  same code, same flag/sampling gating, and every (edge, stat) folds into
+  a :class:`RunningStat` that started empty.
+* :meth:`RemoteProfilingProxy.flush` — empties the window into a
+  :class:`FeedbackSummary` (what the FeedbackEnvelope carries) and reports
+  its wire size: one entry per PSE traversed since the last flush,
+  however many messages traversed it.
+* :func:`ingest` — merges a summary into the authoritative unit on the
+  other side (:meth:`ProfilingUnit.merge`).
 
 Invariant (tested): recording through a proxy and ingesting every flush
-yields byte-identical statistics to recording into the unit directly —
-the only difference distribution introduces is *staleness* between
-flushes, which is exactly the paper's sampling-vs-timeliness trade.
+yields the statistics of recording into the unit directly, equal to
+floating-point rounding (1e-9 relative — the merge sums the same
+weighted terms in another association).  The only difference
+distribution introduces is *staleness* between flushes, which is exactly
+the paper's sampling-vs-timeliness trade.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.core.convexcut import ConvexCutResult
-from repro.core.runtime.profiling import ProfilingUnit
-from repro.ir.interpreter import Edge
+from repro.core.runtime.profiling import FeedbackSummary, ProfilingUnit
 from repro.obs.trace import FeedbackIngested, FeedbackSent
+from repro.serialization import format as wf
 
-#: estimated wire bytes per observation record (kind tag + edge + floats)
-_RECORD_BYTES = 28.0
-#: envelope overhead of one feedback message
-_ENVELOPE_BYTES = 32.0
-
-
-@dataclass(frozen=True)
-class ObservationRecord:
-    """One buffered profiling event, replayable on the other side."""
-
-    kind: str  # message | edge | sender_rate | receiver_rate |
-    #            mod_total | demod_total | local_completion
-    edge: Optional[Edge] = None
-    data_size: Optional[float] = None
-    work_before: Optional[float] = None
-    work_after: Optional[float] = None
-    is_split: bool = False
-    count_traversal: bool = True
-    seconds: float = 0.0
-    cycles: float = 0.0
+#: bytes of a FEEDBACK payload with no mod totals and no entries: five
+#: sequence headers, nine numbers and the absent trace context
+_ENVELOPE_BYTES = float(
+    5 * wf.ARRAY_HEADER_SIZE + 9 * wf.FLOAT_VALUE_SIZE + wf.NONE_VALUE_SIZE
+)
 
 
 class RemoteProfilingProxy:
@@ -58,27 +46,31 @@ class RemoteProfilingProxy:
 
     Mirrors the unit's gating configuration (per-PSE profile flags and the
     sampling period) so the expensive measurements are skipped in the same
-    pattern; everything recorded is buffered until :meth:`flush`.
+    pattern, and its ``ewma_alpha`` so the window folds values the way the
+    unit would; everything recorded accumulates until :meth:`flush`.
     """
 
     def __init__(
         self,
         cut: ConvexCutResult,
         *,
+        ewma_alpha: float = 0.3,
         sample_period: int = 1,
         obs=None,
     ) -> None:
-        if sample_period < 1:
-            raise ValueError("sample_period must be >= 1")
-        self.cut = cut
-        self.sample_period = sample_period
-        # same flag defaults as the authoritative unit
-        self.profile_flags = {
-            edge: cut.cost_model.needs_profiling(pse.static_cost)
-            for edge, pse in cut.pses.items()
-        }
-        self.messages_seen = 0
-        self._buffer: List[ObservationRecord] = []
+        window = self._window = ProfilingUnit(
+            cut, ewma_alpha=ewma_alpha, sample_period=sample_period
+        )
+        self.ewma_alpha = ewma_alpha
+        self.profile_flags = window.profile_flags
+        # The recording interface the modulator calls is the window's own.
+        self.record_message = window.record_message
+        self.should_measure = window.should_measure
+        self.record_edge_observation = window.record_edge_observation
+        self.record_sender_rate = window.record_sender_rate
+        self.record_local_completion = window.record_local_completion
+        self._mod_totals: List[float] = []
+        self._messages_flushed = 0
         self.flushes = 0
         self.bytes_flushed = 0.0
         self.obs = obs
@@ -86,121 +78,75 @@ class RemoteProfilingProxy:
             self._c_flushes = obs.metrics.counter("feedback.flushes")
             self._c_bytes = obs.metrics.counter("feedback.bytes")
             self._c_records = obs.metrics.counter("feedback.records")
-        else:
-            self._c_flushes = None
-            self._c_bytes = None
-            self._c_records = None
+            self._c_entries = obs.metrics.counter("feedback.entries")
 
-    # -- the recording interface the modulator/demodulator call ---------------
-
-    def record_message(self) -> None:
-        self.messages_seen += 1
-        self._buffer.append(ObservationRecord(kind="message"))
-
-    def should_measure(self, edge: Edge) -> bool:
-        if not self.profile_flags.get(edge, False):
-            return False
-        return self.messages_seen % self.sample_period == 0
-
-    def record_edge_observation(
-        self,
-        edge: Edge,
-        *,
-        data_size: Optional[float] = None,
-        work_before: Optional[float] = None,
-        work_after: Optional[float] = None,
-        is_split: bool = False,
-        count_traversal: bool = True,
-    ) -> None:
-        self._buffer.append(
-            ObservationRecord(
-                kind="edge",
-                edge=edge,
-                data_size=data_size,
-                work_before=work_before,
-                work_after=work_after,
-                is_split=is_split,
-                count_traversal=count_traversal,
-            )
-        )
-
-    def record_sender_rate(self, seconds: float, cycles: float) -> None:
-        self._buffer.append(
-            ObservationRecord(
-                kind="sender_rate", seconds=seconds, cycles=cycles
-            )
-        )
-
-    def record_receiver_rate(self, seconds: float, cycles: float) -> None:
-        self._buffer.append(
-            ObservationRecord(
-                kind="receiver_rate", seconds=seconds, cycles=cycles
-            )
-        )
+    @property
+    def messages_seen(self) -> int:
+        return self._window.messages_seen
 
     def record_mod_total(self, cycles: float) -> None:
-        self._buffer.append(
-            ObservationRecord(kind="mod_total", cycles=cycles)
-        )
+        self._mod_totals.append(float(cycles))
 
-    def record_demod_total(self, cycles: float) -> None:
-        self._buffer.append(
-            ObservationRecord(kind="demod_total", cycles=cycles)
-        )
-
-    def record_local_completion(self) -> None:
-        self._buffer.append(ObservationRecord(kind="local_completion"))
-
-    # -- shipping --------------------------------------------------------------
+    # -- shipping -------------------------------------------------------------
 
     @property
     def pending(self) -> int:
-        return len(self._buffer)
+        """Observations recorded since the last flush."""
+        window = self._window
+        return (
+            window.messages_seen
+            - self._messages_flushed
+            + window.executions_completed
+            + window.observations_taken
+            + window.sender_rate.count
+            + len(self._mod_totals)
+        )
 
-    def flush(self) -> Tuple[List[ObservationRecord], float]:
-        """Drain the buffer; returns (payload, estimated wire bytes)."""
-        payload = self._buffer
-        self._buffer = []
-        size = _ENVELOPE_BYTES + _RECORD_BYTES * len(payload)
+    def flush(self) -> Tuple[FeedbackSummary, float]:
+        """Empty the window; returns (summary, wire bytes)."""
+        window = self._window
+        entries = []
+        size = _ENVELOPE_BYTES + wf.FLOAT_SIZE * len(self._mod_totals)
+        for stats in window.stats.values():
+            entry = stats.take_entry()
+            if entry is not None:
+                entries.append(entry)
+                size += wf.ARRAY_HEADER_SIZE + wf.FLOAT_VALUE_SIZE * len(entry)
+        rate = window.sender_rate
+        summary = FeedbackSummary(
+            self.ewma_alpha,
+            window.observations_taken,
+            window.messages_seen - self._messages_flushed,
+            window.executions_completed,
+            (rate.count, rate.first, rate.mean),
+            self._mod_totals,
+            tuple(entries),
+        )
+        rate.reset()
+        self._mod_totals = []
+        self._messages_flushed = window.messages_seen
+        window.executions_completed = window.observations_taken = 0
         self.flushes += 1
         self.bytes_flushed += size
         if self.obs is not None:
             self._c_flushes.inc()
             self._c_bytes.inc(size)
-            self._c_records.inc(len(payload))
+            self._c_records.inc(summary.records)
+            self._c_entries.inc(len(entries))
             self.obs.trace.record(
-                FeedbackSent(records=len(payload), bytes=size)
+                FeedbackSent(records=summary.records, bytes=size)
             )
-        return payload, size
+        return summary, size
 
 
-def ingest(unit: ProfilingUnit, payload: List[ObservationRecord]) -> None:
-    """Replay a feedback payload into the authoritative unit."""
+def ingest(unit: ProfilingUnit, summary: FeedbackSummary) -> None:
+    """Merge a flushed summary into the authoritative unit.
+
+    Raises ValueError or TypeError, before touching the unit, for a
+    summary it cannot apply (see :meth:`ProfilingUnit.merge`).
+    """
+    unit.merge(summary)
     obs = getattr(unit, "obs", None)
     if obs is not None:
-        obs.metrics.counter("feedback.ingested_records").inc(len(payload))
-        obs.trace.record(FeedbackIngested(records=len(payload)))
-    for rec in payload:
-        if rec.kind == "message":
-            unit.record_message()
-        elif rec.kind == "edge":
-            unit.record_edge_observation(
-                rec.edge,
-                data_size=rec.data_size,
-                work_before=rec.work_before,
-                work_after=rec.work_after,
-                is_split=rec.is_split,
-                count_traversal=rec.count_traversal,
-            )
-        elif rec.kind == "sender_rate":
-            unit.record_sender_rate(rec.seconds, rec.cycles)
-        elif rec.kind == "receiver_rate":
-            unit.record_receiver_rate(rec.seconds, rec.cycles)
-        elif rec.kind == "mod_total":
-            unit.record_mod_total(rec.cycles)
-        elif rec.kind == "demod_total":
-            unit.record_demod_total(rec.cycles)
-        elif rec.kind == "local_completion":
-            unit.record_local_completion()
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown observation kind {rec.kind!r}")
+        obs.metrics.counter("feedback.ingested_records").inc(summary.records)
+        obs.trace.record(FeedbackIngested(records=summary.records))

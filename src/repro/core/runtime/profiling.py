@@ -32,10 +32,16 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.convexcut import ConvexCutResult
 from repro.ir.interpreter import Edge
+
+#: the per-PSE running statistics; a feedback entry's stat tag indexes it
+STAT_NAMES = ("data_size", "work_before", "work_after")
+#: added to the tag of a stat updated on every traversal (as ``work_before``
+#: is on the sender): its ``k`` is the entry's ``traversals``, not sent twice
+K_IS_TRAVERSALS = 4
 
 
 @dataclass
@@ -49,17 +55,76 @@ class RunningStat:
     alpha: float = 0.3
     mean: float = 0.0
     count: int = 0
+    #: first value since the last reset: with ``count`` and ``mean`` it
+    #: makes a stat that started empty a *fold* another stat can merge
+    first: float = 0.0
 
     def update(self, value: float) -> None:
         if self.count == 0:
-            self.mean = value
+            self.mean = self.first = value
         else:
             self.mean += self.alpha * (value - self.mean)
         self.count += 1
 
+    def merge(self, k: int, first: float, mean: float) -> None:
+        """Apply the ``k`` ordered updates that took an empty stat from
+        ``first`` to ``mean`` — to rounding, what :meth:`update` with the
+        same k values yields.  An empty stat adopts the fold (the
+        first-sample rule); otherwise k updates decay the prior around the
+        fold's first value: ``m ← mean + (1−α)^k · (m − first)``.
+        """
+        if k == 0:
+            return
+        if self.count == 0:
+            self.mean, self.first = mean, first
+        else:
+            self.mean = mean + (1.0 - self.alpha) ** k * (self.mean - first)
+        self.count += k
+
     def reset(self) -> None:
-        self.mean = 0.0
+        self.mean = self.first = 0.0
         self.count = 0
+
+
+class FeedbackSummary(NamedTuple):
+    """What a proxy recorded between two flushes, folded (see
+    :mod:`repro.core.runtime.feedback`); as a plain tuple it is also the
+    FEEDBACK frame's wire form, name-free and sparse.
+
+    An entry is flat, ``(src, dst, traversals, splits, group...)``, one
+    per PSE edge traversed, with a group per stat that has ``k > 0``:
+    ``(tag, k, first, mean)``, or ``(tag + K_IS_TRAVERSALS, first, mean)``
+    when ``k == traversals``; ``tag`` indexes :data:`STAT_NAMES`.
+    """
+
+    alpha: float
+    #: edge observations folded into ``entries``
+    observations: int
+    messages: int
+    local_completions: int
+    #: the sender-rate fold ``(k, first, mean)``
+    sender_rate: Tuple[int, float, float]
+    #: modulator cycles of each shipped continuation, in ship order — per
+    #: message, because the unit pairs them FIFO with the demodulator's
+    mod_totals: List[float]
+    entries: Tuple[tuple, ...]
+
+    @property
+    def records(self) -> int:
+        """Recording calls folded in (a replay log's length)."""
+        return (
+            self.observations
+            + self.messages
+            + self.local_completions
+            + self.sender_rate[0]
+            + len(self.mod_totals)
+        )
+
+
+def _natural(value: object) -> int:
+    if type(value) is not int or value < 0:
+        raise ValueError(f"feedback count {value!r} is not a natural number")
+    return value
 
 
 @dataclass
@@ -75,6 +140,24 @@ class PSEStats:
     traversals: int = 0
     #: messages that actually split here
     splits: int = 0
+
+    def take_entry(self) -> Optional[tuple]:
+        """Move what was observed here into one flat feedback entry (see
+        :class:`FeedbackSummary`); None when nothing was."""
+        entry = [*self.edge, self.traversals, self.splits]
+        for tag, name in enumerate(STAT_NAMES):
+            stat = getattr(self, name)
+            if stat.count == 0:
+                continue
+            if stat.count == self.traversals:
+                entry += (tag + K_IS_TRAVERSALS, stat.first, stat.mean)
+            else:
+                entry += (tag, stat.count, stat.first, stat.mean)
+            stat.reset()
+        if len(entry) == 4 and not (self.traversals or self.splits):
+            return None
+        self.traversals = self.splits = 0
+        return tuple(entry)
 
 
 @dataclass(frozen=True)
@@ -146,7 +229,7 @@ class ProfilingUnit:
                     else 0.0
                 ),
             )
-            for name in ("data_size", "work_before", "work_after"):
+            for name in STAT_NAMES:
                 getattr(stats, name).alpha = ewma_alpha
             self.stats[edge] = stats
             self.profile_flags[edge] = cut.cost_model.needs_profiling(
@@ -167,6 +250,7 @@ class ProfilingUnit:
         #: would systematically underestimate demodulator-observed edges:
         #: their traversal reports lag the sender by the in-flight window.
         self.executions_completed = 0
+        self.observations_taken = 0
         self.measurements_taken = 0
         self.obs = obs
         if obs is not None:
@@ -218,6 +302,7 @@ class ProfilingUnit:
         stats = self.stats.get(edge)
         if stats is None:
             return
+        self.observations_taken += 1
         if self._c_observations is not None:
             self._c_observations.inc()
         if count_traversal:
@@ -275,6 +360,66 @@ class ProfilingUnit:
         """An execution that never reached the demodulator (elided or
         completed inside the modulator)."""
         self.executions_completed += 1
+
+    def merge(self, summary: FeedbackSummary) -> None:
+        """Apply a proxy's flushed summary at once.
+
+        Leaves the unit (to rounding) where replaying the folded recording
+        calls one by one would: counts add, folds merge, mod totals join
+        the FIFO in ship order.  Raises ValueError or TypeError — before
+        changing anything — when the summary is malformed, was folded
+        with another α, or names an edge that is not a PSE here.
+        """
+        if summary.alpha != self.ewma_alpha:
+            raise ValueError(
+                f"feedback folded with alpha={summary.alpha!r}, "
+                f"this unit runs alpha={self.ewma_alpha}"
+            )
+        observations = _natural(summary.observations)
+        messages = _natural(summary.messages)
+        completions = _natural(summary.local_completions)
+        mod_totals = [float(cycles) for cycles in summary.mod_totals]
+        measurements = 0
+        edges, folds = [], []
+
+        def fold(stat, k, first, mean):
+            folds.append((stat, _natural(k), float(first), float(mean)))
+
+        fold(self.sender_rate, *summary.sender_rate)
+        for entry in summary.entries:
+            src, dst, traversals, splits = map(_natural, entry[:4])
+            stats = self.stats.get((src, dst))
+            if stats is None:
+                raise ValueError(f"feedback for non-PSE edge {(src, dst)}")
+            edges.append((stats, traversals, splits))
+            at = 4
+            while at < len(entry):
+                implied, tag = divmod(_natural(entry[at]), K_IS_TRAVERSALS)
+                if implied > 1 or tag >= len(STAT_NAMES):
+                    raise ValueError(f"bad feedback stat tag {entry[at]}")
+                end = at + 4 - implied
+                first, mean = entry[end - 2 : end]  # ValueError: truncated
+                k = traversals if implied else entry[at + 1]
+                name = STAT_NAMES[tag]
+                fold(getattr(stats, name), k, first, mean)
+                if name == "data_size":
+                    measurements += k
+                at = end
+        # Everything is checked; from here on nothing can raise.
+        self.messages_seen += messages
+        self.executions_completed += completions
+        self.observations_taken += observations
+        self.measurements_taken += measurements
+        if self._c_observations is not None:
+            self._c_observations.inc(observations)
+            self._c_measurements.inc(measurements)
+        for stats, traversals, splits in edges:
+            stats.traversals += traversals
+            stats.splits += splits
+        for stat, k, first, mean in folds:
+            stat.merge(k, first, mean)
+        self._pending_mod_totals.extend(mod_totals)
+        self._pair_totals()
 
     # -- feedback -----------------------------------------------------------------
 

@@ -6,8 +6,8 @@ Four message kinds travel between a sender and a receiver:
   subscriptions without Method Partitioning, i.e. the manual baselines);
 * :class:`ContinuationEnvelope` — a modulated event: the PSE id plus the
   handed-over live variables (paper Figure 2);
-* :class:`FeedbackEnvelope` — profiling feedback from the demodulator side
-  to the Reconfiguration Unit;
+* :class:`FeedbackEnvelope` — folded profiling feedback from the side
+  away from the Profiling Unit to the side that hosts it;
 * :class:`PlanEnvelope` — a new partitioning plan pushed to the modulator.
 """
 
@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.continuation import ContinuationMessage
 from repro.core.plan import PartitioningPlan
+from repro.core.runtime.profiling import FeedbackSummary
 
 _seq = itertools.count()
 
@@ -48,11 +49,12 @@ class ContinuationEnvelope:
 
 @dataclass
 class FeedbackEnvelope:
-    """Profiling feedback (PSE stats snapshot), receiver → reconfigurator."""
+    """Profiling feedback: one proxy flush, toward the Profiling Unit."""
 
     subscription_id: int
-    #: edge -> (t_demod mean, t_demod count) — the demodulator-side share
-    demod_stats: Dict[Tuple[int, int], Tuple[float, int]]
+    #: what the proxy folded since its last flush (the field name predates
+    #: the proxy; the harness and dumps read it)
+    demod_stats: FeedbackSummary
     seq: int = field(default_factory=next_sequence)
     trace: Optional[Tuple[int, int]] = None
 

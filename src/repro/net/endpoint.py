@@ -7,10 +7,11 @@ processes*:
 * :class:`NetSenderEndpoint` — owns the modulator and a
   :class:`~repro.core.runtime.feedback.RemoteProfilingProxy`; every
   published event is modulated, the continuation ships as a CONT frame,
-  and buffered sender-side observations flush as FEEDBACK frames every
-  ``feedback_period`` messages (monitoring traffic pays real bytes, as
-  in the paper).  Inbound PLAN frames flip the modulator's split flags
-  — adaptation actuation over the wire.
+  and the sender-side observations, folded to one entry per traversed
+  PSE, flush as a FEEDBACK frame every ``feedback_period`` messages
+  (monitoring traffic pays real bytes, as in the paper).  Inbound PLAN
+  frames flip the modulator's split flags — adaptation actuation over
+  the wire.
 * :class:`NetReceiverEndpoint` — owns the demodulator, the
   authoritative Profiling Unit and the (receiver-located)
   Reconfiguration Unit behind a :class:`~repro.net.tcp.FrameServer`.
@@ -64,6 +65,7 @@ from repro.net.resilience import (
 )
 from repro.net.session import CalibratedRate, PeerSession
 from repro.net.tcp import FrameServer, ServerConnection, TcpPeer, TcpTransport
+from repro.obs.flight import wide_event
 from repro.obs.health import HealthConfig, HealthMonitor
 from repro.obs.trace import ContinuationShipped
 
@@ -423,6 +425,7 @@ class NetReceiverEndpoint:
         self.demodulated = 0
         self.raw_events = 0
         self.feedback_batches = 0
+        self.feedback_rejected = 0
         self.plan_ships = 0
         #: monotone idempotency key for shipped plans; burned per ship
         #: *attempt* so a failed attempt's retry uses a strictly fresher
@@ -536,6 +539,7 @@ class NetReceiverEndpoint:
                 "duplicates_skipped": self.duplicates_skipped,
                 "plan_ships": self.plan_ships,
                 "feedback_batches": self.feedback_batches,
+                "feedback_rejected": self.feedback_rejected,
             },
             "health": self.self_health.peer("self").state,
             "leader": self.is_leader,
@@ -796,10 +800,16 @@ class NetReceiverEndpoint:
         await self._maybe_reconfigure(conn)
 
     def _handle_feedback(self, envelope: FeedbackEnvelope) -> None:
-        stats = envelope.demod_stats
-        if isinstance(stats, (list, tuple)):
-            ingest(self.profiling, list(stats))
-            self.feedback_batches += 1
+        try:
+            ingest(self.profiling, envelope.demod_stats)
+        except (ValueError, TypeError) as exc:
+            # Malformed, folded with another α or against another cut:
+            # merging it would corrupt the unit, and ingest raises before
+            # touching it.
+            self.feedback_rejected += 1
+            wide_event("feedback.rejected", peer=self.name, reason=str(exc))
+            return
+        self.feedback_batches += 1
 
     async def _maybe_reconfigure(self, conn: ServerConnection) -> None:
         if not self.is_leader:

@@ -57,7 +57,7 @@ from repro.core.continuation import (
     wire_payload,
 )
 from repro.core.plan import PartitioningPlan
-from repro.core.runtime.feedback import ObservationRecord
+from repro.core.runtime.profiling import FeedbackSummary
 from repro.errors import FramingError, ProtocolError
 from repro.jecho.events import (
     ContinuationEnvelope,
@@ -600,47 +600,6 @@ class Election:
         self.sent_at = sent_at
 
 
-def _record_tuple(rec: ObservationRecord) -> tuple:
-    return (
-        rec.kind,
-        None if rec.edge is None else (rec.edge[0], rec.edge[1]),
-        rec.data_size,
-        rec.work_before,
-        rec.work_after,
-        rec.is_split,
-        rec.count_traversal,
-        rec.seconds,
-        rec.cycles,
-    )
-
-
-def _record_from_tuple(item: object) -> ObservationRecord:
-    if not isinstance(item, tuple) or len(item) != 9:
-        raise ProtocolError("malformed feedback record on the wire")
-    (
-        kind,
-        edge,
-        data_size,
-        work_before,
-        work_after,
-        is_split,
-        count_traversal,
-        seconds,
-        cycles,
-    ) = item
-    return ObservationRecord(
-        kind=kind,
-        edge=None if edge is None else (edge[0], edge[1]),
-        data_size=data_size,
-        work_before=work_before,
-        work_after=work_after,
-        is_split=bool(is_split),
-        count_traversal=bool(count_traversal),
-        seconds=seconds,
-        cycles=cycles,
-    )
-
-
 class NetEnvelopeCodec:
     """Map JECho envelopes (and control frames) to/from frame payloads.
 
@@ -681,25 +640,12 @@ class NetEnvelopeCodec:
                 )
             )
         if isinstance(envelope, FeedbackEnvelope):
-            # Two feedback shapes exist in the codebase: the envelope's
-            # original edge->stats dict, and RemoteProfilingProxy's
-            # replayable ObservationRecord list.  Both cross the wire.
-            stats = envelope.demod_stats
-            is_records = isinstance(stats, (list, tuple))
-            if is_records:
-                records = tuple(_record_tuple(r) for r in stats)
-            else:
-                records = tuple(
-                    ((e[0], e[1]), (s[0], s[1]))
-                    for e, s in sorted(stats.items())
-                )
             return KIND_FEEDBACK, ser(
                 (
                     envelope.subscription_id,
                     envelope.seq,
                     envelope.trace,
-                    is_records,
-                    records,
+                    envelope.demod_stats,
                 )
             )
         if isinstance(envelope, PlanEnvelope):
@@ -790,15 +736,11 @@ class NetEnvelopeCodec:
                 env.trace = None if trace is None else (trace[0], trace[1])
                 return env, sent_at
             if kind == KIND_FEEDBACK:
-                sub_id, seq, trace, is_records, records = value
-                if is_records:
-                    stats = [_record_from_tuple(r) for r in records]
-                else:
-                    stats = {
-                        (e[0], e[1]): (s[0], s[1]) for e, s in records
-                    }
+                sub_id, seq, trace, summary = value
                 env = FeedbackEnvelope(
-                    subscription_id=sub_id, demod_stats=stats, seq=seq
+                    subscription_id=sub_id,
+                    demod_stats=FeedbackSummary(*summary),
+                    seq=seq,
                 )
                 env.trace = None if trace is None else (trace[0], trace[1])
                 return env, 0.0

@@ -491,7 +491,7 @@ class PeerSession:
         ph.evaluate()
 
     def flush_feedback(self) -> None:
-        """Ship buffered sender-side observations as a FEEDBACK frame."""
+        """Ship the proxy's folded observations as one FEEDBACK frame."""
         payload, size = self.proxy.flush()
         envelope = FeedbackEnvelope(
             subscription_id=self.subscription_id, demod_stats=payload
@@ -504,7 +504,7 @@ class PeerSession:
                 trace_id=trace_id,
                 start=tracer.clock(),
                 end=tracer.clock(),
-                attrs={"records": len(payload), "bytes": size},
+                attrs={"records": payload.records, "bytes": size},
             )
             envelope.trace = (trace_id, flush_span.span_id)
         self.send(envelope, size)

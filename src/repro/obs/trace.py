@@ -97,7 +97,7 @@ class FeedbackSent(TraceEvent):
 
 @dataclass(frozen=True)
 class FeedbackIngested(TraceEvent):
-    """A feedback payload was replayed into the authoritative unit."""
+    """A feedback summary was merged into the authoritative unit."""
 
     records: int
 

@@ -1,23 +1,134 @@
-"""Unit tests for distributed profiling feedback."""
+"""Unit tests for distributed profiling feedback.
+
+The differential oracle throughout is *direct recording*: :class:`Oracle`
+logs the calls made on a proxy and, at flush time, applies them one by
+one to a twin :class:`ProfilingUnit` — what the wire used to replay.
+Folding and merging must leave the authoritative unit where that leaves
+the twin, to floating-point rounding.
+"""
+
+import dataclasses
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.runtime.feedback import (
-    ObservationRecord,
-    RemoteProfilingProxy,
-    ingest,
-)
+from repro.apps.sensor.data import SensorReading
+from repro.apps.sensor.pipeline import build_partitioned_process
+from repro.core.plan import PartitioningPlan, receiver_heavy_plan
+from repro.core.runtime.feedback import RemoteProfilingProxy, ingest
+from repro.core.runtime.profiling import RunningStat
+from repro.core.runtime.triggers import RateTrigger
+from repro.jecho.events import FeedbackEnvelope
+from repro.net.framing import NetEnvelopeCodec
 from tests.conftest import ImageData
 
+REL = 1e-9
+SENSOR_RATE = 2e-8
 
-def drive_through(recorder, partitioned, events):
-    """Run a stream with the modulator recording into *recorder* and the
-    demodulator into... the caller decides; returns the demod-side list."""
-    modulator = partitioned.make_modulator(profiling=recorder)
-    outcomes = []
-    for event in events:
-        outcomes.append(modulator.process(event))
-    return outcomes
+
+class Oracle:
+    """A proxy whose flush also replays the calls it saw into *twin*."""
+
+    def __init__(self, proxy, twin):
+        self.proxy, self.twin, self.log = proxy, twin, []
+
+    def __getattr__(self, name):
+        target = getattr(self.proxy, name)
+        if not name.startswith("record_"):
+            return target
+
+        def logged(*args, **kwargs):
+            self.log.append((name, args, kwargs))
+            return target(*args, **kwargs)
+
+        return logged
+
+    def flush(self):
+        for name, args, kwargs in self.log:
+            getattr(self.twin, name)(*args, **kwargs)
+        self.log.clear()
+        return self.proxy.flush()
+
+
+def positional_plan(cut, position):
+    """Per TargetPath, activate its first, middle or last PSE."""
+    if position == "first":
+        return receiver_heavy_plan(cut)
+    active = set()
+    for path, edges in cut.path_pse_edges:
+        order = {e: i for i, e in enumerate(path.edges)}
+        ranked = sorted(edges, key=lambda e: order.get(e, 1 << 30))
+        active.add(ranked[len(ranked) // 2 if position == "middle" else -1])
+    return PartitioningPlan(active=frozenset(active), name=position)
+
+
+def sensor_events(n, seed=7):
+    rng = random.Random(seed)
+    return [
+        SensorReading([rng.uniform(-1.0, 1.0) for _ in range(16)], seq=i)
+        for i in range(n)
+    ]
+
+
+def assert_units_equal(unit, twin):
+    """Every number a plan decision can read, to rounding."""
+    assert unit.messages_seen == twin.messages_seen
+    assert unit.executions_completed == twin.executions_completed
+    assert unit.measurements_taken == twin.measurements_taken
+    for name in ("sender_rate", "receiver_rate", "total_work"):
+        a, b = getattr(unit, name), getattr(twin, name)
+        assert a.count == b.count, name
+        assert a.mean == pytest.approx(b.mean, rel=REL, abs=0.0), name
+    snap, twin_snap = unit.snapshot(), twin.snapshot()
+    assert set(snap) == set(twin_snap)
+    for edge, a in snap.items():
+        for f in dataclasses.fields(a):
+            got, want = getattr(a, f.name), getattr(twin_snap[edge], f.name)
+            if isinstance(want, float):
+                want = pytest.approx(want, rel=REL, abs=0.0)
+            assert got == want, (edge, f.name)
+
+
+# -- (a) the fold -------------------------------------------------------------
+
+finite = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    alpha=st.floats(0.01, 1.0),
+    prior=st.one_of(st.none(), st.tuples(finite, st.integers(1, 50))),
+    values=st.lists(finite, min_size=1, max_size=64),
+    cut=st.integers(0, 64),
+)
+def test_fold_merge_equals_sequential_updates(alpha, prior, values, cut):
+    def fresh():
+        stat = RunningStat(alpha=alpha)
+        if prior is not None:
+            stat.mean, stat.count = prior
+        return stat
+
+    def fold(xs):
+        window = RunningStat(alpha=alpha)
+        for x in xs:
+            window.update(x)
+        return window.count, window.first, window.mean
+
+    sequential, merged, in_two = fresh(), fresh(), fresh()
+    for x in values:
+        sequential.update(x)
+    merged.merge(*fold(values))
+    in_two.merge(*fold(values[:cut]))
+    in_two.merge(*fold(values[cut:]))
+    scale = max(map(abs, values + [sequential.mean, fresh().mean]))
+    for stat in (merged, in_two):
+        assert stat.count == sequential.count
+        assert stat.mean == pytest.approx(sequential.mean, abs=REL * scale)
+
+
+# -- (b) proxy + ingest equals direct recording -------------------------------
 
 
 def test_proxy_gating_matches_unit(push_partitioned):
@@ -31,68 +142,49 @@ def test_proxy_gating_matches_unit(push_partitioned):
             assert unit.should_measure(edge) == proxy.should_measure(edge)
 
 
+def _drive(partitioned, events, *, plans, sample_period, flush_every):
+    """Modulator → Oracle(proxy), demodulator → both units directly."""
+    alpha = 0.4
+    unit = partitioned.make_profiling_unit(
+        sample_period=sample_period, ewma_alpha=alpha
+    )
+    twin = partitioned.make_profiling_unit(
+        sample_period=sample_period, ewma_alpha=alpha
+    )
+    recorder = Oracle(
+        RemoteProfilingProxy(
+            partitioned.cut, ewma_alpha=alpha, sample_period=sample_period
+        ),
+        twin,
+    )
+    modulator = partitioned.make_modulator(
+        plan=plans[0], profiling=recorder, record_rates=False
+    )
+    demodulators = [
+        partitioned.make_demodulator(profiling=u) for u in (unit, twin)
+    ]
+    rng = random.Random(3)
+    flushes = 0
+    for i, event in enumerate(events):
+        modulator.apply_plan(plans[i * len(plans) // len(events)])
+        result = modulator.process(event)
+        recorder.record_sender_rate(rng.uniform(1e-5, 1e-3), result.cycles)
+        if result.message is not None:
+            for demodulator in demodulators:
+                demodulator.process(result.message)
+        if (i + 1) % flush_every == 0 or i + 1 == len(events):
+            assert recorder.pending > 0
+            summary, size = recorder.flush()
+            assert size > 0 and recorder.pending == 0
+            ingest(unit, summary)
+            flushes += 1
+            assert_units_equal(unit, twin)
+    assert flushes >= 2
+    return unit
+
+
 def test_replay_equivalence(push_partitioned):
     """Recording via proxy + ingest must equal recording directly."""
-    events = [ImageData(None, 40, 40), ImageData(None, 200, 200), "junk"]
-
-    # direct: modulator and demodulator share the unit
-    direct = push_partitioned.make_profiling_unit()
-    modulator = push_partitioned.make_modulator(profiling=direct)
-    demodulator = push_partitioned.make_demodulator(profiling=direct)
-    for event in events:
-        result = modulator.process(event)
-        if result.message is not None:
-            demodulator.process(result.message)
-
-    # distributed: modulator -> proxy -> flush -> ingest
-    authoritative = push_partitioned.make_profiling_unit()
-    proxy = RemoteProfilingProxy(push_partitioned.cut)
-    modulator2 = push_partitioned.make_modulator(profiling=proxy)
-    demodulator2 = push_partitioned.make_demodulator(
-        profiling=authoritative
-    )
-    for event in events:
-        result = modulator2.process(event)
-        if result.message is not None:
-            demodulator2.process(result.message)
-    payload, size = proxy.flush()
-    assert size > 0
-    ingest(authoritative, payload)
-
-    snap_direct = direct.snapshot()
-    snap_dist = authoritative.snapshot()
-    assert set(snap_direct) == set(snap_dist)
-    for edge in snap_direct:
-        a, b = snap_direct[edge], snap_dist[edge]
-        assert a.data_size == b.data_size
-        assert a.work_before == b.work_before
-        assert a.work_after == b.work_after
-        assert a.path_probability == pytest.approx(b.path_probability)
-        assert a.splits == b.splits
-
-
-def _assert_snapshots_identical(a_unit, b_unit):
-    snap_a = a_unit.snapshot()
-    snap_b = b_unit.snapshot()
-    assert set(snap_a) == set(snap_b)
-    for edge in snap_a:
-        a, b = snap_a[edge], snap_b[edge]
-        assert a.data_size == b.data_size
-        assert a.data_size_count == b.data_size_count
-        assert a.work_before == b.work_before
-        assert a.work_after == b.work_after
-        assert a.path_probability == pytest.approx(b.path_probability)
-        assert a.splits == b.splits
-        assert a.observed_executions == b.observed_executions
-
-
-def test_replay_equivalence_interleaved_flushes_with_sampling(
-    push_partitioned,
-):
-    """Flushing mid-stream (several small feedback messages interleaved
-    with recording) with sample_period > 1 must still replay to exactly
-    the statistics of direct recording: distribution only adds staleness,
-    never distortion."""
     events = [
         ImageData(None, 40, 40),
         ImageData(None, 200, 200),
@@ -102,42 +194,37 @@ def test_replay_equivalence_interleaved_flushes_with_sampling(
         "junk",
         ImageData(None, 120, 120),
     ]
+    for sample_period in (1, 3):
+        unit = _drive(
+            push_partitioned,
+            events,
+            plans=[receiver_heavy_plan(push_partitioned.cut)],
+            sample_period=sample_period,
+            flush_every=2,
+        )
+        assert unit.messages_seen == len(events)
+        assert unit.total_work.count == 5
 
-    direct = push_partitioned.make_profiling_unit(sample_period=2)
-    modulator = push_partitioned.make_modulator(profiling=direct)
-    demodulator = push_partitioned.make_demodulator(profiling=direct)
-    for event in events:
-        result = modulator.process(event)
-        if result.message is not None:
-            demodulator.process(result.message)
 
-    # Same call sequence, but every recording call goes through the proxy
-    # (mod and demod sides alike) and is replayed over several flushes.
-    authoritative = push_partitioned.make_profiling_unit(sample_period=2)
-    proxy = RemoteProfilingProxy(push_partitioned.cut, sample_period=2)
-    modulator2 = push_partitioned.make_modulator(profiling=proxy)
-    demodulator2 = push_partitioned.make_demodulator(profiling=proxy)
-    flushes = 0
-    for i, event in enumerate(events):
-        result = modulator2.process(event)
-        if result.message is not None:
-            demodulator2.process(result.message)
-        if i % 2 == 1:  # flush mid-stream, not only at the end
-            payload, size = proxy.flush()
-            assert size > 0
-            ingest(authoritative, payload)
-            flushes += 1
-    payload, _ = proxy.flush()
-    ingest(authoritative, payload)
-    assert flushes >= 3
-
-    _assert_snapshots_identical(direct, authoritative)
-    assert direct.messages_seen == authoritative.messages_seen
-    assert direct.measurements_taken == authoritative.measurements_taken
-    assert direct.total_work.count == authoritative.total_work.count
-    assert direct.total_work.mean == pytest.approx(
-        authoritative.total_work.mean
-    )
+def test_replay_equivalence_interleaved_flushes_with_sampling():
+    """The sensor chain across three splits — every (edge, stat) changes
+    writer side at a plan switch — flushed mid-stream: distribution adds
+    staleness, never distortion."""
+    partitioned, _ = build_partitioned_process(n_stages=20)
+    plans = [
+        positional_plan(partitioned.cut, p)
+        for p in ("middle", "last", "first")
+    ]
+    for sample_period in (1, 3):
+        unit = _drive(
+            partitioned,
+            sensor_events(48),
+            plans=plans,
+            sample_period=sample_period,
+            flush_every=5,
+        )
+        assert unit.total_work.count == 48
+        assert unit.sender_rate.count == 48
 
 
 def test_total_pairing_survives_reordering(push_partitioned):
@@ -153,21 +240,75 @@ def test_total_pairing_survives_reordering(push_partitioned):
     assert unit.total_work.count == 2
 
 
-def test_flush_drains_and_accounts():
-    from repro.apps.imagestream import build_partitioned_push
+def test_flush_drains_and_accounts(push_partitioned):
+    from repro.obs import Observability
 
-    partitioned, _ = build_partitioned_push()
-    proxy = RemoteProfilingProxy(partitioned.cut)
+    obs = Observability()
+    proxy = RemoteProfilingProxy(push_partitioned.cut, obs=obs)
+    edge = next(iter(proxy.profile_flags))
     proxy.record_message()
+    proxy.record_edge_observation(edge, work_before=2.0)
+    proxy.record_edge_observation(edge, work_before=4.0)
     proxy.record_mod_total(5.0)
-    assert proxy.pending == 2
-    payload, size = proxy.flush()
-    assert len(payload) == 2
+    assert proxy.pending == 4
+    summary, size = proxy.flush()
+    assert (summary.records, summary.observations) == (4, 2)
+    assert [entry[:2] for entry in summary.entries] == [edge]
     assert proxy.pending == 0
     assert proxy.flushes == 1
     assert proxy.bytes_flushed == size
-    payload2, _ = proxy.flush()
-    assert payload2 == []
+    # observations folded keep their meaning; entries count what shipped
+    counters = obs.metrics.to_dict()["counters"]
+    assert counters["feedback.records"] == 4
+    assert counters["feedback.entries"] == 1
+    assert counters["feedback.bytes"] == size
+    empty, _ = proxy.flush()
+    assert empty == (proxy.ewma_alpha, 0, 0, 0, (0, 0.0, 0.0), [], ())
+
+    unit = push_partitioned.make_profiling_unit(obs=obs)
+    ingest(unit, summary)
+    counters = obs.metrics.to_dict()["counters"]
+    assert counters["profiling.observations"] == 2
+    assert counters["feedback.ingested_records"] == 4
+
+
+def bad_summaries(good):
+    """(label, summary) pairs a unit must refuse; *good* it would apply."""
+    entry, rest = good.entries[0], good.entries[1:]
+
+    def with_entry(*entries):
+        return good._replace(entries=entries + rest)
+
+    yield "another alpha", good._replace(alpha=good.alpha / 2)
+    yield "non-PSE edge", with_entry((9998, 9999) + entry[2:])
+    yield "truncated stat group", with_entry(entry[:-1])
+    yield "truncated entry", with_entry(entry[:3])
+    yield "unknown stat tag", with_entry(entry[:4] + (3, 1, 1.0, 0.0))
+    yield "tag past the flag", with_entry(entry[:4] + (9, 1.0, 0.0))
+    yield "negative count", good._replace(messages=-1)
+    yield "count as float", with_entry((float(entry[0]),) + entry[1:])
+    yield "fold term not a number", with_entry(entry[:-1] + ("x",))
+    yield "rate fold not a triple", good._replace(sender_rate=(1, 2.0))
+    yield "mod total not a number", good._replace(mod_totals=[None])
+    yield "entries not sequences", good._replace(entries=(7,))
+
+
+def test_merge_rejects_before_applying():
+    """A summary that is malformed, folded with another α, or naming an
+    edge that is not a PSE here raises and leaves the unit untouched."""
+    partitioned, _ = build_partitioned_process(n_stages=4)
+    unit = partitioned.make_profiling_unit()
+    good, _ = _sensor_summary("middle", 3, partitioned)
+    ingest(unit, good)
+    def state():
+        return unit.messages_seen, unit.executions_completed, unit.snapshot()
+
+    before = state()
+    for label, bad in bad_summaries(good):
+        with pytest.raises((ValueError, TypeError)):
+            ingest(unit, bad)
+            pytest.fail(f"accepted: {label}")
+        assert state() == before, label
 
 
 def test_invalid_sample_period():
@@ -178,6 +319,146 @@ def test_invalid_sample_period():
         RemoteProfilingProxy(partitioned.cut, sample_period=0)
 
 
+# -- (c) plans are unchanged --------------------------------------------------
+
+
+def _shift_trace(use_oracle):
+    """12 receiver-rate shifts on the sensor chain; the plan after each."""
+    partitioned, _ = build_partitioned_process(n_stages=20)
+    unit = partitioned.make_profiling_unit()
+    proxy = RemoteProfilingProxy(partitioned.cut)
+    recorder = Oracle(proxy, unit) if use_oracle else proxy
+    plan = positional_plan(partitioned.cut, "first")
+    modulator = partitioned.make_modulator(
+        plan=plan, profiling=recorder, record_rates=False
+    )
+    demodulator = partitioned.make_demodulator(
+        profiling=unit, record_rates=False
+    )
+    reconfig = partitioned.make_reconfiguration_unit(
+        trigger=RateTrigger(period=10), location="receiver"
+    )
+    scale, switches, per_shift = 4.0, [], []
+    for i, event in enumerate(sensor_events(12 * 300)):
+        result = modulator.process(event)
+        recorder.record_sender_rate(SENSOR_RATE * result.cycles, result.cycles)
+        outcome = demodulator.process(result.message)
+        unit.record_receiver_rate(
+            SENSOR_RATE * scale * outcome.cycles, outcome.cycles
+        )
+        if (i + 1) % 8 == 0:
+            summary, _ = recorder.flush()
+            if not use_oracle:
+                ingest(unit, summary)
+        new_plan = reconfig.consider(unit)
+        if new_plan is not None and new_plan.active != plan.active:
+            plan = new_plan
+            modulator.apply_plan(plan)
+            switches.append((i, sorted(plan.active)))
+        if (i + 1) % 300 == 0:
+            per_shift.append(sorted(plan.active))
+            scale = 0.25 if scale == 4.0 else 4.0
+    return switches, per_shift
+
+
+def test_scripted_shift_trace_yields_the_oracles_plans():
+    switches, per_shift = _shift_trace(use_oracle=False)
+    oracle_switches, oracle_per_shift = _shift_trace(use_oracle=True)
+    assert per_shift == oracle_per_shift
+    assert switches == oracle_switches
+    # the trace does adapt: the plan follows every toggle of the rate
+    assert len(switches) >= 12
+    assert len({tuple(map(tuple, p)) for p in per_shift}) >= 2
+
+
+# -- (d) frame bytes and the size estimate (wire round trip: test_framing) ------
+
+
+def _sensor_summary(position, n_messages, partitioned=None):
+    if partitioned is None:
+        partitioned, _ = build_partitioned_process(n_stages=20)
+    proxy = RemoteProfilingProxy(partitioned.cut)
+    modulator = partitioned.make_modulator(
+        plan=positional_plan(partitioned.cut, position),
+        profiling=proxy,
+        record_rates=False,
+    )
+    for event in sensor_events(n_messages):
+        result = modulator.process(event)
+        proxy.record_sender_rate(SENSOR_RATE * result.cycles, result.cycles)
+    return proxy.flush()
+
+
+def _arith_summary(n_messages):
+    from repro.core.api import MethodPartitioner
+    from repro.core.costmodels import DataSizeCostModel
+    from repro.ir.registry import default_registry
+    from repro.serialization import SerializerRegistry
+
+    source = """
+def handle(x):
+    acc = 0
+    i = 0
+    while i < 2:
+        acc = acc + i * 3 + x
+        i = i + 1
+    emit(acc)
+"""
+    registry = default_registry()
+    registry.register_function(
+        "emit", lambda v: None, receiver_only=True, pure=False
+    )
+    partitioned = MethodPartitioner(registry, SerializerRegistry()).partition(
+        source, DataSizeCostModel()
+    )
+    proxy = RemoteProfilingProxy(partitioned.cut)
+    modulator = partitioned.make_modulator(
+        profiling=proxy, record_rates=False
+    )
+    for x in range(n_messages):
+        result = modulator.process(x)
+        proxy.record_sender_rate(1e-5, result.cycles)
+    return proxy.flush()
+
+
+def _frame_bytes(summary):
+    envelope = FeedbackEnvelope(subscription_id=1, demod_stats=summary)
+    return len(NetEnvelopeCodec().encode(envelope)[1])
+
+
+@pytest.mark.parametrize(
+    "position, budget", [("middle", 2048), ("last", 3072)]
+)
+def test_feedback_frame_byte_budget(position, budget):
+    """O(#PSEs traversed), not O(observations): 8x the messages add only
+    their mod totals to the frame."""
+    summary8, _ = _sensor_summary(position, 8)
+    summary64, _ = _sensor_summary(position, 64)
+    assert summary64.records == 8 * summary8.records
+    assert len(summary64.entries) == len(summary8.entries)
+    assert _frame_bytes(summary8) <= budget
+    assert _frame_bytes(summary64) - _frame_bytes(summary8) <= 56 * 10
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _sensor_summary("middle", 8),
+        lambda: _sensor_summary("last", 8),
+        lambda: _arith_summary(8),
+    ],
+    ids=["sensor-middle", "sensor-last", "arith"],
+)
+def test_flush_size_estimate_is_the_encoded_size(make):
+    """The size charged to the transport, the simulated link and the
+    ``feedback.bytes`` counter is what the codec puts on the wire."""
+    summary, size = make()
+    assert size == pytest.approx(_frame_bytes(summary), rel=0.15)
+
+
+# -- end to end over the simulated pipeline -----------------------------------
+
+
 def test_distributed_version_adapts_with_lag():
     """End to end over the simulated pipeline: explicit feedback still
     adapts, pays measurable feedback bytes, and lags the instant-shared
@@ -185,7 +466,6 @@ def test_distributed_version_adapts_with_lag():
     from repro.apps.harness import run_pipeline
     from repro.apps.imagestream import build_partitioned_push, scenario_stream
     from repro.apps.mp_version import MethodPartitioningVersion
-    from repro.core.runtime.triggers import RateTrigger
     from repro.simnet import Simulator, wireless_testbed
 
     def run(feedback_period):

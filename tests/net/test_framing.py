@@ -8,7 +8,8 @@ import pytest
 
 from repro.core.continuation import ContinuationMessage, WIRE_VERSION
 from repro.core.plan import PartitioningPlan
-from repro.core.runtime.feedback import ObservationRecord
+from repro.core.runtime.feedback import RemoteProfilingProxy
+from repro.core.runtime.profiling import FeedbackSummary
 from repro.errors import FramingError, ProtocolError, SerializationError
 from repro.jecho.events import (
     ContinuationEnvelope,
@@ -117,36 +118,85 @@ def test_continuation_unknown_wire_version_rejected():
         codec.decode(KIND_CONT, bad)
 
 
-def test_feedback_records_roundtrip():
-    codec = NetEnvelopeCodec()
-    records = [
-        ObservationRecord(kind="message"),
-        ObservationRecord(
-            kind="edge",
-            edge=(3, 4),
-            data_size=88.0,
-            work_before=10.0,
-            is_split=True,
+def _summary(alpha=0.3):
+    """Two entries: every stat's k implied, and one explicit k."""
+    return FeedbackSummary(
+        alpha,
+        observations=7,
+        messages=4,
+        local_completions=1,
+        sender_rate=(4, 2.5e-8, 1.5e-8),
+        mod_totals=[120.0, 130.0, 125.0],
+        entries=(
+            (3, 4, 4, 3, 4, 88.0, 61.5, 5, 10.0, 7.25),
+            (7, 8, 3, 0, 0, 1, 40.0, 40.0, 5, 55.0, 38.0),
         ),
-        ObservationRecord(kind="sender_rate", seconds=0.25, cycles=100.0),
-    ]
-    env = FeedbackEnvelope(
-        subscription_id=5, demod_stats=records, seq=2
     )
-    out, _ = _roundtrip(codec, env)
-    assert out.demod_stats == records
-    assert out.subscription_id == 5
 
 
-def test_feedback_stats_dict_roundtrip():
+def test_feedback_summary_roundtrip():
     codec = NetEnvelopeCodec()
-    env = FeedbackEnvelope(
-        subscription_id=1,
-        demod_stats={(1, 2): (0.5, 3), (7, 8): (1.25, 10)},
-        seq=4,
-    )
+    env = FeedbackEnvelope(subscription_id=5, demod_stats=_summary(), seq=2)
+    env.trace = (11, 12)
     out, _ = _roundtrip(codec, env)
-    assert out.demod_stats == {(1, 2): (0.5, 3), (7, 8): (1.25, 10)}
+    assert isinstance(out.demod_stats, FeedbackSummary)
+    assert out.demod_stats == _summary()
+    assert out.demod_stats.records == 7 + 4 + 1 + 4 + 3
+    assert (out.subscription_id, out.seq, out.trace) == (5, 2, (11, 12))
+
+
+def test_feedback_of_any_other_shape_is_a_protocol_error():
+    """One feedback shape: a summary of the wrong arity fails at decode,
+    loudly — the pre-summary record tuple and edge->stats dict included."""
+    codec = NetEnvelopeCodec()
+    ser = codec._serializer.serialize
+    good = tuple(_summary())
+    record = ("message", None, None, None, None, False, True, 0.0, 0.0)
+    for payload in (
+        (1, 2, None, good[1:]),
+        (1, 2, None, good + (0,)),
+        (1, 2, None, None),
+        (1, 2, good),
+        (1, 2, None, True, (record,)),
+        (1, 2, None, False, (((1, 2), (0.5, 3)),)),
+    ):
+        with pytest.raises(ProtocolError):
+            codec.decode(KIND_FEEDBACK, ser(payload))
+
+
+def test_unmergeable_summary_is_counted_and_never_half_applied():
+    """A summary folded with another α, or truncated inside an entry,
+    decodes — the codec knows neither the unit's α nor its cut — so the
+    receiver rejects it whole and counts it."""
+    from repro.apps.sensor.pipeline import build_partitioned_process
+    from repro.net.endpoint import NetReceiverEndpoint
+
+    partitioned, _ = build_partitioned_process(n_stages=4)
+    receiver = NetReceiverEndpoint(partitioned)
+    edge = next(iter(partitioned.cut.pses))
+    codec = NetEnvelopeCodec()
+
+    def deliver(alpha, mangle=lambda summary: summary):
+        proxy = RemoteProfilingProxy(partitioned.cut, ewma_alpha=alpha)
+        proxy.record_message()
+        proxy.record_edge_observation(edge, work_before=9.0, is_split=True)
+        env = FeedbackEnvelope(
+            subscription_id=1, demod_stats=mangle(proxy.flush()[0])
+        )
+        receiver._handle_feedback(_roundtrip(codec, env)[0])
+        return (
+            receiver.feedback_rejected,
+            receiver.feedback_batches,
+            receiver.profiling.messages_seen,
+            receiver.profiling.stats[edge].splits,
+        )
+
+    alpha = receiver.profiling.ewma_alpha
+    assert deliver(alpha / 2) == (1, 0, 0, 0)
+    assert deliver(
+        alpha, lambda s: s._replace(entries=(s.entries[0][:-1],))
+    ) == (2, 0, 0, 0)
+    assert deliver(alpha) == (2, 1, 1, 1)
 
 
 def test_plan_envelope_roundtrip():
@@ -268,7 +318,7 @@ def _sample_frames():
         ),
         FeedbackEnvelope(
             subscription_id=1,
-            demod_stats=[ObservationRecord(kind="message")],
+            demod_stats=_summary(),
             seq=2,
         ),
         PlanEnvelope(
@@ -400,7 +450,7 @@ def _data_frames():
         ),
         FeedbackEnvelope(
             subscription_id=1,
-            demod_stats=[ObservationRecord(kind="message")],
+            demod_stats=_summary(),
             seq=2,
         ),
     ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 from repro.core.plan import PartitioningPlan
+from repro.core.runtime.profiling import FeedbackSummary
 from repro.jecho.events import FeedbackEnvelope, PlanEnvelope
 from repro.net.framing import Telemetry
 from repro.net.resilience import (
@@ -27,6 +28,7 @@ PLAN_A = PartitioningPlan(active=frozenset({(1, 2)}), name="a")
 PLAN_B = PartitioningPlan(active=frozenset({(3, 4)}), name="b")
 PLAN_C = PartitioningPlan(active=frozenset({(5, 6)}), name="c")
 RETRACTED = PartitioningPlan(active=frozenset(), name="sender-heavy")
+SUMMARY = FeedbackSummary(0.3, 0, 1, 0, (0, 0.0, 0.0), [5.0], ())
 
 
 class FakePeer:
@@ -52,7 +54,7 @@ def make_session(**breaker_kwargs):
         peer,
         1,
         PLAN_A,
-        SimpleNamespace(flush=lambda: (["record"], 28.0)),
+        SimpleNamespace(flush=lambda: (SUMMARY, 115.0)),
         send=lambda envelope, size: sent.append((envelope, size)),
         monitor=HealthMonitor(clock=clock),
         rate=CalibratedRate(None, 1e-7, None),
@@ -287,7 +289,7 @@ def test_flush_feedback_sends_one_frame():
     (envelope, size), = sent
     assert isinstance(envelope, FeedbackEnvelope)
     assert envelope.subscription_id == 1
-    assert envelope.demod_stats == ["record"] and size == 28.0
+    assert envelope.demod_stats is SUMMARY and size == 115.0
     assert session.feedback_flushes == 1
 
 
