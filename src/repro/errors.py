@@ -84,8 +84,8 @@ class FramingError(TransportError):
 
 
 class ProtocolError(TransportError):
-    """Peers disagree about the wire protocol (handshake version
-    mismatch, unexpected frame for the negotiated role)."""
+    """A frame's payload is not the shape this build's protocol
+    defines for its kind (wrong arity, out-of-range field)."""
 
 
 class CostModelError(ReproError):

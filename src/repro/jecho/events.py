@@ -68,8 +68,9 @@ class PlanEnvelope:
     ships, and the modulator ignores any PLAN frame whose version it has
     already applied.  A duplicated or retransmitted frame (at-least-once
     delivery of the head frame across a reconnect) therefore cannot
-    re-run the apply path.  ``version=0`` marks an unversioned frame
-    (legacy senders); those are always applied.
+    re-run the apply path.  Versions start at 1: the net codec refuses
+    a PLAN frame without one, so ``version=0`` only appears in-process
+    (the simulated channel, which never re-delivers).
     """
 
     subscription_id: int

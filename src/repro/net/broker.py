@@ -56,7 +56,7 @@ from repro.core.runtime.feedback import RemoteProfilingProxy
 from repro.errors import TransportError
 from repro.ir.interpreter import CycleMeter, Edge
 from repro.jecho.events import ContinuationEnvelope, PlanEnvelope
-from repro.net.framing import FEATURE_ELECTION, Bye, Election, Telemetry
+from repro.net.framing import Bye, Election, Telemetry
 from repro.net.resilience import (
     BREAKER_OPEN,
     BREAKER_STATE_CODES,
@@ -747,8 +747,8 @@ class NetBrokerEndpoint:
         Receivers cannot see each other directly — their only shared
         vertex is this broker — so the bully protocol's broadcasts are
         relayed here: every inbound announcement goes to every *other*
-        subscriber whose connection negotiated the election feature.
-        The broker also shadows the outcome (``leader``) for fleetmon.
+        subscriber.  The broker also shadows the outcome (``leader``)
+        for fleetmon.
         """
         with self.lock:
             self.election_frames += 1
@@ -764,13 +764,9 @@ class NetBrokerEndpoint:
                     )
                 self.leader = envelope.member
                 self.leader_priority = envelope.priority
-            targets = [
-                sub
-                for sub in self.subscribers
-                if sub.peer is not peer
-                and FEATURE_ELECTION in sub.peer.peer_features
-            ]
-            for sub in targets:
+            for sub in self.subscribers:
+                if sub.peer is peer:
+                    continue
                 try:
                     self.transport.send(sub.peer, envelope, 64.0)
                     self.elections_relayed += 1

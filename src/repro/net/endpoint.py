@@ -37,7 +37,9 @@ import asyncio
 import threading
 import time
 import uuid
-from typing import Callable, Dict, List, Optional, Tuple
+from collections import defaultdict, deque
+from functools import partial
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.partitioned import PartitionedMethod
 from repro.errors import TransportError
@@ -50,14 +52,7 @@ from repro.jecho.events import (
     FeedbackEnvelope,
     PlanEnvelope,
 )
-from repro.net.framing import (
-    FEATURE_ELECTION,
-    FEATURE_TELEMETRY,
-    Bye,
-    Election,
-    NetEnvelopeCodec,
-    Telemetry,
-)
+from repro.net.framing import Bye, Election, NetEnvelopeCodec, Telemetry
 from repro.net.resilience import (
     BreakerConfig,
     ElectionConfig,
@@ -73,6 +68,9 @@ __all__ = ["NetSenderEndpoint", "NetReceiverEndpoint"]
 
 #: wire size charged for a plan update (a handful of edge flags)
 _PLAN_UPDATE_BYTES = 64.0
+#: latency samples kept per PSE: the receiver's quantiles cover the
+#: latest window, so its memory does not grow with every delivery
+LATENCY_WINDOW = 4096
 
 
 class NetSenderEndpoint:
@@ -365,9 +363,8 @@ class NetReceiverEndpoint:
         """``telemetry_interval`` paces the TELEMETRY push loop started
         by :meth:`start` — every interval the receiver pushes its
         metrics delta, drift/fallback/ring-drop counts and health state
-        to each connection whose hello advertised the ``telemetry``
-        feature.  0 disables the loop (pushes can still be driven
-        manually via :meth:`push_telemetry`)."""
+        to each connection that has said hello.  0 disables the loop
+        (pushes can still be driven manually via :meth:`push_telemetry`)."""
         if rate_scale <= 0:
             raise ValueError("rate_scale must be positive")
         if telemetry_interval < 0:
@@ -438,8 +435,11 @@ class NetReceiverEndpoint:
         #: wall-clock window of demodulation activity (for msgs/s)
         self.first_demod_at: Optional[float] = None
         self.last_demod_at: Optional[float] = None
-        #: one-way latency samples per PSE id (same-host wall clocks)
-        self.latencies: Dict[str, List[float]] = {}
+        #: the latest LATENCY_WINDOW one-way latency samples per PSE id
+        #: (same-host wall clocks)
+        self.latencies: Dict[str, Deque[float]] = defaultdict(
+            partial(deque, maxlen=LATENCY_WINDOW)
+        )
         #: per-source high-water sequence marks, keyed by (sender
         #: instance, subscription).  Endpoint-level (survives reconnect)
         #: but per *peer*: two senders' sequence spaces never collide,
@@ -575,19 +575,21 @@ class NetReceiverEndpoint:
             ).set(self.telemetry_encode_seconds)
         return payload
 
-    async def push_telemetry(self) -> int:
-        """Push one telemetry report to every negotiated connection.
-
-        Returns the number of connections the report went to (0 when no
-        live peer advertised the feature — the payload is then not even
-        built)."""
-        conns = [
+    def _greeted(self) -> List[ServerConnection]:
+        """Open connections whose client has said hello."""
+        return [
             c
             for c in self.server.connections
-            if not c.closed
-            and c.hello is not None
-            and FEATURE_TELEMETRY in c.hello.features
+            if not c.closed and c.hello is not None
         ]
+
+    async def push_telemetry(self) -> int:
+        """Push one telemetry report to every greeted connection.
+
+        Returns the number of connections the report went to (0 when no
+        open connection has said hello — the payload is then not even
+        built)."""
+        conns = self._greeted()
         # The push loop running *is* this process's proof of life; an
         # injected wedge pins the state via force() instead.
         self.self_health.peer("self").note_signal()
@@ -640,13 +642,7 @@ class NetReceiverEndpoint:
         if member is None or not self._election_outbox:
             return
         outbox, self._election_outbox = self._election_outbox, []
-        conns = [
-            c
-            for c in self.server.connections
-            if not c.closed
-            and c.hello is not None
-            and FEATURE_ELECTION in c.hello.features
-        ]
+        conns = self._greeted()
         for op, term in outbox:
             envelope = Election(
                 op=op,
@@ -721,10 +717,10 @@ class NetReceiverEndpoint:
     ) -> Tuple[str, int]:
         """Dedupe state key: the sending *process* plus the subscription.
 
-        Falls back to the per-connection peername when the sender's
-        hello carried no instance token (older builds): dedupe then
-        degrades to per-connection — it cannot wrongly drop a fresh
-        frame, only miss a cross-reconnect duplicate.
+        Falls back to the per-connection peername when no hello (or an
+        empty instance token) arrived: dedupe then degrades to
+        per-connection — it cannot wrongly drop a fresh frame, only miss
+        a cross-reconnect duplicate.
         """
         hello = conn.hello
         instance = hello.instance if hello is not None else ""
@@ -783,7 +779,7 @@ class NetReceiverEndpoint:
         if sent_at > 0:
             latency = time.time() - sent_at
             if latency >= 0:
-                self.latencies.setdefault(pse_id, []).append(latency)
+                self.latencies[pse_id].append(latency)
                 tracer = self._tracer()
                 if tracer is not None:
                     tracer.observe_pse(pse_id, latency=latency)
@@ -871,7 +867,7 @@ class NetReceiverEndpoint:
     # -- results ----------------------------------------------------------------
 
     def latency_quantiles(self) -> Dict[str, Dict[str, float]]:
-        """p50/p95 one-way latency per PSE, from the raw samples."""
+        """p50/p95 one-way latency per PSE over its latest samples."""
         out: Dict[str, Dict[str, float]] = {}
         for pse_id, samples in sorted(self.latencies.items()):
             ordered = sorted(samples)

@@ -15,8 +15,9 @@ The payload of every application frame is one value encoded with
 sizes the cost models optimize, so what the profiler *measures* is what
 the socket *carries*.  Continuation frames embed the continuation wire
 tuple produced by :func:`repro.core.continuation.wire_payload`
-unchanged, preserving the v1 (bare 5-tuple) / v2 (headered, traced)
-versioning and its negotiation semantics.
+unchanged.  The header's :data:`PROTOCOL_VERSION` is the only wire
+version: peers of another build fail at their first frame, and nothing
+is negotiated.
 
 :class:`FrameDecoder` is an incremental parser: feed it whatever chunk
 ``data_received`` produced — half a header, three frames and a half,
@@ -32,10 +33,8 @@ Two wire-efficiency layers live here as well:
   single 8-byte header, so a backlogged writer pays one header and one
   syscall for a whole run of continuations.  The decoder expands
   batches transparently: read loops see the constituent frames and
-  need no batch handling of their own.  Batching is negotiated — a
-  sender only batches toward a peer whose :class:`Hello` advertised
-  the ``"batch"`` feature — so legacy peers keep decoding plain
-  frames.  Only data kinds (event/continuation/feedback) may ride in
+  need no batch handling of their own, so a sender may batch toward
+  any peer.  Only data kinds (event/continuation/feedback) may ride in
   a batch; control frames (hello, heartbeat, bye, plan) always travel
   alone so liveness and plan actuation are never queued behind a
   partially accumulated batch.
@@ -85,10 +84,6 @@ __all__ = [
     "KIND_ELECTION",
     "KIND_NAMES",
     "BATCHABLE_KINDS",
-    "FEATURE_BATCH",
-    "FEATURE_TELEMETRY",
-    "FEATURE_ELECTION",
-    "LOCAL_FEATURES",
     "encode_frame",
     "encode_frame_parts",
     "encode_batch_parts",
@@ -104,8 +99,10 @@ __all__ = [
 
 #: two magic bytes opening every frame
 MAGIC = b"MP"
-#: version of the frame layout + envelope encodings below
-PROTOCOL_VERSION = 1
+#: the one wire version: the frame layout plus every envelope shape
+#: below.  Bump it whenever any envelope shape changes; the decoder
+#: refuses frames of any other version, the hello included.
+PROTOCOL_VERSION = 2
 #: frame header bytes (magic + version + kind + length)
 HEADER_SIZE = 8
 #: default ceiling on payload size — a corrupt length prefix must not
@@ -124,10 +121,10 @@ KIND_PLAN = 0x13
 # Aggregate frame: many data sub-frames under one header.
 KIND_BATCH = 0x20
 # Fleet telemetry: a receiver pushing its metrics/health deltas
-# upstream, negotiated via FEATURE_TELEMETRY (see Telemetry below).
+# upstream (see Telemetry below).
 KIND_TELEMETRY = 0x21
 # Leader election among receivers sharing a sender (bully protocol,
-# relayed through the broker), negotiated via FEATURE_ELECTION.
+# relayed through the broker).
 KIND_ELECTION = 0x22
 
 KIND_NAMES = {
@@ -147,20 +144,6 @@ KIND_NAMES = {
 #: deliberately excluded: heartbeats and plan updates must never wait
 #: behind a partially accumulated batch.
 BATCHABLE_KINDS = frozenset({KIND_EVENT, KIND_CONT, KIND_FEEDBACK})
-
-#: Hello feature token announcing "I can decode KIND_BATCH frames".
-FEATURE_BATCH = "batch"
-#: Hello feature token announcing "push me KIND_TELEMETRY frames".
-#: Negotiated exactly like batching: a receiver only pushes telemetry
-#: toward a peer whose hello advertised the token, so legacy peers
-#: never see the kind.
-FEATURE_TELEMETRY = "telemetry"
-#: Hello feature token announcing "relay me KIND_ELECTION frames".
-#: Election, like telemetry, is control-adjacent: never batched, and
-#: only relayed toward peers whose hello advertised the token.
-FEATURE_ELECTION = "election"
-#: the feature set this build advertises in its Hello
-LOCAL_FEATURES = (FEATURE_BATCH, FEATURE_TELEMETRY, FEATURE_ELECTION)
 
 _HEADER = struct.Struct(">2sBBI")
 #: batch sub-frame header: [1-byte kind][4-byte payload length]
@@ -471,6 +454,8 @@ class FrameDecoder:
 class Hello:
     """Handshake: first frame on every connection, either direction.
 
+    A hello carries identity only; the version is the frame header's.
+
     ``instance`` identifies the sending *process* (one random token per
     transport lifetime), not the connection: a reconnect from the same
     process presents the same token, a restarted process presents a
@@ -478,40 +463,16 @@ class Hello:
     reconnects — most importantly sequence-dedupe windows — on
     ``(instance, subscription)``, so a restarted sender whose sequence
     numbers begin again is never confused with a resumed one.
-
-    ``features`` announces optional capabilities *this* endpoint can
-    receive — currently just :data:`FEATURE_BATCH`.  A sender batches
-    toward a peer only after seeing the feature in the peer's hello
-    (the server replies with its own hello for exactly this reason);
-    hellos from older builds decode with an empty feature set, so
-    traffic toward them stays plain-framed.
     """
 
-    __slots__ = (
-        "protocol",
-        "cont_version",
-        "role",
-        "name",
-        "instance",
-        "features",
-    )
+    __slots__ = ("role", "name", "instance")
 
     def __init__(
-        self,
-        *,
-        protocol: int = PROTOCOL_VERSION,
-        cont_version: int = 2,
-        role: str = "peer",
-        name: str = "",
-        instance: str = "",
-        features: Tuple[str, ...] = LOCAL_FEATURES,
+        self, *, role: str = "peer", name: str = "", instance: str = ""
     ) -> None:
-        self.protocol = protocol
-        self.cont_version = cont_version
         self.role = role
         self.name = name
         self.instance = instance
-        self.features = tuple(features)
 
 
 class Heartbeat:
@@ -545,8 +506,7 @@ class Telemetry:
 
     Telemetry is a control-adjacent frame: deliberately *not* batchable
     (it must not wait behind an accumulating data batch — staleness is
-    itself a health signal) and only sent toward peers that advertised
-    :data:`FEATURE_TELEMETRY`.
+    itself a health signal).
     """
 
     __slots__ = ("source", "instance", "seq", "sent_at", "payload")
@@ -578,8 +538,7 @@ class Election:
     ``sent_at`` is the sender's wall clock.  The frame is
     control-adjacent like :class:`Telemetry`: never batched — a
     coordinator heartbeat queued behind an accumulating data batch
-    would read as leader death — and only relayed toward peers whose
-    hello advertised :data:`FEATURE_ELECTION`.
+    would read as leader death.
     """
 
     __slots__ = ("op", "term", "member", "priority", "sent_at")
@@ -662,14 +621,7 @@ class NetEnvelopeCodec:
             )
         if isinstance(envelope, Hello):
             return KIND_HELLO, ser(
-                (
-                    envelope.protocol,
-                    envelope.cont_version,
-                    envelope.role,
-                    envelope.name,
-                    envelope.instance,
-                    tuple(envelope.features),
-                )
+                (envelope.role, envelope.name, envelope.instance)
             )
         if isinstance(envelope, Heartbeat):
             return KIND_HEARTBEAT, ser((envelope.sent_at,))
@@ -745,13 +697,11 @@ class NetEnvelopeCodec:
                 env.trace = None if trace is None else (trace[0], trace[1])
                 return env, 0.0
             if kind == KIND_PLAN:
-                # Pre-versioning senders ship a 5-tuple; version 0 means
-                # "unversioned", which receivers always apply.
-                if len(value) == 5:
-                    sub_id, seq, trace, name, edges = value
-                    version = 0
-                else:
-                    sub_id, seq, trace, name, edges, version = value
+                sub_id, seq, trace, name, edges, version = value
+                if type(version) is not int or version < 1:
+                    raise ProtocolError(
+                        f"PLAN version must be an int >= 1, got {version!r}"
+                    )
                 plan = PartitioningPlan(
                     active=frozenset((e[0], e[1]) for e in edges),
                     name=name,
@@ -765,36 +715,8 @@ class NetEnvelopeCodec:
                 env.trace = None if trace is None else (trace[0], trace[1])
                 return env, 0.0
             if kind == KIND_HELLO:
-                # The instance token arrived with the dedupe rework and
-                # the feature tuple with batch negotiation; 4- and
-                # 5-tuple hellos are older builds of the same protocol.
-                instance = ""
-                features: Tuple[str, ...] = ()
-                if len(value) == 4:
-                    protocol, cont_version, role, name = value
-                elif len(value) == 5:
-                    protocol, cont_version, role, name, instance = value
-                else:
-                    (
-                        protocol,
-                        cont_version,
-                        role,
-                        name,
-                        instance,
-                        raw_features,
-                    ) = value
-                    features = tuple(str(f) for f in raw_features)
-                return (
-                    Hello(
-                        protocol=protocol,
-                        cont_version=cont_version,
-                        role=role,
-                        name=name,
-                        instance=instance,
-                        features=features,
-                    ),
-                    0.0,
-                )
+                role, name, instance = value
+                return Hello(role=role, name=name, instance=instance), 0.0
             if kind == KIND_HEARTBEAT:
                 (sent_at,) = value
                 return Heartbeat(sent_at=sent_at), 0.0
@@ -841,18 +763,3 @@ class NetEnvelopeCodec:
                 f"{type(exc).__name__}: {exc}"
             ) from exc
         raise FramingError(f"unknown frame kind 0x{kind:02x}")
-
-    def check_hello(self, hello: Hello) -> None:
-        """Version negotiation: reject peers speaking another protocol."""
-        from repro.core.continuation import WIRE_VERSION
-
-        if hello.protocol != PROTOCOL_VERSION:
-            raise ProtocolError(
-                f"peer {hello.name!r} speaks frame protocol "
-                f"{hello.protocol}, this build speaks {PROTOCOL_VERSION}"
-            )
-        if hello.cont_version != WIRE_VERSION:
-            raise ProtocolError(
-                f"peer {hello.name!r} speaks continuation wire version "
-                f"{hello.cont_version}, this build speaks {WIRE_VERSION}"
-            )

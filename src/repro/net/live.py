@@ -274,7 +274,11 @@ def run_receiver(args: argparse.Namespace) -> Dict[str, object]:
                 )
                 break
             await asyncio.sleep(0.05)
-        # Let a plan frame triggered by the last messages flush out.
+        # Report the final state while the publisher still listens: a
+        # peer back from a wedge may otherwise hit Bye before its next
+        # tick.  Then let a plan frame from the last messages flush out.
+        if args.telemetry_interval > 0:
+            await endpoint.push_telemetry()
         await asyncio.sleep(0.1)
         await endpoint.stop()
 
@@ -333,7 +337,7 @@ def run_receiver(args: argparse.Namespace) -> Dict[str, object]:
             "frames_received": endpoint.server.frames_received,
             "frames_sent": endpoint.server.frames_sent,
             "heartbeats_seen": endpoint.server.heartbeats_seen,
-            "protocol_rejects": endpoint.server.protocol_rejects,
+            "framing_errors": endpoint.server.framing_errors,
         },
         "quality": (
             endpoint.quality.report()
@@ -414,20 +418,7 @@ def run_sender(args: argparse.Namespace) -> Dict[str, object]:
         "transport": {
             "messages_sent": transport.messages_sent,
             "bytes_sent": transport.bytes_sent,
-            "connections": peer.connections,
-            "reconnects": peer.reconnects,
-            "dropped_frames": peer.dropped_frames,
-            "frames_sent": peer.frames_sent,
-            "frame_bytes_sent": peer.frame_bytes_sent,
-            "heartbeats_sent": peer.heartbeats_sent,
-            "heartbeats_echoed": peer.heartbeats_seen,
-            "send_timeouts": peer.send_timeouts,
-            "last_rtt": peer.last_rtt,
-            "batching_negotiated": peer._batch_ok,
-            "telemetry_negotiated": peer.telemetry_negotiated,
-            "telemetry_frames_seen": peer.telemetry_frames_seen,
-            "batches_sent": peer.batches_sent,
-            "batched_frames_sent": peer.batched_frames_sent,
+            **peer.to_dict(),
         },
         "obs": obs.to_dict(),
     }

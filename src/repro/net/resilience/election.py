@@ -7,8 +7,7 @@ keep the *splits* independent, but reconfiguration *ownership* still
 needs a single writer when receivers coordinate a shared view of the
 fleet.  This module provides that single writer: a classic bully
 election (highest rank wins) run over ``ELECTION 0x22`` frames relayed
-through the broker, negotiated via hello feature tuples exactly like
-batching and telemetry.
+through the broker.
 
 Protocol (three ops, all carried in :class:`repro.net.framing.Election`
 frames):

@@ -14,9 +14,9 @@ per peer against one shared run forked per peer).
 The session is sans-I/O, the shape :mod:`repro.net.resilience.election`
 has: ``send`` and ``clock`` are injected, transport state is read off
 the injected ``peer`` (``connected``, ``last_heard``, ``last_rtt``,
-``dropped_frames``, ``send_timeouts``, ``queued``), and there is no
-thread, no socket and no lock — the owner serializes every call under
-its own publish lock.
+``dropped_frames``, ``send_timeouts``, ``queued``, ``to_dict()``), and
+there is no thread, no socket and no lock — the owner serializes every
+call under its own publish lock.
 """
 
 from __future__ import annotations
@@ -171,8 +171,8 @@ class PeerSession:
         self.apply_plan = apply_plan
         self.clock = clock
         self.obs = obs
-        #: highest PLAN version applied; versioned frames at or below
-        #: this are duplicates and must not re-run the apply path
+        #: highest PLAN version applied; frames at or below this are
+        #: duplicates and must not re-run the apply path
         self.plan_version_applied = 0
         self.plan_updates_applied = 0
         self.plan_duplicates_ignored = 0
@@ -246,10 +246,7 @@ class PeerSession:
 
     def on_plan(self, envelope: PlanEnvelope) -> None:
         """Duplicate → ignore; retracted → defer the newest; else apply."""
-        if (
-            envelope.version
-            and envelope.version <= self.plan_version_applied
-        ):
+        if envelope.version <= self.plan_version_applied:
             # Idempotency: a duplicated or retransmitted PLAN frame
             # (at-least-once head-frame delivery across a reconnect)
             # must not re-run the apply path.
@@ -281,8 +278,7 @@ class PeerSession:
         self.apply_plan(plan)
 
     def _apply(self, envelope: PlanEnvelope) -> None:
-        if envelope.version:
-            self.plan_version_applied = envelope.version
+        self.plan_version_applied = envelope.version
         self.plan_updates_applied += 1
         self.plans_seen.append(
             ",".join(str(e) for e in sorted(envelope.plan.active))
@@ -543,7 +539,6 @@ class PeerSession:
         }
 
     def to_dict(self) -> Dict[str, object]:
-        peer = self.peer
         return {
             "name": self.name,
             "subscription_id": self.subscription_id,
@@ -565,21 +560,5 @@ class PeerSession:
             ),
             "health": self.health.to_dict(),
             **self.resilience_dump(),
-            "transport": {
-                "queued": peer.queued,
-                "connections": peer.connections,
-                "reconnects": peer.reconnects,
-                "dropped_frames": peer.dropped_frames,
-                "frames_sent": peer.frames_sent,
-                "frame_bytes_sent": peer.frame_bytes_sent,
-                "heartbeats_sent": peer.heartbeats_sent,
-                "heartbeats_echoed": peer.heartbeats_seen,
-                "send_timeouts": peer.send_timeouts,
-                "last_rtt": peer.last_rtt,
-                "batching_negotiated": peer._batch_ok,
-                "telemetry_negotiated": peer.telemetry_negotiated,
-                "telemetry_frames_seen": peer.telemetry_frames_seen,
-                "batches_sent": peer.batches_sent,
-                "batched_frames_sent": peer.batched_frames_sent,
-            },
+            "transport": self.peer.to_dict(),
         }

@@ -31,10 +31,10 @@ Reliability model, chosen to match what the adaptation loop needs:
   ``heartbeat_interval`` seconds; the server echoes it back with the
   original timestamp, giving both sides liveness (``last_heard``) and
   the client an RTT sample.
-* **Negotiated frame batching** — when both ends advertise the
-  ``"batch"`` feature in their hellos, the write loop gathers the run
-  of batchable frames (events, continuations, feedback) at the head of
-  the queue into one ``KIND_BATCH`` frame, paying a single
+* **Frame batching** — with ``batching`` on (the default), the write
+  loop gathers the run of batchable frames (events, continuations,
+  feedback) at the head of the queue into one ``KIND_BATCH`` frame
+  that every decoder of this build expands, paying a single
   write+drain event-loop round trip for many logical frames.  Control
   frames (hello, heartbeat, plan, bye) are never batched and never
   wait behind one: a run stops at the first non-batchable frame.
@@ -46,10 +46,11 @@ Reliability model, chosen to match what the adaptation loop needs:
   high-water marks absorb the duplicates).
 
 :class:`FrameServer` is the listening side: it accepts connections,
-runs the handshake (rejecting protocol-version mismatches), decodes
-frames incrementally, and hands every application envelope to a router
-callback.  It exposes per-connection ``send`` for the reverse control
-plane (plan-ship) and ``abort`` for fault injection in tests.
+runs the handshake, decodes frames incrementally (a frame of another
+wire version is a framing error that closes the connection), and
+hands every application envelope to a router callback.  It exposes
+per-connection ``send`` for the reverse control plane (plan-ship) and
+``abort`` for fault injection in tests.
 """
 
 from __future__ import annotations
@@ -74,8 +75,6 @@ from repro.jecho.transport import Destination, Transport
 from repro.net.framing import (
     BATCHABLE_KINDS,
     DEFAULT_MAX_FRAME,
-    FEATURE_BATCH,
-    LOCAL_FEATURES,
     SUB_HEADER_SIZE,
     BufferPool,
     FrameDecoder,
@@ -86,6 +85,7 @@ from repro.net.framing import (
     Telemetry,
     encode_batch_parts,
 )
+from repro.obs.flight import wide_event
 
 __all__ = ["TcpPeer", "TcpTransport", "FrameServer", "ServerConnection"]
 
@@ -142,9 +142,6 @@ class TcpPeer:
         self.last_heard: Optional[float] = None
         self.last_rtt: Optional[float] = None
         self.connected = False
-        #: features the remote's hello advertised (per connection)
-        self.peer_features: frozenset = frozenset()
-        self._batch_ok = False
         self.telemetry_frames_seen = 0
         self._g_queue = None
         self._subpool = BufferPool()
@@ -172,12 +169,23 @@ class TcpPeer:
     def queued(self) -> int:
         return len(self._outbound)
 
-    @property
-    def telemetry_negotiated(self) -> bool:
-        """True when this connection's server hello offered telemetry."""
-        from repro.net.framing import FEATURE_TELEMETRY
-
-        return FEATURE_TELEMETRY in self.peer_features
+    def to_dict(self) -> Dict[str, object]:
+        """The connection's counters, as every dump reports them."""
+        return {
+            "queued": self.queued,
+            "connections": self.connections,
+            "reconnects": self.reconnects,
+            "dropped_frames": self.dropped_frames,
+            "frames_sent": self.frames_sent,
+            "frame_bytes_sent": self.frame_bytes_sent,
+            "heartbeats_sent": self.heartbeats_sent,
+            "heartbeats_echoed": self.heartbeats_seen,
+            "send_timeouts": self.send_timeouts,
+            "last_rtt": self.last_rtt,
+            "telemetry_frames_seen": self.telemetry_frames_seen,
+            "batches_sent": self.batches_sent,
+            "batched_frames_sent": self.batched_frames_sent,
+        }
 
     # -- loop-side internals ---------------------------------------------------
 
@@ -208,16 +216,28 @@ class TcpPeer:
                 self.transport._c_dropped.inc()
             # Sheds happen at line rate when a peer wedges; record the
             # first of every 64 so the flight ring shows the burst
-            # without being flooded by it.
-            if self.dropped_frames == 1 or self.dropped_frames % 64 == 0:
-                flight = self.transport._flight()
-                if flight is not None:
-                    flight.record(
-                        "net.shed",
-                        peer=self.name,
-                        dropped_total=self.dropped_frames,
-                        queue_limit=limit,
-                    )
+            # without being flooded by it, and warn on the first.
+            dropped = self.dropped_frames
+            if dropped == 1 or dropped % 64 == 0:
+                first = dropped == 1
+                wide_event(
+                    "net.shed",
+                    recorder=getattr(self.transport._obs, "flight", None),
+                    dedupe=(
+                        f"{self.transport.instance}/{self.name}"
+                        if first
+                        else None
+                    ),
+                    warn=(
+                        f"peer {self.name}: outbound queue full "
+                        f"(queue_limit={limit}), dropping oldest frames"
+                        if first
+                        else None
+                    ),
+                    peer=self.name,
+                    dropped_total=dropped,
+                    queue_limit=limit,
+                )
         self._outbound.append(frame)
         self._drained.clear()
         self._wake.set()
@@ -249,19 +269,14 @@ class TcpPeer:
                 self.reconnects += 1
                 if self.transport._c_reconnects is not None:
                     self.transport._c_reconnects.inc()
-                flight = self.transport._flight()
-                if flight is not None:
-                    flight.record(
-                        "net.reconnect",
-                        peer=self.name,
-                        reconnects=self.reconnects,
-                        queued=len(self._outbound),
-                    )
+                wide_event(
+                    "net.reconnect",
+                    recorder=getattr(self.transport._obs, "flight", None),
+                    peer=self.name,
+                    reconnects=self.reconnects,
+                    queued=len(self._outbound),
+                )
             self.connected = True
-            # Batching is negotiated per connection: off until this
-            # connection's server hello advertises the feature.
-            self.peer_features = frozenset()
-            self._batch_ok = False
             self._conn_lost.clear()
             reader_task = asyncio.ensure_future(self._read_loop(reader))
             heartbeat_task = (
@@ -270,8 +285,8 @@ class TcpPeer:
                 else None
             )
             try:
-                # Handshake first: a peer speaking another protocol
-                # version must be rejected before any data frame.
+                # Handshake first: the hello names this process (its
+                # dedupe identity) before any data frame.
                 self._outbound.appendleft(
                     self.transport.codec.encode_frame_parts(
                         Hello(
@@ -307,13 +322,13 @@ class TcpPeer:
     def _collect_run(self) -> List[_QueuedFrame]:
         """The prefix of the queue that ships as one wire write.
 
-        Without negotiated batching (or with a non-batchable head) the
-        run is just the head frame.  Otherwise it is the contiguous run
-        of batchable frames, capped by the transport's
+        With batching off (or with a non-batchable head) the run is
+        just the head frame.  Otherwise it is the contiguous run of
+        batchable frames, capped by the transport's
         ``flush_max_count`` / ``flush_max_bytes`` thresholds.
         """
         head = self._outbound[0]
-        if not self._batch_ok or head[0] not in BATCHABLE_KINDS:
+        if not self.transport.batching or head[0] not in BATCHABLE_KINDS:
             return [head]
         run = [head]
         total = SUB_HEADER_SIZE + len(head[2])
@@ -366,7 +381,7 @@ class TcpPeer:
                 if (
                     len(run) == 1
                     and len(self._outbound) == 1
-                    and self._batch_ok
+                    and self.transport.batching
                     and run[0][0] in BATCHABLE_KINDS
                     and self.transport.flush_interval > 0
                 ):
@@ -491,16 +506,7 @@ class TcpPeer:
                         if self.transport._h_rtt is not None and rtt >= 0:
                             self.transport._h_rtt.observe(rtt)
                         continue
-                    if isinstance(envelope, Hello):
-                        # Server hello: adopt its advertised features.
-                        # Batching turns on only when both ends opt in.
-                        self.peer_features = frozenset(envelope.features)
-                        self._batch_ok = (
-                            self.transport.batching
-                            and FEATURE_BATCH in self.peer_features
-                        )
-                        continue
-                    if isinstance(envelope, Bye):
+                    if isinstance(envelope, (Hello, Bye)):
                         continue
                     if isinstance(envelope, Telemetry):
                         self.telemetry_frames_seen += 1
@@ -596,8 +602,7 @@ class TcpTransport(Transport):
         self.heartbeat_interval = heartbeat_interval
         self.max_frame = max_frame
         self.jitter_seed = jitter_seed
-        #: master switch for wire batching; the peer must also advertise
-        #: the "batch" feature in its hello before batches are sent.
+        #: master switch for wire batching (every decoder expands batches)
         self.batching = batching
         self.flush_max_bytes = flush_max_bytes
         self.flush_max_count = flush_max_count
@@ -672,10 +677,6 @@ class TcpTransport(Transport):
         # registry (same rule as the counters above).
         for peer in self._peers.values():
             peer._g_queue = None
-
-    def _flight(self):
-        """The attached Observability's flight recorder, if any."""
-        return getattr(self._obs, "flight", None)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -883,7 +884,7 @@ class FrameServer:
     ``handler(envelope, sent_at, connection)`` is called for every
     application envelope (data, continuation, feedback, plan, bye);
     hello and heartbeat frames are handled by the server itself
-    (version check, echo).  The handler may be a plain function or a
+    (identity, echo).  The handler may be a plain function or a
     coroutine function.
     """
 
@@ -894,23 +895,18 @@ class FrameServer:
         name: str = "server",
         send_timeout: float = 5.0,
         max_frame: int = DEFAULT_MAX_FRAME,
-        features: Tuple[str, ...] = LOCAL_FEATURES,
         obs=None,
     ) -> None:
         self.codec = codec or NetEnvelopeCodec()
         self.name = name
         self.send_timeout = send_timeout
         self.max_frame = max_frame
-        #: features this server's hello reply advertises; pass () to
-        #: emulate a legacy (pre-batching) receiver.
-        self.features = tuple(features)
         self.handler: Optional[Callable] = None
         self.connections: List[ServerConnection] = []
         self.accepted = 0
         self.frames_received = 0
         self.frames_sent = 0
         self.heartbeats_seen = 0
-        self.protocol_rejects = 0
         self.framing_errors = 0
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -921,9 +917,6 @@ class FrameServer:
             self._c_frames = metrics.counter(f"{name}.frames_received")
             self._c_heartbeats = metrics.counter(
                 f"{name}.heartbeats_seen"
-            )
-            self._c_rejects = metrics.counter(
-                f"{name}.protocol_rejects"
             )
             self._c_decoder_compactions = metrics.counter(
                 f"{name}.decoder_compactions"
@@ -938,7 +931,6 @@ class FrameServer:
             self._c_accepted = None
             self._c_frames = None
             self._c_heartbeats = None
-            self._c_rejects = None
             self._c_decoder_compactions = None
             self._c_batches_decoded = None
             self._c_pooled_payloads = None
@@ -1019,24 +1011,12 @@ class FrameServer:
                         self._c_frames.inc()
                     envelope, sent_at = self.codec.decode(kind, payload)
                     if isinstance(envelope, Hello):
-                        try:
-                            self.codec.check_hello(envelope)
-                        except ProtocolError:
-                            self.protocol_rejects += 1
-                            if self._c_rejects is not None:
-                                self._c_rejects.inc()
-                            return  # finally-block closes the socket
                         conn.hello = envelope
-                        # Reply with our own hello so the client learns
-                        # which features (e.g. batching) this side
-                        # supports; legacy clients just skip it.
+                        # The reply is the first frame the client hears
+                        # on a new connection: proof the server is up.
                         try:
                             await conn.send(
-                                Hello(
-                                    role="server",
-                                    name=self.name,
-                                    features=self.features,
-                                )
+                                Hello(role="server", name=self.name)
                             )
                         except (SendTimeoutError, ConnectionLostError):
                             return

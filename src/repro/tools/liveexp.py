@@ -274,14 +274,13 @@ def _verify(
         wanted <= names,
         f"have {sorted(names & (wanted | {'plan.ship', 'plan.apply'}))}",
     )
-    transport = sender["transport"]
+    seen = int(sender["transport"].get("telemetry_frames_seen", 0))
     _check(
         checks,
-        "telemetry negotiated & pushed",
-        bool(transport.get("telemetry_negotiated"))
-        and int(sender.get("telemetry_seen", 0)) >= 1,
-        f"negotiated {transport.get('telemetry_negotiated')}, "
-        f"sender ingested {sender.get('telemetry_seen', 0)} frame(s) "
+        "telemetry pushed",
+        seen >= 1 and int(sender.get("telemetry_seen", 0)) >= 1,
+        f"{seen} frame(s) on the wire, sender ingested "
+        f"{sender.get('telemetry_seen', 0)} "
         f"of {receiver.get('telemetry_pushes', 0)} pushed",
     )
     return checks
@@ -684,15 +683,14 @@ def _verify_fanout(
     )
 
     # -- fleet telemetry plane ------------------------------------------
-    negotiated = {
-        name: bool(sub["transport"].get("telemetry_negotiated"))
-        and int(sub.get("telemetry_frames", 0)) >= 1
-        for name, sub in subs.items()
-    }
     _check(
         checks,
-        "telemetry negotiated & pushed per peer",
-        all(negotiated.values()),
+        "telemetry pushed per peer",
+        all(
+            int(sub["transport"].get("telemetry_frames_seen", 0)) >= 1
+            and int(sub.get("telemetry_frames", 0)) >= 1
+            for sub in subs.values()
+        ),
         "per-peer TELEMETRY frames at broker: "
         + ", ".join(
             f"{name}={subs[name].get('telemetry_frames', 0)}"

@@ -1,4 +1,4 @@
-"""Wire batching: negotiation, run formation, ordering, dedupe interop.
+"""Wire batching: run formation, ordering, reconnects, dedupe interop.
 
 The batched send path is driven deterministically: a helper enqueues a
 group of frames inside a single event-loop callback, so the write loop
@@ -9,6 +9,7 @@ function of the queue contents and flush thresholds, not of timing.
 from __future__ import annotations
 
 import asyncio
+import socket
 import threading
 import time
 
@@ -24,7 +25,12 @@ from repro.jecho.events import (
     PlanEnvelope,
 )
 from repro.net.endpoint import NetReceiverEndpoint
-from repro.net.framing import NetEnvelopeCodec
+from repro.net.framing import (
+    KIND_EVENT,
+    KIND_HELLO,
+    FrameDecoder,
+    NetEnvelopeCodec,
+)
 from repro.net.live import _calibrate
 from repro.net.tcp import FrameServer, TcpTransport
 
@@ -91,13 +97,10 @@ def transport():
         instance.close()
 
 
-def _connected_peer(instance, harness, *, expect_batch=True):
-    """A peer that has finished the hello/feature negotiation."""
+def _connected_peer(instance, harness):
+    """A peer whose connection is open."""
     peer = instance.peer(harness.host, harness.port)
-    assert _wait_until(lambda: peer.connected and peer.peer_features or
-                       peer.connected and not expect_batch)
-    if expect_batch:
-        assert _wait_until(lambda: peer._batch_ok)
+    assert _wait_until(lambda: peer.connected)
     return peer
 
 
@@ -176,7 +179,7 @@ def test_control_frame_splits_the_run(transport, harness):
     plan = PartitioningPlan(active=frozenset({(1, 2)}), name="mid")
     group = (
         [EventEnvelope(payload=i, seq=i) for i in range(10)]
-        + [PlanEnvelope(subscription_id=1, plan=plan, seq=99)]
+        + [PlanEnvelope(subscription_id=1, plan=plan, seq=99, version=1)]
         + [EventEnvelope(payload=i, seq=i) for i in range(10, 20)]
     )
     _enqueue_group(instance, peer, group)
@@ -188,37 +191,45 @@ def test_control_frame_splits_the_run(transport, harness):
     assert peer.batched_frames_sent == 20
 
 
-# -- negotiation ----------------------------------------------------------------
+# -- nothing is negotiated ------------------------------------------------------
 
 
-def test_legacy_server_keeps_the_wire_plain(transport):
-    """A server that does not advertise the batch feature (an older
-    build) must receive every frame individually framed."""
-    legacy = ServerHarness(features=())
+def test_silent_server_still_receives_batches(transport):
+    """Batching waits for no reply: a raw-socket server that never sends
+    a byte back still receives a backlog as one BATCH frame."""
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    listener.settimeout(5.0)
     try:
         instance = transport()
-        peer = _connected_peer(instance, legacy, expect_batch=False)
-        assert _wait_until(lambda: peer.connected)
-        events = [EventEnvelope(payload=i, seq=i) for i in range(30)]
-        _enqueue_group(instance, peer, events)
-        assert instance.drain(5.0)
-        assert _wait_until(lambda: len(legacy.received) == 30)
-        assert [e.seq for e in legacy.received] == list(range(30))
-        assert not peer._batch_ok
-        assert peer.batches_sent == 0
-        assert peer.batched_frames_sent == 0
+        peer = instance.peer(*listener.getsockname())
+        conn, _ = listener.accept()
+        with conn:
+            conn.settimeout(5.0)
+            _enqueue_group(
+                instance,
+                peer,
+                [EventEnvelope(payload=i, seq=i) for i in range(10)],
+            )
+            decoder = FrameDecoder()
+            frames = []
+            while len(frames) < 11:
+                data = conn.recv(65536)
+                assert data, "the peer closed before the backlog arrived"
+                frames.extend(decoder.feed(data))
+        assert [kind for kind, _ in frames] == [KIND_HELLO] + [KIND_EVENT] * 10
+        assert decoder.batches_decoded == 1
+        assert _wait_until(lambda: peer.batches_sent == 1)
+        assert peer.batched_frames_sent == 10
     finally:
-        legacy.stop()
+        listener.close()
 
 
 def test_batching_master_switch(transport, harness):
-    """``batching=False`` keeps the wire plain even against a
-    batch-capable server."""
+    """``batching=False`` keeps the wire plain."""
     instance = transport(batching=False)
-    peer = instance.peer(harness.host, harness.port)
-    assert _wait_until(lambda: peer.connected and peer.peer_features)
-    assert "batch" in peer.peer_features  # the server does offer it
-    assert not peer._batch_ok  # ...but the switch wins
+    peer = _connected_peer(instance, harness)
     events = [EventEnvelope(payload=i, seq=i) for i in range(20)]
     _enqueue_group(instance, peer, events)
     assert instance.drain(5.0)
@@ -226,16 +237,13 @@ def test_batching_master_switch(transport, harness):
     assert peer.batches_sent == 0
 
 
-def test_negotiation_resets_across_reconnect(transport, harness):
+def test_batching_resumes_after_reconnect(transport, harness):
     instance = transport()
     peer = _connected_peer(instance, harness)
-    assert peer._batch_ok
     harness.loop.call_soon_threadsafe(
         lambda: [c.abort() for c in list(harness.server.connections)]
     )
-    assert _wait_until(lambda: peer.reconnects >= 1)
-    # the fresh connection re-runs the handshake and re-enables batching
-    assert _wait_until(lambda: peer._batch_ok)
+    assert _wait_until(lambda: peer.reconnects >= 1 and peer.connected)
     _enqueue_group(
         instance, peer, [EventEnvelope(payload=i, seq=i) for i in range(5)]
     )
@@ -243,6 +251,8 @@ def test_negotiation_resets_across_reconnect(transport, harness):
     assert _wait_until(
         lambda: len([e for e in harness.received if e.seq < 5]) == 5
     )
+    assert peer.batches_sent == 1
+    assert peer.batched_frames_sent == 5
 
 
 # -- latency guard --------------------------------------------------------------
@@ -334,7 +344,7 @@ def test_dedupe_high_water_spans_batch_boundaries():
     ).start()
     try:
         peer = instance.peer(receiver_side.host, receiver_side.port)
-        assert _wait_until(lambda: peer._batch_ok)
+        assert _wait_until(lambda: peer.connected)
 
         def _batch_of(seqs):
             _enqueue_group(

@@ -8,7 +8,8 @@ Each test pins one fixed defect:
   per-source (a second sender's frames dropped as "duplicates");
 * non-idempotent PLAN apply under the transport's at-least-once
   head-frame retransmit, and the receiver's optimistic ``sender_plan``
-  update surviving a failed ship.
+  update surviving a failed ship;
+* the receiver's latency samples growing with every delivery.
 """
 
 from __future__ import annotations
@@ -16,15 +17,17 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
+import repro.net.endpoint as endpoint_module
 from repro.apps.sensor.data import make_reading
 from repro.apps.sensor.pipeline import build_partitioned_process
 from repro.core.plan import receiver_heavy_plan, sender_heavy_plan
 from repro.core.runtime.triggers import RateTrigger
 from repro.errors import TransportError
-from repro.jecho.events import PlanEnvelope
+from repro.jecho.events import ContinuationEnvelope, PlanEnvelope
 from repro.net.endpoint import NetReceiverEndpoint, NetSenderEndpoint
 from repro.net.framing import NetEnvelopeCodec
 from repro.net.live import _calibrate
@@ -223,21 +226,6 @@ def test_duplicated_plan_frame_is_applied_once():
         harness.stop()
 
 
-def test_legacy_unversioned_plan_frames_always_apply():
-    harness = ReceiverHarness(trigger=IDLE)
-    sender, transport = _sender(harness)
-    try:
-        plan = sender_heavy_plan(sender.partitioned.cut)
-        legacy = PlanEnvelope(subscription_id=1, plan=plan, version=0)
-        sender._on_inbound(legacy, sender.peer)
-        sender._on_inbound(legacy, sender.peer)
-        assert sender.plan_updates_applied == 2
-        assert sender.session.plan_duplicates_ignored == 0
-    finally:
-        transport.close()
-        harness.stop()
-
-
 class _StubReconfig:
     """Returns a queued plan once per consider() call."""
 
@@ -353,3 +341,44 @@ def test_dedupe_survives_reconnect_effectively_once():
     finally:
         transport.close()
         harness.stop()
+
+
+# -- bounded latency samples ----------------------------------------------------
+
+
+def test_latency_samples_keep_only_the_latest_window(monkeypatch):
+    """Twice the window's worth of deliveries keeps one window of samples
+    per PSE, and the quantiles describe the latest deliveries: each
+    message is stamped one second fresher than the one before it."""
+    window = 8
+    monkeypatch.setattr(endpoint_module, "LATENCY_WINDOW", window)
+    partitioned, _ = build_partitioned_process(n_stages=4)
+    plan = receiver_heavy_plan(partitioned.cut)
+    receiver = NetReceiverEndpoint(partitioned, plan=plan, trigger=IDLE)
+    modulator = partitioned.make_modulator(plan=plan)
+    conn = SimpleNamespace(hello=None, peername="stub", closed=False)
+    total = 2 * window
+
+    async def drive():
+        seq, i = 0, 0
+        now = time.time()
+        while seq < total:
+            message = modulator.process(make_reading(i, SAMPLES)).message
+            i += 1
+            if message is None:
+                continue
+            envelope = ContinuationEnvelope(
+                continuation=message, subscription_id=1, seq=seq
+            )
+            await receiver._handle_continuation(
+                envelope, now - (total - seq), conn
+            )
+            seq += 1
+
+    asyncio.run(drive())
+    assert receiver.demodulated == total
+    assert [len(s) for s in receiver.latencies.values()] == [window]
+    (stats,) = receiver.latency_quantiles().values()
+    assert stats["count"] == window
+    # the newest window was stamped 1..8 s stale, the evicted 9..16 s
+    assert 1.0 <= stats["p50"] <= stats["p95"] < window + 1.0

@@ -19,7 +19,6 @@ from repro.jecho.events import (
 )
 from repro.net.framing import (
     DEFAULT_MAX_FRAME,
-    FEATURE_BATCH,
     HEADER_SIZE,
     KIND_BATCH,
     KIND_BYE,
@@ -30,7 +29,6 @@ from repro.net.framing import (
     KIND_HEARTBEAT,
     KIND_HELLO,
     KIND_PLAN,
-    LOCAL_FEATURES,
     MAGIC,
     PROTOCOL_VERSION,
     SUB_HEADER_SIZE,
@@ -204,7 +202,7 @@ def test_plan_envelope_roundtrip():
     plan = PartitioningPlan(
         active=frozenset({(2, 3), (9, 10)}), name="min-cut"
     )
-    env = PlanEnvelope(subscription_id=1, plan=plan, seq=6)
+    env = PlanEnvelope(subscription_id=1, plan=plan, seq=6, version=1)
     env.trace = (1, 2)
     out, _ = _roundtrip(codec, env)
     assert out.plan.active == plan.active
@@ -220,32 +218,48 @@ def test_plan_envelope_version_roundtrip():
     assert out.version == 7
 
 
-def test_legacy_unversioned_plan_frame_decodes_as_version_zero():
-    # A pre-versioning sender ships a 5-tuple PLAN payload; it must
-    # decode as version 0 ("always apply") rather than fail.
+def test_plan_of_any_other_shape_or_version_is_a_protocol_error():
+    """One PLAN shape, always versioned: the unversioned 5-tuple and a
+    version that is not an int >= 1 fail at decode."""
     codec = NetEnvelopeCodec()
-    legacy = codec._serializer.serialize(
-        (1, 3, None, "old", ((2, 3),))
-    )
-    env, _ = codec.decode(KIND_PLAN, legacy)
-    assert env.version == 0
-    assert env.plan.active == frozenset({(2, 3)})
-    assert env.plan.name == "old"
+    ser = codec._serializer.serialize
+    good, _ = codec.decode(KIND_PLAN, ser((1, 3, None, "p", ((2, 3),), 1)))
+    assert (good.version, good.plan.active) == (1, frozenset({(2, 3)}))
+    for payload in (
+        (1, 3, None, "old", ((2, 3),)),
+        (1, 3, None, "p", ((2, 3),), 0),
+        (1, 3, None, "p", ((2, 3),), -4),
+        (1, 3, None, "p", ((2, 3),), 2.0),
+        (1, 3, None, "p", ((2, 3),), True),
+        (1, 3, None, "p", ((2, 3),), 1, 0),
+    ):
+        with pytest.raises(ProtocolError):
+            codec.decode(KIND_PLAN, ser(payload))
 
 
 def test_hello_instance_roundtrip_and_legacy_decode():
+    """A hello carries identity only; the version lives in the frame
+    header.  The 4-tuple, 5-tuple (instance) and 6-tuple (feature)
+    hellos of the negotiated wire fail at decode."""
     codec = NetEnvelopeCodec()
     hello, _ = _roundtrip(
         codec, Hello(role="sender", name="a", instance="tok123")
     )
-    assert hello.instance == "tok123"
-    # an older build's 4-tuple hello decodes with an empty instance
-    legacy = codec._serializer.serialize(
-        (PROTOCOL_VERSION, WIRE_VERSION, "sender", "a")
+    assert (hello.role, hello.name, hello.instance) == (
+        "sender",
+        "a",
+        "tok123",
     )
-    old, _ = codec.decode(KIND_HELLO, legacy)
-    assert old.instance == ""
-    assert old.name == "a"
+    assert Hello.__slots__ == ("role", "name", "instance")
+    ser = codec._serializer.serialize
+    for payload in (
+        (1, WIRE_VERSION, "sender", "a"),
+        (1, WIRE_VERSION, "sender", "a", "tok"),
+        (1, WIRE_VERSION, "sender", "a", "tok", ("batch", "telemetry")),
+        ("sender", "a"),
+    ):
+        with pytest.raises(ProtocolError):
+            codec.decode(KIND_HELLO, ser(payload))
 
 
 def test_control_frames_roundtrip():
@@ -253,11 +267,11 @@ def test_control_frames_roundtrip():
     hello, _ = _roundtrip(
         codec, Hello(role="sender", name="host-a")
     )
-    assert (hello.protocol, hello.cont_version) == (
-        PROTOCOL_VERSION,
-        WIRE_VERSION,
+    assert (hello.role, hello.name, hello.instance) == (
+        "sender",
+        "host-a",
+        "",
     )
-    assert (hello.role, hello.name) == ("sender", "host-a")
     beat, _ = _roundtrip(codec, Heartbeat(sent_at=123.5))
     assert beat.sent_at == 123.5
     bye, _ = _roundtrip(codec, Bye(sent=42))
@@ -274,27 +288,6 @@ def test_malformed_payload_raises_protocol_error():
     short = codec._serializer.serialize((1,))  # CONT needs 4 fields
     with pytest.raises(ProtocolError):
         codec.decode(KIND_CONT, short)
-
-
-# -- version negotiation --------------------------------------------------------
-
-
-def test_check_hello_accepts_matching_versions():
-    NetEnvelopeCodec().check_hello(Hello())
-
-
-def test_check_hello_rejects_frame_protocol_mismatch():
-    with pytest.raises(ProtocolError):
-        NetEnvelopeCodec().check_hello(
-            Hello(protocol=PROTOCOL_VERSION + 1)
-        )
-
-
-def test_check_hello_rejects_continuation_version_mismatch():
-    with pytest.raises(ProtocolError):
-        NetEnvelopeCodec().check_hello(
-            Hello(cont_version=WIRE_VERSION + 1)
-        )
 
 
 # -- incremental decoding -------------------------------------------------------
@@ -325,6 +318,7 @@ def _sample_frames():
             subscription_id=1,
             plan=PartitioningPlan(active=frozenset({(5, 6)})),
             seq=3,
+            version=1,
         ),
         Heartbeat(sent_at=1.0),
         Bye(sent=3),
@@ -545,30 +539,6 @@ def test_batch_sub_frames_count_toward_decoder_stats():
     assert len(out) == len(frames) + 1
     assert decoder.frames_decoded == len(frames) + 1
     assert decoder.bytes_consumed == len(wire)
-
-
-# -- hello feature negotiation --------------------------------------------------
-
-
-def test_hello_features_roundtrip():
-    codec = NetEnvelopeCodec()
-    hello, _ = _roundtrip(codec, Hello(role="sender", name="a"))
-    assert hello.features == LOCAL_FEATURES
-    assert FEATURE_BATCH in hello.features
-    explicit, _ = _roundtrip(
-        codec, Hello(role="server", name="b", features=())
-    )
-    assert explicit.features == ()
-
-
-def test_legacy_five_tuple_hello_decodes_with_no_features():
-    codec = NetEnvelopeCodec()
-    legacy = codec._serializer.serialize(
-        (PROTOCOL_VERSION, WIRE_VERSION, "sender", "a", "tok")
-    )
-    old, _ = codec.decode(KIND_HELLO, legacy)
-    assert old.instance == "tok"
-    assert old.features == ()
 
 
 # -- buffer pool ----------------------------------------------------------------

@@ -277,9 +277,9 @@ def test_session_without_a_breaker_applies_and_never_retracts():
     session.feed_health()
     session.resilience_tick()
     assert session.admits() and not session.retracted
-    session.on_plan(plan_frame(0, PLAN_B))  # unversioned: always applies
-    session.on_plan(plan_frame(0, PLAN_B))
-    assert applied == [PLAN_B, PLAN_B]
+    session.on_plan(plan_frame(1, PLAN_B))
+    session.on_plan(plan_frame(2, PLAN_A))
+    assert applied == [PLAN_B, PLAN_A]
     assert not session.rate.stale  # raw wall clock needs no refresh
 
 

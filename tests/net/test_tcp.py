@@ -6,12 +6,18 @@ import asyncio
 import socket
 import threading
 import time
+import warnings
 
 import pytest
 
 from repro.errors import ConnectionLostError, TransportError
 from repro.jecho.events import EventEnvelope
-from repro.net.framing import Hello, NetEnvelopeCodec, encode_frame
+from repro.net.framing import (
+    PROTOCOL_VERSION,
+    Hello,
+    NetEnvelopeCodec,
+    encode_frame,
+)
 from repro.net.tcp import FrameServer, TcpPeer, TcpTransport
 from repro.obs import Observability
 
@@ -198,6 +204,30 @@ def test_bounded_queue_drops_oldest():
         instance.close()
 
 
+def test_first_shed_warns_once_and_the_burst_is_sampled():
+    """Drop-oldest is loud exactly once per peer: 200 sheds raise one
+    RuntimeWarning naming the peer and its queue_limit, while the flight
+    ring still samples the burst at sheds 1, 64, 128 and 192."""
+    obs = Observability()
+    obs.enable_flight(host="test", install_global=False)
+    instance = TcpTransport(queue_limit=4)
+    instance.attach_observability(obs, name="transport.tcp")
+    peer = TcpPeer(instance, "127.0.0.1", 1, name="wedged-peer")
+    frame = instance.codec.encode_frame_parts(EventEnvelope(payload=0))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for _ in range(4 + 200):
+            peer._enqueue(frame)
+    assert peer.dropped_frames == 200
+    assert len(caught) == 1
+    assert caught[0].category is RuntimeWarning
+    assert "wedged-peer" in str(caught[0].message)
+    assert "queue_limit=4" in str(caught[0].message)
+    sheds = [e for e in obs.flight.to_list() if e["kind"] == "net.shed"]
+    assert [e["dropped_total"] for e in sheds] == [1, 64, 128, 192]
+    assert {e["peer"] for e in sheds} == {"wedged-peer"}
+
+
 # -- reconnect with backoff ----------------------------------------------------
 
 
@@ -258,16 +288,21 @@ def test_connect_failures_counted():
 
 
 def test_server_rejects_version_mismatch(harness):
+    """The frame header's version byte is the only version: a frame of
+    another version — the hello included — is a framing error."""
     codec = NetEnvelopeCodec()
-    kind, payload = codec.encode(Hello(protocol=99))
+    hello = bytearray(encode_frame(*codec.encode(Hello(name="future"))))
+    event = bytearray(encode_frame(*codec.encode(EventEnvelope(payload=1))))
+    hello[2] = event[2] = PROTOCOL_VERSION + 1
     with socket.create_connection(
         (harness.host, harness.port), timeout=5.0
     ) as sock:
-        sock.sendall(encode_frame(kind, payload))
-        # server closes the connection on reject
+        sock.sendall(bytes(hello + event))
+        # server closes the connection on the first frame
         sock.settimeout(5.0)
         assert sock.recv(1) == b""
-    assert _wait_until(lambda: harness.server.protocol_rejects == 1)
+    assert _wait_until(lambda: harness.server.framing_errors == 1)
+    assert harness.server.frames_received == 0
     assert harness.received == []
 
 

@@ -1,11 +1,10 @@
-"""TELEMETRY frames: codec, negotiation gating, end-to-end push."""
+"""TELEMETRY frames: codec, push targets, end-to-end push."""
 
 from __future__ import annotations
 
 import asyncio
 import threading
 import time
-from types import SimpleNamespace
 
 import pytest
 
@@ -14,10 +13,8 @@ from repro.errors import ProtocolError
 from repro.net.endpoint import NetReceiverEndpoint
 from repro.net.framing import (
     BATCHABLE_KINDS,
-    FEATURE_BATCH,
-    FEATURE_TELEMETRY,
     KIND_TELEMETRY,
-    LOCAL_FEATURES,
+    Hello,
     NetEnvelopeCodec,
     Telemetry,
 )
@@ -76,17 +73,14 @@ def test_telemetry_is_control_adjacent():
     # Staleness is itself a health signal: telemetry must never wait
     # behind an accumulating data batch.
     assert KIND_TELEMETRY not in BATCHABLE_KINDS
-    # This build both batches and receives telemetry.
-    assert FEATURE_BATCH in LOCAL_FEATURES
-    assert FEATURE_TELEMETRY in LOCAL_FEATURES
 
 
-# -- negotiation gating (stubbed connections) ----------------------------------
+# -- push targets (stubbed connections) ----------------------------------------
 
 
 class _StubConn:
-    def __init__(self, features, closed=False):
-        self.hello = SimpleNamespace(features=tuple(features))
+    def __init__(self, closed=False):
+        self.hello = Hello(role="sender", name="stub")
         self.closed = closed
         self.sent = []
 
@@ -104,25 +98,24 @@ def receiver_endpoint():
     return endpoint
 
 
-def test_push_only_to_advertising_connections(receiver_endpoint):
+def test_push_goes_to_every_open_connection_that_said_hello(
+    receiver_endpoint,
+):
     endpoint = receiver_endpoint
-    modern = _StubConn(LOCAL_FEATURES)
-    legacy = _StubConn((FEATURE_BATCH,))  # pre-telemetry build
-    handshaking = _StubConn(LOCAL_FEATURES)
+    first = _StubConn()
+    second = _StubConn()
+    handshaking = _StubConn()
     handshaking.hello = None  # no hello yet
-    dead = _StubConn(LOCAL_FEATURES, closed=True)
-    endpoint.server.connections.extend(
-        [modern, legacy, handshaking, dead]
-    )
+    dead = _StubConn(closed=True)
+    endpoint.server.connections.extend([first, second, handshaking, dead])
 
     sent = asyncio.run(endpoint.push_telemetry())
-    assert sent == 1
-    assert len(modern.sent) == 1
-    assert legacy.sent == []
+    assert sent == 2
+    assert len(first.sent) == len(second.sent) == 1
     assert handshaking.sent == []
     assert dead.sent == []
 
-    envelope = modern.sent[0]
+    envelope = first.sent[0]
     assert isinstance(envelope, Telemetry)
     assert envelope.source == endpoint.name
     assert envelope.instance == endpoint.instance
@@ -132,12 +125,14 @@ def test_push_only_to_advertising_connections(receiver_endpoint):
 
     # Sequence numbers burn per push, so the aggregator can spot gaps.
     asyncio.run(endpoint.push_telemetry())
-    assert modern.sent[1].seq == 2
+    assert first.sent[1].seq == 2
 
 
-def test_push_without_negotiated_peer_is_free(receiver_endpoint):
+def test_push_without_a_greeted_connection_is_free(receiver_endpoint):
     endpoint = receiver_endpoint
-    endpoint.server.connections.append(_StubConn((FEATURE_BATCH,)))
+    handshaking = _StubConn()
+    handshaking.hello = None
+    endpoint.server.connections.extend([handshaking, _StubConn(closed=True)])
     assert asyncio.run(endpoint.push_telemetry()) == 0
     assert endpoint.telemetry_pushes == 0
     assert endpoint.telemetry_sent == 0
@@ -174,7 +169,6 @@ def test_telemetry_pushes_reach_subscribed_client():
         peer = transport.peer(host, port)
 
         assert _wait_until(lambda: peer.telemetry_frames_seen >= 2)
-        assert peer.telemetry_negotiated
         frames = [e for e in received if isinstance(e, Telemetry)]
         assert len(frames) >= 2
         assert frames[0].instance == endpoint.instance
