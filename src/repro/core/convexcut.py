@@ -92,6 +92,13 @@ class ConvexCutResult:
     def terminal_edges(self) -> FrozenSet[Edge]:
         return frozenset(e for e, p in self.pses.items() if p.terminal)
 
+    def pse_ids(self, edges) -> Tuple[str, ...]:
+        """Sorted PSE ids of *edges*; an edge without a PSE keeps its own name."""
+        pses = self.pses
+        return tuple(
+            sorted(str(pses[e].pse_id) if e in pses else str(e) for e in edges)
+        )
+
     def pse_by_id(self, pse_id: str) -> PSE:
         for pse in self.pses.values():
             if pse.pse_id == pse_id:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.core.continuation import ContinuationCodec, ContinuationMessage
 from repro.core.convexcut import ConvexCutResult, PSE
@@ -99,27 +99,11 @@ class Modulator:
         self.record_rates = record_rates
         self._interp = partitioned.interpreter
         self._codec = partitioned.codec
-        # Hot-path precomputation: the PSE edge set (so the interpreter only
-        # consults the observer on PSE edges) and per-PSE INTER name tuples
-        # (so measuring a hand-over payload never iterates Var objects).
-        pses = partitioned.cut.pses
-        self._pse_edges = frozenset(pses)
-        self._inter_names = {
-            e: tuple(v.name for v in p.inter) for e, p in pses.items()
-        }
         self.obs = obs
         if obs is not None:
             self._c_switches = obs.metrics.counter("modulator.plan_switches")
         else:
             self._c_switches = None
-
-    def _pse_ids(self, edges) -> Tuple[str, ...]:
-        pses = self.partitioned.cut.pses
-        return tuple(
-            sorted(
-                str(pses[e].pse_id) if e in pses else str(e) for e in edges
-            )
-        )
 
     def _pse_id_str(self, edge: Edge) -> str:
         pse = self.partitioned.cut.pses.get(edge)
@@ -130,11 +114,12 @@ class Modulator:
         old_active = self.plan_runtime.active_edges()
         self.plan_runtime.apply_plan(plan)
         if self.obs is not None and plan.active != old_active:
+            cut = self.partitioned.cut
             self._c_switches.inc()
             self.obs.trace.record(
                 SplitSwitched(
-                    old_pse_ids=self._pse_ids(old_active),
-                    new_pse_ids=self._pse_ids(plan.active),
+                    old_pse_ids=cut.pse_ids(old_active),
+                    new_pse_ids=cut.pse_ids(plan.active),
                     old_edges=tuple(sorted(old_active)),
                     new_edges=tuple(sorted(plan.active)),
                 )
@@ -143,21 +128,6 @@ class Modulator:
     @property
     def switch_count(self) -> int:
         return self.plan_runtime.switch_count
-
-    def _measure_inter(self, edge: Edge, env: Dict[str, object]) -> float:
-        """Size-calculation tool: wire size of INTER(e) from the live env."""
-        payload = {
-            name: env[name]
-            for name in self._inter_names[edge]
-            if name in env
-        }
-        return float(
-            measure_size(
-                payload,
-                self.partitioned.serializer_registry,
-                use_self_sizing=True,
-            )
-        )
 
     def process(
         self,
@@ -202,7 +172,7 @@ class Modulator:
             def observer(edge: Edge, env: Dict[str, object]) -> None:
                 size: Optional[float] = None
                 if profiling.should_measure(edge):
-                    size = self._measure_inter(edge, env)
+                    size = self.partitioned.measure_inter(edge, env)
                 observations.append((edge, meter.cycles, size))
 
         elif span is not None:
@@ -219,7 +189,7 @@ class Modulator:
             args,
             split_hook=self.plan_runtime,
             edge_observer=observer,
-            observe_edges=self._pse_edges,
+            observe_edges=self.partitioned.pse_edges,
             meter=meter,
             trace_ctx=run_ctx,
         )
@@ -338,27 +308,7 @@ class Demodulator:
         self.wall_clock = wall_clock
         self.record_rates = record_rates
         self._interp = partitioned.interpreter
-        pses = partitioned.cut.pses
-        self._pse_edges = frozenset(pses)
-        self._inter_names = {
-            e: tuple(v.name for v in p.inter) for e, p in pses.items()
-        }
         self.obs = obs
-
-    def _measure_inter(self, edge: Edge, env: Dict[str, object]) -> float:
-        """Wire size of INTER(e) from the live env (receiver side)."""
-        payload = {
-            name: env[name]
-            for name in self._inter_names[edge]
-            if name in env
-        }
-        return float(
-            measure_size(
-                payload,
-                self.partitioned.serializer_registry,
-                use_self_sizing=True,
-            )
-        )
 
     def process(self, message: ContinuationMessage) -> DemodulatorResult:
         """Restore the live variables, jump to the PSE, continue processing."""
@@ -381,7 +331,7 @@ class Demodulator:
             def observer(edge: Edge, env: Dict[str, object]) -> None:
                 size: Optional[float] = None
                 if profiling.should_measure(edge):
-                    size = self._measure_inter(edge, env)
+                    size = self.partitioned.measure_inter(edge, env)
                 observations.append((edge, meter.cycles, size))
 
         elif span is not None:
@@ -395,7 +345,7 @@ class Demodulator:
             self.partitioned.function,
             message.to_continuation(),
             edge_observer=observer,
-            observe_edges=self._pse_edges,
+            observe_edges=self.partitioned.pse_edges,
             meter=meter,
         )
         elapsed = (
@@ -458,9 +408,34 @@ class PartitionedMethod:
     interpreter: Interpreter
     codec: ContinuationCodec
 
+    def __post_init__(self) -> None:
+        # Hot-path precomputation: the PSE edge set (so the interpreter
+        # only consults edge observers on PSE edges) and per-PSE INTER
+        # name tuples (so sizing a hand-over never iterates Var objects).
+        pses = self.cut.pses
+        self.pse_edges: FrozenSet[Edge] = frozenset(pses)
+        self._inter_names = {
+            e: tuple(v.name for v in p.inter) for e, p in pses.items()
+        }
+
     @property
     def pses(self) -> Dict[Edge, PSE]:
         return self.cut.pses
+
+    def measure_inter(self, edge: Edge, env: Dict[str, object]) -> float:
+        """Size-calculation tool: wire size of INTER(edge) from a live env.
+
+        The one sizing rule for every side that profiles a traversed PSE
+        — modulator, demodulator and the net broker's shared and forked
+        runs."""
+        payload = {
+            name: env[name] for name in self._inter_names[edge] if name in env
+        }
+        return float(
+            measure_size(
+                payload, self.serializer_registry, use_self_sizing=True
+            )
+        )
 
     def make_profiling_unit(
         self,

@@ -61,6 +61,7 @@ class RemoteProfilingProxy:
         window = self._window = ProfilingUnit(
             cut, ewma_alpha=ewma_alpha, sample_period=sample_period
         )
+        self.cut = cut
         self.ewma_alpha = ewma_alpha
         self.profile_flags = window.profile_flags
         # The recording interface the modulator calls is the window's own.

@@ -173,7 +173,7 @@ class ReconfigurationUnit:
         if tracer is not None:
             recompute_span.attrs = {
                 "cut_value": value,
-                "pses": list(self._pse_ids(plan.active)),
+                "pses": list(self.cut.pse_ids(plan.active)),
             }
             tracer.end(recompute_span)
             tracer.end(trigger_span)
@@ -187,7 +187,7 @@ class ReconfigurationUnit:
                 PlanRecomputed(
                     at_message=profiling.messages_seen,
                     cut_value=value,
-                    pse_ids=self._pse_ids(plan.active),
+                    pse_ids=self.cut.pse_ids(plan.active),
                     breakdown=tuple(
                         explain_edge_costs(self.cut, snapshot, plan.active)
                     ),
@@ -205,14 +205,6 @@ class ReconfigurationUnit:
             )
         )
         return plan
-
-    def _pse_ids(self, edges) -> Tuple[str, ...]:
-        return tuple(
-            sorted(
-                str(self.cut.pses[e].pse_id) if e in self.cut.pses else str(e)
-                for e in edges
-            )
-        )
 
     @property
     def reconfiguration_count(self) -> int:

@@ -18,11 +18,12 @@ instead of an in-process callback or a simulated link:
   :class:`~repro.core.partitioned.PartitionedMethod` to the transport:
   the full adaptation loop (profiling feedback, trigger, min-cut
   recompute, plan shipped back over the wire) across two OS processes;
-* :mod:`repro.net.broker` — the fan-out tier: one modulator publishing
-  to N subscribers, each on its own active PSE, with modulation shared
-  up to the deepest common split and forked per peer;
-* :mod:`repro.net.session` — the sans-I/O per-peer control plane both
-  publishers share: PLAN dedupe/defer/apply, breaker-driven retraction
+* :mod:`repro.net.broker` — the one publish path: one modulator
+  publishing to N subscribers, each on its own active PSE, with
+  modulation shared up to the deepest common split and forked per peer
+  (the endpoint's sender is this broker with N = 1);
+* :mod:`repro.net.session` — the sans-I/O per-peer control plane of
+  every subscriber: PLAN dedupe/defer/apply, breaker-driven retraction
   and re-split, health feed, telemetry ingest, feedback flush;
 * :mod:`repro.net.live` — the runnable per-process half of the live
   harness (``python -m repro.net.live sender|receiver``), orchestrated

@@ -18,17 +18,22 @@ fed from a single shared modulation:
   and resumed under that peer's own flag table until it splits again.
 * **Per-peer plan cache** — :class:`PlanRuntimeCache` memoizes
   ``PlanRuntime`` flag tables keyed on (handler, active PSE set, plan
-  version), so per-message hook lookup is a dict hit rather than an
-  O(#PSE) rebuild.
+  version); a plan switch looks the union's and each peer's runtime up
+  once, and every publish until the next switch reads the cached
+  split-edge sets.
 * **Per-subscriber bounded queues** — each subscriber's
   :class:`~repro.net.tcp.TcpPeer` gets its own ``queue_limit``;
   drop-oldest load leveling sheds a wedged peer's backlog without
   shrinking anyone else's.
 * **Per-peer control plane** — every subscriber's receiver owns its
   authoritative Profiling/Reconfiguration Units and ships PLAN frames
-  back on its own connection; the broker applies them per peer (with
-  the same version idempotency as :class:`NetSenderEndpoint`) and
+  back on its own connection; one :class:`~repro.net.session.PeerSession`
+  per peer applies them with version idempotency, and the broker
   rebuilds the union hook lazily.
+* **One publish path** — a two-process sender is this broker with one
+  subscriber (:class:`~repro.net.endpoint.NetSenderEndpoint`): same
+  shared run, same ship, same local completion when a peer's breaker
+  refuses the ship or its send fails.
 * **Per-peer observability** — labeled gauges/counters
   (``broker.queue_depth{peer="..."}`` etc.) flow through the existing
   OpenMetrics exposition, and fork spans join the shared ``modulate``
@@ -41,7 +46,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.continuation import ContinuationMessage
 from repro.core.partitioned import PartitionedMethod
@@ -57,31 +62,31 @@ from repro.errors import TransportError
 from repro.ir.interpreter import CycleMeter, Edge
 from repro.jecho.events import ContinuationEnvelope, PlanEnvelope
 from repro.net.framing import Bye, Election, Telemetry
-from repro.net.resilience import (
-    BREAKER_OPEN,
-    BREAKER_STATE_CODES,
-    BreakerConfig,
-    Bulkhead,
-)
+from repro.net.resilience import BreakerConfig, Bulkhead
 from repro.net.session import CalibratedRate, PeerSession
 from repro.net.tcp import TcpPeer, TcpTransport
 from repro.obs.flight import wide_event
 from repro.obs.health import HealthConfig, HealthMonitor
 from repro.obs.trace import ContinuationShipped
-from repro.serialization import measure_size
 
 __all__ = ["PlanRuntimeCache", "NetBrokerEndpoint"]
+
+#: one traversed PSE edge of a run: (edge, cycles before it, INTER size)
+Observation = Tuple[Edge, float, Optional[float]]
+#: a subscriber as the publish path sees it: (session, plan runtime,
+#: split-edge set of that runtime)
+Route = Tuple[PeerSession, PlanRuntime, FrozenSet[Edge]]
 
 
 class PlanRuntimeCache:
     """Memoized :class:`~repro.core.plan.PlanRuntime` flag tables.
 
-    Applying a plan costs O(#PSE) flag writes; a broker consulting one
-    runtime per subscriber per message would pay that on every publish.
-    Runtimes are instead cached keyed on ``(handler name, active edge
-    set, plan version)`` — the version rides along so a re-shipped plan
-    under a fresh idempotency key reads as a distinct (if equal-valued)
-    entry, mirroring how the control plane names plans on the wire.
+    Applying a plan costs O(#PSE) flag writes; subscribers on the same
+    plan, and plans that come back, share one runtime, cached keyed on
+    ``(handler name, active edge set, plan version)`` — the version
+    rides along so a re-shipped plan under a fresh idempotency key
+    reads as a distinct (if equal-valued) entry, mirroring how the
+    control plane names plans on the wire.
     LRU-bounded: fan-outs cycle through a handful of live plans, so a
     small cache holds the working set.
     """
@@ -120,11 +125,14 @@ class PlanRuntimeCache:
 class NetBrokerEndpoint:
     """One modulator publishing to N subscribers with per-peer PSEs.
 
-    The data path is here — the shared run, the forks, the ships; each
-    subscriber's control plane (PLAN frames, breaker and split
-    retraction, health, telemetry, feedback flush) is one
+    The data path is here — the shared run, the forks, the ships — and
+    it is the only one in :mod:`repro.net`: a two-process sender is this
+    broker with a single subscriber
+    (:class:`~repro.net.endpoint.NetSenderEndpoint`).  Each subscriber's
+    control plane (PLAN frames, breaker and split retraction, health,
+    telemetry, feedback flush) is one
     :class:`~repro.net.session.PeerSession` in ``subscribers``, whose
-    plan switch invalidates the shared-modulation hook.
+    plan switch invalidates the cached routes of the shared run.
 
     ``publish`` runs on the caller's thread; inbound PLAN frames arrive
     on the transport's loop thread and are routed to the subscriber
@@ -149,6 +157,22 @@ class NetBrokerEndpoint:
         breaker_config: Optional[BreakerConfig] = None,
         resilience: bool = True,
     ) -> None:
+        """``rate_override`` records a *calibrated* seconds-per-cycle
+        instead of the raw per-message wall clock.  Raw measurements are
+        fixed-overhead dominated when the modulator's share of work is
+        tiny (an early split leaves it a handful of cycles), which
+        inflates the apparent sender rate by orders of magnitude; a rate
+        calibrated against the full handler (see
+        :func:`repro.net.live._calibrate`) measures the host, not the
+        per-message overhead.  Every applied plan marks it stale and the
+        next publish refreshes it, through ``recalibrate`` when given
+        (see :class:`~repro.net.session.CalibratedRate`).
+
+        With ``resilience`` on, wedged health or send failures trip a
+        peer's breaker, and while it is not closed the peer's split is
+        *retracted*: its plan becomes the sender-heavy one, its
+        continuations complete here instead of shipping, and inbound
+        PLAN frames are deferred until the breaker re-closes."""
         if feedback_period < 1:
             raise ValueError("feedback_period must be >= 1")
         if health_interval < 0:
@@ -174,16 +198,11 @@ class NetBrokerEndpoint:
         self.fork_cycles_total = 0.0
         self.forks = 0
         self.exposer = None
-        # Hot-path precomputation, mirroring Modulator: the PSE edge set
-        # and per-edge INTER name tuples for size measurement.
-        pses = partitioned.cut.pses
-        self._pse_edges = frozenset(pses)
-        self._inter_names = {
-            e: tuple(v.name for v in p.inter) for e, p in pses.items()
-        }
-        #: lazily rebuilt union-of-plans hook for the shared run
+        #: the shared run's union-of-plans hook and, per subscriber, its
+        #: plan runtime and split-edge set; rebuilt lazily after any
+        #: subscriber's plan switch (None = stale)
         self._union_runtime: Optional[PlanRuntime] = None
-        self._union_dirty = True
+        self._routes: Optional[List[Route]] = None
         #: fleet health — one PeerHealth per subscriber, fed from the
         #: transport on every publish and (optionally) by a background
         #: evaluator so staleness keeps ticking while the publisher is
@@ -246,9 +265,6 @@ class NetBrokerEndpoint:
             )
             self._health_thread.start()
 
-    def _tracer(self):
-        return self.obs.tracing if self.obs is not None else None
-
     # -- membership ------------------------------------------------------------
 
     def subscribe(
@@ -260,7 +276,13 @@ class NetBrokerEndpoint:
         plan: Optional[PartitioningPlan] = None,
         queue_limit: Optional[int] = None,
     ) -> PeerSession:
-        """Add a fan-out destination; returns its session."""
+        """Add a fan-out destination; returns its session.
+
+        The broker builds this peer, so it also bounds it: the peer's
+        queue takes ``queue_limit`` and, with the resilience plane on,
+        a bulkhead sheds ships once the configured number of frames is
+        queued.
+        """
         label = name or f"{host}:{port}"
         peer = self.transport.peer(
             host,
@@ -270,19 +292,30 @@ class NetBrokerEndpoint:
                 queue_limit if queue_limit is not None else self.queue_limit
             ),
         )
+        sub = self._attach(peer, label, plan)
+        config = self.breaker_config
+        if config is not None and config.bulkhead_limit is not None:
+            sub.bulkhead = Bulkhead(config.bulkhead_limit)
+        return sub
+
+    def _attach(
+        self, peer: TcpPeer, name: str, plan: Optional[PartitioningPlan]
+    ) -> PeerSession:
+        """Make an already-built *peer* a subscriber; returns its session."""
         with self.lock:
             if peer in self._by_peer:
-                raise TransportError(
-                    f"peer {label} is already subscribed"
-                )
+                raise TransportError(f"peer {name} is already subscribed")
             sub = PeerSession(
-                label,
+                name,
                 peer,
                 len(self.subscribers) + 1,
                 plan or self.default_plan,
                 RemoteProfilingProxy(
-                    self.partitioned.cut, sample_period=self.sample_period
+                    self.partitioned.cut,
+                    sample_period=self.sample_period,
+                    obs=self.obs,
                 ),
+                # looked up per call: harnesses wrap ``transport.send``
                 send=lambda envelope, size: self.transport.send(
                     peer, envelope, size
                 ),
@@ -293,88 +326,36 @@ class NetBrokerEndpoint:
                 breaker_config=self.breaker_config,
                 obs=self.obs,
             )
-            if (
-                self.breaker_config is not None
-                and self.breaker_config.bulkhead_limit is not None
-            ):
-                sub.bulkhead = Bulkhead(self.breaker_config.bulkhead_limit)
-            if self.obs is not None:
-                metrics = self.obs.metrics
-                sub.counters = {
-                    "plan": (
-                        metrics.counter("broker.plan_updates"),
-                        metrics.counter(
-                            f'broker.plan_updates{{peer="{label}"}}'
-                        ),
-                    ),
-                    "retract": (metrics.counter("broker.retractions"),),
-                    "resplit": (metrics.counter("broker.resplits"),),
-                    "telemetry": (
-                        metrics.counter("broker.telemetry_frames"),
-                    ),
-                }
-                sub._c_shipped = metrics.counter(
-                    f'broker.shipped{{peer="{label}"}}'
-                )
-                sub._c_forks = metrics.counter(
-                    f'broker.forks{{peer="{label}"}}'
-                )
-                sub._g_queue = metrics.gauge(
-                    f'broker.queue_depth{{peer="{label}"}}'
-                )
-                sub._g_dropped = metrics.gauge(
-                    f'broker.dropped_frames{{peer="{label}"}}'
-                )
-                sub._g_rtt = metrics.gauge(
-                    f'broker.heartbeat_rtt{{peer="{label}"}}'
-                )
-                sub._g_connected = metrics.gauge(
-                    f'broker.connected{{peer="{label}"}}'
-                )
-                if sub.breaker is not None:
-                    sub._g_breaker = metrics.gauge(
-                        f'broker.breaker_state{{peer="{label}"}}'
-                    )
-                    sub._g_breaker.set(
-                        BREAKER_STATE_CODES[sub.breaker.state]
-                    )
             self.subscribers.append(sub)
             self._by_peer[peer] = sub
-            self._union_dirty = True
+            self._routes = None
         return sub
 
     # -- shared modulation hook --------------------------------------------------
 
-    def _union(self) -> PlanRuntime:
-        """The deepest-common-split hook (lock held, lazily rebuilt)."""
-        if self._union_dirty or self._union_runtime is None:
-            merged = union_plan(
+    def _union(self) -> List[Route]:
+        """Rebuild the deepest-common-split hook and the routes (lock held).
+
+        Runs once per plan switch, not per publish: the publish path
+        then tests the shared split edge against each peer's cached
+        split-edge set instead of looking its runtime up again.
+        """
+        cache = self.cache
+        self._union_runtime = cache.runtime(
+            union_plan(
                 (sub.plan for sub in self.subscribers), name="fanout-union"
             )
-            self._union_runtime = self.cache.runtime(merged)
-            self._union_dirty = False
-        return self._union_runtime
+        )
+        routes: List[Route] = []
+        for sub in self.subscribers:
+            runtime = cache.runtime(sub.plan, sub.plan_version_applied)
+            routes.append((sub, runtime, runtime.split_edge_set()))
+        self._routes = routes
+        return routes
 
     def _plan_switched(self, plan: PartitioningPlan) -> None:
         """A session put another plan in force (lock held)."""
-        self._union_dirty = True
-
-    def _peer_runtime(self, sub: PeerSession) -> PlanRuntime:
-        return self.cache.runtime(sub.plan, sub.plan_version_applied)
-
-    def _measure_inter(self, edge: Edge, env: Dict[str, object]) -> float:
-        payload = {
-            name: env[name]
-            for name in self._inter_names[edge]
-            if name in env
-        }
-        return float(
-            measure_size(
-                payload,
-                self.partitioned.serializer_registry,
-                use_self_sizing=True,
-            )
-        )
+        self._routes = None
 
     # -- publish (caller thread) -------------------------------------------------
 
@@ -387,8 +368,11 @@ class NetBrokerEndpoint:
             self.rate.refresh(event)
             for sub in subs:
                 sub.proxy.record_message()
-            union_rt = self._union()
-            tracer = self._tracer()
+            routes = self._routes
+            if routes is None:
+                routes = self._union()
+            obs = self.obs
+            tracer = obs.tracing if obs is not None else None
             span = None
             run_ctx: Optional[Tuple[int, int]] = None
             if tracer is not None:
@@ -396,23 +380,24 @@ class NetBrokerEndpoint:
                 if trace_id is not None:
                     span = tracer.begin("modulate", trace_id=trace_id)
                     run_ctx = (trace_id, span.span_id)
+            partitioned = self.partitioned
             gate = subs[0].proxy  # all proxies share the sampling cadence
             meter = CycleMeter()
-            observations: List[Tuple[Edge, float, Optional[float]]] = []
+            observations: List[Observation] = []
 
             def observer(edge: Edge, env: Dict[str, object]) -> None:
                 size: Optional[float] = None
                 if gate.should_measure(edge):
-                    size = self._measure_inter(edge, env)
+                    size = partitioned.measure_inter(edge, env)
                 observations.append((edge, meter.cycles, size))
 
             started = time.perf_counter()
-            outcome = self.partitioned.interpreter.run(
-                self.partitioned.function,
+            outcome = partitioned.interpreter.run(
+                partitioned.function,
                 (event,),
-                split_hook=union_rt,
+                split_hook=self._union_runtime,
                 edge_observer=observer,
-                observe_edges=self._pse_edges,
+                observe_edges=partitioned.pse_edges,
                 meter=meter,
                 trace_ctx=run_ctx,
             )
@@ -420,91 +405,86 @@ class NetBrokerEndpoint:
             if self._h_phase_modulate is not None:
                 self._h_phase_modulate.observe(shared_elapsed)
             shared_cycles = meter.cycles
+            shared_seconds = self.rate.seconds(shared_cycles, shared_elapsed)
             self.published += 1
             self.shared_runs += 1
             self.shared_cycles_total += shared_cycles
             if self._c_published is not None:
                 self._c_published.inc()
 
+            shared_edge: Optional[Edge] = None
+            deep: List[Tuple[PeerSession, PlanRuntime]] = []
             if outcome.returned:
                 # No forced edge on this path: the whole handler ran at
                 # the broker; every subscriber "completed locally".
                 for sub in subs:
-                    self._replay_shared(sub, observations, split_edge=None)
+                    self._replay_shared(sub, observations, None)
                     sub.proxy.record_local_completion()
                     sub.completed_locally += 1
-                    self._record_rate(sub, shared_cycles, shared_elapsed)
-                self._after_publish(span, outcome="completed")
-                return
-
-            shared_edge = outcome.continuation.edge
-            shared_msg = self._to_message(outcome.continuation)
-            # Shallow subscribers first: each send encodes the frame on
-            # this thread, so shipped bytes are immune to any mutation a
-            # later fork's execution performs on shared values.
-            deep: List[PeerSession] = []
-            absorbed: List[PeerSession] = []
+                    if shared_cycles > 0:
+                        sub.proxy.record_sender_rate(
+                            shared_seconds, shared_cycles
+                        )
+            else:
+                continuation = outcome.continuation
+                shared_edge = continuation.edge
+                pse = partitioned.cut.pses.get(shared_edge)
+                shared_msg = ContinuationMessage.from_continuation(
+                    continuation,
+                    pse.pse_id if pse is not None else f"forced{shared_edge}",
+                )
+                # Shallow subscribers first: each send encodes the frame
+                # on this thread, so shipped bytes are immune to any
+                # mutation a later fork's execution performs on shared
+                # values.
+                for sub, runtime, splits in routes:
+                    if shared_edge in splits:
+                        self._replay_shared(sub, observations, shared_edge)
+                        self._ship(
+                            sub, shared_msg, shared_cycles, shared=True
+                        )
+                        if shared_cycles > 0:
+                            sub.proxy.record_sender_rate(
+                                shared_seconds, shared_cycles
+                            )
+                    else:
+                        deep.append((sub, runtime))
+                for sub, runtime in deep:
+                    self._replay_shared(sub, observations, None)
+                    self._fork(
+                        sub,
+                        runtime,
+                        shared_msg,
+                        shared_cycles,
+                        shared_elapsed,
+                        run_ctx,
+                    )
             for sub in subs:
-                if not sub.admits():
-                    # Open breaker (or exhausted half-open probe
-                    # budget): this message's tail runs broker-side —
-                    # the live half of the retraction, active from the
-                    # instant of the trip while the plan swap awaits
-                    # the queue drain.
-                    absorbed.append(sub)
-                    continue
-                if shared_edge in self._peer_runtime(sub).split_edge_set():
-                    self._replay_shared(
-                        sub, observations, split_edge=shared_edge
-                    )
-                    self._ship(
-                        sub, shared_msg, shared_cycles, shared=True
-                    )
-                    self._record_rate(sub, shared_cycles, shared_elapsed)
-                else:
-                    deep.append(sub)
-            for sub in deep:
-                self._replay_shared(sub, observations, split_edge=None)
-                self._fork(
-                    sub,
-                    shared_msg,
-                    shared_cycles,
-                    shared_elapsed,
-                    run_ctx,
+                if obs is not None:
+                    sub.refresh_gauges()
+                sub.feed_health()
+                sub.resilience_tick()
+            if self.published % self.feedback_period == 0:
+                for sub in subs:
+                    if sub.proxy.pending > 0:
+                        sub.flush_feedback()
+            if span is not None:
+                span.attrs = (
+                    {"outcome": "completed"}
+                    if shared_edge is None
+                    else {
+                        "outcome": "split",
+                        "edge": list(shared_edge),
+                        "cycles": shared_cycles,
+                        "forks": len(deep),
+                    }
                 )
-            for sub in absorbed:
-                sub.absorbed += 1
-                if self._c_absorbed is not None:
-                    self._c_absorbed.inc()
-                self._replay_shared(sub, observations, split_edge=None)
-                self._fork(
-                    sub,
-                    shared_msg,
-                    shared_cycles,
-                    shared_elapsed,
-                    run_ctx,
-                    runtime=self.cache.runtime(self._retraction_plan),
-                )
-            self._after_publish(
-                span,
-                outcome="split",
-                edge=shared_edge,
-                cycles=shared_cycles,
-                forks=len(deep),
-            )
-
-    def _to_message(self, continuation) -> ContinuationMessage:
-        pse = self.partitioned.cut.pses.get(continuation.edge)
-        pse_id = (
-            pse.pse_id if pse is not None else f"forced{continuation.edge}"
-        )
-        return ContinuationMessage.from_continuation(continuation, pse_id)
+                tracer.end(span)
 
     def _replay_shared(
         self,
         sub: PeerSession,
-        observations: List[Tuple[Edge, float, Optional[float]]],
-        *,
+        observations: List[Observation],
         split_edge: Optional[Edge],
     ) -> None:
         """Feed the shared run's edge observations into one peer's proxy.
@@ -514,8 +494,9 @@ class NetBrokerEndpoint:
         ``is_split`` differs (a deep subscriber traverses the shared
         edge without splitting there).
         """
+        record = sub.proxy.record_edge_observation
         for edge, work_before, size in observations:
-            sub.proxy.record_edge_observation(
+            record(
                 edge,
                 data_size=size,
                 work_before=work_before,
@@ -525,25 +506,23 @@ class NetBrokerEndpoint:
     def _fork(
         self,
         sub: PeerSession,
+        runtime: PlanRuntime,
         shared_msg: ContinuationMessage,
         shared_cycles: float,
         shared_elapsed: float,
         run_ctx: Optional[Tuple[int, int]],
-        *,
-        runtime: Optional[PlanRuntime] = None,
     ) -> None:
         """Resume the shared continuation under *sub*'s deeper plan.
 
         The clone passes through the codec so the fork's environment
         shares no mutable state with the shared message or with other
         forks — exactly what the receiver would have deserialized had
-        the wire carried it.  *runtime* overrides the subscriber's plan
-        runtime — the absorb path passes the sender-heavy runtime so a
-        tripped peer's tail runs to completion broker-side.
+        the wire carried it.
         """
-        codec = self.partitioned.codec
+        partitioned = self.partitioned
+        codec = partitioned.codec
         clone = codec.decode(codec.encode(shared_msg))
-        tracer = self._tracer()
+        tracer = self.obs.tracing if self.obs is not None else None
         fork_span = None
         fork_ctx: Optional[Tuple[int, int]] = None
         if tracer is not None and run_ctx is not None:
@@ -555,23 +534,21 @@ class NetBrokerEndpoint:
             )
             fork_ctx = (run_ctx[0], fork_span.span_id)
         meter = CycleMeter()
-        fork_obs: List[Tuple[Edge, float, Optional[float]]] = []
+        fork_obs: List[Observation] = []
 
         def observer(edge: Edge, env: Dict[str, object]) -> None:
             size: Optional[float] = None
             if sub.proxy.should_measure(edge):
-                size = self._measure_inter(edge, env)
+                size = partitioned.measure_inter(edge, env)
             fork_obs.append((edge, meter.cycles, size))
 
         started = time.perf_counter()
-        outcome = self.partitioned.interpreter.resume(
-            self.partitioned.function,
+        outcome = partitioned.interpreter.resume(
+            partitioned.function,
             clone.to_continuation(),
-            split_hook=(
-                runtime if runtime is not None else self._peer_runtime(sub)
-            ),
+            split_hook=runtime,
             edge_observer=observer,
-            observe_edges=self._pse_edges,
+            observe_edges=partitioned.pse_edges,
             meter=meter,
             trace_ctx=fork_ctx,
         )
@@ -583,8 +560,7 @@ class NetBrokerEndpoint:
         sub.forks += 1
         if self._c_forks is not None:
             self._c_forks.inc()
-        if sub._c_forks is not None:
-            sub._c_forks.inc()
+            sub.count("fork")
         total_cycles = shared_cycles + meter.cycles
         split_edge = (
             outcome.continuation.edge if outcome.split else None
@@ -602,11 +578,17 @@ class NetBrokerEndpoint:
             sub.proxy.record_local_completion()
             sub.completed_locally += 1
         else:
-            self._ship(sub, self._to_message(outcome.continuation),
-                       total_cycles, shared=False)
-        self._record_rate(
-            sub, total_cycles, shared_elapsed + elapsed
-        )
+            pse = partitioned.cut.pses.get(split_edge)
+            message = ContinuationMessage.from_continuation(
+                outcome.continuation,
+                pse.pse_id if pse is not None else f"forced{split_edge}",
+            )
+            self._ship(sub, message, total_cycles, shared=False)
+        if total_cycles > 0:
+            sub.proxy.record_sender_rate(
+                self.rate.seconds(total_cycles, shared_elapsed + elapsed),
+                total_cycles,
+            )
         if fork_span is not None:
             fork_span.attrs = {
                 "peer": sub.name,
@@ -623,95 +605,102 @@ class NetBrokerEndpoint:
         *,
         shared: bool,
     ) -> None:
-        """Send one continuation to one subscriber (lock held)."""
+        """Send one continuation to one subscriber (lock held).
+
+        Every continuation ends exactly one way: elided (a no-op
+        resume), shed by the bulkhead, shipped, or — when the breaker
+        does not admit the ship or the send fails — completed here.
+        """
         pse = self.partitioned.cut.pses.get(message.edge)
         if pse is not None and pse.noop_resume and not message.variables:
             sub.proxy.record_local_completion()
             sub.elided += 1
             return
-        br = sub.breaker
-        if br is not None and br.state == BREAKER_OPEN:
-            # Reachable only for a forced-edge split surviving the
-            # sender-heavy absorb resume: nowhere left to run it.
-            self._suppress_ship(sub, "breaker open")
-            return
+        admitted = sub.admits()
         bh = sub.bulkhead
-        if bh is not None and not bh.admit(sub.peer.queued):
+        if admitted and bh is not None and not bh.admit(sub.peer.queued):
             # Admission refused before paying for the encode: the
             # peer's outbound queue already holds `limit` frames, so
             # drop-oldest shedding was imminent anyway.
-            self._suppress_ship(sub, "bulkhead full")
-            if br is not None:
-                br.record_failure("bulkhead full")
+            sub.ships_suppressed += 1
+            sub.proxy.record_local_completion()
+            if self._c_suppressed is not None:
+                self._c_suppressed.inc()
+            wide_event(
+                "breaker.suppress", peer=sub.name, reason="bulkhead full"
+            )
+            if sub.breaker is not None:
+                sub.breaker.record_failure("bulkhead full")
             return
         sub.proxy.record_mod_total(total_cycles)
-        ship_started = (
-            time.perf_counter() if self._h_phase_ship is not None else None
-        )
-        size = float(self.partitioned.codec.size(message))
-        envelope = ContinuationEnvelope(
-            continuation=message, subscription_id=sub.subscription_id
-        )
-        if self.obs is not None:
-            self.obs.trace.record(
-                ContinuationShipped(
-                    pse_id=str(message.pse_id), bytes=size
+        if admitted:
+            ship_started = (
+                time.perf_counter()
+                if self._h_phase_ship is not None
+                else None
+            )
+            size = float(self.partitioned.codec.size(message))
+            envelope = ContinuationEnvelope(
+                continuation=message, subscription_id=sub.subscription_id
+            )
+            if self.obs is not None:
+                self.obs.trace.record(
+                    ContinuationShipped(
+                        pse_id=str(message.pse_id), bytes=size
+                    )
                 )
-            )
-            tracer = self.obs.tracing
-            if tracer is not None:
-                tracer.observe_pse(str(message.pse_id), size=size)
-        self.transport.send(sub.peer, envelope, size)
-        if ship_started is not None:
-            self._h_phase_ship.observe(time.perf_counter() - ship_started)
-        sub.shipped += 1
-        if shared:
-            sub.shared_ships += 1
-        if sub._c_shipped is not None:
-            sub._c_shipped.inc()
+                tracer = self.obs.tracing
+                if tracer is not None:
+                    tracer.observe_pse(str(message.pse_id), size=size)
+            try:
+                self.transport.send(sub.peer, envelope, size)
+            except TransportError as exc:
+                # A failing send is a breaker signal, and the message
+                # must not be lost: it completes here below.
+                if sub.breaker is not None:
+                    sub.breaker.record_failure(f"send failed: {exc}")
+            else:
+                if ship_started is not None:
+                    self._h_phase_ship.observe(
+                        time.perf_counter() - ship_started
+                    )
+                sub.shipped += 1
+                if shared:
+                    sub.shared_ships += 1
+                if self.obs is not None:
+                    sub.count("ship")
+                return
+        self._complete_locally(sub, message)
 
-    def _record_rate(
-        self, sub: PeerSession, cycles: float, elapsed: float
+    def _complete_locally(
+        self, sub: PeerSession, message: ContinuationMessage
     ) -> None:
-        if cycles > 0:
-            sub.proxy.record_sender_rate(
-                self.rate.seconds(cycles, elapsed), cycles
-            )
+        """Run a continuation's tail here instead of at its peer.
 
-    def _tick_sessions(self) -> None:
-        """Health feed, then breaker/retraction tick, per peer (lock held)."""
-        for sub in self.subscribers:
-            sub.feed_health()
-            sub.resilience_tick()
+        Resumed with no split hook, it runs to the end of the handler,
+        receiver-only natives included: both sides build the same
+        partitioned method from the same program text, so resuming here
+        is the receiver's work minus the bytes.  The resume runs on a
+        codec clone — the shared message may still ship to other peers.
+        """
+        partitioned = self.partitioned
+        codec = partitioned.codec
+        clone = codec.decode(codec.encode(message))
+        partitioned.interpreter.resume(
+            partitioned.function, clone.to_continuation()
+        )
+        sub.absorbed += 1
+        sub.completed_locally += 1
+        if self._c_absorbed is not None:
+            self._c_absorbed.inc()
 
     def _health_loop(self) -> None:
         """Background evaluator: staleness ticks even when idle."""
         while not self._health_stop.wait(self.health_interval):
             with self.lock:
-                self._tick_sessions()
-
-    def _after_publish(self, span, *, outcome: str, **attrs) -> None:
-        """Gauges, feedback cadence, span close (lock held)."""
-        for sub in self.subscribers:
-            sub.refresh_gauges()
-        self._tick_sessions()
-        if self.published % self.feedback_period == 0:
-            for sub in self.subscribers:
-                if sub.proxy.pending > 0:
-                    sub.flush_feedback()
-        if span is not None:
-            span.attrs = {"outcome": outcome, **{
-                k: (list(v) if isinstance(v, tuple) else v)
-                for k, v in attrs.items()
-            }}
-            self.obs.tracing.end(span)
-
-    def _suppress_ship(self, sub: PeerSession, reason: str) -> None:
-        sub.ships_suppressed += 1
-        sub.proxy.record_local_completion()
-        if self._c_suppressed is not None:
-            self._c_suppressed.inc()
-        wide_event("breaker.suppress", peer=sub.name, reason=reason)
+                for sub in self.subscribers:
+                    sub.feed_health()
+                    sub.resilience_tick()
 
     def _resilience_dump(self) -> Dict[str, object]:
         return {

@@ -4,14 +4,15 @@ These wire a :class:`~repro.core.partitioned.PartitionedMethod` to the
 TCP layer so the paper's whole feedback loop runs between *real OS
 processes*:
 
-* :class:`NetSenderEndpoint` — owns the modulator and a
-  :class:`~repro.core.runtime.feedback.RemoteProfilingProxy`; every
-  published event is modulated, the continuation ships as a CONT frame,
-  and the sender-side observations, folded to one entry per traversed
-  PSE, flush as a FEEDBACK frame every ``feedback_period`` messages
+* :class:`NetSenderEndpoint` — the publisher: a
+  :class:`~repro.net.broker.NetBrokerEndpoint` with one subscriber, so
+  it shares the broker's one publish path.  Every published event is
+  modulated, the continuation ships as a CONT frame, and the
+  sender-side observations, folded to one entry per traversed PSE,
+  flush as a FEEDBACK frame every ``feedback_period`` messages
   (monitoring traffic pays real bytes, as in the paper).  Inbound PLAN
-  frames flip the modulator's split flags — adaptation actuation over
-  the wire.
+  frames switch the subscriber's split — adaptation actuation over the
+  wire.
 * :class:`NetReceiverEndpoint` — owns the demodulator, the
   authoritative Profiling Unit and the (receiver-located)
   Reconfiguration Unit behind a :class:`~repro.net.tcp.FrameServer`.
@@ -43,7 +44,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.partitioned import PartitionedMethod
 from repro.errors import TransportError
-from repro.core.plan import PartitioningPlan, sender_heavy_plan
+from repro.core.plan import PartitioningPlan
 from repro.core.runtime.feedback import RemoteProfilingProxy, ingest
 from repro.core.runtime.triggers import FeedbackTrigger, RateTrigger
 from repro.jecho.events import (
@@ -52,17 +53,16 @@ from repro.jecho.events import (
     FeedbackEnvelope,
     PlanEnvelope,
 )
+from repro.net.broker import NetBrokerEndpoint
 from repro.net.framing import Bye, Election, NetEnvelopeCodec, Telemetry
 from repro.net.resilience import (
     BreakerConfig,
     ElectionConfig,
     ElectionMember,
 )
-from repro.net.session import CalibratedRate, PeerSession
 from repro.net.tcp import FrameServer, ServerConnection, TcpPeer, TcpTransport
 from repro.obs.flight import wide_event
 from repro.obs.health import HealthConfig, HealthMonitor
-from repro.obs.trace import ContinuationShipped
 
 __all__ = ["NetSenderEndpoint", "NetReceiverEndpoint"]
 
@@ -73,19 +73,16 @@ _PLAN_UPDATE_BYTES = 64.0
 LATENCY_WINDOW = 4096
 
 
-class NetSenderEndpoint:
-    """Modulator side of a live subscription.
+class NetSenderEndpoint(NetBrokerEndpoint):
+    """Modulator side of a live subscription: the broker with one peer.
 
-    The data path is here — ``publish`` runs the modulator and ships the
-    continuation; everything per-peer around it (PLAN frames, breaker
-    and split retraction, health, telemetry, feedback flush) is the one
-    :class:`~repro.net.session.PeerSession` in ``session``, whose plan
-    switch is this modulator's ``apply_plan``.
-
-    ``publish`` runs on the caller's thread; inbound PLAN frames arrive
-    on the transport's loop thread — one lock serializes the two around
-    the modulator (``apply_plan`` flips the flags the interpreter
-    consults mid-run) and the session.
+    Publishing to one subscriber is the smallest case of publishing to
+    N, so this is :class:`~repro.net.broker.NetBrokerEndpoint` with the
+    given, already-built *peer* attached as its only subscriber.  It
+    adds no behaviour, only the read-outs of that one
+    :class:`~repro.net.session.PeerSession` that callers use.  The
+    caller built the peer and set its queue bound, so no bulkhead is
+    put in front of it (see :meth:`NetBrokerEndpoint.subscribe`).
     """
 
     def __init__(
@@ -94,7 +91,6 @@ class NetSenderEndpoint:
         transport: TcpTransport,
         peer: TcpPeer,
         *,
-        subscription_id: int = 1,
         plan: Optional[PartitioningPlan] = None,
         sample_period: int = 1,
         feedback_period: int = 8,
@@ -105,219 +101,29 @@ class NetSenderEndpoint:
         breaker_config: Optional[BreakerConfig] = None,
         resilience: bool = True,
     ) -> None:
-        """``rate_override`` records a *calibrated* seconds-per-cycle
-        instead of the raw per-message wall clock.  Raw measurements are
-        fixed-overhead dominated when the modulator's share of work is
-        tiny (an early split leaves it a handful of cycles), which
-        inflates the apparent sender rate by orders of magnitude; a rate
-        calibrated against the full handler (see
-        :func:`repro.net.live._calibrate`) measures the host, not the
-        per-message overhead.  Every applied plan marks it stale and the
-        next publish refreshes it, through ``recalibrate`` when given
-        (see :class:`~repro.net.session.CalibratedRate`).
-
-        With ``resilience`` on, wedged health or send failures trip the
-        peer's breaker, and while it is not closed the split is
-        *retracted*: the modulator runs the sender-heavy plan,
-        continuations already in hand complete in-process (a lazily
-        built local demodulator), and inbound PLAN frames are deferred
-        until the breaker re-closes."""
-        if feedback_period < 1:
-            raise ValueError("feedback_period must be >= 1")
-        self.partitioned = partitioned
-        self.transport = transport
-        self.peer = peer
-        self.feedback_period = feedback_period
-        self.rate = CalibratedRate(partitioned, rate_override, recalibrate)
-        self.obs = obs
-        # Publish-path phase timers, same metric family as the broker's
-        # (and as TcpTransport._deliver's encode/enqueue phases).
-        if obs is not None:
-            self._h_phase_modulate = obs.metrics.histogram(
-                'net.publish.phase_seconds{phase="modulate"}'
-            )
-            self._h_phase_ship = obs.metrics.histogram(
-                'net.publish.phase_seconds{phase="ship"}'
-            )
-        else:
-            self._h_phase_modulate = None
-            self._h_phase_ship = None
-        self.proxy = RemoteProfilingProxy(
-            partitioned.cut, sample_period=sample_period, obs=obs
-        )
-        # Rates are measured here (real wall clock per process call), so
-        # the modulator's own cycle-based rate recording stays off.
-        self.modulator = partitioned.make_modulator(
+        super().__init__(
+            partitioned,
+            transport,
             plan=plan,
-            profiling=self.proxy,
-            record_rates=False,
+            sample_period=sample_period,
+            feedback_period=feedback_period,
+            rate_override=rate_override,
+            recalibrate=recalibrate,
             obs=obs,
+            health_config=health_config,
+            breaker_config=breaker_config,
+            resilience=resilience,
         )
-        self.lock = threading.Lock()
-        self.published = 0
-        self.exposer = None
-        #: the peer's health machine, fed from transport state on every
-        #: publish and from inbound TELEMETRY frames; no thread of its own
-        self.health = HealthMonitor(obs=obs, config=health_config)
-        self._local_demod = None
-        self.session = PeerSession(
-            peer.name,
-            peer,
-            subscription_id,
-            self.modulator.plan_runtime.current_plan,
-            self.proxy,
-            # looked up per call: harnesses wrap ``transport.send``
-            send=lambda envelope, size: transport.send(peer, envelope, size),
-            monitor=self.health,
-            rate=self.rate,
-            retraction_plan=sender_heavy_plan(partitioned.cut),
-            apply_plan=self.modulator.apply_plan,
-            breaker_config=(
-                (breaker_config or BreakerConfig()) if resilience else None
-            ),
-            obs=obs,
-        )
-        transport.inbound_handler = self._on_inbound
-
-    # Read-outs of the session that harnesses sum across both roles.
+        self.peer = peer
+        self.session = self._attach(peer, peer.name, plan)
 
     @property
-    def plan_updates_applied(self) -> int:
-        return self.session.plan_updates_applied
-
-    @property
-    def retractions(self) -> int:
-        return self.session.retractions
+    def proxy(self) -> RemoteProfilingProxy:
+        return self.session.proxy
 
     @property
     def absorbed(self) -> int:
         return self.session.absorbed
-
-    def expose_metrics(self, host: str = "127.0.0.1", port: int = 0):
-        """Serve this process's observability over HTTP (OpenMetrics).
-
-        Returns the running :class:`~repro.obs.exposition.MetricsExposer`
-        (``.port`` reports the bound port when 0 was requested); closed
-        by :meth:`close_exposer` or process exit.
-        """
-        if self.obs is None:
-            raise ValueError("expose_metrics requires an attached obs")
-        from repro.obs.exposition import start_http_exposer
-
-        self.exposer = start_http_exposer(
-            self.obs.to_dict,
-            host=host,
-            port=port,
-            health_source=self.health.to_dict,
-        )
-        return self.exposer
-
-    def close_exposer(self) -> None:
-        if self.exposer is not None:
-            self.exposer.close()
-            self.exposer = None
-
-    def publish(self, event: object) -> None:
-        """Modulate one event and ship the continuation (if any)."""
-        with self.lock:
-            session = self.session
-            self.rate.refresh(event)
-            started = time.perf_counter()
-            result = self.modulator.process(event)
-            elapsed = time.perf_counter() - started
-            if self._h_phase_modulate is not None:
-                self._h_phase_modulate.observe(elapsed)
-            if result.cycles > 0:
-                self.proxy.record_sender_rate(
-                    self.rate.seconds(result.cycles, elapsed), result.cycles
-                )
-            self.published += 1
-            message = result.message
-            if message is None:
-                session.completed_locally += 1
-            elif not session.admits():
-                # Breaker open (or half-open with the probe budget
-                # spent): the continuation completes in-process instead
-                # of shipping toward a peer known to be in trouble.
-                self._absorb(message)
-            else:
-                ship_started = (
-                    time.perf_counter()
-                    if self._h_phase_ship is not None
-                    else None
-                )
-                size = float(self.partitioned.codec.size(message))
-                envelope = ContinuationEnvelope(
-                    continuation=message,
-                    subscription_id=session.subscription_id,
-                )
-                if self.obs is not None:
-                    self.obs.trace.record(
-                        ContinuationShipped(
-                            pse_id=str(message.pse_id), bytes=size
-                        )
-                    )
-                    tracer = self.obs.tracing
-                    if tracer is not None:
-                        tracer.observe_pse(str(message.pse_id), size=size)
-                try:
-                    self.transport.send(self.peer, envelope, size)
-                except TransportError as exc:
-                    # The send path failing is a breaker signal *and*
-                    # must not lose the message: absorb it locally.
-                    if session.breaker is not None:
-                        session.breaker.record_failure(f"send failed: {exc}")
-                    self._absorb(message)
-                else:
-                    session.shipped += 1
-                    if ship_started is not None:
-                        self._h_phase_ship.observe(
-                            time.perf_counter() - ship_started
-                        )
-            if (
-                self.published % self.feedback_period == 0
-                and self.proxy.pending > 0
-            ):
-                session.flush_feedback()
-            session.feed_health()
-            session.resilience_tick()
-
-    def _absorb(self, message) -> None:
-        """Complete a continuation in-process instead of shipping it.
-
-        The local demodulator is this process's copy of the receiver
-        tail — both sides build the same partitioned method from the
-        same program text, so resuming here is semantically identical
-        to resuming across the wire, minus the bytes.  Counted into
-        ``completed_locally`` so the conservation identity
-        ``shipped + completed_locally == published`` holds regardless
-        of breaker state.
-        """
-        if self._local_demod is None:
-            self._local_demod = self.partitioned.make_demodulator(
-                record_rates=False
-            )
-        self._local_demod.process(message)
-        self.session.absorbed += 1
-        self.session.completed_locally += 1
-
-    def finish(self) -> None:
-        """Flush the tail of the profiling buffer and say goodbye."""
-        with self.lock:
-            if self.proxy.pending > 0:
-                self.session.flush_feedback()
-            self.transport.send(
-                self.peer, Bye(sent=self.session.shipped), 8.0
-            )
-
-    # -- control plane (runs on the transport's loop thread) -------------------
-
-    def _on_inbound(self, envelope: object, peer: TcpPeer) -> None:
-        with self.lock:
-            if isinstance(envelope, Telemetry):
-                self.session.ingest_telemetry(envelope)
-            elif isinstance(envelope, PlanEnvelope):
-                self.session.on_plan(envelope)
 
     @property
     def current_plan_edges(self) -> Tuple[Tuple[int, int], ...]:

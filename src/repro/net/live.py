@@ -403,6 +403,7 @@ def run_sender(args: argparse.Namespace) -> Dict[str, object]:
         "published": endpoint.published,
         "shipped": session.shipped,
         "completed_locally": session.completed_locally,
+        "elided": session.elided,
         "feedback_flushes": session.feedback_flushes,
         "plan_updates_applied": endpoint.plan_updates_applied,
         "plan_duplicates_ignored": session.plan_duplicates_ignored,

@@ -5,11 +5,13 @@ the modulator applies it as a flag flip — the publisher runs a per-peer
 protocol: versioned PLAN dedupe, deferral while the split is retracted,
 breaker-driven retraction and re-split, the health feed, telemetry
 ingest, the feedback flush and rate recalibration.  It is one protocol
-with phases, so it lives once, here, for both publisher roles:
-:class:`~repro.net.endpoint.NetSenderEndpoint` holds one
-:class:`PeerSession`, :class:`~repro.net.broker.NetBrokerEndpoint` holds
-one per subscriber.  The *data path* stays with the owner (one modulator
-per peer against one shared run forked per peer).
+with phases, so it lives once, here: the one publisher,
+:class:`~repro.net.broker.NetBrokerEndpoint`, holds one
+:class:`PeerSession` per subscriber (the
+:class:`~repro.net.endpoint.NetSenderEndpoint` is that broker with one).
+The *data path* — the shared run, its forks and ships — stays with the
+broker; the session binds its own labelled ``broker.*{peer="…"}``
+instruments from the ``obs`` it is given.
 
 The session is sans-I/O, the shape :mod:`repro.net.resilience.election`
 has: ``send`` and ``clock`` are injected, transport state is read off
@@ -41,6 +43,7 @@ from repro.net.resilience import (
 )
 from repro.obs.flight import wide_event
 from repro.obs.health import WEDGED, HealthMonitor, PeerHealth
+from repro.obs.trace import SplitSwitched
 
 __all__ = ["RATE_HYSTERESIS", "CalibratedRate", "PeerSession"]
 
@@ -138,7 +141,8 @@ class PeerSession:
     runs (with its idempotency version), the sender-side profiling
     buffered for it, and whether the split toward it is retracted.
     ``plan`` is the plan in force; every change of it is handed to the
-    injected ``apply_plan`` — the owner's flag flip — exactly once.
+    injected ``apply_plan`` — the owner's flag flip — exactly once, and
+    with ``obs`` a change of the split is traced as ``SplitSwitched``.
     ``breaker_config=None`` builds the session without the resilience
     plane (no breaker, no retraction).
     """
@@ -177,17 +181,18 @@ class PeerSession:
         self.plan_updates_applied = 0
         self.plan_duplicates_ignored = 0
         self.plans_seen: List[str] = []
-        # delivery counters, written by the owner's data path
+        # delivery counters, written by the owner's data path; every
+        # publish lands in exactly one of shipped, completed_locally,
+        # elided and ships_suppressed
         self.shipped = 0
         self.shared_ships = 0
         self.forks = 0
         self.elided = 0
         self.completed_locally = 0
-        #: publishes completed publisher-side because the breaker
-        #: refused the ship (the live half of a retraction)
+        #: the part of completed_locally whose ship the breaker refused
+        #: or the transport failed (the live half of a retraction)
         self.absorbed = 0
-        #: ship attempts refused at the last gate (forced-edge ship
-        #: while open, or bulkhead admission rejected)
+        #: ship attempts the bulkhead refused: the message is shed
         self.ships_suppressed = 0
         self.feedback_flushes = 0
         self.telemetry_frames = 0
@@ -216,17 +221,6 @@ class PeerSession:
         self._drift_reported = 0
         self._last_rtt_fed: Optional[float] = None
         self._send_timeouts_fed = 0
-        #: event ("plan", "retract", "resplit", "telemetry") → metric
-        #: counters to bump, bound by an owner that has obs
-        self.counters: Dict[str, tuple] = {}
-        # labeled per-peer instruments, bound the same way
-        self._c_shipped = None
-        self._c_forks = None
-        self._g_queue = None
-        self._g_dropped = None
-        self._g_rtt = None
-        self._g_connected = None
-        self._g_breaker = None
         if breaker_config is not None:
             # The breaker reads the session's clock at call time, so the
             # two can never be on different clocks.
@@ -237,6 +231,39 @@ class PeerSession:
                 on_transition=self._on_breaker_transition,
             )
             monitor.add_listener(self._on_health_transition)
+        #: event ("plan", "retract", "resplit", "telemetry", "ship",
+        #: "fork") → the metric counters :meth:`count` bumps
+        self.counters: Dict[str, tuple] = {}
+        #: transport-state gauges :meth:`refresh_gauges` writes
+        self.gauges: Dict[str, object] = {}
+        if obs is not None:
+            self._bind_instruments(obs.metrics)
+
+    def _bind_instruments(self, metrics) -> None:
+        """The fleet-wide and ``{peer="name"}``-labelled broker metrics."""
+        label = f'{{peer="{self.name}"}}'
+        self.counters = {
+            "plan": (
+                metrics.counter("broker.plan_updates"),
+                metrics.counter(f"broker.plan_updates{label}"),
+            ),
+            "retract": (metrics.counter("broker.retractions"),),
+            "resplit": (metrics.counter("broker.resplits"),),
+            "telemetry": (metrics.counter("broker.telemetry_frames"),),
+            "ship": (metrics.counter(f"broker.shipped{label}"),),
+            "fork": (metrics.counter(f"broker.forks{label}"),),
+        }
+        self.gauges = {
+            kind: metrics.gauge(f"broker.{kind}{label}")
+            for kind in (
+                "queue_depth", "dropped_frames", "heartbeat_rtt", "connected"
+            )
+        }
+        if self.breaker is not None:
+            gauge = self.gauges["breaker_state"] = metrics.gauge(
+                f"broker.breaker_state{label}"
+            )
+            gauge.set(BREAKER_STATE_CODES[self.breaker.state])
 
     @property
     def plan_edges(self) -> Tuple[Edge, ...]:
@@ -265,17 +292,27 @@ class PeerSession:
             return
         self._apply(envelope)
 
-    def _count(self, event: str) -> None:
+    def count(self, event: str) -> None:
         for counter in self.counters.get(event, ()):
             counter.inc()
 
     def _switch(self, plan: PartitioningPlan) -> None:
         """Put *plan* in force: the one place ``self.plan`` changes."""
-        self.plan = plan
+        old, self.plan = self.plan, plan
         # The calibration was taken under the old split; pricing the
         # new split's cycles with it misreports the sender's rate.
         self.rate.mark_stale()
         self.apply_plan(plan)
+        if self.obs is not None and plan.active != old.active:
+            cut = self.proxy.cut
+            self.obs.trace.record(
+                SplitSwitched(
+                    old_pse_ids=cut.pse_ids(old.active),
+                    new_pse_ids=cut.pse_ids(plan.active),
+                    old_edges=tuple(sorted(old.active)),
+                    new_edges=tuple(sorted(plan.active)),
+                )
+            )
 
     def _apply(self, envelope: PlanEnvelope) -> None:
         self.plan_version_applied = envelope.version
@@ -283,7 +320,7 @@ class PeerSession:
         self.plans_seen.append(
             ",".join(str(e) for e in sorted(envelope.plan.active))
         )
-        self._count("plan")
+        self.count("plan")
         self._switch(envelope.plan)
         tracer = self.obs.tracing if self.obs is not None else None
         if tracer is not None and envelope.trace is not None:
@@ -317,8 +354,9 @@ class PeerSession:
         self, breaker: CircuitBreaker, record: dict
     ) -> None:
         """Breaker edges actuate the split: trip retracts, close re-splits."""
-        if self._g_breaker is not None:
-            self._g_breaker.set(BREAKER_STATE_CODES[record["to"]])
+        gauge = self.gauges.get("breaker_state")
+        if gauge is not None:
+            gauge.set(BREAKER_STATE_CODES[record["to"]])
         wide_event(
             "breaker.transition",
             peer=self.name,
@@ -366,7 +404,7 @@ class PeerSession:
             drained=drained,
             saved_plan=self.saved_plan.name,
         )
-        self._count("retract")
+        self.count("retract")
         self._switch(self.retraction_plan)
 
     def resplit(self) -> None:
@@ -392,7 +430,7 @@ class PeerSession:
         else:
             return  # closed before the swap, nothing deferred: no change
         self.resplits += 1
-        self._count("resplit")
+        self.count("resplit")
         wide_event(
             "breaker.resplit",
             peer=self.name,
@@ -459,7 +497,7 @@ class PeerSession:
     def ingest_telemetry(self, frame: Telemetry) -> None:
         """Fold one pushed TELEMETRY frame into the peer's health."""
         self.telemetry_frames += 1
-        self._count("telemetry")
+        self.count("telemetry")
         payload = frame.payload or {}
         self.last_telemetry = {
             "source": frame.source,
@@ -510,13 +548,15 @@ class PeerSession:
 
     def refresh_gauges(self) -> None:
         """Push the peer's transport health into the labeled gauges."""
-        if self._g_queue is None:
+        gauges = self.gauges
+        if not gauges:
             return
-        self._g_queue.set(self.peer.queued)
-        self._g_dropped.set(self.peer.dropped_frames)
-        self._g_connected.set(1.0 if self.peer.connected else 0.0)
-        if self.peer.last_rtt is not None:
-            self._g_rtt.set(self.peer.last_rtt)
+        peer = self.peer
+        gauges["queue_depth"].set(peer.queued)
+        gauges["dropped_frames"].set(peer.dropped_frames)
+        gauges["connected"].set(1.0 if peer.connected else 0.0)
+        if peer.last_rtt is not None:
+            gauges["heartbeat_rtt"].set(peer.last_rtt)
 
     def resilience_dump(self) -> Dict[str, object]:
         """Breaker + retraction state for dashboards and dumps."""

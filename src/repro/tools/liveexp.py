@@ -192,6 +192,20 @@ def _verify(
         shipped > 0 and demodulated > 0,
         f"sender shipped {shipped}, receiver demodulated {demodulated}",
     )
+    published = int(sender["published"])
+    accounted = {
+        "shipped": shipped,
+        "completed_locally": int(sender["completed_locally"]),
+        "elided": int(sender["elided"]),
+        "ships_suppressed": int(sender["resilience"]["ships_suppressed"]),
+    }
+    _check(
+        checks,
+        "every publish accounted for",
+        published == sum(accounted.values()),
+        f"published {published} = "
+        + " + ".join(f"{n} {v}" for n, v in accounted.items()),
+    )
     _check(
         checks,
         "deliveries complete",

@@ -296,15 +296,16 @@ def test_plans_deferred_while_retracted_newest_wins(wired_sender):
 
 def test_resplit_restores_saved_plan_when_nothing_deferred(wired_sender):
     partitioned, sender, peer, clock = wired_sender
-    before = sender.modulator.plan_runtime.current_plan.active
+    before = sender.session.plan
     with sender.lock:
         sender.session.breaker.trip("test")
-    assert sender.modulator.plan_runtime.current_plan.active != before  # sender-heavy now
+    assert sender.session.plan.active != before.active  # sender-heavy now
     clock.advance(60.0)
     with sender.lock:
         assert sender.session.breaker.allow()
         sender.session.breaker.record_success()
-    assert sender.modulator.plan_runtime.current_plan.active == before
+    assert sender.session.plan is before
+    assert sender.plan_updates_applied == 0  # restored, not re-applied
     assert not sender.session.retracted
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
+import pytest
+
 from repro.core.plan import PartitioningPlan
 from repro.core.runtime.profiling import FeedbackSummary
 from repro.jecho.events import FeedbackEnvelope, PlanEnvelope
@@ -293,7 +295,7 @@ def test_flush_feedback_sends_one_frame():
     assert session.feedback_flushes == 1
 
 
-# -- conservation on the sender's real data path -----------------------------------
+# -- conservation on the one publish path ----------------------------------------
 
 
 class FakeTransport:
@@ -302,59 +304,94 @@ class FakeTransport:
     def __init__(self) -> None:
         self.sent = []
 
+    def peer(self, host, port, *, name=None, queue_limit=None):
+        peer = FakePeer()
+        peer.name = name
+        return peer
+
     def send(self, peer, envelope, size) -> None:
-        self.sent.append(envelope)
+        self.sent.append((peer, envelope))
 
 
-def test_conservation_across_trip_retract_resplit():
+def _sender(partitioned, transport, **kwargs):
+    from repro.net.endpoint import NetSenderEndpoint
+
+    return NetSenderEndpoint(partitioned, transport, FakePeer(), **kwargs)
+
+
+def _two_subscriber_broker(partitioned, transport, **kwargs):
+    """A second, deeper subscriber: its continuations fork."""
+    from repro.core.plan import sender_heavy_plan
+    from repro.net.broker import NetBrokerEndpoint
+
+    broker = NetBrokerEndpoint(partitioned, transport, **kwargs)
+    broker.subscribe("h", 1, name="tripped")
+    broker.subscribe(
+        "h", 2, name="deep", plan=sender_heavy_plan(partitioned.cut)
+    )
+    return broker
+
+
+@pytest.mark.parametrize(
+    "make_publisher",
+    [_sender, _two_subscriber_broker],
+    ids=["sender", "broker2"],
+)
+def test_conservation_across_trip_retract_resplit(make_publisher):
     from repro.apps.sensor.data import make_reading
     from repro.apps.sensor.pipeline import build_partitioned_process
     from repro.core.plan import receiver_heavy_plan
     from repro.jecho.events import ContinuationEnvelope
-    from repro.net.endpoint import NetSenderEndpoint
 
     partitioned, _sink = build_partitioned_process(n_stages=6)
-    transport, peer, clock = FakeTransport(), FakePeer(), FakeClock()
-    sender = NetSenderEndpoint(
+    transport, clock = FakeTransport(), FakeClock()
+    publisher = make_publisher(
         partitioned,
         transport,
-        peer,
         plan=receiver_heavy_plan(partitioned.cut),
         rate_override=1e-7,
         recalibrate=lambda: 1e-7,
         breaker_config=BreakerConfig(probe_backoff_base=0.5),
     )
-    session = sender.session
-    session.clock = clock
-    split = sender.current_plan_edges
+    sessions = publisher.subscribers
+    for sub in sessions:
+        sub.clock = clock
+    session = sessions[0]
+    split = session.plan_edges
 
     def publish(n):
         for i in range(n):
-            sender.publish(make_reading(i, 8))
-            assert sender.published == (
-                session.shipped + session.completed_locally
-            )
+            publisher.publish(make_reading(i, 8))
+            for sub in sessions:
+                assert publisher.published == (
+                    sub.shipped
+                    + sub.completed_locally
+                    + sub.elided
+                    + sub.ships_suppressed
+                )
 
-    def shipped():
+    def shipped(sub):
         return sum(
-            isinstance(e, ContinuationEnvelope) for e in transport.sent
+            peer is sub.peer and isinstance(e, ContinuationEnvelope)
+            for peer, e in transport.sent
         )
 
     publish(5)
-    assert session.shipped == shipped() == 5
-    with sender.lock:
+    assert session.shipped == shipped(session) == 5
+    with publisher.lock:
         session.breaker.trip("test")
-    assert session.retracted and sender.current_plan_edges == ()
+    assert session.retracted and session.plan_edges == ()
     publish(5)
-    assert sender.absorbed == 5 and shipped() == 5
+    assert session.absorbed == 5 and shipped(session) == 5
     clock.advance(1.0)
-    peer.last_heard = clock.now
+    session.peer.last_heard = clock.now
     publish(3)  # the first ships as the probe, the second's tick closes
     assert session.breaker.state == BREAKER_CLOSED
     assert not session.retracted and session.resplits == 1
-    assert sender.current_plan_edges == split
+    assert session.plan_edges == split
     publish(5)
-    assert sender.published == 18
-    assert session.shipped == shipped()
-    assert session.completed_locally == sender.absorbed
-    assert sender.retractions == 1
+    assert publisher.published == 18
+    for sub in sessions:
+        assert sub.shipped == shipped(sub)
+    assert session.completed_locally == session.absorbed
+    assert publisher.retractions == 1
