@@ -27,14 +27,14 @@ def test_figure7(benchmark, record_result, obs):
         "figure7", format_curves(curves, "Consumer AProb")
     )
 
-    if obs is not None:  # REPRO_OBS=1: the adaptation loop left a trace
-        assert obs.trace.count("TriggerFired") >= 1
-        assert obs.trace.count("SplitSwitched") >= 1
-        switch = obs.trace.of_kind("SplitSwitched")[0]
-        assert switch.old_pse_ids != switch.new_pse_ids
-        from repro.tools.obsreport import render
+    if obs is not None:  # REPRO_OBS=1: the adaptation loop left events
+        assert obs.flight.count("TriggerFired") >= 1
+        assert obs.flight.count("SplitSwitched") >= 1
+        switch = obs.flight.of_kind("SplitSwitched")[0]
+        assert switch["old_pse_ids"] != switch["new_pse_ids"]
+        from repro.tools.obs import render_report
 
-        record_result("figure7_obs", render(obs))
+        record_result("figure7_obs", render_report(obs.to_dict()))
 
     producer = [y for _, y in curves["Producer Version"]]
     consumer = [y for _, y in curves["Consumer Version"]]

@@ -26,7 +26,6 @@ from repro.core.runtime.triggers import (
     FeedbackTrigger,
     RateTrigger,
 )
-from repro.obs.trace import ContinuationShipped
 from repro.simnet.cluster import Testbed
 from repro.simnet.simulator import Simulator
 
@@ -184,15 +183,9 @@ class MethodPartitioningVersion(Version):
             self.quality.observe_ship_bytes(
                 result.edge, size, self.profiling.messages_seen
             )
-        if self.obs is not None:
-            self.obs.trace.record(
-                ContinuationShipped(
-                    pse_id=str(result.message.pse_id), bytes=size
-                )
-            )
-            tracer = self.obs.tracing
-            if tracer is not None:
-                tracer.observe_pse(str(result.message.pse_id), size=size)
+        tracer = self.obs.tracing if self.obs is not None else None
+        if tracer is not None:
+            tracer.observe_pse(str(result.message.pse_id), size=size)
         return SenderShare(
             payload=result.message,
             size=size,

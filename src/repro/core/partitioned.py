@@ -31,7 +31,6 @@ from repro.errors import PartitionError
 from repro.ir.function import IRFunction
 from repro.ir.interpreter import CycleMeter, Edge, Interpreter, Outcome
 from repro.ir.registry import FunctionRegistry
-from repro.obs.trace import SplitSwitched
 from repro.serialization import SerializerRegistry, measure_size
 
 
@@ -116,13 +115,12 @@ class Modulator:
         if self.obs is not None and plan.active != old_active:
             cut = self.partitioned.cut
             self._c_switches.inc()
-            self.obs.trace.record(
-                SplitSwitched(
-                    old_pse_ids=cut.pse_ids(old_active),
-                    new_pse_ids=cut.pse_ids(plan.active),
-                    old_edges=tuple(sorted(old_active)),
-                    new_edges=tuple(sorted(plan.active)),
-                )
+            self.obs.flight.record(
+                "SplitSwitched",
+                old_pse_ids=cut.pse_ids(old_active),
+                new_pse_ids=cut.pse_ids(plan.active),
+                old_edges=tuple(sorted(old_active)),
+                new_edges=tuple(sorted(plan.active)),
             )
 
     @property

@@ -31,7 +31,6 @@ from typing import List, Tuple
 
 from repro.core.convexcut import ConvexCutResult
 from repro.core.runtime.profiling import FeedbackSummary, ProfilingUnit
-from repro.obs.trace import FeedbackIngested, FeedbackSent
 from repro.serialization import format as wf
 
 #: bytes of a FEEDBACK payload with no mod totals and no entries: five
@@ -134,9 +133,6 @@ class RemoteProfilingProxy:
             self._c_bytes.inc(size)
             self._c_records.inc(summary.records)
             self._c_entries.inc(len(entries))
-            self.obs.trace.record(
-                FeedbackSent(records=summary.records, bytes=size)
-            )
         return summary, size
 
 
@@ -150,4 +146,3 @@ def ingest(unit: ProfilingUnit, summary: FeedbackSummary) -> None:
     obs = getattr(unit, "obs", None)
     if obs is not None:
         obs.metrics.counter("feedback.ingested_records").inc(summary.records)
-        obs.trace.record(FeedbackIngested(records=summary.records))

@@ -124,7 +124,8 @@ def explain_edge_costs(
     the cost model's runtime costing when a profile snapshot exists,
     else the static lower bound.  ``chosen`` marks edges the new plan
     activated; ``profile`` carries the snapshot that moved the price so
-    ``tracereport --explain`` can show which observations did it.
+    ``python -m repro.tools.obs explain`` can show which observations
+    did it.
     """
     chosen = frozenset(active)
     priced = candidate_edge_costs(cut, stats)

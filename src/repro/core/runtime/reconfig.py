@@ -34,7 +34,6 @@ from repro.core.runtime.plancost import explain_edge_costs
 from repro.core.runtime.profiling import ProfilingUnit, PSEStats
 from repro.core.runtime.triggers import FeedbackTrigger, RateTrigger
 from repro.ir.interpreter import Edge
-from repro.obs.trace import PlanRecomputed, TriggerFired
 
 #: Minimum capacity assigned to a PSE so the min cut stays well defined
 #: even when a profiled cost is zero.
@@ -141,12 +140,11 @@ class ReconfigurationUnit:
         trigger_span = None
         if obs is not None:
             self._c_fires.inc()
-            obs.trace.record(
-                TriggerFired(
-                    at_message=profiling.messages_seen,
-                    trigger=type(self.trigger).__name__,
-                    reason=getattr(self.trigger, "last_reason", None),
-                )
+            obs.flight.record(
+                "TriggerFired",
+                at_message=profiling.messages_seen,
+                trigger=type(self.trigger).__name__,
+                reason=getattr(self.trigger, "last_reason", None),
             )
         if tracer is not None:
             # Control-plane traces bypass sampling: a reconfiguration is
@@ -183,15 +181,12 @@ class ReconfigurationUnit:
             )
         if obs is not None:
             self._c_recomputes.inc()
-            obs.trace.record(
-                PlanRecomputed(
-                    at_message=profiling.messages_seen,
-                    cut_value=value,
-                    pse_ids=self.cut.pse_ids(plan.active),
-                    breakdown=tuple(
-                        explain_edge_costs(self.cut, snapshot, plan.active)
-                    ),
-                )
+            obs.flight.record(
+                "PlanRecomputed",
+                at_message=profiling.messages_seen,
+                cut_value=value,
+                pse_ids=self.cut.pse_ids(plan.active),
+                breakdown=explain_edge_costs(self.cut, snapshot, plan.active),
             )
         if self.quality is not None:
             self.quality.on_plan_recomputed(

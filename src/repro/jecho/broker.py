@@ -31,7 +31,6 @@ from repro.core.runtime.triggers import FeedbackTrigger
 from repro.errors import ChannelError
 from repro.jecho.events import ContinuationEnvelope, EventEnvelope
 from repro.jecho.transport import LocalTransport, Transport
-from repro.obs.trace import ContinuationShipped
 from repro.serialization import SerializerRegistry, measure_size
 
 _sub_ids = itertools.count(1000)
@@ -113,11 +112,6 @@ class BrokerSubscription:
         obs = self.channel.obs
         if obs is not None:
             obs.metrics.counter("broker.continuations_sent").inc()
-            obs.trace.record(
-                ContinuationShipped(
-                    pse_id=str(result.message.pse_id), bytes=float(size)
-                )
-            )
         self.channel.downlink.send(self._receiver_receive, out, size)
         self._maybe_reconfigure()
 

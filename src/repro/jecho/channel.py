@@ -42,7 +42,6 @@ from repro.jecho.events import (
     PlanEnvelope,
 )
 from repro.jecho.transport import LocalTransport, Transport
-from repro.obs.trace import ContinuationShipped
 from repro.serialization import SerializerRegistry, measure_size
 
 _sub_ids = itertools.count(1)
@@ -231,11 +230,6 @@ class Subscription:
         obs = self.channel.obs
         if obs is not None:
             obs.metrics.counter("channel.continuations_sent").inc()
-            obs.trace.record(
-                ContinuationShipped(
-                    pse_id=str(result.message.pse_id), bytes=float(size)
-                )
-            )
         self.channel.transport.send(
             lambda env, p=pair: self._receive_continuation(env, p),
             envelope,

@@ -67,7 +67,6 @@ from repro.net.session import CalibratedRate, PeerSession
 from repro.net.tcp import TcpPeer, TcpTransport
 from repro.obs.flight import wide_event
 from repro.obs.health import HealthConfig, HealthMonitor
-from repro.obs.trace import ContinuationShipped
 
 __all__ = ["PlanRuntimeCache", "NetBrokerEndpoint"]
 
@@ -644,11 +643,6 @@ class NetBrokerEndpoint:
                 continuation=message, subscription_id=sub.subscription_id
             )
             if self.obs is not None:
-                self.obs.trace.record(
-                    ContinuationShipped(
-                        pse_id=str(message.pse_id), bytes=size
-                    )
-                )
                 tracer = self.obs.tracing
                 if tracer is not None:
                     tracer.observe_pse(str(message.pse_id), size=size)
@@ -737,7 +731,7 @@ class NetBrokerEndpoint:
         vertex is this broker — so the bully protocol's broadcasts are
         relayed here: every inbound announcement goes to every *other*
         subscriber.  The broker also shadows the outcome (``leader``)
-        for fleetmon.
+        for the fleet table of ``obs watch``.
         """
         with self.lock:
             self.election_frames += 1

@@ -364,8 +364,8 @@ class NetReceiverEndpoint:
                 current if prev is None else snapshot_delta(prev, current)
             )
             self._telemetry_prev = current
-            payload["drift_events"] = self.obs.trace.count("DriftDetected")
-            payload["trace_ring_dropped"] = self.obs.trace.dropped
+            payload["drift_events"] = self.obs.flight.count("DriftDetected")
+            payload["flight_ring_dropped"] = self.obs.flight.dropped
             tracer = self.obs.tracing
             if tracer is not None:
                 payload["tracer_ring_dropped"] = tracer.dropped
@@ -478,7 +478,7 @@ class NetReceiverEndpoint:
 
         The endpoint stays up until :meth:`stop`; scrape ``/metrics``
         for the OpenMetrics text, ``/metrics.json`` for the full dump
-        (what :mod:`repro.tools.monitor` polls).
+        (what ``python -m repro.tools.obs watch`` polls).
         """
         if self.obs is None:
             raise ValueError("expose_metrics requires an attached obs")

@@ -57,6 +57,7 @@ from repro.net.endpoint import NetReceiverEndpoint, NetSenderEndpoint
 from repro.net.framing import NetEnvelopeCodec
 from repro.net.tcp import TcpTransport
 from repro.obs import Observability, wide_event
+from repro.obs.flight import set_global_recorder
 from repro.obs.health import WEDGED, HealthConfig
 
 __all__ = ["run_sender", "run_receiver", "run_broker", "main"]
@@ -111,14 +112,14 @@ def _observability(
     profile: bool = False,
     profile_interval: Optional[float] = None,
 ) -> Observability:
-    obs = Observability()
+    obs = Observability(host=host)
     # Wall clock: both processes run on one machine, so timestamps are
     # directly comparable in the merged trace.
     obs.enable_tracing(clock=time.time, host=host, id_base=id_base)
-    # Always-on flight recorder: structured wide events ride along in
-    # the result JSON's obs dump, and a SIGTERM (the harness killing a
+    # The event ring rides along in the result JSON's obs dump, takes
+    # this process's wide events, and a SIGTERM (the harness killing a
     # stuck process) still leaves a crash dump next to --out.
-    obs.enable_flight(host=host)
+    set_global_recorder(obs.flight)
     if out:
         obs.flight.install_signal_dump(out + ".flight.json")
     if profile:

@@ -43,7 +43,6 @@ from repro.net.resilience import (
 )
 from repro.obs.flight import wide_event
 from repro.obs.health import WEDGED, HealthMonitor, PeerHealth
-from repro.obs.trace import SplitSwitched
 
 __all__ = ["RATE_HYSTERESIS", "CalibratedRate", "PeerSession"]
 
@@ -305,13 +304,12 @@ class PeerSession:
         self.apply_plan(plan)
         if self.obs is not None and plan.active != old.active:
             cut = self.proxy.cut
-            self.obs.trace.record(
-                SplitSwitched(
-                    old_pse_ids=cut.pse_ids(old.active),
-                    new_pse_ids=cut.pse_ids(plan.active),
-                    old_edges=tuple(sorted(old.active)),
-                    new_edges=tuple(sorted(plan.active)),
-                )
+            self.obs.flight.record(
+                "SplitSwitched",
+                old_pse_ids=cut.pse_ids(old.active),
+                new_pse_ids=cut.pse_ids(plan.active),
+                old_edges=tuple(sorted(old.active)),
+                new_edges=tuple(sorted(plan.active)),
             )
 
     def _apply(self, envelope: PlanEnvelope) -> None:

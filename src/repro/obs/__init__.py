@@ -7,18 +7,23 @@ package provides the measurement substrate:
 
 * :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges and
   fixed-bucket histograms with no external dependencies;
-* :class:`~repro.obs.trace.TraceLog` — a bounded log of typed decision
-  events (:class:`TriggerFired`, :class:`PlanRecomputed`,
-  :class:`SplitSwitched`, :class:`FeedbackSent`,
-  :class:`FeedbackIngested`, :class:`ContinuationShipped`);
-* :class:`Observability` — the pair of them, threaded through the
+* :class:`~repro.obs.flight.FlightRecorder` — the one bounded event
+  ring: the adaptation loop's decisions (``TriggerFired``,
+  ``PlanRecomputed``, ``SplitSwitched``, ``RegretWindow``,
+  ``DriftDetected``) next to process incidents (plan ships, sheds,
+  health and breaker transitions), with per-kind totals that survive
+  eviction;
+* :class:`~repro.obs.tracing.Tracer` — sampled spans with causal ids,
+  kept apart from the ring because at message rate they would evict the
+  rare decisions;
+* :class:`Observability` — all of them, threaded through the
   interpreter, the runtime units, the event channels and the simulator
   as an optional ``obs`` argument.
 
 Everything is opt-in: with no :class:`Observability` attached (the
 default) the instrumented hot paths pay a single ``is None`` check and
 produce byte-identical results to uninstrumented code.  Render a
-collected registry + trace with :mod:`repro.tools.obsreport`.
+collected dump with ``python -m repro.tools.obs``.
 """
 
 from __future__ import annotations
@@ -38,18 +43,6 @@ from repro.obs.health import HealthConfig, HealthMonitor, PeerHealth
 from repro.obs.prof import SamplingProfiler
 from repro.obs.quality import QualityConfig
 from repro.obs.tracing import Span, Tracer
-from repro.obs.trace import (
-    ContinuationShipped,
-    DriftDetected,
-    FeedbackIngested,
-    FeedbackSent,
-    PlanRecomputed,
-    RegretWindow,
-    SplitSwitched,
-    TraceEvent,
-    TraceLog,
-    TriggerFired,
-)
 
 __all__ = [
     "Observability",
@@ -61,16 +54,6 @@ __all__ = [
     "bucket_quantile",
     "Span",
     "Tracer",
-    "TraceLog",
-    "TraceEvent",
-    "TriggerFired",
-    "PlanRecomputed",
-    "SplitSwitched",
-    "FeedbackSent",
-    "FeedbackIngested",
-    "ContinuationShipped",
-    "RegretWindow",
-    "DriftDetected",
     "QualityConfig",
     "FlightRecorder",
     "SamplingProfiler",
@@ -82,22 +65,25 @@ __all__ = [
 
 
 class Observability:
-    """One metrics registry plus one decision trace.
+    """One metrics registry plus one event ring.
 
     A single instance is shared by every component of one experiment run
     (interpreter, profiling/feedback/trigger/reconfiguration units,
     transports, simulator), so the report covers the whole adaptation
-    loop in one place.
+    loop in one place.  ``host`` stamps every ring event (the machine's
+    hostname when omitted); live runs name each OS process.
     """
 
     def __init__(
         self,
         *,
-        trace_maxlen: int = 10_000,
+        host: Optional[str] = None,
         tracing: Optional[Tracer] = None,
     ) -> None:
         self.metrics = MetricsRegistry()
-        self.trace = TraceLog(maxlen=trace_maxlen)
+        #: the one event ring: adaptation decisions and process
+        #: incidents, recorded as ``flight.record(kind, **fields)``
+        self.flight = FlightRecorder(host=host)
         self.tracing = tracing
         #: when set, quality-aware harnesses build an
         #: :class:`~repro.obs.quality.AdaptationQuality` (regret + drift)
@@ -106,10 +92,6 @@ class Observability:
         #: check, like every other instrument here.
         self.quality_config: Optional[QualityConfig] = None
         self.quality = None
-        #: always-on crash flight recorder; None until
-        #: :meth:`enable_flight` — instrumented sites do a single
-        #: ``is None`` check like every other instrument here.
-        self.flight: Optional[FlightRecorder] = None
         #: continuous sampling profiler; None until
         #: :meth:`enable_profiler`, and even then nothing samples until
         #: its ``start()`` — same opt-in shape as the other instruments.
@@ -159,28 +141,6 @@ class Observability:
         self.quality_config = config or QualityConfig(**kwargs)
         return self.quality_config
 
-    def enable_flight(
-        self,
-        *,
-        maxlen: int = 4096,
-        host: Optional[str] = None,
-        install_global: bool = True,
-    ) -> FlightRecorder:
-        """Attach (or return the existing) crash :class:`FlightRecorder`.
-
-        ``install_global=True`` (default) also makes it the
-        process-global recorder that :func:`repro.obs.flight.wide_event`
-        call sites write to — one recorder per process is the expected
-        shape.
-        """
-        if self.flight is None:
-            self.flight = FlightRecorder(maxlen=maxlen, host=host)
-            if install_global:
-                from repro.obs import flight as _flight
-
-                _flight.set_global_recorder(self.flight)
-        return self.flight
-
     def enable_profiler(
         self,
         *,
@@ -213,24 +173,22 @@ class Observability:
     def add_section(self, name: str, supplier: Callable[[], object]) -> None:
         """Merge ``supplier()`` into :meth:`to_dict` under ``name``.
 
-        Reserved keys (``metrics``, ``trace``, ``tracing``, ``quality``,
-        ``flight``, ``profile``) are rejected.  Suppliers run on every
-        dump — keep them cheap and thread-safe; the HTTP exposer calls
-        ``to_dict`` from its serving thread.
+        Reserved keys (``metrics``, ``tracing``, ``quality``, ``flight``,
+        ``profile``) are rejected.  Suppliers run on every dump — keep
+        them cheap and thread-safe; the HTTP exposer calls ``to_dict``
+        from its serving thread.
         """
-        if name in (
-            "metrics", "trace", "tracing", "quality", "flight", "profile"
-        ):
+        if name in ("metrics", "tracing", "quality", "flight", "profile"):
             raise ValueError(f"section name {name!r} is reserved")
         self._sections[name] = supplier
 
     def refresh_overhead(self) -> None:
         """Publish observability's own cost as ``obs.overhead.*`` gauges.
 
-        Gauges appear only for instruments actually enabled (so the
-        metric set of an untouched Observability is unchanged), and are
-        refreshed on every :meth:`to_dict` — scrapes and dumps always
-        carry current numbers.
+        Gauges appear only for instruments enabled (for the ring: once
+        it recorded something), so the metric set of an untouched
+        Observability stays empty, and are refreshed on every
+        :meth:`to_dict` — scrapes and dumps always carry current numbers.
         """
         if self.tracing is not None:
             self.metrics.gauge("obs.overhead.tracer_seconds").set(
@@ -240,28 +198,22 @@ class Observability:
             self.metrics.gauge("obs.overhead.profiler_self_seconds").set(
                 self.profiler.self_seconds
             )
-        if self.flight is not None:
+        if self.flight.recorded:
             self.metrics.gauge("obs.overhead.flight_seconds").set(
                 self.flight.overhead_seconds
             )
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable dump consumed by ``repro.tools.obsreport``."""
+        """JSON-serializable dump consumed by ``python -m repro.tools.obs``."""
         self.refresh_overhead()
         data: Dict[str, object] = {
             "metrics": self.metrics.to_dict(),
-            "trace": {
-                "counts": self.trace.counts(),
-                "dropped": self.trace.dropped,
-                "events": self.trace.to_dicts(),
-            },
+            "flight": self.flight.to_dict(),
         }
         if self.tracing is not None:
             data["tracing"] = self.tracing.to_dict()
         if self.quality is not None:
             data["quality"] = self.quality.report()
-        if self.flight is not None:
-            data["flight"] = self.flight.to_dict()
         if self.profiler is not None:
             data["profile"] = self.profiler.to_dict()
         for name, supplier in self._sections.items():

@@ -9,11 +9,11 @@ transport's sender/receiver) can be scraped instead of dumped post hoc:
   gauges plain samples, fixed-bucket histograms cumulative
   ``_bucket{le=...}`` series plus ``_sum``/``_count``;
 * :func:`parse_openmetrics` — a strict parser for the subset we emit,
-  used by the monitor CLI, the tests and CI to *validate* scraped text
+  used by the live harness, the tests and CI to *validate* scraped text
   without depending on a Prometheus client library;
 * :func:`start_http_exposer` — ``/metrics`` (OpenMetrics text) and
-  ``/metrics.json`` (the full observability dump, which the monitor's
-  dashboard uses for per-PSE quantiles and the quality report).
+  ``/metrics.json`` (the full observability dump, which
+  ``python -m repro.tools.obs`` loads for every view).
 
 Instrument names are dotted paths; exposition maps them to OpenMetrics
 families by replacing forbidden characters with ``_``.  Labeled series

@@ -1,16 +1,27 @@
-"""Always-on bounded flight recorder of structured wide events.
+"""The one bounded event ring: decisions and incidents.
 
 A :class:`FlightRecorder` is a fixed-size ring of timestamped dict
-events — plan applies/ships, reconnects, queue sheds, health
-transitions, fault injections — cheap enough to leave on in
-production.  Unlike the decision trace (``repro.obs.trace``) it is not
-sampled and not typed: any process-level "something notable happened"
-lands here as a plain dict, and the ring is dumped to JSON on abort,
-wedge, or SIGTERM so the last few thousand events survive a crash.
+events, cheap enough to leave on in production.  Every
+:class:`~repro.obs.Observability` owns one from construction, and two
+families of events share it:
+
+* the adaptation loop's **decisions** — ``TriggerFired``,
+  ``PlanRecomputed`` (with its per-candidate cost ``breakdown``),
+  ``SplitSwitched``, ``RegretWindow`` and ``DriftDetected``;
+* process-level **incidents** — plan ships, reconnects, queue sheds,
+  health and breaker transitions, fault injections.
+
+Per-message and per-flush happenings (continuation ships, feedback
+flushes) are deliberately *not* events: counters already hold them, and
+at message rate they would push the rare decisions out of the ring.
+Per-kind totals survive eviction (:meth:`FlightRecorder.count`), and the
+ring is dumped to JSON on abort, wedge, or SIGTERM so the last events
+survive a crash.
 
 ``liveexp`` merges the per-process dumps (each event carries the
-recorder's ``host`` tag) alongside the tracer dumps, so a fleet run
-leaves one joined record of *what happened where*.
+recorder's ``host`` tag), so a fleet run leaves one joined record of
+*what happened where* — and ``python -m repro.tools.obs explain`` on it
+answers why each host is on its split.
 
 The module also hosts the :func:`wide_event` helper that replaces
 scattered one-shot ``warnings.warn`` / ``print`` call sites: it records
@@ -40,7 +51,8 @@ __all__ = [
     "wide_event",
 ]
 
-_DEFAULT_MAXLEN = 4096
+#: ring bound shared by every recorder
+DEFAULT_MAXLEN = 10_000
 
 
 class FlightRecorder:
@@ -48,13 +60,14 @@ class FlightRecorder:
 
     Thread-safe: events are recorded from asyncio loop threads, writer
     threads and signal handlers alike.  ``maxlen`` bounds memory; the
-    ``dropped`` counter records how many events fell off the head.
+    ``dropped`` counter records how many events fell off the head, and
+    the per-kind totals keep counting past them.
     """
 
     def __init__(
         self,
         *,
-        maxlen: int = _DEFAULT_MAXLEN,
+        maxlen: int = DEFAULT_MAXLEN,
         host: Optional[str] = None,
         clock: Callable[[], float] = time.time,
         mono_clock: Callable[[], float] = time.monotonic,
@@ -69,6 +82,7 @@ class FlightRecorder:
         self.maxlen = maxlen
         self.recorded = 0
         self.dropped = 0
+        self._counts: Dict[str, int] = {}
         #: seconds spent inside :meth:`record` — same self-accounting
         #: idiom as ``Tracer.overhead_seconds``, surfaced by
         #: ``Observability.refresh_overhead`` as ``obs.overhead.*``.
@@ -97,12 +111,18 @@ class FlightRecorder:
                 self.dropped += 1
             self._events.append(event)
             self.recorded += 1
+            self._counts[kind] = self._counts.get(kind, 0) + 1
         self.overhead_seconds += time.perf_counter() - started
         return event
 
     def to_list(self) -> List[dict]:
         with self._lock:
             return list(self._events)
+
+    def of_kind(self, kind: str) -> List[dict]:
+        """The kept events of ``kind``, oldest first."""
+        with self._lock:
+            return [e for e in self._events if e["kind"] == kind]
 
     def to_dict(self) -> dict:
         with self._lock:
@@ -111,14 +131,15 @@ class FlightRecorder:
                 "maxlen": self.maxlen,
                 "recorded": self.recorded,
                 "dropped": self.dropped,
+                "counts": dict(sorted(self._counts.items())),
                 "overhead_seconds": self.overhead_seconds,
                 "events": list(self._events),
             }
 
     def count(self, kind: str) -> int:
-        """How many *kept* events of ``kind`` are in the ring."""
+        """Events of ``kind`` ever recorded, evicted ones included."""
         with self._lock:
-            return sum(1 for e in self._events if e.get("kind") == kind)
+            return self._counts.get(kind, 0)
 
     def dump_json(self, path: str) -> None:
         """Write the full recorder state to ``path`` as JSON."""
@@ -244,8 +265,9 @@ def _merge_key_offset(events: List[dict]) -> Optional[float]:
 def merge_flight_dumps(dumps: List[dict]) -> dict:
     """Merge per-process flight dumps into one time-ordered record.
 
-    Each input is a :meth:`FlightRecorder.to_dict` mapping; events
-    already carry their recorder's ``host`` tag.  When events carry
+    Each input is a :meth:`FlightRecorder.to_dict` mapping or an earlier
+    merge (so per-run merges fold into a suite-wide one); events already
+    carry their recorder's ``host`` tag.  When events carry
     the (wall, monotonic) clock pair the sort key is the *corrected*
     wall time — each dump's median ``t - mono`` offset re-bases its
     monotonic clock onto the shared wall timeline, so one host's
@@ -260,13 +282,16 @@ def merge_flight_dumps(dumps: List[dict]) -> dict:
     hosts: List[str] = []
     recorded = 0
     dropped = 0
+    counts: Dict[str, int] = {}
     for dump in dumps:
         if not dump:
             continue
         host = dump.get("host", "?")
-        hosts.append(host)
+        hosts.extend(dump.get("hosts") or [host])
         recorded += int(dump.get("recorded", 0))
         dropped += int(dump.get("dropped", 0))
+        for kind, n in (dump.get("counts") or {}).items():
+            counts[kind] = counts.get(kind, 0) + int(n)
         events = list(dump.get("events", []))
         offset = _merge_key_offset(events)
         for index, event in enumerate(events):
@@ -274,12 +299,13 @@ def merge_flight_dumps(dumps: List[dict]) -> dict:
                 key_t = offset + float(event["mono"])
             else:
                 key_t = event.get("t", 0.0)
-            decorated.append((key_t, host, index, event))
+            decorated.append((key_t, event.get("host", host), index, event))
     decorated.sort(key=lambda item: item[:3])
     events = [item[3] for item in decorated]
     return {
         "hosts": hosts,
         "recorded": recorded,
         "dropped": dropped,
+        "counts": dict(sorted(counts.items())),
         "events": events,
     }

@@ -406,14 +406,12 @@ class HealthMonitor:
                     },
                 )
                 tracer.end(span)
-            flight = getattr(obs, "flight", None)
-            if flight is not None:
-                flight.record(
-                    "health.transition",
-                    peer=ph.name,
-                    **{"from": record["from"], "to": record["to"]},
-                    reason=record["reason"],
-                )
+            obs.flight.record(
+                "health.transition",
+                peer=ph.name,
+                **{"from": record["from"], "to": record["to"]},
+                reason=record["reason"],
+            )
         for fn in self._listeners:
             try:
                 fn(ph, record)

@@ -11,8 +11,8 @@ moved.  This module judges those decisions:
   :func:`repro.core.runtime.plancost.counterfactual_edge_costs`) and
   records ``actual_cost − min(candidate costs)``: how much the message
   paid over the best split in hindsight.  Regret aggregates into
-  fixed-size windows; each closing window emits a
-  :class:`~repro.obs.trace.RegretWindow` event stamped with the most
+  fixed-size windows; each closing window records a ``RegretWindow``
+  event in the obs event ring, stamped with the most
   recent ``PlanRecomputed``, so plan decisions can be judged after the
   fact.  On a single-chain handler the path-local candidate set is the
   whole candidate set and the min cut is the argmin of the same
@@ -27,9 +27,8 @@ moved.  This module judges those decisions:
   wire bytes, ``t_mod``, ``t_demod`` — and thereafter compares them
   against observed continuation sizes and service times, maintaining an
   EWMA of the *relative* residual per (PSE, channel).  A residual that
-  stays beyond the threshold raises a
-  :class:`~repro.obs.trace.DriftDetected` event (once per excursion,
-  with hysteresis), and can feed a
+  stays beyond the threshold records a ``DriftDetected`` event (once
+  per excursion, with hysteresis), and can feed a
   :class:`~repro.core.runtime.triggers.DriftTrigger` so a stale model
   forces a recompute.  ``prediction_scale`` deliberately miscalibrates
   the stored predictions — the fault-injection knob the integration
@@ -39,27 +38,40 @@ Everything is flag-gated and off by default: constructing a plain
 :class:`~repro.obs.Observability` never builds these; a harness only
 does when ``obs.quality_config`` is set (see
 :meth:`Observability.enable_quality`).
+
+The report keeps only the last :data:`REPORT_TAIL` windows, drift
+events and plan transitions: a live receiver closes windows for its
+whole life and every scrape serializes the report.  The full history
+is the ``quality.*`` counters plus the event ring.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
-
-from repro.obs.trace import DriftDetected, RegretWindow
 
 __all__ = [
     "QualityConfig",
     "RegretAccounting",
     "DriftDetector",
     "AdaptationQuality",
+    "REPORT_TAIL",
 ]
 
 #: drift channels and the prediction each one checks
 DRIFT_CHANNELS = ("bytes", "t_mod", "t_demod")
 
+#: closed windows / drift events / plan transitions kept in the report
+REPORT_TAIL = 32
+
 _EPS = 1e-12
+
+
+def _keep_tail(items: List[Dict[str, object]], item: Dict[str, object]) -> None:
+    """Append ``item``, keeping only the newest :data:`REPORT_TAIL`."""
+    items.append(item)
+    del items[:-REPORT_TAIL]
 
 
 @dataclass(frozen=True)
@@ -187,19 +199,19 @@ class RegretAccounting:
             pid: total / count
             for pid, (count, total) in sorted(self._w_per_pse.items())
         }
-        event = RegretWindow(
-            index=len(self.windows),
-            start_message=self._first_stamp or 0,
-            end_message=end_stamp,
-            count=self._w_count,
-            total_regret=self._w_total,
-            mean_regret=mean,
-            rel_mean_regret=rel_mean,
-            per_pse=per_pse,
-            transition=self.last_transition,
-        )
-        self.obs.trace.record(event)
-        self.windows.append(event.to_dict())
+        window = {
+            "index": int(self._c_windows.value),
+            "start_message": self._first_stamp or 0,
+            "end_message": end_stamp,
+            "count": self._w_count,
+            "total_regret": self._w_total,
+            "mean_regret": mean,
+            "rel_mean_regret": rel_mean,
+            "per_pse": per_pse,
+            "transition": self.last_transition,
+        }
+        self.obs.flight.record("RegretWindow", **window)
+        _keep_tail(self.windows, window)
         self._c_windows.inc()
         self._g_mean.set(mean)
         self._g_rel.set(rel_mean)
@@ -313,17 +325,17 @@ class DriftDetector:
             stat.flagged = True
             self.pending = True
             self._c_events.inc()
-            event = DriftDetected(
-                at_message=at_message,
-                pse_id=pse_id,
-                channel=channel,
-                predicted=predicted,
-                observed=observed,
-                residual=stat.mean,
-                threshold=threshold,
-            )
-            self.obs.trace.record(event)
-            self.events.append(event.to_dict())
+            event = {
+                "at_message": at_message,
+                "pse_id": pse_id,
+                "channel": channel,
+                "predicted": predicted,
+                "observed": observed,
+                "residual": stat.mean,
+                "threshold": threshold,
+            }
+            self.obs.flight.record("DriftDetected", **event)
+            _keep_tail(self.events, event)
         elif stat.flagged and abs(stat.mean) < threshold / 2:
             # Hysteresis: re-arm only once the residual clearly recovers,
             # so a value oscillating around the threshold fires once.
@@ -380,8 +392,9 @@ class AdaptationQuality:
                 if e in self.cut.pses
             )
         )
-        self.transitions.append(
-            {"at_message": at_message, "pse_ids": list(self.active_pses)}
+        _keep_tail(
+            self.transitions,
+            {"at_message": at_message, "pse_ids": list(self.active_pses)},
         )
         self.regret.note_transition(at_message)
         self.drift.rebaseline(snapshot)

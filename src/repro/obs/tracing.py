@@ -1,11 +1,12 @@
 """Span-based causal tracing for the message lifecycle.
 
-Counters and the decision trace (``repro.obs.metrics`` /
-``repro.obs.trace``) answer *how much* and *what was decided*; they
+Counters and the event ring (``repro.obs.metrics`` /
+``repro.obs.flight``) answer *how much* and *what was decided*; they
 cannot answer *which message paid which cost where*.  This module adds
 the third leg: a :class:`Tracer` that records :class:`Span` objects —
 named intervals with a trace id and a parent span id — into a bounded
-ring.  A trace context ``(trace_id, parent_span_id)`` is stamped into
+ring of its own (sampled and per-message, so it would evict the rare
+decisions from a shared one).  A trace context ``(trace_id, parent_span_id)`` is stamped into
 each captured :class:`~repro.ir.interpreter.Continuation` and carried
 inside the continuation wire format and JECho envelopes, so one trace
 stitches ``modulate`` → ``ship`` → ``demodulate`` across hosts and
@@ -287,7 +288,7 @@ class Tracer:
         return list(self._spans)
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable dump consumed by export/tracereport."""
+        """JSON-serializable dump consumed by export and ``obs trace``."""
 
         def _hist(h: Histogram) -> Mapping[str, object]:
             return {

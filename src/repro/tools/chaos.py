@@ -25,8 +25,10 @@ asserts the resilience control plane's contract held:
   while the broker retracts the dead peer's split and keeps the healthy
   peers streaming.
 
-Every scenario folds its processes' flight-recorder dumps into one
-merged, time-ordered ``merged_flight.json`` and appends to
+Every scenario merges its processes' dumps into its own directory
+(``liveexp.write_merged``: span trees, event ring, profile), the event
+rings of all scenarios fold into one time-ordered suite-wide
+``merged_flight.json``, and each scenario appends to
 ``chaos_summary.json``; the exit status is nonzero when any invariant
 check fails, so CI gates on the suite directly::
 
@@ -45,7 +47,8 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.obs.flight import merge_flight_dumps
+from repro.obs.flight import merge_flight_dumps, set_global_recorder
+from repro.tools.liveexp import write_merged
 
 __all__ = ["run_chaos", "main", "SCENARIOS"]
 
@@ -56,12 +59,6 @@ def _check(
     checks: List[Check], name: str, passed: bool, detail: str
 ) -> None:
     checks.append((name, bool(passed), detail))
-
-
-def _flight_of(result: Optional[dict]) -> dict:
-    if not result:
-        return {}
-    return result.get("obs", {}).get("flight", {}) or {}
 
 
 def _load_json(path: Path) -> Optional[dict]:
@@ -107,8 +104,8 @@ def _scenario_plan_storm(
     from repro.net.tcp import TcpTransport
     from repro.obs import Observability
 
-    obs = Observability()
-    obs.enable_flight(host="plan-storm")
+    obs = Observability(host="plan-storm")
+    set_global_recorder(obs.flight)
     partitioned, _sink = build_partitioned_process(n_stages=8)
     plan_recv = receiver_heavy_plan(partitioned.cut)
     plan_none = sender_heavy_plan(partitioned.cut)
@@ -233,7 +230,7 @@ def _scenario_plan_storm(
         }
     finally:
         transport.close()
-    return summary, checks, [obs.flight.to_dict()]
+    return summary, checks, [{"obs": obs.to_dict()}]
 
 
 # -- subprocess scenarios -----------------------------------------------------
@@ -375,7 +372,6 @@ def _scenario_partition(
         f"demodulated {demod} (dupes skipped "
         f"{recv_res['duplicates_skipped']}), dropped {dropped}",
     )
-    flights = [_flight_of(send_res), _flight_of(recv_res)]
     summary = {
         "sender": {
             "published": published,
@@ -389,7 +385,7 @@ def _scenario_partition(
             "wedges_injected": recv_res["wedges_injected"],
         },
     }
-    return summary, checks, flights
+    return summary, checks, [send_res, recv_res]
 
 
 def _scenario_kill_mid_apply(
@@ -494,7 +490,7 @@ def _scenario_kill_mid_apply(
             "resilience": res,
         },
     }
-    return summary, checks, [_flight_of(send_res)]
+    return summary, checks, [send_res]
 
 
 def _scenario_leader_kill(
@@ -626,9 +622,6 @@ def _scenario_leader_kill(
             for r in survivor_res
         ),
     )
-    flights = [_flight_of(broker_res)] + [
-        _flight_of(r) for r in survivor_res
-    ]
     summary = {
         "killed": f"receiver{kill_index}",
         "broker_leader": broker_leader,
@@ -648,7 +641,7 @@ def _scenario_leader_kill(
             for r in survivor_res
         ],
     }
-    return summary, checks, flights
+    return summary, checks, [broker_res, *survivor_res]
 
 
 SCENARIOS: Dict[
@@ -682,21 +675,20 @@ def run_chaos(
         started = time.time()
         print(f"== chaos: {name}", flush=True)
         try:
-            summary, checks, flights = SCENARIOS[name](
+            summary, checks, results = SCENARIOS[name](
                 scenario_dir, quick
             )
+            all_flights.append(write_merged(results, scenario_dir)["flight"])
         except Exception as exc:  # noqa: BLE001 - a scenario crashing IS a failure
-            summary, checks, flights = (
+            summary, checks = (
                 {"error": repr(exc)},
                 [(f"{name} ran to completion", False, repr(exc))],
-                [],
             )
         elapsed = time.time() - started
         for check_name, passed, detail in checks:
             mark = "ok  " if passed else "FAIL"
             print(f"  [{mark}] {check_name}: {detail}", flush=True)
             all_checks.append((f"{name}: {check_name}", passed, detail))
-        all_flights.extend(flights)
         per_scenario[name] = {
             "elapsed_seconds": elapsed,
             "summary": summary,
@@ -707,7 +699,7 @@ def run_chaos(
         }
     merged = merge_flight_dumps(all_flights)
     with open(outdir / "merged_flight.json", "w") as handle:
-        json.dump(merged, handle, indent=2, default=str)
+        json.dump(merged, handle, default=str)
     summary = {
         "quick": quick,
         "scenarios": per_scenario,

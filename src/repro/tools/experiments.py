@@ -20,12 +20,13 @@ handler to generated Python source once and runs the compiled module.
 ``--obs-report FILE`` attaches an :class:`repro.obs.Observability` to the
 adaptive (Method Partitioning) runs, prints the instrumentation report
 after the experiment output, and writes the raw dump as JSON to FILE
-(render it again later with ``python -m repro.tools.obsreport FILE``).
+(render it again later with ``python -m repro.tools.obs report FILE``).
 
 ``--trace-export FILE`` additionally enables span tracing (sampling rate
 1.0) on the attached observability, prints the trace summary, and writes
 a Chrome-trace (``chrome://tracing`` / Perfetto) ``trace_events`` JSON
-file.  Inspect the span trees with ``python -m repro.tools.tracereport``
+file.  Inspect the span trees with ``python -m repro.tools.obs trace``
+and the plan decisions with ``python -m repro.tools.obs explain``
 against the ``--obs-report`` dump.
 
 A failing experiment does not abort the rest of an ``all`` run: its name
@@ -216,10 +217,10 @@ def main(argv=None) -> int:
         print()
 
     if obs is not None:
-        from repro.tools.obsreport import render
+        from repro.tools.obs import render_report
 
         print("=== observability ===")
-        print(render(obs))
+        print(render_report(obs.to_dict()))
         if args.obs_report is not None:
             try:
                 with open(args.obs_report, "w", encoding="utf-8") as handle:
@@ -252,7 +253,7 @@ def main(argv=None) -> int:
             print(f"\n(chrome trace written to {args.trace_export})")
 
     if args.quality_report is not None and obs is not None:
-        from repro.tools.obsreport import build_quality_report, render_quality
+        from repro.tools.obs import build_quality_report, render_quality
 
         report = build_quality_report(obs)
         print("=== adaptation quality ===")

@@ -48,7 +48,9 @@ from repro.obs.export import chrome_trace, merge_tracer_dumps
 from repro.obs.flight import merge_flight_dumps
 from repro.obs.prof import merge_profile_dumps, speedscope_from_dump
 
-__all__ = ["run_live_experiment", "run_fanout_experiment", "main"]
+__all__ = [
+    "run_live_experiment", "run_fanout_experiment", "write_merged", "main"
+]
 
 _SRC_ROOT = str(Path(__file__).resolve().parents[2])
 
@@ -140,30 +142,44 @@ def _scrape_exposition(
     return state
 
 
-def _merge_profiles(
-    results: List[Dict[str, object]], outdir: Path
-) -> Optional[Dict[str, object]]:
-    """Merge per-process profiler dumps into one cross-host profile.
+def write_merged(
+    results: List[Optional[Dict[str, object]]], outdir: Path
+) -> Dict[str, Optional[Dict[str, object]]]:
+    """Merge one run's per-process obs dumps into ``outdir``.
 
-    Writes ``merged_profile.json`` (raw dump, the input format for
-    ``repro.tools.profreport``) and ``profile.speedscope.json``
-    alongside the trace/flight merges.  Returns the merged dump, or
-    ``None`` when no process ran with ``--profile``.
+    ``results`` are the role processes' result files (``None`` for a
+    process that left none).  Writes ``merged_trace.json`` and
+    ``merged_chrome_trace.json`` (the span rings joined across
+    processes), ``merged_flight.json`` (the event rings on one
+    timeline) and, when any process was profiled,
+    ``merged_profile.json`` + ``profile.speedscope.json``.  Returns the
+    merged ``trace``, ``flight`` and ``profile`` (None when unprofiled).
     """
-    dumps = [
-        result["obs"]["profile"]
-        for result in results
-        if "profile" in result.get("obs", {})
-    ]
-    if not dumps:
-        return None
-    merged = merge_profile_dumps(dumps)
-    with open(outdir / "merged_profile.json", "w") as handle:
-        json.dump(merged, handle, indent=2)
-    with open(outdir / "profile.speedscope.json", "w") as handle:
-        json.dump(
-            speedscope_from_dump(merged, name="liveexp"), handle
+    dumps = [r["obs"] for r in results if r and "obs" in r]
+
+    def sections(name: str) -> List[Dict[str, object]]:
+        return [d[name] for d in dumps if d.get(name)]
+
+    merged: Dict[str, Optional[Dict[str, object]]] = {
+        "trace": merge_tracer_dumps(sections("tracing")),
+        "flight": merge_flight_dumps(sections("flight")),
+        "profile": None,
+    }
+    files = {
+        "merged_trace.json": merged["trace"],
+        "merged_chrome_trace.json": chrome_trace(merged["trace"]),
+        "merged_flight.json": merged["flight"],
+    }
+    profiles = sections("profile")
+    if profiles:
+        merged["profile"] = merge_profile_dumps(profiles)
+        files["merged_profile.json"] = merged["profile"]
+        files["profile.speedscope.json"] = speedscope_from_dump(
+            merged["profile"], name="liveexp"
         )
+    for name, data in files.items():
+        with open(outdir / name, "w") as handle:
+            json.dump(data, handle, default=str)
     return merged
 
 
@@ -401,30 +417,11 @@ def run_live_experiment(
     with open(recv_out) as handle:
         receiver_result = json.load(handle)
 
-    dumps = [
-        result["obs"]["tracing"]
-        for result in (sender_result, receiver_result)
-        if "tracing" in result.get("obs", {})
-    ]
-    merged = merge_tracer_dumps(dumps)
-    merged_path = outdir / "merged_trace.json"
-    with open(merged_path, "w") as handle:
-        json.dump(merged, handle)
-    chrome_path = outdir / "merged_chrome_trace.json"
-    with open(chrome_path, "w") as handle:
-        json.dump(chrome_trace(merged), handle)
-    merged_flight = merge_flight_dumps([
-        result.get("obs", {}).get("flight", {})
-        for result in (sender_result, receiver_result)
-    ])
-    with open(outdir / "merged_flight.json", "w") as handle:
-        json.dump(merged_flight, handle, indent=2, default=str)
-    merged_profile = _merge_profiles(
-        [sender_result, receiver_result], outdir
-    )
+    merged = write_merged([sender_result, receiver_result], outdir)
+    merged_profile = merged["profile"]
 
     checks = _verify(
-        sender_result, receiver_result, merged, drop_after=drop_after
+        sender_result, receiver_result, merged["trace"], drop_after=drop_after
     )
     if profile:
         hosts = (
@@ -887,31 +884,14 @@ def run_fanout_experiment(
         with open(out) as handle:
             receiver_results.append(json.load(handle))
 
-    dumps = [
-        result["obs"]["tracing"]
-        for result in (broker_result, *receiver_results)
-        if "tracing" in result.get("obs", {})
-    ]
-    merged = merge_tracer_dumps(dumps)
-    with open(outdir / "merged_trace.json", "w") as handle:
-        json.dump(merged, handle)
-    with open(outdir / "merged_chrome_trace.json", "w") as handle:
-        json.dump(chrome_trace(merged), handle)
-    merged_flight = merge_flight_dumps([
-        result.get("obs", {}).get("flight", {})
-        for result in (broker_result, *receiver_results)
-    ])
-    with open(outdir / "merged_flight.json", "w") as handle:
-        json.dump(merged_flight, handle, indent=2, default=str)
-    merged_profile = _merge_profiles(
-        [broker_result, *receiver_results], outdir
-    )
+    merged = write_merged([broker_result, *receiver_results], outdir)
+    merged_profile = merged["profile"]
 
     checks = _verify_fanout(
         broker_result,
         receiver_results,
-        merged,
-        merged_flight,
+        merged["trace"],
+        merged["flight"],
         wedge_index=wedge_index,
     )
     _check(

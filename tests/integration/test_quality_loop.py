@@ -42,7 +42,7 @@ def test_quality_off_by_default():
     version = _run(obs, n_messages=40)
     assert version.quality is None
     assert "quality" not in obs.to_dict()
-    assert obs.trace.count("RegretWindow") == 0
+    assert obs.flight.count("RegretWindow") == 0
     counters = obs.to_dict()["metrics"]["counters"]
     assert not any(name.startswith("quality.") for name in counters)
 
@@ -53,8 +53,8 @@ def test_regret_collapses_after_recompute():
     version = _run(obs)
     assert version.quality is obs.quality
 
-    recomputes = obs.trace.of_kind("PlanRecomputed")
-    windows = obs.trace.of_kind("RegretWindow")
+    recomputes = obs.flight.of_kind("PlanRecomputed")
+    windows = obs.flight.of_kind("RegretWindow")
     assert recomputes and windows
 
     # A settled window started after the transition it is stamped with:
@@ -63,17 +63,18 @@ def test_regret_collapses_after_recompute():
     settled = [
         w
         for w in windows
-        if w.transition is not None and w.start_message > w.transition
+        if w["transition"] is not None
+        and w["start_message"] > w["transition"]
     ]
     assert settled, "no window closed entirely after a recompute"
     for window in settled:
         # ~0 within one window of the recompute: the plan's split is the
         # argmin of the same counterfactual prices.
-        assert window.rel_mean_regret < 0.10
+        assert window["rel_mean_regret"] < 0.10
     # A settled window ran under one plan whose splits are the argmin of
     # the counterfactual prices, so its per-split regret is essentially 0.
     for window in settled:
-        for regret in window.per_pse.values():
+        for regret in window["per_pse"].values():
             assert regret == pytest.approx(0.0, abs=1e-6)
 
     report = obs.to_dict()["quality"]
@@ -90,7 +91,7 @@ def test_honest_predictions_raise_no_drift():
     obs.enable_quality(regret_window=16, drift_threshold=1.0)
     version = _run(obs)
     assert version.quality.drift.rebaselines >= 1
-    assert obs.trace.count("DriftDetected") == 0
+    assert obs.flight.count("DriftDetected") == 0
     assert version.quality.drift.events == []
     residuals = version.quality.drift.to_dict()["residuals"]
     assert residuals  # the channels were observed, just not out of range
@@ -109,12 +110,12 @@ def test_injected_miscalibration_is_detected():
         drift_min_samples=3,
     )
     version = _run(obs)
-    events = obs.trace.of_kind("DriftDetected")
+    events = obs.flight.of_kind("DriftDetected")
     assert events, "4x-under-scaled predictions must be flagged"
     event = events[0]
-    assert event.residual > 1.0
-    assert event.channel in ("bytes", "t_mod", "t_demod")
-    assert event.pse_id in {p.pse_id for p in version.partitioned.cut.pses.values()}
+    assert event["residual"] > 1.0
+    assert event["channel"] in ("bytes", "t_mod", "t_demod")
+    assert event["pse_id"] in {p.pse_id for p in version.partitioned.cut.pses.values()}
     report = version.quality.report()
     assert report["drift"]["events"]
     assert any(r["flagged"] for r in report["drift"]["residuals"])
@@ -153,14 +154,14 @@ def test_drift_feeds_trigger_and_forces_recompute():
     version.sink = partitioned_version.sink
     run_pipeline(testbed, version, reading_stream(120))
 
-    fired = obs.trace.of_kind("TriggerFired")
+    fired = obs.flight.of_kind("TriggerFired")
     drift_fires = [
         e
         for e in fired
-        if (e.reason or {}).get("trigger") == "drift"
+        if (e["reason"] or {}).get("trigger") == "drift"
     ]
     assert drift_fires, "pending drift must fire the DriftTrigger"
-    assert obs.trace.count("DriftDetected") >= 1
+    assert obs.flight.count("DriftDetected") >= 1
     # One excursion buys one recompute: the pending flag was consumed.
     assert version.quality.drift.pending is False
 

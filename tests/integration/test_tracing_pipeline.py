@@ -18,7 +18,7 @@ from repro.apps.sensor.versions import make_mp_sensor_version
 from repro.obs import Observability
 from repro.obs.export import chrome_trace, render_trace_summary
 from repro.simnet import Simulator, intel_pair
-from repro.tools.tracereport import render_explain, render_trace_trees
+from repro.tools.obs import render_explain, render_trace_trees
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +101,7 @@ def test_plan_recomputed_events_carry_breakdowns(traced_run):
     data, _ = traced_run
     events = [
         e
-        for e in data["trace"]["events"]
+        for e in data["flight"]["events"]
         if e["kind"] == "PlanRecomputed"
     ]
     assert events

@@ -302,9 +302,9 @@ def test_plan_switches_and_feedback_flushes_show_in_obs():
         first.peer,
     )
     broker.publish(make_reading(0, SAMPLES))
-    assert obs.trace.count("SplitSwitched") == 1
+    assert obs.flight.count("SplitSwitched") == 1
     assert obs.metrics.counter("feedback.flushes").value >= 1
-    assert obs.trace.count("FeedbackSent") >= 1
+    assert obs.metrics.counter("feedback.bytes").value > 0
 
 
 def test_retracted_peer_beside_a_healthy_one_loses_nothing():

@@ -208,8 +208,7 @@ def test_first_shed_warns_once_and_the_burst_is_sampled():
     """Drop-oldest is loud exactly once per peer: 200 sheds raise one
     RuntimeWarning naming the peer and its queue_limit, while the flight
     ring still samples the burst at sheds 1, 64, 128 and 192."""
-    obs = Observability()
-    obs.enable_flight(host="test", install_global=False)
+    obs = Observability(host="test")
     instance = TcpTransport(queue_limit=4)
     instance.attach_observability(obs, name="transport.tcp")
     peer = TcpPeer(instance, "127.0.0.1", 1, name="wedged-peer")

@@ -19,6 +19,8 @@ from repro.net.framing import (
     Telemetry,
 )
 from repro.net.tcp import TcpTransport
+from repro.obs import Observability
+from repro.obs.flight import FlightRecorder
 
 
 def _wait_until(predicate, timeout=10.0, interval=0.01):
@@ -136,6 +138,27 @@ def test_push_without_a_greeted_connection_is_free(receiver_endpoint):
     assert asyncio.run(endpoint.push_telemetry()) == 0
     assert endpoint.telemetry_pushes == 0
     assert endpoint.telemetry_sent == 0
+
+
+def test_drift_events_count_past_ring_eviction():
+    """The pushed ``drift_events`` is a lifetime total, so the broker's
+    session never sees it rewind when the event ring evicts."""
+    obs = Observability(host="r")
+    obs.flight = FlightRecorder(maxlen=4, host="r")
+    partitioned, _sink = build_partitioned_process(n_stages=4)
+    endpoint = NetReceiverEndpoint(
+        partitioned,
+        codec=NetEnvelopeCodec(partitioned.serializer_registry),
+        obs=obs,
+    )
+    seen = []
+    for i in range(10):
+        obs.flight.record("DriftDetected", at_message=i, pse_id="s1",
+                          channel="bytes")
+        seen.append(endpoint._telemetry_payload()["drift_events"])
+    assert seen == list(range(1, 11))
+    assert obs.flight.count("DriftDetected") == 10
+    assert len(obs.flight.to_list()) == 4
 
 
 # -- end-to-end over a real socket ---------------------------------------------

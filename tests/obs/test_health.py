@@ -256,9 +256,8 @@ class TestHealthMonitor:
         assert all(r["to"] == DEGRADED for r in recs)
 
     def test_transitions_emit_metrics_span_and_flight(self, clock):
-        obs = Observability()
+        obs = Observability(host="test")
         obs.enable_tracing(sampling_rate=0.5, host="test")
-        obs.enable_flight(host="test", install_global=False)
         mon = HealthMonitor(obs=obs, clock=clock)
         ph = mon.peer("r1")
         # Registration seeds the gauge at healthy.

@@ -1,50 +1,53 @@
-"""Unit tests for the obsreport renderer and CLI."""
+"""Unit tests for the ``obs report`` view and the CLI around it."""
 
 import json
+from types import SimpleNamespace
 
 from repro.obs import Observability
-from repro.obs.trace import ContinuationShipped, TriggerFired
-from repro.tools import obsreport
+from repro.tools import obs as obs_cli
 
 
 def _sample_obs():
-    obs = Observability()
+    obs = Observability(host="unit")
     obs.metrics.counter("interp.executions").inc(12)
     obs.metrics.counter("transport.data.bytes").inc(4096)
     obs.metrics.gauge("pending").set(3)
     obs.metrics.histogram("transport.data.message_bytes").observe(512.0)
-    obs.trace.record(
-        TriggerFired(at_message=5, trigger="DiffTrigger", reason=None)
+    obs.flight.record(
+        "TriggerFired", at_message=5, trigger="DiffTrigger", reason=None
     )
-    obs.trace.record(ContinuationShipped(pse_id="pse1", bytes=512.0))
+    obs.flight.record("net.shed", peer="r1", dropped_total=64)
     return obs
 
 
+def _render(obs, limit=None):
+    return obs_cli.render_report(obs.to_dict(), limit)
+
+
 def test_render_covers_all_sections():
-    out = obsreport.render(_sample_obs())
+    out = _render(_sample_obs())
     assert "== counters (2) ==" in out
     assert "interp.executions: 12" in out
-    assert "== gauges (1) ==" in out
+    assert "== gauges (2) ==" in out  # pending + the ring's own cost
     assert "== histograms (1) ==" in out
     assert "count=1 total=512 mean=512" in out
-    assert "== trace ==" in out
+    assert "== events (2 kept of 2 recorded, 0 dropped) ==" in out
     assert "TriggerFired: 1" in out
-    assert "ContinuationShipped(pse_id=pse1, bytes=512)" in out
+    assert "[unit] net.shed(peer=r1, dropped_total=64)" in out
 
 
 def test_render_event_limit():
     obs = _sample_obs()
-    limited = obsreport.render(obs, event_limit=1)
-    assert "last 1 of 2 kept" in limited
-    assert "TriggerFired(" not in limited.split("== events")[1]
-    none_shown = obsreport.render(obs, event_limit=0)
-    assert "last 0 of 2 kept" in none_shown
+    limited = _render(obs, limit=1)
+    assert "-- last 1:" in limited
+    assert "TriggerFired(" not in limited.split("-- last")[1]
+    assert "-- last 0:" in _render(obs, limit=0)
 
 
 def test_cli_round_trip(tmp_path, capsys):
     dump = tmp_path / "run.obs.json"
     dump.write_text(json.dumps(_sample_obs().to_dict()))
-    rc = obsreport.main([str(dump), "--events", "10"])
+    rc = obs_cli.main(["report", str(dump), "--limit", "10"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "interp.executions: 12" in out
@@ -52,7 +55,7 @@ def test_cli_round_trip(tmp_path, capsys):
 
 
 def test_cli_unreadable_file(tmp_path, capsys):
-    rc = obsreport.main([str(tmp_path / "missing.json")])
+    rc = obs_cli.main(["report", str(tmp_path / "missing.json")])
     assert rc == 1
     assert "cannot read" in capsys.readouterr().err
 
@@ -60,7 +63,7 @@ def test_cli_unreadable_file(tmp_path, capsys):
 def test_cli_invalid_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    rc = obsreport.main([str(bad)])
+    rc = obs_cli.main(["report", str(bad)])
     assert rc == 1
     assert "cannot read" in capsys.readouterr().err
 
@@ -69,8 +72,6 @@ def test_cli_invalid_json(tmp_path, capsys):
 
 
 def _quality_obs():
-    from types import SimpleNamespace
-
     obs = _sample_obs()
     obs.enable_quality(regret_window=4)
     # A harness normally attaches the AdaptationQuality instance; stub
@@ -84,34 +85,32 @@ def _quality_obs():
         "drift": {"rebaselines": 0, "residuals": [], "events": []},
     }
     obs.quality = SimpleNamespace(report=lambda: report)
-    from repro.obs.trace import PlanRecomputed, RegretWindow
-
-    obs.trace.record(
-        PlanRecomputed(at_message=10, cut_value=2.5, pse_ids=("s2",))
+    obs.flight.record(
+        "PlanRecomputed", at_message=10, cut_value=2.5, pse_ids=("s2",)
     )
-    obs.trace.record(
-        RegretWindow(
-            index=0, start_message=1, end_message=4, count=4,
-            total_regret=2.0, mean_regret=0.5, rel_mean_regret=0.1,
-            per_pse={"s2": 0.5}, transition=10,
-        )
+    obs.flight.record(
+        "RegretWindow", index=0, start_message=1, end_message=4, count=4,
+        total_regret=2.0, mean_regret=0.5, rel_mean_regret=0.1,
+        per_pse={"s2": 0.5}, transition=10,
     )
     return obs
+
 
 def test_report_json_schema_and_round_trip(tmp_path, capsys):
     dump = tmp_path / "run.obs.json"
     dump.write_text(json.dumps(_sample_obs().to_dict()))
-    rc = obsreport.main([str(dump), "--json"])
+    rc = obs_cli.main(["report", str(dump), "--json"])
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["schema"] == "mp.obsreport.v1"
+    assert report["schema"] == "mp.report.v1"
+    assert report["source"] == str(dump)
     assert report["counters"]["interp.executions"] == 12.0
     assert report["gauges"]["pending"] == 3.0
     hist = report["histograms"]["transport.data.message_bytes"]
     assert hist["count"] == 1 and hist["mean"] == 512.0
     assert hist["p50"] > 0
-    assert report["trace"]["counts"]["TriggerFired"] == 1
-    assert report["trace"]["events_kept"] == 2
+    assert report["events"]["counts"]["TriggerFired"] == 1
+    assert report["events"]["kept"] == 2
     assert report["tracing"] is None
     json.dumps(report)  # stable, serializable schema
 
@@ -119,7 +118,7 @@ def test_report_json_schema_and_round_trip(tmp_path, capsys):
 def test_report_json_carries_quality_section(tmp_path, capsys):
     dump = tmp_path / "run.obs.json"
     dump.write_text(json.dumps(_quality_obs().to_dict()))
-    rc = obsreport.main([str(dump), "--json"])
+    rc = obs_cli.main(["report", str(dump), "--json"])
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
     assert report["quality"] is not None
@@ -130,19 +129,23 @@ def test_report_json_carries_quality_section(tmp_path, capsys):
 
 
 def test_render_quality_section_in_text_report():
-    out = obsreport.render(_quality_obs())
+    out = _render(_quality_obs())
     assert "== adaptation quality ==" in out
     assert "no closed regret window" in out
 
 
 def test_render_quality_regret_table():
-    report = obsreport.build_quality_report(_quality_obs())
+    report = obs_cli.build_quality_report(_quality_obs())
     assert report["schema"] == "mp.quality.v1"
     assert report["transitions"] == [
         {"at_message": 10, "pse_ids": ["s2"]}
     ]
-    assert len(report["regret_windows"]) == 1
-    text = obsreport.render_quality(report)
+    assert report["regret_windows"] == [{
+        "index": 0, "start_message": 1, "end_message": 4, "count": 4,
+        "total_regret": 2.0, "mean_regret": 0.5, "rel_mean_regret": 0.1,
+        "per_pse": {"s2": 0.5}, "transition": 10,
+    }]
+    text = obs_cli.render_quality(report)
     assert "plan transitions: 1" in text
     assert "s2=0.5" in text
     assert "10.00%" in text  # rel_mean_regret column
@@ -163,20 +166,21 @@ def _profiled_obs():
 
 
 def test_render_profile_and_obs_cost_sections():
-    out = obsreport.render(_profiled_obs())
-    assert "== profile (4 samples @ 200 Hz) ==" in out
+    out = _render(_profiled_obs())
+    assert "== profile: 4 samples @ 200 Hz across unit ==" in out
     assert "serialization" in out
     assert "== observability cost ==" in out
     assert "profiler_self_seconds" in out
+    assert "flight_seconds" in out
 
 
 def test_render_without_profiler_omits_profile_section():
-    out = obsreport.render(_sample_obs())
+    out = _render(_sample_obs())
     assert "== profile" not in out
 
 
 def test_report_json_carries_profile_and_overhead():
-    report = obsreport.report_json(_profiled_obs().to_dict())
+    report = obs_cli.report_json(_profiled_obs().to_dict())
     assert report["profile"]["samples"] == 4
     assert report["profile"]["components"] == {
         "other": 1,
@@ -187,5 +191,16 @@ def test_report_json_carries_profile_and_overhead():
 
 
 def test_report_json_without_profiler_has_null_profile():
-    report = obsreport.report_json(_sample_obs().to_dict())
+    report = obs_cli.report_json(_sample_obs().to_dict())
     assert report["profile"] is None
+
+
+def test_fmt_is_the_one_number_formatter():
+    assert obs_cli.fmt(None) == "-"
+    assert obs_cli.fmt(512.0) == "512"
+    assert obs_cli.fmt(0.1234567) == "0.123457"
+    assert obs_cli.fmt(float("inf")) == "inf"
+    assert obs_cli.fmt((1, 2.5)) == "(1,2.5)"
+    assert obs_cli.fmt(0.0042, "s") == "4.20ms"
+    assert obs_cli.fmt(2.5e-6, "s") == "2.5us"
+    assert obs_cli.fmt(0.1, "%") == "10.00%"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import re
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Dict, Optional, Tuple
@@ -12,6 +14,7 @@ from repro.core.runtime.plancost import counterfactual_edge_costs
 from repro.core.runtime.triggers import DriftTrigger
 from repro.obs import Observability
 from repro.obs.quality import (
+    REPORT_TAIL,
     AdaptationQuality,
     DriftDetector,
     QualityConfig,
@@ -163,17 +166,18 @@ def test_regret_window_closes_and_emits_event():
              E3: _Snap(data_size=4.0)}
     for i, edge in enumerate((E1, E2, E3), start=1):
         accounting.observe(edge, _Profiling(messages_seen=i, snaps=snaps))
-    events = obs.trace.of_kind("RegretWindow")
+    events = obs.flight.of_kind("RegretWindow")
     assert len(events) == 1
     window = events[0]
-    assert window.count == 3
-    assert window.start_message == 1 and window.end_message == 3
+    assert window["index"] == 0
+    assert window["count"] == 3
+    assert window["start_message"] == 1 and window["end_message"] == 3
     # regrets: 8 (E1), 0 (E2), 2 (E3)
-    assert window.total_regret == pytest.approx(10.0)
-    assert window.mean_regret == pytest.approx(10.0 / 3)
-    assert window.per_pse == {"s1": 8.0, "s2": 0.0, "s3": 2.0}
-    assert window.transition == 7
-    assert 0.0 <= window.rel_mean_regret < 1.0
+    assert window["total_regret"] == pytest.approx(10.0)
+    assert window["mean_regret"] == pytest.approx(10.0 / 3)
+    assert window["per_pse"] == {"s1": 8.0, "s2": 0.0, "s3": 2.0}
+    assert window["transition"] == 7
+    assert 0.0 <= window["rel_mean_regret"] < 1.0
     counters = obs.metrics.to_dict()["counters"]
     assert counters["quality.regret.windows"] == 1
     assert counters["quality.regret.sampled"] == 3
@@ -242,9 +246,9 @@ def test_drift_fires_once_per_excursion_with_hysteresis():
         detector.observe(E1, "bytes", 200.0, at_message=i + 1)
     assert detector.pending is True
     assert len(detector.events) == 1
-    event = obs.trace.of_kind("DriftDetected")[0]
-    assert event.pse_id == "s1" and event.channel == "bytes"
-    assert event.residual == pytest.approx(1.0)
+    event = obs.flight.of_kind("DriftDetected")[0]
+    assert event["pse_id"] == "s1" and event["channel"] == "bytes"
+    assert event["residual"] == pytest.approx(1.0)
     # Still over threshold: no second event.
     detector.observe(E1, "bytes", 200.0, at_message=4)
     assert len(detector.events) == 1
@@ -324,3 +328,44 @@ def test_facade_observe_hooks_route_to_channels():
     )
     # E2/E3 are unprofiled, priced at their static lower bound of 1.0.
     assert regret == pytest.approx(2.0)
+
+
+# -- bounded report ------------------------------------------------------------
+
+
+def _churn(n: int):
+    """A facade after ``n`` closed windows, drift events and recomputes."""
+    obs = Observability()
+    config = QualityConfig(
+        regret_window=1, drift_alpha=1.0, drift_min_samples=1
+    )
+    quality = AdaptationQuality(_chain_cut(), config, obs)
+    obs.quality = quality
+    snaps = {E1: _Snap(data_size=10.0), E2: _Snap(data_size=2.0)}
+    plan = SimpleNamespace(active=frozenset({E2}))
+    for i in range(n):
+        quality.on_plan_recomputed(i, plan, {E1: _Snap(data_size=100.0)})
+        quality.observe_message(E1, _Profiling(i, snaps))
+        quality.observe_ship_bytes(E1, 200.0, at_message=i)
+    return obs, quality
+
+
+def _shape(obs) -> int:
+    """Length of the serialized report with every number one digit wide."""
+    text = json.dumps(obs.to_dict()["quality"])
+    return len(re.sub(r"-?\d+(\.\d+)?(e[-+]?\d+)?", "0", text))
+
+
+def test_report_keeps_a_fixed_tail_of_windows_drift_and_transitions():
+    small, _ = _churn(1_000)
+    obs, quality = _churn(10_000)
+    report = quality.report()
+    windows = report["regret"]["windows"]
+    assert obs.metrics.counter("quality.regret.windows").value == 10_000
+    assert obs.flight.count("DriftDetected") == 10_000
+    for tail in (windows, report["drift"]["events"], report["transitions"]):
+        assert len(tail) <= REPORT_TAIL
+    assert windows[-1]["index"] == 9_999
+    # Every scrape serializes the report: its size no longer grows with
+    # the receiver's age (numbers only gain digits).
+    assert _shape(small) == _shape(obs)

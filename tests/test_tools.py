@@ -6,7 +6,7 @@ import pytest
 
 from repro.tools import experiments as experiments_cli
 from repro.tools import inspect as inspect_cli
-from repro.tools import tracereport as tracereport_cli
+from repro.tools import obs as obs_cli
 
 
 def run_inspect(capsys, *argv):
@@ -188,7 +188,7 @@ def test_trace_export_unwritable_path_fails(capsys):
 
 def test_tracereport_renders_summary_and_trees(traced_dumps, capsys):
     obs_path, _ = traced_dumps
-    rc = tracereport_cli.main([str(obs_path), "--traces", "2"])
+    rc = obs_cli.main(["trace", str(obs_path), "--limit", "2"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "spans:" in out
@@ -199,7 +199,7 @@ def test_tracereport_renders_summary_and_trees(traced_dumps, capsys):
 
 def test_tracereport_explain(traced_dumps, capsys):
     obs_path, _ = traced_dumps
-    rc = tracereport_cli.main([str(obs_path), "--explain"])
+    rc = obs_cli.main(["explain", str(obs_path)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "plan recomputation @ message" in out
@@ -211,43 +211,47 @@ def test_tracereport_explain(traced_dumps, capsys):
 def test_tracereport_chrome_reexport(traced_dumps, tmp_path, capsys):
     obs_path, _ = traced_dumps
     out_path = tmp_path / "re.trace.json"
-    rc = tracereport_cli.main([str(obs_path), "--chrome", str(out_path)])
+    rc = obs_cli.main(["trace", str(obs_path), "--chrome", str(out_path)])
     assert rc == 0
     data = json.loads(out_path.read_text())
     assert data["traceEvents"]
 
 
 def test_tracereport_unreadable_file(capsys):
-    rc = tracereport_cli.main(["/no/such/file.json"])
+    rc = obs_cli.main(["trace", "/no/such/file.json"])
     assert rc == 1
     assert "cannot read" in capsys.readouterr().err
 
 
 def test_tracereport_rejects_dump_without_tracing(tmp_path, capsys):
     path = tmp_path / "plain.json"
-    path.write_text(json.dumps({"metrics": {}, "trace": {}}))
-    rc = tracereport_cli.main([str(path)])
+    path.write_text(json.dumps({"metrics": {}, "flight": {}}))
+    rc = obs_cli.main(["trace", str(path)])
     assert rc == 1
     assert "no tracing section" in capsys.readouterr().err
 
 
 def test_tracereport_json_schema(traced_dumps, capsys):
     obs_path, _ = traced_dumps
-    rc = tracereport_cli.main([str(obs_path), "--json"])
+    rc = obs_cli.main(["trace", str(obs_path), "--json"])
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["schema"] == "mp.tracereport.v1"
+    assert report["schema"] == "mp.trace.v1"
     assert report["summary"]["recorded"] > 0
     assert report["traces"]
     first = report["traces"][0]
     assert first["spans"] >= 1
     assert "modulate" in {n for t in report["traces"] for n in t["names"]}
-    assert report["decisions"]
+    json.dumps(report)  # stable, serializable
+
+    rc = obs_cli.main(["explain", str(obs_path), "--json"])
+    assert rc == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["schema"] == "mp.explain.v1"
     decision = report["decisions"][0]
     assert decision["pse_ids"]
     assert decision["trigger"]["name"]
     assert decision["breakdown"]
-    json.dumps(report)  # stable, serializable
 
 
 # -- --quality-report and --expose ---------------------------------------------
@@ -301,24 +305,20 @@ def test_experiments_expose_serves_openmetrics(capsys):
     assert "per-PSE" in out
 
 
-# -- monitor -------------------------------------------------------------------
+# -- watch (the dashboards) --------------------------------------------------
 
 
 def test_monitor_fetch_dump_unwraps_result_files(tmp_path):
-    from repro.tools.monitor import fetch_dump
-
     obs = {"metrics": {"counters": {"x": 1.0}}}
     bare = tmp_path / "bare.json"
     bare.write_text(json.dumps(obs))
     wrapped = tmp_path / "result.json"
     wrapped.write_text(json.dumps({"role": "receiver", "obs": obs}))
-    assert fetch_dump(str(bare)) == obs
-    assert fetch_dump(str(wrapped)) == obs
+    assert obs_cli.load(str(bare)) == obs
+    assert obs_cli.load(str(wrapped)) == obs
 
 
-def test_monitor_render_frame_sections():
-    from repro.tools.monitor import render_frame
-
+def test_monitor_render_frame_sections(tmp_path, capsys):
     dump = {
         "metrics": {
             "counters": {"transport.bytes": 100.0},
@@ -330,8 +330,10 @@ def test_monitor_render_frame_sections():
             "regret": {
                 "sampled": 8,
                 "windows": [
-                    {"index": 0, "count": 8, "mean_regret": 0.25,
-                     "rel_mean_regret": 0.05, "per_pse": {"s2": 0.25}}
+                    {"index": 0, "start_message": 1, "end_message": 8,
+                     "count": 8, "mean_regret": 0.25,
+                     "rel_mean_regret": 0.05, "per_pse": {"s2": 0.25},
+                     "transition": 5}
                 ],
             },
             "drift": {
@@ -340,43 +342,51 @@ def test_monitor_render_frame_sections():
                      "residual": 0.6, "flagged": True, "count": 9}
                 ],
                 "events": [
-                    {"pse_id": "s2", "channel": "bytes",
-                     "residual": 0.6, "at_message": 7}
+                    {"pse_id": "s2", "channel": "bytes", "residual": 0.6,
+                     "at_message": 7, "predicted": 100.0, "observed": 160.0}
                 ],
             },
         },
     }
-    frame = render_frame(["src.json"], [dump], [None], 0.0)
-    assert "== src.json" in frame
+    path = tmp_path / "src.json"
+    path.write_text(json.dumps(dump))
+    assert obs_cli.main(["watch", str(path), "--once"]) == 0
+    frame = capsys.readouterr().out
+    assert f"== {path}" in frame
     assert "active PSEs: s2" in frame
-    assert "regret window #0: mean 0.25" in frame
-    assert "drift residuals (1 flagged): s2/bytes=+0.60" in frame
-    assert "last drift: s2/bytes" in frame
+    assert "plan transitions: 1" in frame
+    assert "s2=0.25" in frame and "5.00%" in frame  # the last window
+    assert "s2       bytes    +0.600 (n=9)  FLAGGED" in frame
+    assert "s2/bytes residual +0.600 at msg 7" in frame
     assert "counters (totals" in frame
 
-    moved = {"metrics": {"counters": {"transport.bytes": 300.0},
-                         "histograms": {}}}
-    frame2 = render_frame(["src.json"], [moved], [dump], 2.0)
-    assert "rates over the last 2.0s" in frame2
-    assert "transport.bytes" in frame2
+    # Two polls of a moving counter turn totals into rates.
+    assert obs_cli.main(
+        ["watch", str(path), "--iterations", "2", "--interval", "0.05",
+         "--json"]
+    ) == 0
+    frames = [json.loads(line) for line in capsys.readouterr().out.split("\n")
+              if line.strip()]
+    assert frames[0]["sources"][str(path)]["rates"] == {}
+    assert frames[1]["sources"][str(path)]["rates"] == {}  # nothing moved
 
-    unreachable = render_frame(["gone"], [None], [None], 0.0)
-    assert "(unreachable)" in unreachable
+    assert obs_cli.main(
+        ["watch", str(tmp_path / "gone.json"), "--once", "--no-clear"]
+    ) == 1
+    assert "(unreachable, no data yet" in capsys.readouterr().out
 
 
 def test_monitor_cli_once(tmp_path, capsys):
-    from repro.tools import monitor
-
     dump = tmp_path / "d.json"
     dump.write_text(json.dumps({"metrics": {"counters": {"n": 2.0}}}))
-    rc = monitor.main([str(dump), "--once"])
+    rc = obs_cli.main(["watch", str(dump), "--once"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "repro monitor @" in out
+    assert "repro obs watch @" in out
     assert str(dump) in out
 
 
-# -- profreport ----------------------------------------------------------------
+# -- prof ----------------------------------------------------------------
 
 
 def _profile_dump(tmp_path, *, wrap=None):
@@ -403,9 +413,7 @@ def _profile_dump(tmp_path, *, wrap=None):
 
 
 def test_profreport_renders_component_table(tmp_path, capsys):
-    from repro.tools import profreport
-
-    rc = profreport.main([str(_profile_dump(tmp_path))])
+    rc = obs_cli.main(["prof", str(_profile_dump(tmp_path))])
     assert rc == 0
     out = capsys.readouterr().out
     assert "8 samples" in out
@@ -414,12 +422,10 @@ def test_profreport_renders_component_table(tmp_path, capsys):
 
 
 def test_profreport_json_schema(tmp_path, capsys):
-    from repro.tools import profreport
-
-    rc = profreport.main([str(_profile_dump(tmp_path)), "--json"])
+    rc = obs_cli.main(["prof", str(_profile_dump(tmp_path)), "--json"])
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["schema"] == "mp.profreport.v1"
+    assert report["schema"] == "mp.prof.v1"
     assert report["samples"] == 8
     comps = {
         row["component"]: row["samples"] for row in report["components"]
@@ -431,11 +437,9 @@ def test_profreport_json_schema(tmp_path, capsys):
 
 
 def test_profreport_unwraps_obs_and_result_files(tmp_path, capsys):
-    from repro.tools import profreport
-
     for wrap in ("obs", "result"):
-        rc = profreport.main(
-            [str(_profile_dump(tmp_path, wrap=wrap)), "--json"]
+        rc = obs_cli.main(
+            ["prof", str(_profile_dump(tmp_path, wrap=wrap)), "--json"]
         )
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
@@ -443,11 +447,10 @@ def test_profreport_unwraps_obs_and_result_files(tmp_path, capsys):
 
 
 def test_profreport_writes_speedscope_and_collapsed(tmp_path, capsys):
-    from repro.tools import profreport
-
     speedscope = tmp_path / "out.speedscope.json"
     collapsed = tmp_path / "out.collapsed.txt"
-    rc = profreport.main([
+    rc = obs_cli.main([
+        "prof",
         str(_profile_dump(tmp_path)),
         "--speedscope", str(speedscope),
         "--collapsed", str(collapsed),
@@ -463,21 +466,17 @@ def test_profreport_writes_speedscope_and_collapsed(tmp_path, capsys):
 
 
 def test_profreport_rejects_dump_without_profile(tmp_path, capsys):
-    from repro.tools import profreport
-
     path = tmp_path / "plain.json"
     path.write_text(json.dumps({"metrics": {}}))
-    assert profreport.main([str(path)]) == 1
+    assert obs_cli.main(["prof", str(path)]) == 1
     assert "--profile" in capsys.readouterr().err
 
 
 def test_profreport_unreadable_file(tmp_path, capsys):
-    from repro.tools import profreport
-
-    assert profreport.main([str(tmp_path / "missing.json")]) == 1
+    assert obs_cli.main(["prof", str(tmp_path / "missing.json")]) == 1
 
 
-# -- fleetmon --once -----------------------------------------------------------
+# -- watch --once on a fleet -----------------------------------------------------------
 
 
 def _fleet_dump(tmp_path, name, state="healthy", breaker="closed"):
@@ -504,50 +503,129 @@ def _fleet_dump(tmp_path, name, state="healthy", breaker="closed"):
 
 
 def test_fleetmon_once_healthy_fleet_exits_zero(tmp_path, capsys):
-    from repro.tools import fleetmon
-
     path = _fleet_dump(tmp_path, "ok.json")
-    rc = fleetmon.main([str(path), "--once", "--json"])
+    rc = obs_cli.main(["watch", str(path), "--once", "--json"])
     assert rc == 0
     frame = json.loads(capsys.readouterr().out)
-    view = frame["sources"][str(path)]["view"]
+    view = frame["sources"][str(path)]["fleet"]
     assert view["unhealthy"] == []
     assert view["leader"] == "r0"
 
 
 def test_fleetmon_once_unhealthy_peer_exits_nonzero(tmp_path, capsys):
-    from repro.tools import fleetmon
-
     path = _fleet_dump(tmp_path, "bad.json", state="wedged")
-    rc = fleetmon.main([str(path), "--once", "--json"])
+    rc = obs_cli.main(["watch", str(path), "--once", "--json"])
     assert rc == 1
     frame = json.loads(capsys.readouterr().out)
-    assert frame["sources"][str(path)]["view"]["unhealthy"] == ["r0"]
+    assert frame["sources"][str(path)]["fleet"]["unhealthy"] == ["r0"]
 
 
 def test_fleetmon_once_open_breaker_exits_nonzero(tmp_path, capsys):
-    from repro.tools import fleetmon
-
     path = _fleet_dump(tmp_path, "brk.json", breaker="open")
-    rc = fleetmon.main([str(path), "--once", "--json"])
+    rc = obs_cli.main(["watch", str(path), "--once", "--json"])
     assert rc == 1
 
 
 def test_fleetmon_once_unreachable_source_exits_nonzero(tmp_path, capsys):
-    from repro.tools import fleetmon
-
-    rc = fleetmon.main(
-        [str(tmp_path / "missing.json"), "--once", "--json"]
+    rc = obs_cli.main(
+        ["watch", str(tmp_path / "missing.json"), "--once", "--json"]
     )
     assert rc == 1
 
 
 def test_fleetmon_once_renders_tty_table(tmp_path, capsys):
-    from repro.tools import fleetmon
-
     path = _fleet_dump(tmp_path, "ok.json")
-    rc = fleetmon.main([str(path), "--once", "--no-clear"])
+    rc = obs_cli.main(["watch", str(path), "--once", "--no-clear"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "fleet: healthy" in out
     assert "r0" in out
+
+
+# -- every obs view against every dump shape -----------------------------------
+
+
+def _full_obs():
+    """A dump with every section: spans, decisions, profile, fleet."""
+    from repro.obs import Observability
+
+    obs = Observability(host="r0")
+    tracer = obs.enable_tracing(host="r0")
+    tracer.end(tracer.begin("modulate", trace_id=tracer.start_trace()))
+    obs.flight.record("TriggerFired", at_message=3, trigger="RateTrigger",
+                      reason={"cause": "period"})
+    obs.flight.record(
+        "PlanRecomputed", at_message=3, cut_value=4.0, pse_ids=["pse2"],
+        breakdown=[{"pse_id": "pse2", "edge": [2, 3], "cost": 4.0,
+                    "chosen": True, "source": "profiled"}],
+    )
+    obs.enable_profiler(interval=0.005, host="r0").ingest(
+        [("/x/src/repro/serialization/core.py", "dumps")], count=2
+    )
+    return obs
+
+
+_FLEET = {"overall": "healthy",
+          "peers": {"r0": {"state": "healthy", "transitions": []}}}
+
+
+@pytest.fixture(scope="module")
+def dump_shapes(tmp_path_factory):
+    """The four sources: bare dump, live result file, merged ring, URL."""
+    from repro.obs.exposition import start_http_exposer
+    from repro.obs.flight import merge_flight_dumps
+
+    root = tmp_path_factory.mktemp("shapes")
+    obs = _full_obs()
+    dump = obs.to_dict()
+    bare = root / "bare.json"
+    bare.write_text(json.dumps(dump, default=str))
+    # A live result file: the post-drain fleet rides at the top level.
+    result = root / "receiver0.json"
+    result.write_text(json.dumps({"role": "receiver", "obs": dump,
+                                  "fleet": _FLEET}, default=str))
+    merged = root / "merged_flight.json"
+    merged.write_text(json.dumps(merge_flight_dumps([dump["flight"]])))
+    exposer = start_http_exposer(obs.to_dict, port=0)
+    yield {"bare": str(bare), "result": str(result),
+           "merged": str(merged), "url": exposer.url}
+    exposer.close()
+
+
+# view -> shapes where the view has nothing to show (exit status 1)
+_MISSING = {"trace": {"merged"}, "prof": {"merged"}}
+
+
+@pytest.mark.parametrize("shape", ["bare", "result", "merged", "url"])
+@pytest.mark.parametrize("view", ["report", "trace", "explain", "prof"])
+def test_every_view_reads_every_dump_shape(dump_shapes, view, shape, capsys):
+    rc = obs_cli.main([view, dump_shapes[shape], "--json"])
+    out = capsys.readouterr()
+    if shape in _MISSING.get(view, ()):
+        assert rc == 1 and "section" in out.err
+        return
+    assert rc == 0, out.err
+    report = json.loads(out.out)
+    assert report["schema"] == f"mp.{view}.v1"
+    if view == "explain":
+        (decision,) = report["decisions"]
+        assert decision["host"] == "r0"
+        assert decision["trigger"]["name"] == "RateTrigger"
+        assert decision["breakdown"][0]["chosen"]
+    if view == "trace":
+        assert report["traces"][0]["names"] == ["modulate"]
+    if view == "prof":
+        assert report["samples"] == 2
+
+
+@pytest.mark.parametrize("shape", ["bare", "result", "merged", "url"])
+def test_watch_reads_every_dump_shape(dump_shapes, shape, capsys):
+    rc = obs_cli.main(["watch", dump_shapes[shape], "--once", "--json"])
+    assert rc == 0
+    frame = json.loads(capsys.readouterr().out)
+    (source,) = frame["sources"].values()
+    assert source["failed_polls"] == 0
+    # Only the result file carries a (post-drain, top-level) fleet.
+    assert (source["fleet"] is not None) == (shape == "result")
+    if shape == "result":
+        assert source["fleet"]["peers"][0]["peer"] == "r0"
