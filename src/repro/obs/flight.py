@@ -11,9 +11,12 @@ families of events share it:
 * process-level **incidents** — plan ships, reconnects, queue sheds,
   health and breaker transitions, fault injections.
 
-Per-message and per-flush happenings (continuation ships, feedback
-flushes) are deliberately *not* events: counters already hold them, and
-at message rate they would push the rare decisions out of the ring.
+Each family keeps its own last ``maxlen`` events, so neither can evict
+the other: a live receiver records a decision every few messages, and
+without the split a long run would push an early wedge or reconnect out
+of the crash dump.  Per-message and per-flush happenings (continuation
+ships, feedback flushes) are deliberately *not* events: counters already
+hold them, and at message rate they would push the rare decisions out.
 Per-kind totals survive eviction (:meth:`FlightRecorder.count`), and the
 ring is dumped to JSON on abort, wedge, or SIGTERM so the last events
 survive a crash.
@@ -33,6 +36,7 @@ reason) behaviour the codegen backend relied on.
 
 from __future__ import annotations
 
+import heapq
 import json
 import signal
 import socket
@@ -43,6 +47,7 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 __all__ = [
+    "DECISION_KINDS",
     "FlightRecorder",
     "get_global_recorder",
     "merge_flight_dumps",
@@ -51,17 +56,24 @@ __all__ = [
     "wide_event",
 ]
 
-#: ring bound shared by every recorder
+#: events kept per family (decisions, incidents) by every recorder
 DEFAULT_MAXLEN = 10_000
+
+#: the adaptation loop's event kinds; every other kind is an incident
+DECISION_KINDS = frozenset(
+    {"TriggerFired", "PlanRecomputed", "SplitSwitched", "RegretWindow",
+     "DriftDetected"}
+)
 
 
 class FlightRecorder:
     """Bounded ring of structured wide events.
 
     Thread-safe: events are recorded from asyncio loop threads, writer
-    threads and signal handlers alike.  ``maxlen`` bounds memory; the
-    ``dropped`` counter records how many events fell off the head, and
-    the per-kind totals keep counting past them.
+    threads and signal handlers alike.  Decisions and incidents each
+    keep their last ``maxlen`` events (one family never evicts the
+    other); the ``dropped`` counter records how many events fell off
+    either head, and the per-kind totals keep counting past them.
     """
 
     def __init__(
@@ -77,7 +89,9 @@ class FlightRecorder:
         self.host = host if host is not None else socket.gethostname()
         self.clock = clock
         self.mono_clock = mono_clock
-        self._events: Deque[dict] = deque(maxlen=maxlen)
+        #: (sequence number, event) per family; ``to_list`` interleaves
+        self._decisions: Deque[Tuple[int, dict]] = deque(maxlen=maxlen)
+        self._incidents: Deque[Tuple[int, dict]] = deque(maxlen=maxlen)
         self._lock = threading.Lock()
         self.maxlen = maxlen
         self.recorded = 0
@@ -106,23 +120,36 @@ class FlightRecorder:
             "kind": kind,
         }
         event.update(fields)
+        ring = self._ring(kind)
         with self._lock:
-            if len(self._events) == self.maxlen:
+            if len(ring) == self.maxlen:
                 self.dropped += 1
-            self._events.append(event)
+            ring.append((self.recorded, event))
             self.recorded += 1
             self._counts[kind] = self._counts.get(kind, 0) + 1
         self.overhead_seconds += time.perf_counter() - started
         return event
 
+    def _ring(self, kind: str) -> Deque[Tuple[int, dict]]:
+        return self._decisions if kind in DECISION_KINDS else self._incidents
+
+    def _kept(self) -> List[dict]:
+        return [
+            event
+            for _, event in heapq.merge(
+                self._decisions, self._incidents, key=lambda item: item[0]
+            )
+        ]
+
     def to_list(self) -> List[dict]:
+        """Every kept event, both families, oldest first."""
         with self._lock:
-            return list(self._events)
+            return self._kept()
 
     def of_kind(self, kind: str) -> List[dict]:
         """The kept events of ``kind``, oldest first."""
         with self._lock:
-            return [e for e in self._events if e["kind"] == kind]
+            return [e for _, e in self._ring(kind) if e["kind"] == kind]
 
     def to_dict(self) -> dict:
         with self._lock:
@@ -133,7 +160,7 @@ class FlightRecorder:
                 "dropped": self.dropped,
                 "counts": dict(sorted(self._counts.items())),
                 "overhead_seconds": self.overhead_seconds,
-                "events": list(self._events),
+                "events": self._kept(),
             }
 
     def count(self, kind: str) -> int:
@@ -265,8 +292,9 @@ def _merge_key_offset(events: List[dict]) -> Optional[float]:
 def merge_flight_dumps(dumps: List[dict]) -> dict:
     """Merge per-process flight dumps into one time-ordered record.
 
-    Each input is a :meth:`FlightRecorder.to_dict` mapping or an earlier
-    merge (so per-run merges fold into a suite-wide one); events already
+    Each input is one process's :meth:`FlightRecorder.to_dict` mapping
+    (merged dumps are not re-merged: the median offset below is only
+    valid for events that share one monotonic clock); events already
     carry their recorder's ``host`` tag.  When events carry
     the (wall, monotonic) clock pair the sort key is the *corrected*
     wall time — each dump's median ``t - mono`` offset re-bases its
@@ -287,7 +315,7 @@ def merge_flight_dumps(dumps: List[dict]) -> dict:
         if not dump:
             continue
         host = dump.get("host", "?")
-        hosts.extend(dump.get("hosts") or [host])
+        hosts.append(host)
         recorded += int(dump.get("recorded", 0))
         dropped += int(dump.get("dropped", 0))
         for kind, n in (dump.get("counts") or {}).items():
@@ -299,7 +327,7 @@ def merge_flight_dumps(dumps: List[dict]) -> dict:
                 key_t = offset + float(event["mono"])
             else:
                 key_t = event.get("t", 0.0)
-            decorated.append((key_t, event.get("host", host), index, event))
+            decorated.append((key_t, host, index, event))
     decorated.sort(key=lambda item: item[:3])
     events = [item[3] for item in decorated]
     return {

@@ -26,9 +26,9 @@ asserts the resilience control plane's contract held:
   peers streaming.
 
 Every scenario merges its processes' dumps into its own directory
-(``liveexp.write_merged``: span trees, event ring, profile), the event
-rings of all scenarios fold into one time-ordered suite-wide
-``merged_flight.json``, and each scenario appends to
+(``liveexp.write_merged``: span trees, event ring, profile), the per-process
+event rings of all scenarios merge once into one time-ordered
+suite-wide ``merged_flight.json``, and each scenario appends to
 ``chaos_summary.json``; the exit status is nonzero when any invariant
 check fails, so CI gates on the suite directly::
 
@@ -48,7 +48,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs.flight import merge_flight_dumps, set_global_recorder
-from repro.tools.liveexp import write_merged
+from repro.tools.liveexp import obs_sections, write_merged
 
 __all__ = ["run_chaos", "main", "SCENARIOS"]
 
@@ -678,7 +678,8 @@ def run_chaos(
             summary, checks, results = SCENARIOS[name](
                 scenario_dir, quick
             )
-            all_flights.append(write_merged(results, scenario_dir)["flight"])
+            write_merged(results, scenario_dir)
+            all_flights.extend(obs_sections(results, "flight"))
         except Exception as exc:  # noqa: BLE001 - a scenario crashing IS a failure
             summary, checks = (
                 {"error": repr(exc)},

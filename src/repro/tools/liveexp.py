@@ -49,7 +49,8 @@ from repro.obs.flight import merge_flight_dumps
 from repro.obs.prof import merge_profile_dumps, speedscope_from_dump
 
 __all__ = [
-    "run_live_experiment", "run_fanout_experiment", "write_merged", "main"
+    "run_live_experiment", "run_fanout_experiment", "obs_sections",
+    "write_merged", "main"
 ]
 
 _SRC_ROOT = str(Path(__file__).resolve().parents[2])
@@ -142,6 +143,14 @@ def _scrape_exposition(
     return state
 
 
+def obs_sections(
+    results: List[Optional[Dict[str, object]]], name: str
+) -> List[Dict[str, object]]:
+    """The ``name`` section of each role process's obs dump, where present."""
+    dumps = [r["obs"] for r in results if r and "obs" in r]
+    return [d[name] for d in dumps if d.get(name)]
+
+
 def write_merged(
     results: List[Optional[Dict[str, object]]], outdir: Path
 ) -> Dict[str, Optional[Dict[str, object]]]:
@@ -155,14 +164,9 @@ def write_merged(
     ``merged_profile.json`` + ``profile.speedscope.json``.  Returns the
     merged ``trace``, ``flight`` and ``profile`` (None when unprofiled).
     """
-    dumps = [r["obs"] for r in results if r and "obs" in r]
-
-    def sections(name: str) -> List[Dict[str, object]]:
-        return [d[name] for d in dumps if d.get(name)]
-
     merged: Dict[str, Optional[Dict[str, object]]] = {
-        "trace": merge_tracer_dumps(sections("tracing")),
-        "flight": merge_flight_dumps(sections("flight")),
+        "trace": merge_tracer_dumps(obs_sections(results, "tracing")),
+        "flight": merge_flight_dumps(obs_sections(results, "flight")),
         "profile": None,
     }
     files = {
@@ -170,7 +174,7 @@ def write_merged(
         "merged_chrome_trace.json": chrome_trace(merged["trace"]),
         "merged_flight.json": merged["flight"],
     }
-    profiles = sections("profile")
+    profiles = obs_sections(results, "profile")
     if profiles:
         merged["profile"] = merge_profile_dumps(profiles)
         files["merged_profile.json"] = merged["profile"]

@@ -242,20 +242,11 @@ def render_report(dump: Mapping, limit: Optional[int] = None) -> str:
 
     fleet = dump.get("fleet")
     if fleet:
-        lines += ["", f"== fleet health (overall: {fleet.get('overall')}) =="]
+        lines += ["", "== fleet health =="] + _fleet_lines(fleet_view(dump))
         for name, ph in sorted((fleet.get("peers") or {}).items()):
-            transitions = ph.get("transitions") or []
-            lines.append(
-                f"  {name}: {ph.get('state')} "
-                f"(rtt {fmt(ph.get('rtt_ewma'), 's')}, "
-                f"sheds {ph.get('sheds_total', 0)}, "
-                f"drift {ph.get('drift_total', 0)}, "
-                f"telemetry {ph.get('telemetry_frames', 0)}, "
-                f"{len(transitions)} transition(s))"
-            )
             lines.extend(
-                f"    {t.get('from')} -> {t.get('to')}: {t.get('reason')}"
-                for t in transitions[-5:]
+                f"  {name}: {t.get('from')} -> {t.get('to')}: {t.get('reason')}"
+                for t in (ph.get("transitions") or [])[-5:]
             )
     return "\n".join(lines)
 

@@ -73,6 +73,41 @@ class TestFlightRecorder:
         assert dump["dropped"] == 2
         assert len(dump["events"]) == 3
 
+    def test_decisions_never_evict_an_incident(self):
+        # A live receiver records a decision every few messages; a wedge
+        # recorded early must still be in the crash dump after many
+        # times the bound of decisions, and vice versa.
+        rec = FlightRecorder(maxlen=8, host="h", clock=_fake_clock())
+        rec.record("fault.wedge", seconds=2.0)
+        for i in range(100):
+            rec.record("PlanRecomputed", at_message=i)
+        rec.record("net.reconnect", attempt=1)
+        kinds = [e["kind"] for e in rec.to_dict()["events"]]
+        assert kinds == ["fault.wedge"] + ["PlanRecomputed"] * 8 + [
+            "net.reconnect"
+        ]
+        assert [e["at_message"] for e in rec.of_kind("PlanRecomputed")] == list(
+            range(92, 100)
+        )
+        assert rec.dropped == 92
+        for i in range(20):
+            rec.record("net.shed", i=i)
+        assert rec.of_kind("fault.wedge") == []  # incidents evict incidents
+        assert len(rec.of_kind("PlanRecomputed")) == 8
+
+    def test_default_bound_keeps_incident_under_decision_traffic(self):
+        from repro.obs import Observability
+        from repro.obs.flight import DECISION_KINDS, DEFAULT_MAXLEN
+
+        obs = Observability(host="receiver0")
+        obs.flight.record("fault.wedge", seconds=2.0)
+        for i in range(2 * DEFAULT_MAXLEN):
+            obs.flight.record(sorted(DECISION_KINDS)[i % 5], at_message=i)
+        events = obs.flight.to_list()
+        assert events[0]["kind"] == "fault.wedge"
+        assert len(events) == DEFAULT_MAXLEN + 1
+        assert events[-1]["at_message"] == 2 * DEFAULT_MAXLEN - 1
+
     def test_rejects_nonpositive_maxlen(self):
         with pytest.raises(ValueError):
             FlightRecorder(maxlen=0)

@@ -318,7 +318,7 @@ def test_monitor_fetch_dump_unwraps_result_files(tmp_path):
     assert obs_cli.load(str(wrapped)) == obs
 
 
-def test_monitor_render_frame_sections(tmp_path, capsys):
+def test_monitor_render_frame_sections(tmp_path, capsys, monkeypatch):
     dump = {
         "metrics": {
             "counters": {"transport.bytes": 100.0},
@@ -361,14 +361,37 @@ def test_monitor_render_frame_sections(tmp_path, capsys):
     assert "counters (totals" in frame
 
     # Two polls of a moving counter turn totals into rates.
-    assert obs_cli.main(
-        ["watch", str(path), "--iterations", "2", "--interval", "0.05",
-         "--json"]
-    ) == 0
-    frames = [json.loads(line) for line in capsys.readouterr().out.split("\n")
-              if line.strip()]
-    assert frames[0]["sources"][str(path)]["rates"] == {}
-    assert frames[1]["sources"][str(path)]["rates"] == {}  # nothing moved
+    moved = json.loads(json.dumps(dump))
+    moved["metrics"]["counters"]["transport.bytes"] = 300.0
+    frame = "\n".join(
+        obs_cli._adaptation_lines(moved, obs_cli._rates(moved, dump, 2.0), 2.0)
+    )
+    assert "rates over the last 2.0s" in frame
+    assert f"    {'transport.bytes':<40} 100" in frame  # 200 B over 2 s
+    assert "counters (totals" not in frame
+
+    # The poll loop itself: the counter moves between the two polls.
+    def sleep_and_move(_seconds):
+        path.write_text(json.dumps(moved))
+
+    monkeypatch.setattr(obs_cli.time, "sleep", sleep_and_move)
+    for extra in (["--json"], ["--no-clear"]):
+        path.write_text(json.dumps(dump))
+        assert obs_cli.main(
+            ["watch", str(path), "--iterations", "2", *extra]
+        ) == 0
+        out = capsys.readouterr().out
+        if extra == ["--json"]:
+            frames = [json.loads(line) for line in out.splitlines() if line]
+            assert frames[0]["sources"][str(path)]["rates"] == {}
+            rates = frames[1]["sources"][str(path)]["rates"]
+            assert set(rates) == {"transport.bytes"}
+            assert rates["transport.bytes"] > 0
+        else:
+            first, second = out.split("-- repro obs watch @")[1:]
+            assert "counters (totals" in first and "rates over" not in first
+            assert "rates over the last" in second
+            assert "transport.bytes" in second
 
     assert obs_cli.main(
         ["watch", str(tmp_path / "gone.json"), "--once", "--no-clear"]
@@ -531,6 +554,21 @@ def test_fleetmon_once_unreachable_source_exits_nonzero(tmp_path, capsys):
         ["watch", str(tmp_path / "missing.json"), "--once", "--json"]
     )
     assert rc == 1
+
+
+def test_report_renders_fleet_with_the_watch_table(tmp_path, capsys):
+    path = _fleet_dump(tmp_path, "bad.json", state="wedged")
+    dump = json.loads(path.read_text())
+    dump["fleet"]["peers"]["r0"]["transitions"] = [
+        {"from": "healthy", "to": "wedged", "reason": "no telemetry 2.0s"}
+    ]
+    path.write_text(json.dumps(dump))
+    assert obs_cli.main(["report", str(path)]) == 0
+    out = capsys.readouterr().out
+    section = out[out.index("== fleet health =="):]
+    assert "fleet: degraded" in section and "not healthy: r0" in section
+    assert "r0             WEDGED" in section
+    assert "r0: healthy -> wedged: no telemetry 2.0s" in section
 
 
 def test_fleetmon_once_renders_tty_table(tmp_path, capsys):
