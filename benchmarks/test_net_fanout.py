@@ -6,8 +6,8 @@ loops, so the sockets are real), sweeping N.  The headline number is
 aggregate delivery throughput — N receivers each demodulating the full
 stream — against the cost of the shared modulation plus per-peer forks.
 Emits ``benchmarks/results/BENCH_net_fanout.json`` for CI artifact
-upload (the liveexp ``--fanout`` smoke run writes the same file name
-from its multi-process variant).
+upload (the multi-process ``liveexp --fanout`` run reports its aggregate
+in ``summary.json``).
 
 Marked ``bench``: not part of the tier-1 suite; run explicitly with
 ``pytest benchmarks/ -m bench``.

@@ -11,8 +11,9 @@ Two measurements, one artifact (``BENCH_net_localhost.json``):
   thresholds clear ``MIN_BATCH_SPEEDUP``× the plain-framed baseline —
   the wire-path overhaul's acceptance floor.
 * **Live end-to-end gate** — the real two-process live experiment
-  (separate interpreters, batching on) must pass every adaptation
-  check (plan shipped mid-run, causal trace merged, metrics scraped),
+  (one publisher, one receiver, separate interpreters, batching on)
+  must pass every adaptation check (plan shipped mid-run, causal trace
+  merged, metrics scraped),
   reporting end-to-end msg/s and per-PSE one-way latency.  End-to-end
   throughput is modulation/demodulation-bound, so the batching speedup
   is asserted on the wire sweep, not here; this run proves the batched
@@ -34,7 +35,7 @@ import pytest
 from repro.jecho.events import EventEnvelope
 from repro.net.framing import NetEnvelopeCodec
 from repro.net.tcp import FrameServer, TcpTransport
-from repro.tools.liveexp import run_live_experiment
+from repro.tools.liveexp import run_experiment
 
 pytestmark = pytest.mark.bench
 
@@ -43,6 +44,8 @@ N_MESSAGES = 400
 SAMPLES = 64
 #: no pacing: stream as fast as the socket takes it
 INTERVAL = 0.0
+#: the receiver's emulated slowdown
+RATE_SCALE = 4.0
 
 #: wire sweep: frames per configuration
 N_FRAMES = 5000
@@ -202,11 +205,12 @@ def _merge_results(results_dir, update):
 def test_localhost_live_gate_and_latency(
     results_dir, record_result, tmp_path
 ):
-    summary, checks = run_live_experiment(
+    summary, checks = run_experiment(
+        receivers=1,
+        faults={},  # clean run: measure the steady state, not recovery
         messages=N_MESSAGES,
         samples=SAMPLES,
-        drop_after=0,  # clean run: measure the steady state, not recovery
-        rate_scale=4.0,
+        rate_scale=RATE_SCALE,
         trigger_period=10,
         feedback_period=8,
         interval=INTERVAL,
@@ -217,8 +221,9 @@ def test_localhost_live_gate_and_latency(
     failed = [(name, detail) for name, passed, detail in checks if not passed]
     assert not failed, f"live-run checks failed: {failed}"
 
-    receiver = summary["receiver"]
-    transport = summary["sender"]["transport"]
+    (receiver,) = summary["receivers"]
+    (subscriber,) = summary["publisher"]["subscribers"]
+    transport = subscriber["transport"]
     msgs_per_sec = float(receiver["msgs_per_second"])
     latency = receiver["latency_by_pse"]
     assert msgs_per_sec > 0
@@ -228,11 +233,11 @@ def test_localhost_live_gate_and_latency(
     payload = {
         "n_messages": N_MESSAGES,
         "samples_per_reading": SAMPLES,
-        "rate_scale": summary["rate_scale"],
+        "rate_scale": RATE_SCALE,
         "msgs_per_sec": round(msgs_per_sec, 1),
         "plan_ships": receiver["plan_ships"],
-        "initial_plan_edges": summary["sender"]["initial_plan_edges"],
-        "final_plan_edges": summary["sender"]["final_plan_edges"],
+        "initial_plan_edges": summary["publisher"]["initial_plan_edges"],
+        "final_plan_edges": subscriber["plan_edges"],
         "latency_by_pse": {
             pse: {
                 "count": stats["count"],

@@ -23,8 +23,9 @@ identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from collections import deque
+from dataclasses import dataclass
+from typing import Deque, Dict, Optional, Tuple
 
 from repro.core.convexcut import ConvexCutResult
 from repro.core.costmodels.base import CostModel
@@ -34,6 +35,7 @@ from repro.core.runtime.plancost import explain_edge_costs
 from repro.core.runtime.profiling import ProfilingUnit, PSEStats
 from repro.core.runtime.triggers import FeedbackTrigger, RateTrigger
 from repro.ir.interpreter import Edge
+from repro.obs.quality import REPORT_TAIL
 
 #: Minimum capacity assigned to a PSE so the min cut stays well defined
 #: even when a profiled cost is zero.
@@ -74,7 +76,11 @@ class ReconfigurationUnit:
         #: optional AdaptationQuality — told about each recompute so the
         #: drift detector can re-baseline the model's predictions
         self.quality = quality
-        self.history: list = []
+        #: the newest :data:`~repro.obs.quality.REPORT_TAIL` recomputes; a
+        #: live receiver recomputes every few messages, so the count below
+        #: is the only record that covers them all
+        self.history: Deque[ReconfigurationRecord] = deque(maxlen=REPORT_TAIL)
+        self.reconfiguration_count = 0
         #: trace context ``(trace_id, span_id)`` of the last recompute's
         #: "plan.recompute" span — the parent for plan-update shipping
         self.last_trace_ctx: Optional[Tuple[int, int]] = None
@@ -199,8 +205,5 @@ class ReconfigurationUnit:
                 cut_value=value,
             )
         )
+        self.reconfiguration_count += 1
         return plan
-
-    @property
-    def reconfiguration_count(self) -> int:
-        return len(self.history)

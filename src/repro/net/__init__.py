@@ -25,9 +25,10 @@ instead of an in-process callback or a simulated link:
 * :mod:`repro.net.session` — the sans-I/O per-peer control plane of
   every subscriber: PLAN dedupe/defer/apply, breaker-driven retraction
   and re-split, health feed, telemetry ingest, feedback flush;
-* :mod:`repro.net.live` — the runnable per-process half of the live
-  harness (``python -m repro.net.live sender|receiver``), orchestrated
-  by :mod:`repro.tools.liveexp`.
+* :mod:`repro.net.live` — the runnable per-process halves of the live
+  harness (``python -m repro.net.live publisher|receiver``; a
+  two-process run is a publisher with one ``--ports`` entry),
+  orchestrated by :mod:`repro.tools.liveexp`.
 """
 
 from repro.net.framing import (

@@ -1,34 +1,34 @@
 """Per-process halves of the live network experiment.
 
-Run the receiver first; it binds an ephemeral port and announces it::
+Run each receiver first; it binds an ephemeral port and announces it::
 
     python -m repro.net.live receiver --messages 120 --out recv.json
 
     LISTENING 54321
 
-then the sender connects and streams the figure-7 sensor workload::
+then the publisher connects to every receiver and streams the figure-7
+sensor workload::
 
-    python -m repro.net.live sender --port 54321 --messages 120 \
-        --out send.json
+    python -m repro.net.live publisher --ports 54321 --messages 120 \
+        --out publisher.json
 
-Both processes build the *same* partitioned sensor handler (same source
-→ same PSEs), start from the same receiver-heavy plan, and run the
-paper's adaptation loop over the socket: the receiver's ``rate_scale``
+A two-process run is a fan-out of one: ``--ports 54321,54322,54323``
+publishes the same stream to three receivers (each started with
+``--name receiverI --index I`` so their trace dumps merge cleanly),
+sharing modulation up to the deepest common split and applying each
+receiver's shipped plans per peer.
+
+Every process builds the *same* partitioned sensor handler (same source
+→ same PSEs), starts from the same receiver-heavy plan, and runs the
+paper's adaptation loop over the socket: a receiver's ``rate_scale``
 emulates a loaded consumer host (figure 7's perturbation axis), the
-min-cut moves the split toward the sender, and the new plan ships back
-as a PLAN frame mid-stream.  ``--drop-after N`` injects a TCP reset
-after the Nth delivered continuation, exercising reconnect-with-backoff
-while the endpoint state (plan, profiling history) survives.
-
-A third role fans out::
-
-    python -m repro.net.live broker --ports 54321,54322,54323 ...
-
-one modulator publishing to N receivers (each started with ``--name
-receiverI --index I`` so their trace dumps merge cleanly), sharing
-modulation up to the deepest common split and applying each receiver's
-shipped plans per peer; ``--wedge-after`` on one receiver makes it go
-dark mid-stream, exercising the broker's drop-oldest load leveling.
+min-cut moves the split toward the publisher, and the new plan ships
+back as a PLAN frame mid-stream.  A receiver's faults exercise the
+publisher's resilience plane: ``--drop-after N`` injects a TCP reset
+after the Nth delivered continuation (reconnect-with-backoff while plan
+and profiling history survive), ``--wedge-after`` goes dark mid-stream
+(drop-oldest load leveling), and ``--kill-after-plan-ships`` dies by
+SIGKILL right after a plan ships.
 
 Each process writes one JSON result file: counters, per-PSE latency
 quantiles, the plan timeline, transport statistics and a full
@@ -53,17 +53,17 @@ from repro.apps.sensor.pipeline import build_partitioned_process
 from repro.core.plan import receiver_heavy_plan
 from repro.core.runtime.triggers import RateTrigger
 from repro.net.broker import NetBrokerEndpoint
-from repro.net.endpoint import NetReceiverEndpoint, NetSenderEndpoint
+from repro.net.endpoint import NetReceiverEndpoint
 from repro.net.framing import NetEnvelopeCodec
 from repro.net.tcp import TcpTransport
 from repro.obs import Observability, wide_event
 from repro.obs.flight import set_global_recorder
 from repro.obs.health import WEDGED, HealthConfig
 
-__all__ = ["run_sender", "run_receiver", "run_broker", "main"]
+__all__ = ["run_publisher", "run_receiver", "main"]
 
 #: disjoint tracer id ranges so merged dumps never collide
-SENDER_ID_BASE = 1 << 40
+PUBLISHER_ID_BASE = 1 << 40
 RECEIVER_ID_BASE = 2 << 40
 #: per-receiver-index stride inside the receiver range (fan-out mode);
 #: runs record a few thousand spans, so 2^38 ids of headroom is plenty
@@ -105,37 +105,25 @@ def _calibrate(partitioned, sink, n_samples: int, repeats: int = 5) -> float:
 
 
 def _observability(
-    host: str,
-    id_base: int,
-    out: Optional[str] = None,
-    *,
-    profile: bool = False,
-    profile_interval: Optional[float] = None,
+    host: str, id_base: int, args: argparse.Namespace
 ) -> Observability:
     obs = Observability(host=host)
-    # Wall clock: both processes run on one machine, so timestamps are
+    # Wall clock: every process runs on one machine, so timestamps are
     # directly comparable in the merged trace.
     obs.enable_tracing(clock=time.time, host=host, id_base=id_base)
     # The event ring rides along in the result JSON's obs dump, takes
     # this process's wide events, and a SIGTERM (the harness killing a
     # stuck process) still leaves a crash dump next to --out.
     set_global_recorder(obs.flight)
-    if out:
-        obs.flight.install_signal_dump(out + ".flight.json")
-    if profile:
+    if args.out:
+        obs.flight.install_signal_dump(args.out + ".flight.json")
+    if args.profile:
         # Continuous sampling profiler: the dump rides in the result
         # JSON's obs dump and liveexp merges the per-process profiles.
         obs.enable_profiler(
-            interval=profile_interval, host=host, autostart=True
+            interval=args.profile_interval, host=host, autostart=True
         )
     return obs
-
-
-def _obs_args(args: argparse.Namespace) -> Dict[str, object]:
-    return {
-        "profile": getattr(args, "profile", False),
-        "profile_interval": getattr(args, "profile_interval", None),
-    }
 
 
 def _finish_profile(obs: Observability) -> None:
@@ -151,26 +139,18 @@ def _health_config(args: argparse.Namespace) -> Optional[HealthConfig]:
     trips the breaker within a sub-second window instead of the
     production-paced defaults.
     """
-    degraded = getattr(args, "stale_degraded", None)
-    wedged = getattr(args, "stale_wedged", None)
-    if degraded is None and wedged is None:
-        return None
     kwargs = {}
-    if degraded is not None:
-        kwargs["stale_degraded"] = degraded
-    if wedged is not None:
-        kwargs["stale_wedged"] = wedged
-    return HealthConfig(**kwargs)
+    if args.stale_degraded is not None:
+        kwargs["stale_degraded"] = args.stale_degraded
+    if args.stale_wedged is not None:
+        kwargs["stale_wedged"] = args.stale_wedged
+    return HealthConfig(**kwargs) if kwargs else None
 
 
 def run_receiver(args: argparse.Namespace) -> Dict[str, object]:
-    name = getattr(args, "name", None) or "receiver"
-    index = getattr(args, "index", 0)
+    name = args.name
     obs = _observability(
-        name,
-        RECEIVER_ID_BASE + index * RECEIVER_ID_STRIDE,
-        args.out,
-        **_obs_args(args),
+        name, RECEIVER_ID_BASE + args.index * RECEIVER_ID_STRIDE, args
     )
     if args.quality:
         # Small window so regret windows close within a short stream.
@@ -191,12 +171,9 @@ def run_receiver(args: argparse.Namespace) -> Dict[str, object]:
         name=name,
         obs=obs,
         telemetry_interval=args.telemetry_interval,
-        election_priority=getattr(args, "election_priority", None),
+        election_priority=args.election_priority,
     )
-    wedge_after = getattr(args, "wedge_after", 0)
-    wedge_seconds = getattr(args, "wedge_seconds", 2.0)
     wedge_state = {"injected": 0}
-    kill_after_plan_ships = getattr(args, "kill_after_plan_ships", 0)
 
     async def amain() -> None:
         _, port = await endpoint.start(args.host, args.port)
@@ -209,12 +186,12 @@ def run_receiver(args: argparse.Namespace) -> Dict[str, object]:
         last_count = -1
         while not endpoint.done.is_set():
             if (
-                kill_after_plan_ships > 0
-                and endpoint.plan_ships >= kill_after_plan_ships
+                args.kill_after_plan_ships > 0
+                and endpoint.plan_ships >= args.kill_after_plan_ships
             ):
                 # Chaos fault: die without any goodbye, the hardest way,
                 # right inside the plan-apply window — the just-shipped
-                # PLAN frame is in flight toward the sender when the
+                # PLAN frame is in flight toward the publisher when the
                 # process vanishes.  No flight dump happens here; the
                 # surviving processes' recorders are the evidence.
                 wide_event(
@@ -223,15 +200,15 @@ def run_receiver(args: argparse.Namespace) -> Dict[str, object]:
                 sys.stdout.flush()
                 os.kill(os.getpid(), signal.SIGKILL)
             if (
-                wedge_after > 0
+                args.wedge_after > 0
                 and wedge_state["injected"] == 0
-                and endpoint.demodulated >= wedge_after
+                and endpoint.demodulated >= args.wedge_after
             ):
-                # Fault injection for the fan-out experiment: go dark —
-                # stop the listener, drop the connection, stay down.
-                # The broker's bounded per-peer queue must shed this
-                # peer's backlog (drop-oldest) while the other peers
-                # keep streaming untouched.
+                # Fault injection: go dark — stop the listener, drop the
+                # connection, stay down.  The publisher's bounded
+                # per-peer queue must shed this peer's backlog
+                # (drop-oldest) while the other peers keep streaming
+                # untouched.
                 wedge_state["injected"] = 1
                 endpoint.self_health.peer("self").force(
                     WEDGED, "injected wedge"
@@ -240,10 +217,10 @@ def run_receiver(args: argparse.Namespace) -> Dict[str, object]:
                     "fault.wedge",
                     role=name,
                     at_message=endpoint.demodulated,
-                    seconds=wedge_seconds,
+                    seconds=args.wedge_seconds,
                 )
                 await endpoint.server.stop()
-                await asyncio.sleep(wedge_seconds)
+                await asyncio.sleep(args.wedge_seconds)
                 await endpoint.server.start(args.host, port)
                 endpoint.self_health.peer("self").force(None)
                 wide_event(
@@ -295,7 +272,7 @@ def run_receiver(args: argparse.Namespace) -> Dict[str, object]:
     return {
         "role": "receiver",
         "name": name,
-        "index": index,
+        "index": args.index,
         "wedges_injected": wedge_state["injected"],
         "demodulated": endpoint.demodulated,
         "delivered": len(sink.results),
@@ -320,6 +297,8 @@ def run_receiver(args: argparse.Namespace) -> Dict[str, object]:
             if endpoint.sender_plan is not None
             else []
         ),
+        "reconfiguration_count": endpoint.reconfig.reconfiguration_count,
+        # the newest recomputes only; the count above covers them all
         "reconfigurations": [
             {
                 "at_message": record.at_message,
@@ -349,106 +328,23 @@ def run_receiver(args: argparse.Namespace) -> Dict[str, object]:
     }
 
 
-def run_sender(args: argparse.Namespace) -> Dict[str, object]:
-    obs = _observability(
-        "sender", SENDER_ID_BASE, args.out, **_obs_args(args)
-    )
-    partitioned, _sink = build_partitioned_process(
+def run_publisher(args: argparse.Namespace) -> Dict[str, object]:
+    """One modulator publishing to every ``--ports`` receiver."""
+    obs = _observability("publisher", PUBLISHER_ID_BASE, args)
+    partitioned, sink = build_partitioned_process(
         n_stages=args.n_stages, backend=args.backend
     )
     plan = receiver_heavy_plan(partitioned.cut)
-    rate = _calibrate(partitioned, _sink, args.samples)
-    codec = NetEnvelopeCodec(partitioned.serializer_registry)
+    rate = _calibrate(partitioned, sink, args.samples)
     transport = TcpTransport(
-        codec,
-        name="sender",
+        NetEnvelopeCodec(partitioned.serializer_registry),
+        name="publisher",
         heartbeat_interval=args.heartbeat,
         connect_timeout=args.timeout,
         send_timeout=5.0,
-        batching=not args.no_batching,
-        flush_max_bytes=args.flush_max_bytes,
-        flush_max_count=args.flush_max_count,
-        flush_interval=args.flush_interval,
-    )
-    transport.attach_observability(obs, name="transport.tcp")
-    transport.start()
-    peer = transport.peer(args.host, args.port)
-    endpoint = NetSenderEndpoint(
-        partitioned,
-        transport,
-        peer,
-        plan=plan,
-        feedback_period=args.feedback_period,
-        rate_override=rate,
-        recalibrate=lambda: _calibrate(partitioned, _sink, args.samples),
-        obs=obs,
-        health_config=_health_config(args),
-    )
-    if args.expose is not None:
-        exposer = endpoint.expose_metrics(args.host, args.expose)
-        print(f"EXPOSING {exposer.port}", flush=True)
-    started = time.time()
-    for i in range(args.messages):
-        endpoint.publish(make_reading(i, args.samples))
-        if args.interval > 0:
-            time.sleep(args.interval)
-    endpoint.finish()
-    drained = transport.drain(args.timeout)
-    _finish_profile(obs)
-    # Leave a window for a PLAN frame racing the tail of the stream.
-    time.sleep(0.3)
-    elapsed = time.time() - started
-    session = endpoint.session
-    result = {
-        "role": "sender",
-        "published": endpoint.published,
-        "shipped": session.shipped,
-        "completed_locally": session.completed_locally,
-        "elided": session.elided,
-        "feedback_flushes": session.feedback_flushes,
-        "plan_updates_applied": endpoint.plan_updates_applied,
-        "plan_duplicates_ignored": session.plan_duplicates_ignored,
-        "telemetry_seen": session.telemetry_frames,
-        "resilience": session.resilience_dump(),
-        "peer_health": endpoint.health.to_dict(),
-        "initial_plan_edges": sorted(list(e) for e in plan.active),
-        "final_plan_edges": [
-            list(e) for e in endpoint.current_plan_edges
-        ],
-        "elapsed_seconds": elapsed,
-        "drained": drained,
-        "transport": {
-            "messages_sent": transport.messages_sent,
-            "bytes_sent": transport.bytes_sent,
-            **peer.to_dict(),
-        },
-        "obs": obs.to_dict(),
-    }
-    endpoint.close_exposer()
-    transport.close()
-    return result
-
-
-def run_broker(args: argparse.Namespace) -> Dict[str, object]:
-    """One modulator fanning out to every ``--ports`` receiver."""
-    obs = _observability(
-        "broker", SENDER_ID_BASE, args.out, **_obs_args(args)
-    )
-    partitioned, _sink = build_partitioned_process(
-        n_stages=args.n_stages, backend=args.backend
-    )
-    plan = receiver_heavy_plan(partitioned.cut)
-    rate = _calibrate(partitioned, _sink, args.samples)
-    codec = NetEnvelopeCodec(partitioned.serializer_registry)
-    transport = TcpTransport(
-        codec,
-        name="broker",
-        heartbeat_interval=args.heartbeat,
-        connect_timeout=args.timeout,
-        send_timeout=5.0,
-        # Snappy reconnect: a wedged receiver coming back should not
-        # wait out a long backoff before its backlog drains.
-        backoff_base=0.05,
+        # Snappy reconnect: a receiver back from a wedge or a dropped
+        # connection should not wait out a long backoff before its
+        # backlog drains.
         backoff_cap=0.5,
         queue_limit=args.queue_limit,
         batching=not args.no_batching,
@@ -464,8 +360,7 @@ def run_broker(args: argparse.Namespace) -> Dict[str, object]:
         plan=plan,
         feedback_period=args.feedback_period,
         rate_override=rate,
-        recalibrate=lambda: _calibrate(partitioned, _sink, args.samples),
-        queue_limit=args.queue_limit,
+        recalibrate=lambda: _calibrate(partitioned, sink, args.samples),
         obs=obs,
         health_interval=args.health_interval,
         health_config=_health_config(args),
@@ -497,7 +392,7 @@ def run_broker(args: argparse.Namespace) -> Dict[str, object]:
     time.sleep(0.3)
     elapsed = time.time() - started
     result = {
-        "role": "broker",
+        "role": "publisher",
         "ports": ports,
         "initial_plan_edges": sorted(list(e) for e in plan.active),
         "elapsed_seconds": elapsed,
@@ -536,29 +431,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--profile-interval", type=float, default=None,
                         help="seconds between profiler samples (default "
                         "0.01 = 100 Hz)")
-
-
-def _add_health_overrides(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--stale-degraded", type=float, default=None,
-                        help="seconds of peer silence before degraded "
-                        "(default: HealthConfig's)")
-    parser.add_argument("--stale-wedged", type=float, default=None,
-                        help="seconds of peer silence before wedged — "
-                        "the breaker's trip signal (default: "
-                        "HealthConfig's)")
-
-
-def _add_batching(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--no-batching", action="store_true",
-                        help="disable wire batching even when the "
-                        "receiver advertises it (baseline runs)")
-    parser.add_argument("--flush-max-bytes", type=int, default=64 * 1024,
-                        help="batch payload budget before a flush")
-    parser.add_argument("--flush-max-count", type=int, default=32,
-                        help="max frames gathered into one batch")
-    parser.add_argument("--flush-interval", type=float, default=0.0,
-                        help="seconds a lone frame lingers hoping for "
-                        "company (0 = ship immediately)")
 
 
 def main(argv=None) -> int:
@@ -601,43 +473,44 @@ def main(argv=None) -> int:
                       help="chaos fault: SIGKILL this process right "
                       "after its Nth shipped plan (0 disables)")
 
-    send = sub.add_parser("sender", help="connect and modulate")
-    _add_common(send)
-    send.add_argument("--port", type=int, required=True)
-    send.add_argument("--feedback-period", type=int, default=8)
-    send.add_argument("--interval", type=float, default=0.005,
-                      help="pause between published messages (seconds)")
-    send.add_argument("--heartbeat", type=float, default=0.5)
-    _add_health_overrides(send)
-    _add_batching(send)
-
-    broker = sub.add_parser(
-        "broker", help="connect to N receivers and fan out"
+    pub = sub.add_parser(
+        "publisher", help="connect to every receiver and fan out"
     )
-    _add_common(broker)
-    broker.add_argument("--ports", required=True,
-                        help="comma-separated receiver ports")
-    broker.add_argument("--feedback-period", type=int, default=8)
-    broker.add_argument("--interval", type=float, default=0.005)
-    broker.add_argument("--heartbeat", type=float, default=0.5)
-    broker.add_argument("--queue-limit", type=int, default=64,
-                        help="per-subscriber outbound frame bound "
-                        "(drop-oldest beyond it)")
-    broker.add_argument("--health-interval", type=float, default=0.1,
-                        help="background health-evaluator cadence; keeps "
-                        "staleness ticking through the drain phase "
-                        "(0 disables the thread)")
-    _add_health_overrides(broker)
-    _add_batching(broker)
+    _add_common(pub)
+    pub.add_argument("--ports", required=True,
+                     help="comma-separated receiver ports (one port = "
+                     "the two-process run)")
+    pub.add_argument("--feedback-period", type=int, default=8)
+    pub.add_argument("--interval", type=float, default=0.005,
+                     help="pause between published messages (seconds)")
+    pub.add_argument("--heartbeat", type=float, default=0.5)
+    pub.add_argument("--queue-limit", type=int, default=1024,
+                     help="per-subscriber outbound frame bound "
+                     "(drop-oldest beyond it)")
+    pub.add_argument("--health-interval", type=float, default=0.1,
+                     help="background health-evaluator cadence; keeps "
+                     "staleness ticking through the drain phase "
+                     "(0 disables the thread)")
+    pub.add_argument("--stale-degraded", type=float, default=None,
+                     help="seconds of peer silence before degraded "
+                     "(default: HealthConfig's)")
+    pub.add_argument("--stale-wedged", type=float, default=None,
+                     help="seconds of peer silence before wedged — "
+                     "the breaker's trip signal (default: "
+                     "HealthConfig's)")
+    pub.add_argument("--no-batching", action="store_true",
+                     help="disable wire batching (baseline runs)")
+    pub.add_argument("--flush-max-bytes", type=int, default=64 * 1024,
+                     help="batch payload budget before a flush")
+    pub.add_argument("--flush-max-count", type=int, default=32,
+                     help="max frames gathered into one batch")
+    pub.add_argument("--flush-interval", type=float, default=0.0,
+                     help="seconds a lone frame lingers hoping for "
+                     "company (0 = ship immediately)")
 
     args = parser.parse_args(argv)
-    runners = {
-        "receiver": run_receiver,
-        "sender": run_sender,
-        "broker": run_broker,
-    }
-    result = runners[args.role](args)
-    text = json.dumps(result, indent=2, default=str)
+    run = run_receiver if args.role == "receiver" else run_publisher
+    text = json.dumps(run(args), indent=2, default=str)
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(text)

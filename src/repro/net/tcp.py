@@ -723,10 +723,10 @@ class TcpTransport(Transport):
         )
         self._peers[key] = peer
 
-        def _spawn() -> None:
+        def start_task() -> None:
             peer._task = loop.create_task(peer._run())
 
-        loop.call_soon_threadsafe(_spawn)
+        loop.call_soon_threadsafe(start_task)
         return peer
 
     @property

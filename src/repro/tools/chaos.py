@@ -5,30 +5,36 @@ processes over localhost TCP, or a deterministic in-process script) and
 asserts the resilience control plane's contract held:
 
 * ``plan_storm`` — duplicated and reordered PLAN frames against a
-  sender, including frames arriving *while the split is retracted*:
-  exactly one apply per fresh version, duplicates ignored, deferred
-  plans applied newest-first on re-split, absorbed continuations all
-  complete locally (conservation holds with the breaker open).
+  publisher's subscriber, including frames arriving *while the split
+  is retracted*: exactly one apply per fresh version, duplicates
+  ignored, deferred plans applied newest-first on re-split, absorbed
+  continuations all complete locally (conservation holds with the
+  breaker open).
 * ``partition`` — the receiver stops its listener mid-stream without a
-  Bye (a TCP partition, not a crash).  The sender's health monitor
+  Bye (a TCP partition, not a crash).  The publisher's health monitor
   must wedge the silent peer, trip the breaker, retract the split and
   absorb the stream locally; on recovery the breaker must walk
   open → half-open → closed and re-split — with **zero message loss**
   (per-source dedupe high-water marks make redelivery effectively-once).
 * ``kill_mid_apply`` — the receiver is SIGKILLed right after shipping a
-  plan, so the sender takes the plan apply from a peer that no longer
-  exists.  The sender must apply the plan, trip the breaker when the
+  plan, so the publisher takes the plan apply from a peer that no
+  longer exists.  It must apply the plan, trip the breaker when the
   silence registers, retract, and finish the stream locally, exiting 0.
-* ``leader_kill`` — three receivers share one broker and run the bully
-  election; the highest-ranked member is SIGKILLed mid-stream.  The
-  survivors must elect the next-highest rank within the timeout window
-  while the broker retracts the dead peer's split and keeps the healthy
-  peers streaming.
+* ``leader_kill`` — three receivers share one publisher and run the
+  bully election; the highest-ranked member is SIGKILLed mid-stream.
+  The survivors must elect the next-highest rank within the timeout
+  window while the publisher retracts the dead peer's split and keeps
+  the healthy peers streaming.
 
-Every scenario merges its processes' dumps into its own directory
-(``liveexp.write_merged``: span trees, event ring, profile), the per-process
-event rings of all scenarios merge once into one time-ordered
-suite-wide ``merged_flight.json``, and each scenario appends to
+The process scenarios launch the ``publisher`` and ``receiver`` roles
+of :mod:`repro.net.live` through :func:`repro.tools.liveexp.launch`,
+and their zero-loss checks read the live check table's conservation
+row (:data:`repro.tools.liveexp.CONSERVATION`).  Every scenario
+merges its processes' dumps into its own directory
+(``liveexp.write_merged``: span trees, event ring, profile), the
+per-process event rings of all scenarios merge once into one
+time-ordered suite-wide ``merged_flight.json``, and each scenario
+appends to
 ``chaos_summary.json``; the exit status is nonzero when any invariant
 check fails, so CI gates on the suite directly::
 
@@ -41,14 +47,21 @@ from __future__ import annotations
 import argparse
 import json
 import signal
-import subprocess
 import sys
 import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs.flight import merge_flight_dumps, set_global_recorder
-from repro.tools.liveexp import obs_sections, write_merged
+from repro.tools.liveexp import (
+    CONSERVATION,
+    Fleet,
+    launch,
+    obs_sections,
+    print_checks,
+    without_obs,
+    write_merged,
+)
 
 __all__ = ["run_chaos", "main", "SCENARIOS"]
 
@@ -59,14 +72,6 @@ def _check(
     checks: List[Check], name: str, passed: bool, detail: str
 ) -> None:
     checks.append((name, bool(passed), detail))
-
-
-def _load_json(path: Path) -> Optional[dict]:
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except (OSError, json.JSONDecodeError):
-        return None
 
 
 def _transition_path(breaker: dict, *steps: str) -> bool:
@@ -89,7 +94,7 @@ def _scenario_plan_storm(
 ) -> Tuple[dict, List[Check], List[dict]]:
     """Duplicated / reordered / mid-retraction PLAN frames, scripted.
 
-    No sockets: PLAN frames are fed straight into the sender's inbound
+    No sockets: PLAN frames are fed straight into the publisher's inbound
     path, which is exactly where wire frames land — so every ordering
     (duplicate, stale, deferred, superseded) is exercised
     deterministically instead of hoping the network misbehaves.
@@ -98,7 +103,7 @@ def _scenario_plan_storm(
     from repro.apps.sensor.pipeline import build_partitioned_process
     from repro.core.plan import receiver_heavy_plan, sender_heavy_plan
     from repro.jecho.events import PlanEnvelope
-    from repro.net.endpoint import NetSenderEndpoint
+    from repro.net.broker import NetBrokerEndpoint
     from repro.net.framing import NetEnvelopeCodec
     from repro.net.resilience import BreakerConfig
     from repro.net.tcp import TcpTransport
@@ -114,27 +119,27 @@ def _scenario_plan_storm(
         backoff_base=0.05,
         backoff_cap=0.2,
     ).start()
-    # A peer nobody listens on: connects fail and retry in the
-    # background, which is irrelevant — the scenario drives the inbound
-    # path directly and publishes only while the breaker is open.
-    peer = transport.peer("127.0.0.1", 1)
     checks: List[Check] = []
     try:
-        sender = NetSenderEndpoint(
+        publisher = NetBrokerEndpoint(
             partitioned,
             transport,
-            peer,
             plan=plan_recv,
             rate_override=1e-7,
             obs=obs,
             breaker_config=BreakerConfig(success_threshold=1),
         )
+        # A peer nobody listens on: connects fail and retry in the
+        # background, which is irrelevant — the scenario drives the
+        # inbound path directly and publishes only while the breaker is
+        # open.
+        session = publisher.subscribe("127.0.0.1", 1)
+        peer = session.peer
         # A scripted clock makes the probe schedule deterministic: the
         # breaker stays firmly open through the absorb phase (no wall
         # time passes) and is walked to half-open by advancing the
         # clock past the backoff by hand.
         fake_now = [0.0]
-        session = sender.session
         session.clock = lambda: fake_now[0]
 
         def plan_frame(version: int, plan) -> PlanEnvelope:
@@ -144,46 +149,46 @@ def _scenario_plan_storm(
 
         # Fresh version applies once; its duplicate and a stale
         # reordered predecessor are both ignored.
-        sender._on_inbound(plan_frame(2, plan_none), peer)
-        sender._on_inbound(plan_frame(2, plan_none), peer)
-        sender._on_inbound(plan_frame(1, plan_recv), peer)
+        publisher._on_inbound(plan_frame(2, plan_none), peer)
+        publisher._on_inbound(plan_frame(2, plan_none), peer)
+        publisher._on_inbound(plan_frame(1, plan_recv), peer)
         _check(
             checks,
             "duplicate and stale plans ignored",
-            sender.plan_updates_applied == 1
+            publisher.plan_updates_applied == 1
             and session.plan_duplicates_ignored == 2,
-            f"applied {sender.plan_updates_applied}, "
+            f"applied {publisher.plan_updates_applied}, "
             f"ignored {session.plan_duplicates_ignored}",
         )
 
         # Scripted trip: retraction swaps to the sender-heavy plan and
         # every publish completes locally (the absorb path).
-        with sender.lock:
+        with publisher.lock:
             session.breaker.trip("chaos: scripted trip")
         _check(
             checks,
             "trip retracts the split",
-            session.retracted and sender.retractions == 1,
+            session.retracted and publisher.retractions == 1,
             f"retracted={session.retracted} after trip",
         )
         for i in range(10):
-            sender.publish(make_reading(i, 16))
+            publisher.publish(make_reading(i, 16))
         _check(
             checks,
             "open breaker absorbs the stream locally",
-            sender.absorbed == 10
-            and sender.published
+            session.absorbed == 10
+            and publisher.published
             == session.shipped + session.completed_locally,
-            f"absorbed {sender.absorbed}, published {sender.published}, "
+            f"absorbed {session.absorbed}, published {publisher.published}, "
             f"shipped {session.shipped}, "
             f"local {session.completed_locally}",
         )
 
         # Plans arriving mid-retraction are parked, newest version wins;
         # a reordered older frame cannot displace a parked newer one.
-        sender._on_inbound(plan_frame(3, plan_recv), peer)
-        sender._on_inbound(plan_frame(4, plan_none), peer)
-        sender._on_inbound(plan_frame(3, plan_recv), peer)
+        publisher._on_inbound(plan_frame(3, plan_recv), peer)
+        publisher._on_inbound(plan_frame(4, plan_none), peer)
+        publisher._on_inbound(plan_frame(3, plan_recv), peer)
         _check(
             checks,
             "plans deferred while retracted, newest wins",
@@ -197,7 +202,7 @@ def _scenario_plan_storm(
         # Walk the breaker closed by hand (probe + success) and confirm
         # the re-split applied the deferred version, not the saved one.
         fake_now[0] += 60.0
-        with sender.lock:
+        with publisher.lock:
             assert session.breaker.allow()
             session.breaker.record_success()
         _check(
@@ -224,124 +229,109 @@ def _scenario_plan_storm(
         )
         summary = {
             "resilience": session.resilience_dump(),
-            "plan_updates_applied": sender.plan_updates_applied,
+            "plan_updates_applied": publisher.plan_updates_applied,
             "plan_duplicates_ignored": session.plan_duplicates_ignored,
-            "published": sender.published,
+            "published": publisher.published,
         }
     finally:
         transport.close()
     return summary, checks, [{"obs": obs.to_dict()}]
 
 
-# -- subprocess scenarios -----------------------------------------------------
+# -- process scenarios --------------------------------------------------------
+
+#: every process scenario's receivers: small readings, telemetry often
+_RECEIVER = {"samples": 32, "telemetry_interval": 0.1}
+#: fast heartbeats and sub-second staleness, so a silent peer trips its
+#: breaker well inside the scenario's window
+_PUBLISHER = {
+    "samples": 32,
+    "interval": 0.01,
+    "heartbeat": 0.2,
+    "stale_degraded": 0.3,
+    "stale_wedged": 0.6,
+}
 
 
-def _spawn(cmd: List[str], env: Dict[str, str]) -> subprocess.Popen:
-    return subprocess.Popen(
-        cmd,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        env=env,
+def _launch(
+    outdir: Path,
+    receivers: List[dict],
+    *,
+    messages: int,
+    timeout: float,
+    wait: float,
+    publisher: Optional[dict] = None,
+    during: Optional[Callable[[Fleet], object]] = None,
+):
+    """:func:`~repro.tools.liveexp.launch` plus the scenarios' options."""
+    common = {"messages": messages, "timeout": timeout}
+    return launch(
+        outdir,
+        [
+            {**_RECEIVER, **common, "idle_timeout": timeout, **options}
+            for options in receivers
+        ],
+        {**_PUBLISHER, **common, **(publisher or {})},
+        wait=wait,
+        during=during,
     )
 
 
-def _receiver_cmd(
-    out: Path,
-    *,
-    name: str = "receiver",
-    index: int = 0,
-    messages: int,
-    timeout: float,
-    extra: Optional[List[str]] = None,
-) -> List[str]:
-    return [
-        sys.executable, "-m", "repro.net.live", "receiver",
-        "--messages", str(messages),
-        "--samples", "32",
-        "--timeout", str(timeout),
-        "--idle-timeout", str(timeout),
-        "--name", name,
-        "--index", str(index),
-        "--telemetry-interval", "0.1",
-        "--out", str(out),
-        *(extra or []),
-    ]
+def _outcome(
+    statuses: Dict[str, Optional[int]],
+    results: Dict[str, Optional[dict]],
+    checks: List[Check],
+) -> Tuple[dict, List[Check], List[dict]]:
+    """A process scenario's (summary, checks, result files to merge).
+
+    The summary is the exit statuses plus every result file the
+    processes left, without its obs dump (the merged artifacts carry it).
+    """
+    left = {name: r for name, r in results.items() if r is not None}
+    summary = {"exit_statuses": statuses}
+    summary.update((name, without_obs(r)) for name, r in left.items())
+    return summary, checks, list(left.values())
 
 
 def _scenario_partition(
     outdir: Path, quick: bool
 ) -> Tuple[dict, List[Check], List[dict]]:
     """TCP partition: the receiver goes silent without a Bye, then returns."""
-    from repro.tools.liveexp import _child_env, _wait_for_ports
-
     messages = 350 if quick else 500
     timeout = 30.0
-    env = _child_env()
-    recv_out = outdir / "receiver.json"
-    send_out = outdir / "sender.json"
-    checks: List[Check] = []
-    receiver = _spawn(
-        _receiver_cmd(
-            recv_out,
-            messages=messages,
-            timeout=timeout,
-            extra=[
-                "--rate-scale", "2.0",
-                "--trigger-period", "1000000",
-                "--wedge-after", "25",
-                "--wedge-seconds", "1.0",
-            ],
-        ),
-        env,
+    statuses, results, _ = _launch(
+        outdir,
+        [{
+            "rate_scale": 2.0,
+            "trigger_period": 1000000,
+            "wedge_after": 25,
+            "wedge_seconds": 1.0,
+        }],
+        messages=messages,
+        timeout=timeout,
+        wait=timeout + 30,
     )
-    sender = None
-    try:
-        port, _ = _wait_for_ports(receiver, timeout=20.0, want_expose=False)
-        sender = _spawn(
-            [
-                sys.executable, "-m", "repro.net.live", "sender",
-                "--port", str(port),
-                "--messages", str(messages),
-                "--samples", "32",
-                "--interval", "0.01",
-                "--heartbeat", "0.2",
-                "--timeout", str(timeout),
-                "--stale-degraded", "0.3",
-                "--stale-wedged", "0.6",
-                "--out", str(send_out),
-            ],
-            env,
-        )
-        sender_status = sender.wait(timeout=timeout + 30)
-        receiver_status = receiver.wait(timeout=timeout + 30)
-    finally:
-        for proc in (sender, receiver):
-            if proc is not None and proc.poll() is None:
-                proc.kill()
-                proc.wait()
-
-    send_res = _load_json(send_out)
-    recv_res = _load_json(recv_out)
+    checks: List[Check] = []
+    pub, recv = results["publisher"], results["receiver0"]
     _check(
         checks,
         "both processes exited clean",
-        sender_status == 0 and receiver_status == 0
-        and send_res is not None and recv_res is not None,
-        f"sender={sender_status} receiver={receiver_status}",
+        all(status == 0 for status in statuses.values())
+        and pub is not None and recv is not None,
+        f"exit statuses {statuses}",
     )
-    if send_res is None or recv_res is None:
-        return {"error": "missing results"}, checks, []
+    if pub is None or recv is None:
+        return _outcome(statuses, results, checks)
 
-    res = send_res["resilience"]
-    breaker = res["breaker"]
+    sub = pub["subscribers"][0]
+    breaker = sub["breaker"]
     _check(
         checks,
         "partition tripped the breaker and retracted the split",
-        breaker["trips"] >= 1 and res["retractions"] >= 1
-        and res["absorbed"] > 0,
-        f"trips {breaker['trips']}, retractions {res['retractions']}, "
-        f"absorbed {res['absorbed']}",
+        breaker["trips"] >= 1 and sub["retractions"] >= 1
+        and sub["absorbed"] > 0,
+        f"trips {breaker['trips']}, retractions {sub['retractions']}, "
+        f"absorbed {sub['absorbed']}",
     )
     _check(
         checks,
@@ -354,294 +344,162 @@ def _scenario_partition(
     _check(
         checks,
         "recovery re-split the plan",
-        res["resplits"] >= 1 and not res["retracted"],
-        f"resplits {res['resplits']}, retracted {res['retracted']}",
+        sub["resplits"] >= 1 and not sub["retracted"],
+        f"resplits {sub['resplits']}, retracted {sub['retracted']}",
     )
-    shipped = int(send_res["shipped"])
-    local = int(send_res["completed_locally"])
-    published = int(send_res["published"])
-    demod = int(recv_res["demodulated"])
-    dropped = int(send_res["transport"]["dropped_frames"])
+    conserved, accounted = CONSERVATION.predicate({"publisher": pub})
+    shipped = int(sub["shipped"])
+    demod = int(recv["demodulated"])
+    dropped = int(sub["transport"]["dropped_frames"])
     _check(
         checks,
         "zero message loss across the partition",
-        published == shipped + local
-        and demod == shipped
-        and dropped == 0,
-        f"published {published} = shipped {shipped} + local {local}; "
-        f"demodulated {demod} (dupes skipped "
-        f"{recv_res['duplicates_skipped']}), dropped {dropped}",
+        conserved and demod == shipped and dropped == 0,
+        f"{accounted}; demodulated {demod} (dupes skipped "
+        f"{recv['duplicates_skipped']}), dropped {dropped}",
     )
-    summary = {
-        "sender": {
-            "published": published,
-            "shipped": shipped,
-            "completed_locally": local,
-            "resilience": res,
-        },
-        "receiver": {
-            "demodulated": demod,
-            "duplicates_skipped": recv_res["duplicates_skipped"],
-            "wedges_injected": recv_res["wedges_injected"],
-        },
-    }
-    return summary, checks, [send_res, recv_res]
+    return _outcome(statuses, results, checks)
 
 
 def _scenario_kill_mid_apply(
     outdir: Path, quick: bool
 ) -> Tuple[dict, List[Check], List[dict]]:
     """SIGKILL the receiver right after it ships a plan."""
-    from repro.tools.liveexp import _child_env, _wait_for_ports
-
     messages = 250 if quick else 400
     timeout = 8.0
-    env = _child_env()
-    recv_out = outdir / "receiver.json"
-    send_out = outdir / "sender.json"
-    checks: List[Check] = []
-    receiver = _spawn(
-        _receiver_cmd(
-            recv_out,
-            messages=messages,
-            timeout=timeout,
-            extra=[
-                "--rate-scale", "8.0",
-                "--trigger-period", "3",
-                "--kill-after-plan-ships", "1",
-            ],
-        ),
-        env,
+    statuses, results, _ = _launch(
+        outdir,
+        [{
+            "rate_scale": 8.0,
+            "trigger_period": 3,
+            "kill_after_plan_ships": 1,
+        }],
+        messages=messages,
+        timeout=timeout,
+        wait=timeout + 30,
     )
-    sender = None
-    try:
-        port, _ = _wait_for_ports(receiver, timeout=20.0, want_expose=False)
-        sender = _spawn(
-            [
-                sys.executable, "-m", "repro.net.live", "sender",
-                "--port", str(port),
-                "--messages", str(messages),
-                "--samples", "32",
-                "--interval", "0.01",
-                "--heartbeat", "0.2",
-                "--timeout", str(timeout),
-                "--stale-degraded", "0.3",
-                "--stale-wedged", "0.6",
-                "--out", str(send_out),
-            ],
-            env,
-        )
-        sender_status = sender.wait(timeout=timeout + 30)
-        receiver_status = receiver.wait(timeout=timeout + 30)
-    finally:
-        for proc in (sender, receiver):
-            if proc is not None and proc.poll() is None:
-                proc.kill()
-                proc.wait()
-
-    send_res = _load_json(send_out)
+    checks: List[Check] = []
+    pub = results["publisher"]
     _check(
         checks,
         "receiver died by SIGKILL as scripted",
-        receiver_status == -signal.SIGKILL,
-        f"receiver exit {receiver_status}",
+        statuses["receiver0"] == -signal.SIGKILL,
+        f"receiver exit {statuses['receiver0']}",
     )
     _check(
         checks,
-        "sender survived the kill and exited clean",
-        sender_status == 0 and send_res is not None,
-        f"sender exit {sender_status}",
+        "publisher survived the kill and exited clean",
+        statuses["publisher"] == 0 and pub is not None,
+        f"publisher exit {statuses['publisher']}",
     )
-    if send_res is None:
-        return {"error": "missing sender result"}, checks, []
-    res = send_res["resilience"]
-    breaker = res["breaker"]
+    if pub is None:
+        return _outcome(statuses, results, checks)
+    sub = pub["subscribers"][0]
+    breaker = sub["breaker"]
     _check(
         checks,
         "the dying receiver's plan was applied before the silence",
-        int(send_res["plan_updates_applied"]) >= 1,
-        f"applied {send_res['plan_updates_applied']}",
+        int(sub["plan_updates_applied"]) >= 1,
+        f"applied {sub['plan_updates_applied']}",
     )
     _check(
         checks,
         "breaker tripped and stayed open on the vanished peer",
         breaker["trips"] >= 1 and breaker["state"] == "open"
-        and res["retracted"],
+        and sub["retracted"],
         f"trips {breaker['trips']}, state {breaker['state']}",
     )
-    published = int(send_res["published"])
-    shipped = int(send_res["shipped"])
-    local = int(send_res["completed_locally"])
+    conserved, accounted = CONSERVATION.predicate({"publisher": pub})
     _check(
         checks,
         "stream completed locally after the kill, nothing lost",
-        published == messages and published == shipped + local
-        and res["absorbed"] > 0,
-        f"published {published} = shipped {shipped} + local {local}, "
-        f"absorbed {res['absorbed']}",
+        pub["published"] == messages and conserved and sub["absorbed"] > 0,
+        f"{accounted}, absorbed {sub['absorbed']}",
     )
-    summary = {
-        "receiver_exit": receiver_status,
-        "sender": {
-            "published": published,
-            "shipped": shipped,
-            "completed_locally": local,
-            "plan_updates_applied": send_res["plan_updates_applied"],
-            "resilience": res,
-        },
-    }
-    return summary, checks, [send_res]
+    return _outcome(statuses, results, checks)
 
 
 def _scenario_leader_kill(
     outdir: Path, quick: bool
 ) -> Tuple[dict, List[Check], List[dict]]:
-    """Kill the elected leader out of three broker-relayed receivers."""
-    from repro.tools.liveexp import _child_env, _wait_for_ports
-
+    """Kill the elected leader out of three publisher-relayed receivers."""
     messages = 450 if quick else 650
     timeout = 10.0
-    env = _child_env()
-    checks: List[Check] = []
     fanout = 3
     kill_index = 2  # highest priority => the bootstrap leader
-    receivers: List[subprocess.Popen] = []
-    outs: List[Path] = []
-    broker = None
-    try:
-        ports: List[int] = []
-        for i in range(fanout):
-            out = outdir / f"receiver{i}.json"
-            outs.append(out)
-            proc = _spawn(
-                _receiver_cmd(
-                    out,
-                    name=f"receiver{i}",
-                    index=i,
-                    messages=messages,
-                    timeout=timeout,
-                    extra=[
-                        "--rate-scale", str(1.0 + i),
-                        "--trigger-period", "1000000",
-                        "--election-priority", str(i + 1),
-                    ],
-                ),
-                env,
-            )
-            receivers.append(proc)
-            port, _ = _wait_for_ports(
-                proc, timeout=20.0, want_expose=False
-            )
-            ports.append(port)
-        broker_out = outdir / "broker.json"
-        broker = _spawn(
-            [
-                sys.executable, "-m", "repro.net.live", "broker",
-                "--ports", ",".join(str(p) for p in ports),
-                "--messages", str(messages),
-                "--samples", "32",
-                "--interval", "0.01",
-                "--heartbeat", "0.2",
-                "--timeout", str(timeout),
-                "--queue-limit", "256",
-                "--stale-degraded", "0.3",
-                "--stale-wedged", "0.6",
-                "--out", str(broker_out),
-            ],
-            env,
-        )
+    killed = f"receiver{kill_index}"
+
+    def decapitate(fleet: Fleet) -> None:
         # Let the bootstrap election settle, then decapitate.
         time.sleep(1.5)
-        receivers[kill_index].send_signal(signal.SIGKILL)
-        broker_status = broker.wait(timeout=timeout + 40)
-        statuses = [
-            proc.wait(timeout=timeout + 40) for proc in receivers
-        ]
-    finally:
-        for proc in [broker, *receivers]:
-            if proc is not None and proc.poll() is None:
-                proc.kill()
-                proc.wait()
+        fleet.receivers[kill_index].send_signal(signal.SIGKILL)
 
-    broker_res = _load_json(broker_out)
-    survivor_res = [
-        _load_json(outs[i]) for i in range(fanout) if i != kill_index
+    statuses, results, _ = _launch(
+        outdir,
+        [
+            {
+                "rate_scale": 1.0 + i,
+                "trigger_period": 1000000,
+                "election_priority": i + 1,
+            }
+            for i in range(fanout)
+        ],
+        messages=messages,
+        timeout=timeout,
+        wait=timeout + 40,
+        publisher={"queue_limit": 256},
+        during=decapitate,
+    )
+    checks: List[Check] = []
+    pub = results["publisher"]
+    survivors = [
+        results[f"receiver{i}"] for i in range(fanout) if i != kill_index
     ]
     _check(
         checks,
-        "leader died by SIGKILL, broker and survivors exited clean",
-        statuses[kill_index] == -signal.SIGKILL
-        and broker_status == 0
-        and all(
-            statuses[i] == 0 for i in range(fanout) if i != kill_index
-        )
-        and broker_res is not None
-        and all(r is not None for r in survivor_res),
-        f"broker={broker_status} receivers={statuses}",
+        "leader died by SIGKILL, publisher and survivors exited clean",
+        statuses[killed] == -signal.SIGKILL
+        and all(s == 0 for name, s in statuses.items() if name != killed)
+        and pub is not None
+        and all(r is not None for r in survivors),
+        f"exit statuses {statuses}",
     )
-    if broker_res is None or any(r is None for r in survivor_res):
-        return {"error": "missing results"}, checks, []
+    if pub is None or any(r is None for r in survivors):
+        return _outcome(statuses, results, checks)
 
-    leaders = [r["name"] for r in survivor_res if r.get("leader")]
+    leaders = [r["name"] for r in survivors if r.get("leader")]
     _check(
         checks,
         "survivors re-elected exactly one leader: the next rank",
         leaders == ["receiver1"],
         f"leaders among survivors: {leaders}",
     )
-    broker_leader = str(broker_res.get("leader") or "")
+    pub_leader = str(pub.get("leader") or "")
     _check(
         checks,
-        "broker observed the new coordinator",
-        broker_leader.startswith("receiver1#"),
-        f"broker leader: {broker_leader!r}",
+        "publisher observed the new coordinator",
+        pub_leader.startswith("receiver1#"),
+        f"publisher leader: {pub_leader!r}",
     )
-    subs = {
-        s["name"]: s for s in broker_res["subscribers"]
-    }
-    dead = subs.get(f"receiver{kill_index}", {})
+    dead = pub["subscribers"][kill_index]
     dead_breaker = dead.get("breaker") or {}
     _check(
         checks,
         "dead peer's breaker opened and its split retracted",
-        dead_breaker.get("state") == "open"
-        and dead.get("retracted"),
+        dead_breaker.get("state") == "open" and dead.get("retracted"),
         f"state {dead_breaker.get('state')}, "
         f"retracted {dead.get('retracted')}",
     )
     floor = messages // 2
-    healthy_ok = all(
-        int(r["demodulated"]) > floor for r in survivor_res
-    )
     _check(
         checks,
         "healthy peers kept streaming while one breaker was open",
-        healthy_ok,
+        all(int(r["demodulated"]) > floor for r in survivors),
         ", ".join(
-            f"{r['name']}: {r['demodulated']}/{messages}"
-            for r in survivor_res
+            f"{r['name']}: {r['demodulated']}/{messages}" for r in survivors
         ),
     )
-    summary = {
-        "killed": f"receiver{kill_index}",
-        "broker_leader": broker_leader,
-        "survivor_leaders": leaders,
-        "broker": {
-            "published": broker_res.get("published"),
-            "retractions": broker_res.get("retractions"),
-            "elections_relayed": broker_res.get("elections_relayed"),
-        },
-        "survivors": [
-            {
-                "name": r["name"],
-                "demodulated": r["demodulated"],
-                "leader": r["leader"],
-                "election_frames": r["election_frames"],
-            }
-            for r in survivor_res
-        ],
-    }
-    return summary, checks, [broker_res, *survivor_res]
+    return _outcome(statuses, results, checks)
 
 
 SCENARIOS: Dict[
@@ -686,10 +544,8 @@ def run_chaos(
                 [(f"{name} ran to completion", False, repr(exc))],
             )
         elapsed = time.time() - started
-        for check_name, passed, detail in checks:
-            mark = "ok  " if passed else "FAIL"
-            print(f"  [{mark}] {check_name}: {detail}", flush=True)
-            all_checks.append((f"{name}: {check_name}", passed, detail))
+        print_checks(checks)
+        all_checks += [(f"{name}: {n}", p, d) for n, p, d in checks]
         per_scenario[name] = {
             "elapsed_seconds": elapsed,
             "summary": summary,

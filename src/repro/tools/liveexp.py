@@ -1,28 +1,28 @@
-"""Live network experiment orchestrator (two-process and fan-out).
+"""Live network experiment orchestrator: one publisher, N receivers.
 
-Launches the receiver and the sender halves of :mod:`repro.net.live` as
-separate OS processes on localhost, runs the figure-7-style sensor
-workload over real TCP, and collects:
+Launches the halves of :mod:`repro.net.live` as separate OS processes
+on localhost — N receivers, then one publisher fanning the figure-7
+sensor workload out to all of them over real TCP — and collects:
 
-* per-process JSON results (traffic counters, plan timeline, per-PSE
-  latency quantiles);
+* per-process JSON results (``publisher.json``, ``receiverI.json``:
+  traffic counters, plan timeline, per-PSE latency quantiles);
 * one **merged Chrome trace** — the per-process tracer dumps use
-  disjoint span-id bases and a shared wall clock, so the sender's
-  ``modulate``/``ship`` spans and the receiver's ``demodulate`` spans
+  disjoint span-id bases and a shared wall clock, so the publisher's
+  ``modulate``/``ship`` spans and the receivers' ``demodulate`` spans
   join into single causal trees across process boundaries;
-* a pass/fail check report asserting the run exercised what it claims:
-  nonzero cross-process traffic, at least one mid-stream plan shipped
-  over the wire (and applied by the sender), and — when a drop is
-  injected — a reconnect with deliveries resuming afterwards.
+* a pass/fail report from one check table (:data:`CHECKS`): each row
+  names what it checks, when it applies to a run, and how it reads the
+  run — nonzero traffic on every subscriber, every publish accounted
+  for, plans shipped over the wire and applied, and the faults the run
+  injected observed and survived.
 
-``--fanout N`` switches to the broker topology: one broker process
-publishing to N receiver processes with *heterogeneous* emulated loads,
-so their adaptation loops converge to different PSEs while the broker
-shares each modulation up to the deepest common split.  One receiver
-goes dark mid-stream (``--wedge-after``) to prove the broker's bounded
-per-peer queues shed that peer's backlog without stalling the others.
-The fan-out run additionally writes ``BENCH_net_fanout.json``
-(aggregate delivered msg/s against N) for CI's benchmark artifacts.
+A two-process run is the N = 1 fan-out.  By default it injects a
+connection drop on its receiver (reconnect, deliveries resume); with
+``--fanout N`` the receivers emulate *heterogeneous* loads, so their
+adaptation loops converge to different PSEs while the publisher shares
+each modulation up to the deepest common split, and receiver 1 goes
+dark mid-stream (``--wedge-after``) to prove the bounded per-peer
+queues shed that peer's backlog without stalling the others.
 
 Usage::
 
@@ -42,18 +42,31 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.obs.export import chrome_trace, merge_tracer_dumps
 from repro.obs.flight import merge_flight_dumps
 from repro.obs.prof import merge_profile_dumps, speedscope_from_dump
 
 __all__ = [
-    "run_live_experiment", "run_fanout_experiment", "obs_sections",
-    "write_merged", "main"
+    "CHECKS", "CONSERVATION", "evaluate", "launch", "run_experiment",
+    "obs_sections", "write_merged", "print_checks", "without_obs", "main"
 ]
 
 _SRC_ROOT = str(Path(__file__).resolve().parents[2])
+
+Run = Dict[str, object]
+Outcome = Tuple[str, bool, str]
 
 
 def _child_env() -> Dict[str, str]:
@@ -65,81 +78,195 @@ def _child_env() -> Dict[str, str]:
     return env
 
 
-def _wait_for_ports(
-    proc: subprocess.Popen, timeout: float, *, want_expose: bool
-) -> Tuple[int, Optional[int]]:
-    """Read the receiver's stdout for LISTENING (and EXPOSING) lines."""
+def _flags(options: Mapping[str, object]) -> List[str]:
+    """CLI flags from options: ``{"rate_scale": 4.0, "quality": True}``
+    is ``--rate-scale 4.0 --quality``.
+
+    ``None`` and ``False`` leave a flag out, ``True`` passes it bare.
+    """
+    flags: List[str] = []
+    for key, value in options.items():
+        if value is None or value is False:
+            continue
+        flags.append("--" + key.replace("_", "-"))
+        if value is not True:
+            flags.append(str(value))
+    return flags
+
+
+def _announced(
+    proc: subprocess.Popen, name: str, want: Sequence[str], timeout: float
+) -> Dict[str, int]:
+    """Read a process's stdout until it announced every ``want`` port.
+
+    Ports are announced one per line as ``LISTENING <port>`` and
+    ``EXPOSING <port>``.
+    """
     deadline = time.time() + timeout
     assert proc.stdout is not None
-    port: Optional[int] = None
-    expose: Optional[int] = None
-    while time.time() < deadline:
+    ports: Dict[str, int] = {}
+    while len(ports) < len(want):
+        if time.time() > deadline:
+            raise RuntimeError(f"{name} never announced {list(want)}")
         if proc.poll() is not None:
             raise RuntimeError(
-                f"receiver exited early with status {proc.returncode}"
+                f"{name} exited early with status {proc.returncode}"
             )
         line = proc.stdout.readline()
         if not line:
             time.sleep(0.02)
             continue
-        text = line.strip()
-        if text.startswith("LISTENING "):
-            port = int(text.split()[1])
-        elif text.startswith("EXPOSING "):
-            expose = int(text.split()[1])
-        if port is not None and (expose is not None or not want_expose):
-            return port, expose
-    raise RuntimeError("receiver never announced its port")
+        word, _, port = line.strip().partition(" ")
+        if word in want:
+            ports[word] = int(port)
+    return ports
 
 
-def _scrape_exposition(
-    port: int, sender: subprocess.Popen, timeout: float
-) -> Dict[str, object]:
-    """Poll the receiver's /metrics while the stream runs.
+def _load_json(path: Path) -> Optional[dict]:
+    try:
+        with open(path) as handle:
+            return json.load(handle)
+    except (OSError, json.JSONDecodeError):
+        return None
 
-    Keeps the last text that parsed as valid OpenMetrics; stops early
-    once both a per-PSE regret sample and a drift-residual sample have
-    shown up (they appear after the first mid-stream recompute).
+
+class Fleet(NamedTuple):
+    """The processes of one launched run, while it streams."""
+
+    publisher: subprocess.Popen
+    receivers: List[subprocess.Popen]
+    #: host name → /metrics port, for every process started with expose
+    expose: Dict[str, int]
+
+
+def launch(
+    outdir: Path,
+    receivers: Sequence[Mapping[str, object]],
+    publisher: Mapping[str, object],
+    *,
+    wait: float,
+    during: Optional[Callable[[Fleet], object]] = None,
+) -> Tuple[Dict[str, Optional[int]], Dict[str, Optional[dict]], object]:
+    """Start N receivers and one publisher; wait for all of them.
+
+    ``receivers[i]`` and ``publisher`` are each process's
+    :mod:`repro.net.live` options (``{"rate_scale": 4.0}`` for
+    ``--rate-scale 4.0``).  Receiver ``i`` is named ``receiverI`` and
+    the publisher subscribes to the receivers in order, so its
+    subscriber ``i`` is receiver ``i``.  ``during(fleet)`` runs while the
+    stream flows (a scrape, a scripted kill).
+
+    Returns ``(statuses, results, value of during)``, the first two
+    keyed by host name: a status is nonzero when the process failed or
+    died, a result None when it left no ``outdir/<host>.json``.
+    """
+    env = _child_env()
+    procs: Dict[str, subprocess.Popen] = {}
+    expose: Dict[str, int] = {}
+
+    def spawn(name: str, role: str, options: Mapping[str, object]) -> int:
+        options = {**options, "out": outdir / f"{name}.json"}
+        procs[name] = proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.net.live", role, *_flags(options)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=env,
+        )
+        want = ["LISTENING"] if role == "receiver" else []
+        if options.get("expose") is not None:
+            want.append("EXPOSING")
+        ports = _announced(proc, name, want, timeout=min(30.0, wait))
+        if "EXPOSING" in ports:
+            expose[name] = ports["EXPOSING"]
+        return ports.get("LISTENING", 0)
+
+    names = [f"receiver{i}" for i in range(len(receivers))]
+    value = None
+    try:
+        ports = [
+            spawn(name, "receiver", {"name": name, "index": i, **options})
+            for i, (name, options) in enumerate(zip(names, receivers))
+        ]
+        spawn(
+            "publisher",
+            "publisher",
+            {"ports": ",".join(str(p) for p in ports), **publisher},
+        )
+        if during is not None:
+            value = during(
+                Fleet(procs["publisher"], [procs[n] for n in names], expose)
+            )
+        statuses = {
+            name: procs[name].wait(timeout=wait)
+            for name in ["publisher", *names]
+        }
+    finally:
+        for proc in procs.values():
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+    results = {name: _load_json(outdir / f"{name}.json") for name in statuses}
+    return statuses, results, value
+
+
+def _series(families: Mapping[str, dict]) -> Dict[str, Set[str]]:
+    """Each family with samples → the ``label=value`` pairs on them."""
+    return {
+        family: {
+            f"{key}={value}"
+            for sample in data["samples"]
+            for key, value in sample["labels"].items()
+        }
+        for family, data in families.items()
+        if data.get("samples")
+    }
+
+
+def _scrape(
+    ports: Mapping[str, int],
+    publisher: subprocess.Popen,
+    timeout: float,
+    outdir: Path,
+) -> Dict[str, Dict[str, object]]:
+    """Poll every exposing host's /metrics until the publisher exits.
+
+    Per host: ``valid`` (some scrape parsed as OpenMetrics), the last
+    ``error``, and ``series`` (see :func:`_series`) accumulated over all
+    scrapes.  The last valid text lands in ``outdir/<host>.metrics.txt``.
     """
     import urllib.request
 
     from repro.obs.exposition import parse_openmetrics
 
-    url = f"http://127.0.0.1:{port}/metrics"
-    state: Dict[str, object] = {
-        "text": None,
-        "valid": False,
-        "regret": False,
-        "drift": False,
-        "error": None,
+    state = {
+        name: {"valid": False, "error": None, "series": {}}
+        for name in ports
     }
     deadline = time.time() + timeout
-    sender_gone_attempts = 0
-    while time.time() < deadline and sender_gone_attempts <= 2:
-        if sender.poll() is not None:
-            # The receiver lingers briefly after the sender exits; take
+    last_chances = 3
+    while ports and time.time() < deadline and last_chances > 0:
+        if publisher.poll() is not None:
+            # Receivers linger briefly after the publisher exits; take
             # a couple of last-chance scrapes, then stop.
-            sender_gone_attempts += 1
-        try:
-            with urllib.request.urlopen(url, timeout=2.0) as response:
-                text = response.read().decode()
-            families = parse_openmetrics(text)
-        except Exception as exc:  # noqa: BLE001 - report the last failure
-            state["error"] = repr(exc)
-            time.sleep(0.2)
-            continue
-        state["text"] = text
-        state["valid"] = True
-        regret = families.get("quality_regret", {})
-        state["regret"] = state["regret"] or any(
-            "pse" in sample["labels"]
-            for sample in regret.get("samples", [])
-        )
-        drift = families.get("quality_drift_residual", {})
-        state["drift"] = state["drift"] or bool(drift.get("samples"))
-        if state["regret"] and state["drift"]:
-            break
+            last_chances -= 1
+        for name, port in ports.items():
+            host = state[name]
+            url = f"http://127.0.0.1:{port}/metrics"
+            try:
+                with urllib.request.urlopen(url, timeout=2.0) as response:
+                    text = response.read().decode()
+                families = parse_openmetrics(text)
+            except Exception as exc:  # noqa: BLE001 - report the last failure
+                host["error"] = repr(exc)
+                continue
+            host["valid"] = True
+            for family, labels in _series(families).items():
+                host["series"].setdefault(family, set()).update(labels)
+            (outdir / f"{name}.metrics.txt").write_text(text)
         time.sleep(0.2)
+    for host in state.values():
+        host["series"] = {k: sorted(v) for k, v in host["series"].items()}
     return state
 
 
@@ -187,144 +314,458 @@ def write_merged(
     return merged
 
 
-def _check(
-    checks: List[Tuple[str, bool, str]],
-    name: str,
-    passed: bool,
-    detail: str,
-) -> None:
-    checks.append((name, passed, detail))
+# -- the check table ----------------------------------------------------------
+#
+# A run is the dict :func:`run_experiment` assembles: ``n``, ``faults``
+# (receiver index → that receiver's fault options), the ``publisher``
+# and ``receivers`` result files, the merged ``trace`` and ``flight``
+# dumps, the merged ``profile`` (None when unprofiled) and the
+# ``exposition`` scrape state per exposing host.
 
 
-def _verify(
-    sender: Dict[str, object],
-    receiver: Dict[str, object],
-    merged: Dict[str, object],
-    *,
-    drop_after: int,
-) -> List[Tuple[str, bool, str]]:
-    checks: List[Tuple[str, bool, str]] = []
-    shipped = int(sender["shipped"])
-    demodulated = int(receiver["demodulated"])
-    _check(
-        checks,
-        "cross-process traffic",
-        shipped > 0 and demodulated > 0,
-        f"sender shipped {shipped}, receiver demodulated {demodulated}",
+class Check(NamedTuple):
+    """One row: ``predicate(run)`` is (passed, detail) where it applies."""
+
+    name: str
+    applies: Callable[[Run], bool]
+    predicate: Callable[[Run], Tuple[bool, str]]
+
+
+def _always(run: Run) -> bool:
+    return True
+
+
+def _fault(run: Run, option: str) -> Optional[int]:
+    """Index of the receiver injecting fault ``option``, if any."""
+    for index, options in run["faults"].items():
+        if options.get(option):
+            return index
+    return None
+
+
+def _has_fault(option: str) -> Callable[[Run], bool]:
+    return lambda run: _fault(run, option) is not None
+
+
+def _subs(run: Run) -> List[dict]:
+    return run["publisher"]["subscribers"]
+
+
+def _hosts(run: Run) -> Set[str]:
+    return {"publisher"} | {r["name"] for r in run["receivers"]}
+
+
+def _traffic(run: Run) -> Tuple[bool, str]:
+    published = int(run["publisher"]["published"])
+    demod = {r["name"]: int(r["demodulated"]) for r in run["receivers"]}
+    return (
+        published > 0 and all(count > 0 for count in demod.values()),
+        f"published {published}, demodulated {demod}",
     )
-    published = int(sender["published"])
-    accounted = {
-        "shipped": shipped,
-        "completed_locally": int(sender["completed_locally"]),
-        "elided": int(sender["elided"]),
-        "ships_suppressed": int(sender["resilience"]["ships_suppressed"]),
+
+
+def _conservation(run: Run) -> Tuple[bool, str]:
+    published = int(run["publisher"]["published"])
+    parts = ("shipped", "completed_locally", "elided", "ships_suppressed")
+    passed, details = True, []
+    for sub in _subs(run):
+        counts = [int(sub[part]) for part in parts]
+        passed = passed and published == sum(counts)
+        details.append(
+            f"{sub['name']}: {published} = "
+            + " + ".join(f"{n} {v}" for n, v in zip(parts, counts))
+        )
+    return passed, "; ".join(details)
+
+
+def _deliveries(run: Run) -> Tuple[bool, str]:
+    counts = {
+        r["name"]: (int(r["delivered"]), int(r["demodulated"]))
+        for r in run["receivers"]
     }
-    _check(
-        checks,
-        "every publish accounted for",
-        published == sum(accounted.values()),
-        f"published {published} = "
-        + " + ".join(f"{n} {v}" for n, v in accounted.items()),
+    return (
+        all(d == m for d, m in counts.values()),
+        ", ".join(
+            f"{n}: delivered {d} of {m}" for n, (d, m) in counts.items()
+        ),
     )
-    _check(
-        checks,
-        "deliveries complete",
-        int(receiver["delivered"]) == demodulated,
-        f"delivered {receiver['delivered']} of {demodulated} demodulated",
+
+
+def _plans_shipped(run: Run) -> Tuple[bool, str]:
+    ships = sum(int(r["plan_ships"]) for r in run["receivers"])
+    applied = int(run["publisher"]["plan_updates_applied"])
+    return (
+        ships >= 1 and applied >= 1,
+        f"receivers shipped {ships} plan(s), publisher applied {applied}",
     )
-    plan_ships = int(receiver["plan_ships"])
-    plan_applied = int(sender["plan_updates_applied"])
-    _check(
-        checks,
-        "plan shipped over TCP",
-        plan_ships >= 1 and plan_applied >= 1,
-        f"receiver shipped {plan_ships} plan(s), "
-        f"sender applied {plan_applied}",
+
+
+def _plan_moved(run: Run) -> Tuple[bool, str]:
+    initial = run["publisher"]["initial_plan_edges"]
+    finals = {sub["name"]: sub["plan_edges"] for sub in _subs(run)}
+    return (
+        any(edges != initial for edges in finals.values()),
+        f"{initial} -> {finals}",
     )
-    _check(
-        checks,
-        "plan actually moved",
-        sender["final_plan_edges"] != sender["initial_plan_edges"],
-        f"{sender['initial_plan_edges']} -> {sender['final_plan_edges']}",
+
+
+def _plans_agree(run: Run) -> Tuple[bool, str]:
+    pairs = {
+        sub["name"]: (sub["plan_edges"], r["final_plan_edges"])
+        for r, sub in _live(run)
+    }
+    return (
+        all(mine == theirs for mine, theirs in pairs.values()),
+        ", ".join(
+            f"{name}: publisher {mine}, receiver {theirs}"
+            for name, (mine, theirs) in pairs.items()
+        ),
     )
-    _check(
-        checks,
-        "sender/receiver agree on final plan",
-        sender["final_plan_edges"] == receiver["final_plan_edges"],
-        f"sender {sender['final_plan_edges']}, "
-        f"receiver {receiver['final_plan_edges']}",
+
+
+def _shared_once(run: Run) -> Tuple[bool, str]:
+    pub = run["publisher"]
+    return (
+        int(pub["shared_runs"]) == int(pub["published"]),
+        f"{pub['shared_runs']} shared runs for {pub['published']} publishes",
     )
-    if drop_after > 0:
-        transport = sender["transport"]
-        _check(
-            checks,
-            "drop injected",
-            int(receiver["drops_injected"]) >= 1,
-            f"{receiver['drops_injected']} drop(s)",
+
+
+def _diverged(run: Run) -> Tuple[bool, str]:
+    finals = {
+        r["name"]: tuple(tuple(e) for e in r["final_plan_edges"])
+        for r in run["receivers"]
+    }
+    distinct = len(set(finals.values()))
+    return (
+        distinct >= 2,
+        f"{distinct} distinct final plan(s) across {len(finals)} "
+        f"receivers: {finals}",
+    )
+
+
+def _drop_injected(run: Run) -> Tuple[bool, str]:
+    drops = int(run["receivers"][_fault(run, "drop_after")]["drops_injected"])
+    return drops >= 1, f"{drops} drop(s)"
+
+
+def _reconnected(run: Run) -> Tuple[bool, str]:
+    transport = _subs(run)[_fault(run, "drop_after")]["transport"]
+    return (
+        int(transport["reconnects"]) >= 1,
+        f"{transport['reconnects']} reconnect(s), "
+        f"{transport['connections']} connection(s)",
+    )
+
+
+def _resumed(run: Run) -> Tuple[bool, str]:
+    index = _fault(run, "drop_after")
+    drop_after = int(run["faults"][index]["drop_after"])
+    demod = int(run["receivers"][index]["demodulated"])
+    return (
+        demod > drop_after,
+        f"{demod} demodulated > drop point {drop_after}",
+    )
+
+
+def _wedged(run: Run) -> Tuple[dict, dict]:
+    """(receiver result, publisher subscriber) of the wedged receiver."""
+    index = _fault(run, "wedge_after")
+    return run["receivers"][index], _subs(run)[index]
+
+
+def _live(run: Run) -> List[Tuple[dict, dict]]:
+    """(receiver result, subscriber) of every receiver not wedged."""
+    index = _fault(run, "wedge_after")
+    return [
+        pair
+        for i, pair in enumerate(zip(run["receivers"], _subs(run)))
+        if i != index
+    ]
+
+
+def _wedge_injected(run: Run) -> Tuple[bool, str]:
+    receiver, _ = _wedged(run)
+    count = int(receiver["wedges_injected"])
+    return count >= 1, f"{receiver['name']} went dark {count} time(s)"
+
+
+def _wedge_shed(run: Run) -> Tuple[bool, str]:
+    receiver, sub = _wedged(run)
+    dropped = int(sub["transport"]["dropped_frames"])
+    return (
+        dropped > 0,
+        f"publisher dropped {dropped} frame(s) for {receiver['name']}",
+    )
+
+
+def _unaffected(run: Run) -> Tuple[bool, str]:
+    passed, details = True, []
+    for receiver, sub in _live(run):
+        shipped, count = int(sub["shipped"]), int(receiver["demodulated"])
+        passed = passed and shipped > 0 and count >= 0.9 * shipped
+        details.append(
+            f"{receiver['name']}: demodulated {count} of {shipped} shipped "
+            f"(0 drops: {sub['transport']['dropped_frames'] == 0})"
         )
-        _check(
-            checks,
-            "sender reconnected",
-            int(transport["reconnects"]) >= 1,
-            f"{transport['reconnects']} reconnect(s), "
-            f"{transport['connections']} connection(s)",
-        )
-        _check(
-            checks,
-            "deliveries resumed after drop",
-            demodulated > drop_after,
-            f"{demodulated} demodulated > drop point {drop_after}",
-        )
-    # Merged-trace smoke checks: both hosts present, and at least one
-    # trace id with spans recorded by both processes (a causal chain
-    # that crossed the socket).
-    spans = merged.get("spans", [])
-    hosts = {s.get("host") for s in spans}
-    _check(
-        checks,
-        "merged trace has both hosts",
-        "sender" in hosts and "receiver" in hosts,
-        f"hosts: {sorted(h for h in hosts if h)}",
+    return passed, "; ".join(details)
+
+
+def _fleet_peer(run: Run, name: str) -> dict:
+    return run["publisher"].get("fleet", {}).get("peers", {}).get(name, {})
+
+
+def _wedge_observed(run: Run) -> Tuple[bool, str]:
+    name = _wedged(run)[0]["name"]
+    peer = _fleet_peer(run, name)
+    transitions = peer.get("transitions", [])
+    went_wedged = any(t.get("to") == "wedged" for t in transitions)
+    recovered = any(
+        t.get("from") == "wedged" and t.get("to") == "recovering"
+        for t in transitions
     )
-    by_trace: Dict[object, set] = {}
-    for span in spans:
+    return (
+        went_wedged
+        and recovered
+        and peer.get("state") in ("recovering", "healthy"),
+        f"{name} transitions "
+        f"{[(t.get('from'), t.get('to')) for t in transitions]}, "
+        f"final {peer.get('state')}",
+    )
+
+
+def _live_healthy(run: Run) -> Tuple[bool, str]:
+    states = {
+        r["name"]: _fleet_peer(run, r["name"]).get("state")
+        for r, _ in _live(run)
+    }
+    return (
+        all(state == "healthy" for state in states.values()),
+        f"final states: {states}",
+    )
+
+
+def _wedge_recorded(run: Run) -> Tuple[bool, str]:
+    name = _wedged(run)[0]["name"]
+    events = run["flight"].get("events", [])
+    kinds = {e.get("kind") for e in events}
+    wedged = any(
+        e.get("kind") == "health.transition"
+        and e.get("to") == "wedged"
+        and e.get("peer") == name
+        for e in events
+    )
+    return (
+        {"net.shed", "fault.wedge"} <= kinds and wedged,
+        f"merged flight kinds: {sorted(k for k in kinds if k)}",
+    )
+
+
+def _trace_hosts(run: Run) -> Tuple[bool, str]:
+    hosts = {s.get("host") for s in run["trace"].get("spans", [])}
+    return _hosts(run) <= hosts, f"hosts: {sorted(h for h in hosts if h)}"
+
+
+def _causal_trees(run: Run) -> Tuple[bool, str]:
+    by_trace: Dict[object, Set[str]] = {}
+    for span in run["trace"].get("spans", []):
         by_trace.setdefault(span["trace"], set()).add(span.get("host"))
+    receivers = _hosts(run) - {"publisher"}
     crossing = [
         t
-        for t, h in by_trace.items()
-        if "sender" in h and "receiver" in h
+        for t, hosts in by_trace.items()
+        if "publisher" in hosts and hosts & receivers
     ]
-    _check(
-        checks,
-        "cross-process causal trees",
+    return (
         len(crossing) >= 1,
-        f"{len(crossing)} trace(s) span both processes",
+        f"{len(crossing)} trace(s) span publisher and a receiver",
     )
-    names = {str(s["name"]) for s in spans}
+
+
+def _span_kinds(run: Run) -> Tuple[bool, str]:
+    names = {str(s["name"]) for s in run["trace"].get("spans", [])}
     wanted = {"modulate", "ship", "demodulate"}
-    _check(
-        checks,
-        "span kinds present",
-        wanted <= names,
-        f"have {sorted(names & (wanted | {'plan.ship', 'plan.apply'}))}",
-    )
-    seen = int(sender["transport"].get("telemetry_frames_seen", 0))
-    _check(
-        checks,
-        "telemetry pushed",
-        seen >= 1 and int(sender.get("telemetry_seen", 0)) >= 1,
-        f"{seen} frame(s) on the wire, sender ingested "
-        f"{sender.get('telemetry_seen', 0)} "
-        f"of {receiver.get('telemetry_pushes', 0)} pushed",
-    )
-    return checks
+    if int(run["publisher"]["forks"]) > 0:
+        wanted.add("fork")
+    shown = wanted | {"fork", "plan.ship", "plan.apply"}
+    return wanted <= names, f"have {sorted(names & shown)}"
 
 
-def run_live_experiment(
+def _telemetry(run: Run) -> Tuple[bool, str]:
+    counts = {
+        sub["name"]: (
+            int(sub["transport"].get("telemetry_frames_seen", 0)),
+            int(sub.get("telemetry_frames", 0)),
+        )
+        for sub in _subs(run)
+    }
+    return (
+        all(wire >= 1 and ingested >= 1 for wire, ingested in counts.values()),
+        "TELEMETRY frames on the wire/ingested per peer: "
+        + ", ".join(f"{n}={w}/{i}" for n, (w, i) in sorted(counts.items())),
+    )
+
+
+def _profiles(run: Run) -> Tuple[bool, str]:
+    profile = run["profile"]
+    hosts = set(profile.get("hosts", []))
+    samples = int(profile.get("samples", 0))
+    return (
+        _hosts(run) <= hosts and samples > 0,
+        f"{samples} samples across hosts {sorted(hosts)}",
+    )
+
+
+def _exposes(host: str) -> Callable[[Run], bool]:
+    return lambda run: host in run["exposition"]
+
+
+def _scraped(run: Run) -> Tuple[bool, str]:
+    failed = {
+        name: host["error"]
+        for name, host in run["exposition"].items()
+        if not host["valid"]
+    }
+    return (
+        not failed,
+        f"scrape failed: {failed}"
+        if failed
+        else f"live /metrics of {sorted(run['exposition'])} parsed as "
+        "OpenMetrics",
+    )
+
+
+def _quality_exposed(
+    family: str, label: Optional[str]
+) -> Callable[[Run], Tuple[bool, str]]:
+    """Receiver 0 exposed ``family`` (on a ``label``-labelled sample).
+
+    Falls back to rendering its final dump when the mid-stream scrapes
+    raced the series' first appearance.
+    """
+
+    def has(series: Mapping[str, Sequence[str]]) -> bool:
+        return family in series and (
+            label is None
+            or any(pair.startswith(label + "=") for pair in series[family])
+        )
+
+    def predicate(run: Run) -> Tuple[bool, str]:
+        if has(run["exposition"]["receiver0"]["series"]):
+            return True, f"{family} present (live scrape)"
+        metrics = run["receivers"][0].get("obs", {}).get("metrics")
+        if metrics:
+            from repro.obs.exposition import (
+                parse_openmetrics,
+                render_openmetrics,
+            )
+
+            if has(_series(parse_openmetrics(render_openmetrics(metrics)))):
+                return True, f"{family} present (final dump)"
+        return False, f"no {family} sample"
+
+    return predicate
+
+
+def _peers_exposed(run: Run) -> Tuple[bool, str]:
+    seen = {
+        pair.split("=", 1)[1]
+        for pairs in run["exposition"]["publisher"]["series"].values()
+        for pair in pairs
+        if pair.startswith("peer=")
+    }
+    wanted = _hosts(run) - {"publisher"}
+    return wanted <= seen, f"peer labels seen: {sorted(seen & wanted)}"
+
+
+#: published == shipped + completed_locally + elided + ships_suppressed,
+#: on every subscriber — the publish path's conservation identity
+CONSERVATION = Check("every publish accounted for", _always, _conservation)
+
+#: the one verification table for every live run, any N, any fault
+CHECKS: Tuple[Check, ...] = (
+    Check("every subscriber got traffic", _always, _traffic),
+    CONSERVATION,
+    Check("deliveries complete", _always, _deliveries),
+    Check("plan shipped over TCP and applied", _always, _plans_shipped),
+    Check("plan actually moved", _always, _plan_moved),
+    Check("publisher and live receivers agree on final plans", _always,
+          _plans_agree),
+    Check("modulation shared once per message", _always, _shared_once),
+    Check("per-peer plans diverged", lambda run: run["n"] >= 2, _diverged),
+    Check("drop injected", _has_fault("drop_after"), _drop_injected),
+    Check("publisher reconnected", _has_fault("drop_after"), _reconnected),
+    Check("deliveries resumed after drop", _has_fault("drop_after"),
+          _resumed),
+    Check("wedge injected", _has_fault("wedge_after"), _wedge_injected),
+    Check("wedged peer backlog shed (drop-oldest)",
+          _has_fault("wedge_after"), _wedge_shed),
+    Check("live peers unaffected by the wedge", _has_fault("wedge_after"),
+          _unaffected),
+    Check("publisher observed the wedge", _has_fault("wedge_after"),
+          _wedge_observed),
+    Check("live peers end healthy", _has_fault("wedge_after"),
+          _live_healthy),
+    Check("flight recorder captured the wedge", _has_fault("wedge_after"),
+          _wedge_recorded),
+    Check("merged trace has every host", _always, _trace_hosts),
+    Check("cross-process causal trees", _always, _causal_trees),
+    Check("span kinds present", _always, _span_kinds),
+    Check("telemetry pushed per peer", _always, _telemetry),
+    Check("profiles captured on every host",
+          lambda run: run["profile"] is not None, _profiles),
+    Check("exposition scraped & valid", lambda run: bool(run["exposition"]),
+          _scraped),
+    Check("regret series exposed", _exposes("receiver0"),
+          _quality_exposed("quality_regret", "pse")),
+    Check("drift residual exposed", _exposes("receiver0"),
+          _quality_exposed("quality_drift_residual", None)),
+    Check("per-peer publisher metrics exposed", _exposes("publisher"),
+          _peers_exposed),
+)
+
+
+def evaluate(run: Run) -> List[Outcome]:
+    """Every row of :data:`CHECKS` that applies to ``run``, evaluated."""
+    outcomes = []
+    for check in CHECKS:
+        if check.applies(run):
+            passed, detail = check.predicate(run)
+            outcomes.append((check.name, bool(passed), detail))
+    return outcomes
+
+
+def print_checks(checks: Sequence[Outcome]) -> int:
+    """Print one ``[ok  ]``/``[FAIL]`` line per check; returns the failures."""
+    failed = 0
+    for name, passed, detail in checks:
+        mark = "ok  " if passed else "FAIL"
+        print(f"  [{mark}] {name}: {detail}", flush=True)
+        failed += 0 if passed else 1
+    return failed
+
+
+def without_obs(result: Mapping[str, object]) -> Dict[str, object]:
+    """A result file without its obs dump."""
+    return {k: v for k, v in result.items() if k != "obs"}
+
+
+def _rate_scales(n: int, rate_scale: float) -> List[float]:
+    """Emulated slowdown per receiver.
+
+    One receiver runs ``rate_scale``× slower.  A fleet is heterogeneous
+    — receiver 0 unloaded, receiver ``i`` 6·i× slower — so the per-peer
+    adaptation loops converge to different PSEs.
+    """
+    return [rate_scale] if n == 1 else [1.0] + [6.0 * i for i in range(1, n)]
+
+
+def run_experiment(
     *,
+    receivers: int = 1,
+    faults: Optional[Mapping[int, Mapping[str, object]]] = None,
     messages: int = 300,
     samples: int = 64,
-    drop_after: int = 40,
     rate_scale: float = 4.0,
     trigger_period: int = 10,
     feedback_period: int = 8,
@@ -332,667 +773,92 @@ def run_live_experiment(
     timeout: float = 120.0,
     expose: bool = True,
     batching: bool = True,
+    queue_limit: Optional[int] = None,
     profile: bool = False,
     profile_interval: Optional[float] = None,
     outdir: Path = Path("live-results"),
-) -> Tuple[Dict[str, object], List[Tuple[str, bool, str]]]:
-    """Run the two processes; returns (summary, checks).
+) -> Tuple[Dict[str, object], List[Outcome]]:
+    """Run a publisher and ``receivers`` receivers; returns (summary, checks).
 
-    ``expose=True`` (the default) turns on the receiver's adaptation-
-    quality accounting and its live ``/metrics`` endpoint, scrapes it
-    mid-stream and validates the OpenMetrics text — proving the
+    ``faults`` maps a receiver index to its fault options —
+    ``{0: {"drop_after": 25}}`` resets receiver 0's connection after its
+    25th delivery, ``{1: {"wedge_after": 10, "wedge_seconds": 2.0}}``
+    takes receiver 1 dark for two seconds.
+
+    ``expose=True`` (the default) turns on receiver 0's adaptation-
+    quality accounting, serves /metrics from it and from the publisher,
+    scrapes both mid-stream and validates the OpenMetrics text — the
     telemetry a long-lived deployment would be monitored through.
-
-    ``batching=False`` passes ``--no-batching`` to the sender, keeping
-    the wire plain-framed — the baseline the batched benchmark sweep
-    compares against.
+    ``batching=False`` keeps the publisher's wire plain-framed, the
+    baseline the batched benchmark sweep compares against.
+    ``queue_limit`` bounds each subscriber's outbound queue (None: the
+    publisher's default).
     """
     outdir.mkdir(parents=True, exist_ok=True)
-    recv_out = outdir / "receiver.json"
-    send_out = outdir / "sender.json"
-    env = _child_env()
-
-    common = [
-        "--messages", str(messages),
-        "--samples", str(samples),
-        "--timeout", str(timeout),
-    ]
-    if profile:
-        common.append("--profile")
-        if profile_interval is not None:
-            common += ["--profile-interval", str(profile_interval)]
-    receiver_cmd = [
-        sys.executable, "-m", "repro.net.live", "receiver",
-        *common,
-        "--rate-scale", str(rate_scale),
-        "--trigger-period", str(trigger_period),
-        "--drop-after", str(drop_after),
-        "--out", str(recv_out),
-    ]
-    if expose:
-        receiver_cmd += ["--quality", "--expose", "0"]
-    receiver = subprocess.Popen(
-        receiver_cmd,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        env=env,
-    )
-    exposition: Optional[Dict[str, object]] = None
-    try:
-        port, expose_port = _wait_for_ports(
-            receiver, timeout=min(30.0, timeout), want_expose=expose
-        )
-        sender_cmd = [
-            sys.executable, "-m", "repro.net.live", "sender",
-            *common,
-            "--port", str(port),
-            "--feedback-period", str(feedback_period),
-            "--interval", str(interval),
-            "--out", str(send_out),
-        ]
-        if not batching:
-            sender_cmd.append("--no-batching")
-        sender = subprocess.Popen(sender_cmd, env=env)
-        try:
-            if expose_port is not None:
-                exposition = _scrape_exposition(
-                    expose_port, sender, timeout=timeout
-                )
-            sender_status = sender.wait(timeout=timeout)
-        finally:
-            if sender.poll() is None:
-                sender.kill()
-                sender.wait()
-        receiver_status = receiver.wait(timeout=timeout)
-    finally:
-        if receiver.poll() is None:
-            receiver.kill()
-            receiver.wait()
-    if sender_status != 0:
-        raise RuntimeError(f"sender exited with status {sender_status}")
-    if receiver_status != 0:
-        raise RuntimeError(
-            f"receiver exited with status {receiver_status}"
-        )
-
-    with open(send_out) as handle:
-        sender_result = json.load(handle)
-    with open(recv_out) as handle:
-        receiver_result = json.load(handle)
-
-    merged = write_merged([sender_result, receiver_result], outdir)
-    merged_profile = merged["profile"]
-
-    checks = _verify(
-        sender_result, receiver_result, merged["trace"], drop_after=drop_after
-    )
-    if profile:
-        hosts = (
-            set(merged_profile.get("hosts", []))
-            if merged_profile
-            else set()
-        )
-        samples = (
-            int(merged_profile["samples"]) if merged_profile else 0
-        )
-        _check(
-            checks,
-            "profiles captured on both hosts",
-            {"sender", "receiver"} <= hosts and samples > 0,
-            f"{samples} samples across hosts {sorted(hosts)}",
-        )
-    if exposition is not None:
-        if exposition["text"]:
-            with open(outdir / "metrics.txt", "w") as handle:
-                handle.write(str(exposition["text"]))
-        _check(
-            checks,
-            "exposition scraped & valid",
-            bool(exposition["valid"]),
-            "live /metrics parsed as OpenMetrics"
-            if exposition["valid"]
-            else f"scrape failed: {exposition['error']}",
-        )
-        # Fall back to rendering the receiver's final dump when the
-        # mid-stream scrapes raced the series' first appearance.
-        regret_seen = bool(exposition["regret"])
-        drift_seen = bool(exposition["drift"])
-        regret_how = drift_how = "live scrape"
-        if not (regret_seen and drift_seen):
-            from repro.obs.exposition import (
-                parse_openmetrics,
-                render_openmetrics,
-            )
-
-            families = parse_openmetrics(
-                render_openmetrics(receiver_result["obs"]["metrics"])
-            )
-            if not regret_seen and any(
-                "pse" in s["labels"]
-                for s in families.get("quality_regret", {}).get(
-                    "samples", []
-                )
-            ):
-                regret_seen, regret_how = True, "final dump"
-            if not drift_seen and families.get(
-                "quality_drift_residual", {}
-            ).get("samples"):
-                drift_seen, drift_how = True, "final dump"
-        _check(
-            checks,
-            "regret series exposed",
-            regret_seen,
-            f"per-PSE quality_regret present ({regret_how})"
-            if regret_seen
-            else "no per-PSE quality_regret sample",
-        )
-        _check(
-            checks,
-            "drift residual exposed",
-            drift_seen,
-            f"quality_drift_residual present ({drift_how})"
-            if drift_seen
-            else "no quality_drift_residual sample",
-        )
-    summary = {
+    faults = dict(faults or {})
+    common = {
         "messages": messages,
-        "drop_after": drop_after,
-        "rate_scale": rate_scale,
-        "sender": {
-            k: sender_result[k]
-            for k in (
-                "published",
-                "shipped",
-                "plan_updates_applied",
-                "telemetry_seen",
-                "initial_plan_edges",
-                "final_plan_edges",
-                "transport",
-            )
-        },
-        "receiver": {
-            k: receiver_result[k]
-            for k in (
-                "demodulated",
-                "delivered",
-                "plan_ships",
-                "drops_injected",
-                "duplicates_skipped",
-                "telemetry_pushes",
-                "msgs_per_second",
-                "latency_by_pse",
-                "final_plan_edges",
-            )
-        },
-        "quality": receiver_result.get("quality"),
-        "checks": [
-            {"name": n, "passed": p, "detail": d} for n, p, d in checks
-        ],
+        "samples": samples,
+        "timeout": timeout,
+        "profile": profile,
+        "profile_interval": profile_interval,
     }
-    with open(outdir / "summary.json", "w") as handle:
-        json.dump(summary, handle, indent=2)
-    return summary, checks
-
-
-def _wait_for_expose(proc: subprocess.Popen, timeout: float) -> int:
-    """Read a process's stdout for its EXPOSING line."""
-    deadline = time.time() + timeout
-    assert proc.stdout is not None
-    while time.time() < deadline:
-        if proc.poll() is not None:
-            raise RuntimeError(
-                f"process exited early with status {proc.returncode}"
-            )
-        line = proc.stdout.readline()
-        if not line:
-            time.sleep(0.02)
-            continue
-        text = line.strip()
-        if text.startswith("EXPOSING "):
-            return int(text.split()[1])
-    raise RuntimeError("process never announced its metrics port")
-
-
-def _scrape_fanout_metrics(
-    port: int,
-    broker: subprocess.Popen,
-    peers: List[str],
-    timeout: float,
-) -> Dict[str, object]:
-    """Poll the broker's /metrics for the per-peer labeled series.
-
-    Stops early once every subscriber shows up as a ``peer=...`` label
-    on the broker's queue-depth gauge — the per-peer health the monitor
-    dashboard keys on.
-    """
-    import urllib.request
-
-    from repro.obs.exposition import parse_openmetrics
-
-    url = f"http://127.0.0.1:{port}/metrics"
-    state: Dict[str, object] = {
-        "valid": False,
-        "peers_seen": [],
-        "error": None,
-    }
-    wanted = set(peers)
-    deadline = time.time() + timeout
-    broker_gone_attempts = 0
-    while time.time() < deadline and broker_gone_attempts <= 2:
-        if broker.poll() is not None:
-            broker_gone_attempts += 1
-        try:
-            with urllib.request.urlopen(url, timeout=2.0) as response:
-                text = response.read().decode()
-            families = parse_openmetrics(text)
-        except Exception as exc:  # noqa: BLE001 - report the last failure
-            state["error"] = repr(exc)
-            time.sleep(0.2)
-            continue
-        state["valid"] = True
-        seen = {
-            sample["labels"].get("peer")
-            for family in families.values()
-            for sample in family.get("samples", [])
-            if sample["labels"].get("peer")
+    receiver_options = [
+        {
+            **common,
+            "rate_scale": scale,
+            "trigger_period": trigger_period,
+            **({"quality": True, "expose": 0} if expose and i == 0 else {}),
+            **faults.get(i, {}),
         }
-        state["peers_seen"] = sorted(seen & wanted)
-        if wanted <= seen:
-            break
-        time.sleep(0.2)
-    return state
-
-
-def _verify_fanout(
-    broker: Dict[str, object],
-    receivers: List[Dict[str, object]],
-    merged: Dict[str, object],
-    merged_flight: Dict[str, object],
-    *,
-    wedge_index: int,
-) -> List[Tuple[str, bool, str]]:
-    checks: List[Tuple[str, bool, str]] = []
-    published = int(broker["published"])
-    demod = {r["name"]: int(r["demodulated"]) for r in receivers}
-    _check(
-        checks,
-        "all subscribers got traffic",
-        published > 0 and all(count > 0 for count in demod.values()),
-        f"broker published {published}, demodulated {demod}",
-    )
-    _check(
-        checks,
-        "modulation shared once per message",
-        int(broker["shared_runs"]) == published,
-        f"{broker['shared_runs']} shared runs for {published} publishes",
-    )
-    finals = {
-        r["name"]: tuple(tuple(e) for e in r["final_plan_edges"])
-        for r in receivers
-    }
-    distinct = len(set(finals.values()))
-    _check(
-        checks,
-        "per-peer plans diverged",
-        distinct >= 2,
-        f"{distinct} distinct final plan(s) across {len(receivers)} "
-        f"receivers: {finals}",
-    )
-    _check(
-        checks,
-        "plans applied per peer at broker",
-        int(broker["plan_updates_applied"]) >= 1,
-        f"broker applied {broker['plan_updates_applied']} plan update(s)",
-    )
-    subs = {s["name"]: s for s in broker["subscribers"]}
-    if wedge_index >= 0:
-        wedged = receivers[wedge_index]
-        wedged_sub = subs[wedged["name"]]
-        _check(
-            checks,
-            "wedge injected",
-            int(wedged["wedges_injected"]) >= 1,
-            f"{wedged['name']} went dark "
-            f"{wedged['wedges_injected']} time(s)",
-        )
-        _check(
-            checks,
-            "wedged peer backlog shed (drop-oldest)",
-            int(wedged_sub["transport"]["dropped_frames"]) > 0,
-            f"broker dropped "
-            f"{wedged_sub['transport']['dropped_frames']} frame(s) "
-            f"for {wedged['name']}",
-        )
-        for i, receiver in enumerate(receivers):
-            if i == wedge_index:
-                continue
-            sub = subs[receiver["name"]]
-            shipped = int(sub["shipped"])
-            count = int(receiver["demodulated"])
-            _check(
-                checks,
-                f"{receiver['name']} unaffected by the wedge",
-                shipped > 0 and count >= 0.9 * shipped,
-                f"demodulated {count} of {shipped} shipped "
-                f"(0 drops: {sub['transport']['dropped_frames'] == 0})",
-            )
-    spans = merged.get("spans", [])
-    hosts = {s.get("host") for s in spans}
-    wanted_hosts = {"broker"} | {r["name"] for r in receivers}
-    _check(
-        checks,
-        "merged trace has every host",
-        wanted_hosts <= hosts,
-        f"hosts: {sorted(h for h in hosts if h)}",
-    )
-    names = {str(s["name"]) for s in spans}
-    wanted = {"modulate", "demodulate"}
-    if int(broker["forks"]) > 0:
-        wanted = wanted | {"fork"}
-    _check(
-        checks,
-        "span kinds present",
-        wanted <= names,
-        f"have {sorted(names & (wanted | {'fork', 'ship'}))}",
-    )
-
-    # -- fleet telemetry plane ------------------------------------------
-    _check(
-        checks,
-        "telemetry pushed per peer",
-        all(
-            int(sub["transport"].get("telemetry_frames_seen", 0)) >= 1
-            and int(sub.get("telemetry_frames", 0)) >= 1
-            for sub in subs.values()
-        ),
-        "per-peer TELEMETRY frames at broker: "
-        + ", ".join(
-            f"{name}={subs[name].get('telemetry_frames', 0)}"
-            for name in sorted(subs)
-        ),
-    )
-    fleet_peers = broker.get("fleet", {}).get("peers", {})
-    if wedge_index >= 0:
-        wedged_name = receivers[wedge_index]["name"]
-        ph = fleet_peers.get(wedged_name, {})
-        transitions = ph.get("transitions", [])
-        went_wedged = any(t.get("to") == "wedged" for t in transitions)
-        recovered = any(
-            t.get("from") == "wedged" and t.get("to") == "recovering"
-            for t in transitions
-        )
-        _check(
-            checks,
-            "broker observed the wedge",
-            went_wedged
-            and recovered
-            and ph.get("state") in ("recovering", "healthy"),
-            f"{wedged_name} transitions "
-            f"{[(t.get('from'), t.get('to')) for t in transitions]}, "
-            f"final {ph.get('state')}",
-        )
-        live_states = {
-            r["name"]: fleet_peers.get(r["name"], {}).get("state")
-            for i, r in enumerate(receivers)
-            if i != wedge_index
-        }
-        _check(
-            checks,
-            "live peers end healthy",
-            all(state == "healthy" for state in live_states.values()),
-            f"final states: {live_states}",
-        )
-        flight_events = merged_flight.get("events", [])
-        flight_kinds = {e.get("kind") for e in flight_events}
-        flight_wedged = any(
-            e.get("kind") == "health.transition"
-            and e.get("to") == "wedged"
-            and e.get("peer") == wedged_name
-            for e in flight_events
-        )
-        _check(
-            checks,
-            "flight recorder captured the wedge",
-            "net.shed" in flight_kinds
-            and "fault.wedge" in flight_kinds
-            and flight_wedged,
-            f"merged flight kinds: {sorted(k for k in flight_kinds if k)}",
-        )
-    return checks
-
-
-def run_fanout_experiment(
-    *,
-    fanout: int = 3,
-    messages: int = 300,
-    samples: int = 64,
-    trigger_period: int = 5,
-    feedback_period: int = 8,
-    interval: float = 0.005,
-    timeout: float = 120.0,
-    wedge_after: int = 20,
-    wedge_seconds: float = 2.0,
-    queue_limit: int = 64,
-    profile: bool = False,
-    profile_interval: Optional[float] = None,
-    outdir: Path = Path("live-results"),
-) -> Tuple[Dict[str, object], List[Tuple[str, bool, str]]]:
-    """Run one broker against ``fanout`` receiver processes.
-
-    Receiver ``i`` emulates a host ``6*i``× slower than receiver 0
-    (``rate_scale``), so the per-peer adaptation loops converge to
-    different PSEs.  Receiver 1 (when present) goes dark for
-    ``wedge_seconds`` after its ``wedge_after``-th delivery, proving
-    per-peer queue isolation.  Writes ``BENCH_net_fanout.json`` with
-    the aggregate delivered msg/s.
-    """
-    if fanout < 2:
-        raise ValueError("--fanout needs at least 2 receivers")
-    outdir.mkdir(parents=True, exist_ok=True)
-    env = _child_env()
-    wedge_index = 1 if wedge_after > 0 else -1
-
-    common = [
-        "--messages", str(messages),
-        "--samples", str(samples),
-        "--timeout", str(timeout),
+        for i, scale in enumerate(_rate_scales(receivers, rate_scale))
     ]
-    if profile:
-        common.append("--profile")
-        if profile_interval is not None:
-            common += ["--profile-interval", str(profile_interval)]
-    receiver_procs: List[subprocess.Popen] = []
-    receiver_outs: List[Path] = []
-    broker_proc: Optional[subprocess.Popen] = None
-    try:
-        ports: List[int] = []
-        for i in range(fanout):
-            out = outdir / f"receiver{i}.json"
-            receiver_outs.append(out)
-            cmd = [
-                sys.executable, "-m", "repro.net.live", "receiver",
-                *common,
-                "--name", f"receiver{i}",
-                "--index", str(i),
-                "--rate-scale", str(1.0 if i == 0 else 6.0 * i),
-                "--trigger-period", str(trigger_period),
-                "--out", str(out),
-            ]
-            if i == wedge_index:
-                cmd += [
-                    "--wedge-after", str(wedge_after),
-                    "--wedge-seconds", str(wedge_seconds),
-                ]
-            proc = subprocess.Popen(
-                cmd,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.STDOUT,
-                text=True,
-                env=env,
-            )
-            receiver_procs.append(proc)
-            port, _ = _wait_for_ports(
-                proc, timeout=min(30.0, timeout), want_expose=False
-            )
-            ports.append(port)
-
-        broker_out = outdir / "broker.json"
-        broker_cmd = [
-            sys.executable, "-m", "repro.net.live", "broker",
-            *common,
-            "--ports", ",".join(str(p) for p in ports),
-            "--feedback-period", str(feedback_period),
-            "--interval", str(interval),
-            "--queue-limit", str(queue_limit),
-            "--expose", "0",
-            "--out", str(broker_out),
-        ]
-        broker_proc = subprocess.Popen(
-            broker_cmd,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-            env=env,
-        )
-        expose_port = _wait_for_expose(
-            broker_proc, timeout=min(30.0, timeout)
-        )
-        exposition = _scrape_fanout_metrics(
-            expose_port,
-            broker_proc,
-            [f"receiver{i}" for i in range(fanout)],
-            timeout=timeout,
-        )
-        broker_status = broker_proc.wait(timeout=timeout)
-        receiver_statuses = [
-            proc.wait(timeout=timeout) for proc in receiver_procs
-        ]
-    finally:
-        for proc in [broker_proc, *receiver_procs]:
-            if proc is not None and proc.poll() is None:
-                proc.kill()
-                proc.wait()
-    if broker_status != 0:
-        raise RuntimeError(f"broker exited with status {broker_status}")
-    for i, status in enumerate(receiver_statuses):
+    publisher_options = {
+        **common,
+        "feedback_period": feedback_period,
+        "interval": interval,
+        "queue_limit": queue_limit,
+        "no_batching": not batching,
+        "expose": 0 if expose else None,
+    }
+    statuses, results, exposition = launch(
+        outdir,
+        receiver_options,
+        publisher_options,
+        wait=timeout,
+        during=lambda fleet: _scrape(
+            fleet.expose, fleet.publisher, timeout, outdir
+        ),
+    )
+    for name, status in statuses.items():
         if status != 0:
-            raise RuntimeError(
-                f"receiver{i} exited with status {status}"
-            )
+            raise RuntimeError(f"{name} exited with status {status}")
 
-    with open(broker_out) as handle:
-        broker_result = json.load(handle)
-    receiver_results = []
-    for out in receiver_outs:
-        with open(out) as handle:
-            receiver_results.append(json.load(handle))
-
-    merged = write_merged([broker_result, *receiver_results], outdir)
-    merged_profile = merged["profile"]
-
-    checks = _verify_fanout(
-        broker_result,
-        receiver_results,
-        merged["trace"],
-        merged["flight"],
-        wedge_index=wedge_index,
-    )
-    _check(
-        checks,
-        "per-peer broker metrics exposed",
-        bool(exposition["valid"])
-        and len(exposition["peers_seen"]) == fanout,
-        f"peer labels seen: {exposition['peers_seen']}"
-        if exposition["valid"]
-        else f"scrape failed: {exposition['error']}",
-    )
-    if profile:
-        hosts = (
-            set(merged_profile.get("hosts", []))
-            if merged_profile
-            else set()
-        )
-        samples = (
-            int(merged_profile["samples"]) if merged_profile else 0
-        )
-        wanted_hosts = {"broker"} | {
-            f"receiver{i}" for i in range(fanout)
-        }
-        _check(
-            checks,
-            "profiles captured on every host",
-            wanted_hosts <= hosts and samples > 0,
-            f"{samples} samples across hosts {sorted(hosts)}",
-        )
-
-    aggregate = sum(
-        float(r["msgs_per_second"]) for r in receiver_results
-    )
-    bench = {
-        "benchmark": "net_fanout",
-        "n": fanout,
-        "messages": messages,
-        "aggregate_msgs_per_second": aggregate,
-        "broker": {
-            "published": broker_result["published"],
-            "shared_runs": broker_result["shared_runs"],
-            "forks": broker_result["forks"],
-            "elapsed_seconds": broker_result["elapsed_seconds"],
-            "plan_cache": broker_result["plan_cache"],
-        },
-        "per_receiver": [
-            {
-                "name": r["name"],
-                "msgs_per_second": r["msgs_per_second"],
-                "demodulated": r["demodulated"],
-                "duplicates_skipped": r["duplicates_skipped"],
-                "final_plan_edges": r["final_plan_edges"],
-            }
-            for r in receiver_results
-        ],
+    publisher = results["publisher"]
+    receiver_results = [results[f"receiver{i}"] for i in range(receivers)]
+    merged = write_merged([publisher, *receiver_results], outdir)
+    run: Run = {
+        "n": receivers,
+        "faults": faults,
+        "publisher": publisher,
+        "receivers": receiver_results,
+        "trace": merged["trace"],
+        "flight": merged["flight"],
+        "profile": (merged["profile"] or {}) if profile else None,
+        "exposition": exposition,
     }
-    with open(outdir / "BENCH_net_fanout.json", "w") as handle:
-        json.dump(bench, handle, indent=2)
-
+    checks = evaluate(run)
     summary = {
-        "fanout": fanout,
+        "n": receivers,
         "messages": messages,
-        "wedge_index": wedge_index,
-        "wedge_after": wedge_after,
-        "aggregate_msgs_per_second": aggregate,
-        "broker": {
-            k: broker_result[k]
-            for k in (
-                "published",
-                "shared_runs",
-                "forks",
-                "plan_updates_applied",
-                "recalibrations",
-                "telemetry_frames",
-                "fleet",
-                "plan_cache",
-                "subscribers",
-            )
-        },
-        "receivers": [
-            {
-                k: r[k]
-                for k in (
-                    "name",
-                    "demodulated",
-                    "delivered",
-                    "duplicates_skipped",
-                    "wedges_injected",
-                    "plan_ships",
-                    "telemetry_pushes",
-                    "self_health",
-                    "msgs_per_second",
-                    "final_plan_edges",
-                )
-            }
-            for r in receiver_results
-        ],
+        "faults": faults,
+        "aggregate_msgs_per_second": sum(
+            float(r["msgs_per_second"]) for r in receiver_results
+        ),
+        # the result files without their obs dumps, which the merged
+        # artifacts carry
+        "publisher": without_obs(publisher),
+        "receivers": [without_obs(r) for r in receiver_results],
         "checks": [
             {"name": n, "passed": p, "detail": d} for n, p, d in checks
         ],
@@ -1011,8 +877,10 @@ def main(argv=None) -> int:
     parser.add_argument("--messages", type=int, default=300)
     parser.add_argument("--samples", type=int, default=64)
     parser.add_argument("--drop-after", type=int, default=40,
-                        help="0 disables the injected connection drop")
-    parser.add_argument("--rate-scale", type=float, default=4.0)
+                        help="one receiver: reset its connection after "
+                        "the Nth delivery (0 disables)")
+    parser.add_argument("--rate-scale", type=float, default=4.0,
+                        help="one receiver: its emulated slowdown")
     parser.add_argument("--trigger-period", type=int, default=10)
     parser.add_argument("--feedback-period", type=int, default=8)
     parser.add_argument("--interval", type=float, default=0.005)
@@ -1020,10 +888,10 @@ def main(argv=None) -> int:
     parser.add_argument("--outdir", type=Path,
                         default=Path("live-results"))
     parser.add_argument("--no-expose", action="store_true",
-                        help="skip the live /metrics endpoint and the "
-                        "quality accounting it exposes")
+                        help="skip the live /metrics endpoints and the "
+                        "quality accounting they expose")
     parser.add_argument("--no-batching", action="store_true",
-                        help="keep the sender's wire plain-framed "
+                        help="keep the publisher's wire plain-framed "
                         "(baseline for the batching sweep)")
     parser.add_argument("--quick", action="store_true",
                         help="small workload for CI smoke runs")
@@ -1034,9 +902,9 @@ def main(argv=None) -> int:
     parser.add_argument("--profile-interval", type=float, default=None,
                         help="seconds between profiler samples "
                         "(default 0.01 = 100 Hz)")
-    parser.add_argument("--fanout", type=int, default=0, metavar="N",
-                        help="broker topology: one modulator publishing "
-                        "to N heterogeneous receiver processes")
+    parser.add_argument("--fanout", type=int, default=1, metavar="N",
+                        help="publish to N receiver processes with "
+                        "heterogeneous loads (default 1)")
     parser.add_argument("--wedge-after", type=int, default=20,
                         help="fan-out: receiver 1 goes dark after its "
                         "Nth delivery (0 disables)")
@@ -1075,84 +943,55 @@ def main(argv=None) -> int:
             min(args.wedge_after, 10) if args.wedge_after else 0
         )
 
-    if args.fanout:
-        summary, checks = run_fanout_experiment(
-            fanout=args.fanout,
-            messages=args.messages,
-            samples=args.samples,
-            trigger_period=min(args.trigger_period, 5),
-            feedback_period=args.feedback_period,
-            interval=args.interval,
-            timeout=args.timeout,
-            wedge_after=args.wedge_after,
-            wedge_seconds=args.wedge_seconds,
-            queue_limit=args.queue_limit,
-            profile=args.profile,
-            profile_interval=args.profile_interval,
-            outdir=args.outdir,
-        )
-        broker = summary["broker"]
-        print(
-            f"broker: published {broker['published']}, "
-            f"shared runs {broker['shared_runs']}, "
-            f"forks {broker['forks']}, "
-            f"plans applied {broker['plan_updates_applied']}"
-        )
-        for receiver in summary["receivers"]:
-            print(
-                f"{receiver['name']}: "
-                f"demodulated {receiver['demodulated']}, "
-                f"{receiver['msgs_per_second']:.1f} msg/s, "
-                f"plan ships {receiver['plan_ships']}, "
-                f"wedges {receiver['wedges_injected']}"
-            )
-        print(
-            f"aggregate: "
-            f"{summary['aggregate_msgs_per_second']:.1f} msg/s "
-            f"across {summary['fanout']} receivers"
-        )
-        failed = 0
-        for name, passed, detail in checks:
-            mark = "ok  " if passed else "FAIL"
-            print(f"  [{mark}] {name}: {detail}")
-            failed += 0 if passed else 1
-        print(f"artifacts in {args.outdir}/")
-        return 1 if failed else 0
-
-    summary, checks = run_live_experiment(
+    # One receiver injects a connection drop; a fleet wedges receiver 1
+    # behind a tight queue, so the wedge visibly sheds its backlog.
+    fleet = args.fanout > 1
+    summary, checks = run_experiment(
+        receivers=max(args.fanout, 1),
+        faults=(
+            {1: {"wedge_after": args.wedge_after,
+                 "wedge_seconds": args.wedge_seconds}}
+            if fleet
+            else {0: {"drop_after": args.drop_after}}
+        ),
         messages=args.messages,
         samples=args.samples,
-        drop_after=args.drop_after,
         rate_scale=args.rate_scale,
-        trigger_period=args.trigger_period,
+        trigger_period=(
+            min(args.trigger_period, 5) if fleet else args.trigger_period
+        ),
         feedback_period=args.feedback_period,
         interval=args.interval,
         timeout=args.timeout,
         expose=not args.no_expose,
         batching=not args.no_batching,
+        queue_limit=args.queue_limit if fleet else None,
         profile=args.profile,
         profile_interval=args.profile_interval,
         outdir=args.outdir,
     )
-    sender = summary["sender"]
-    receiver = summary["receiver"]
+    publisher = summary["publisher"]
     print(
-        f"sender: published {sender['published']}, "
-        f"shipped {sender['shipped']}, "
-        f"plans applied {sender['plan_updates_applied']}"
+        f"publisher: published {publisher['published']}, "
+        f"shared runs {publisher['shared_runs']}, "
+        f"forks {publisher['forks']}, "
+        f"plans applied {publisher['plan_updates_applied']}"
     )
+    for receiver in summary["receivers"]:
+        print(
+            f"{receiver['name']}: "
+            f"demodulated {receiver['demodulated']}, "
+            f"delivered {receiver['delivered']}, "
+            f"{receiver['msgs_per_second']:.1f} msg/s, "
+            f"plan ships {receiver['plan_ships']}, "
+            f"drops {receiver['drops_injected']}, "
+            f"wedges {receiver['wedges_injected']}"
+        )
     print(
-        f"receiver: demodulated {receiver['demodulated']}, "
-        f"delivered {receiver['delivered']}, "
-        f"{receiver['msgs_per_second']:.1f} msg/s, "
-        f"plan ships {receiver['plan_ships']}, "
-        f"drops {receiver['drops_injected']}"
+        f"aggregate: {summary['aggregate_msgs_per_second']:.1f} msg/s "
+        f"across {summary['n']} receiver(s)"
     )
-    failed = 0
-    for name, passed, detail in checks:
-        mark = "ok  " if passed else "FAIL"
-        print(f"  [{mark}] {name}: {detail}")
-        failed += 0 if passed else 1
+    failed = print_checks(checks)
     print(f"artifacts in {args.outdir}/")
     return 1 if failed else 0
 

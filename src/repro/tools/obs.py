@@ -30,7 +30,7 @@ breaker-open or shed-alerting.
 
 A DUMP or SOURCE is any of: an exposer URL (``http://host:port``, whose
 ``/metrics.json`` is fetched); a bare ``Observability.to_dict()`` dump; a
-live result file (``broker.json``, ``receiver0.json``) wrapping the dump
+live result file (``publisher.json``, ``receiver0.json``) wrapping the dump
 under ``obs``, whose post-drain top-level ``fleet`` wins over the
 dump-time one; or a merged dump written by ``liveexp``
 (``merged_flight.json``, ``merged_trace.json``, ``merged_profile.json``).

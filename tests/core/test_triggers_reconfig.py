@@ -7,9 +7,11 @@ from repro.core.runtime.reconfig import ReconfigurationUnit
 from repro.core.runtime.triggers import (
     CompositeTrigger,
     DiffTrigger,
+    FeedbackTrigger,
     NeverTrigger,
     RateTrigger,
 )
+from repro.obs.quality import REPORT_TAIL
 from tests.conftest import ImageData
 
 
@@ -244,6 +246,24 @@ def test_consider_respects_trigger(push_partitioned, profiling):
     assert len(plans) == 2
     assert unit.reconfiguration_count == 2
     assert unit.history[0].at_message <= unit.history[1].at_message
+
+
+class _AlwaysTrigger(FeedbackTrigger):
+    def should_fire(self, unit):
+        return True
+
+
+def test_history_keeps_a_tail_and_counts_every_recompute(
+    push_partitioned, profiling
+):
+    """A live receiver recomputes every few messages for as long as it
+    runs, so the unit's memory must not grow with the recompute count."""
+    drive(push_partitioned, profiling, 3)
+    unit = ReconfigurationUnit(push_partitioned.cut, trigger=_AlwaysTrigger())
+    for _ in range(10_000):
+        assert unit.consider(profiling) is not None
+    assert unit.reconfiguration_count == 10_000
+    assert len(unit.history) <= REPORT_TAIL
 
 
 def test_consider_quiet_with_never_trigger(push_partitioned, profiling):

@@ -1,7 +1,7 @@
 """Two real OS processes over localhost TCP: the full live experiment.
 
-This is the repo's strongest end-to-end claim — sender and receiver in
-separate interpreters, a runtime PSE reconfiguration shipped over the
+This is the repo's strongest end-to-end claim — publisher and receiver
+in separate interpreters, a runtime PSE reconfiguration shipped over the
 wire mid-stream, an injected connection drop survived — so it runs in
 tier-1, sized small enough to stay fast.
 """
@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import json
 
-from repro.tools.liveexp import run_live_experiment
+from repro.tools.liveexp import run_experiment
 
 
 def test_two_process_run_passes_every_check(tmp_path):
-    summary, checks = run_live_experiment(
+    summary, checks = run_experiment(
+        receivers=1,
+        faults={0: {"drop_after": 25}},
         messages=120,
         samples=64,
-        drop_after=25,
         rate_scale=4.0,
         trigger_period=10,
         feedback_period=8,
@@ -30,8 +31,8 @@ def test_two_process_run_passes_every_check(tmp_path):
 
     # artifacts written for post-mortem / CI upload
     for artifact in (
-        "sender.json",
-        "receiver.json",
+        "publisher.json",
+        "receiver0.json",
         "merged_trace.json",
         "merged_chrome_trace.json",
         "summary.json",
@@ -45,11 +46,10 @@ def test_two_process_run_passes_every_check(tmp_path):
         for e in chrome["traceEvents"]
         if e.get("name") == "process_name"
     }
-    assert {"sender", "receiver"} <= process_names
+    assert {"publisher", "receiver0"} <= process_names
 
-    receiver = summary["receiver"]
-    assert receiver["demodulated"] > summary["drop_after"]
+    (receiver,) = summary["receivers"]
+    (subscriber,) = summary["publisher"]["subscribers"]
+    assert receiver["demodulated"] > 25
     assert receiver["latency_by_pse"], "no per-PSE latency recorded"
-    assert summary["sender"]["final_plan_edges"] == (
-        receiver["final_plan_edges"]
-    )
+    assert subscriber["plan_edges"] == receiver["final_plan_edges"]
