@@ -249,7 +249,7 @@ def test_localhost_live_gate_and_latency(
         "transport": {
             "frames_sent": transport["frames_sent"],
             "frame_bytes_sent": transport["frame_bytes_sent"],
-            "heartbeats_echoed": transport["heartbeats_echoed"],
+            "heartbeats_echoed": transport["heartbeats_seen"],
             "batches_sent": transport["batches_sent"],
             "batched_frames_sent": transport["batched_frames_sent"],
         },

@@ -12,7 +12,7 @@ Both count messages and bytes so experiments can report traffic.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 from repro.errors import ConnectionLostError, TransportError
 from repro.jecho.events import envelope_trace, set_envelope_trace
@@ -39,8 +39,6 @@ class Transport:
         self.bytes_sent = 0.0
         self.closed = False
         self.obs = None
-        self._c_messages = None
-        self._c_bytes = None
         self._h_sizes = None
         #: host lane for ship spans in the trace timeline
         self._trace_host: Optional[str] = None
@@ -49,26 +47,28 @@ class Transport:
         self._obs_name: Optional[str] = None
 
     def attach_observability(self, obs, *, name: str = "transport") -> None:
-        """Register this transport's counters under ``<name>.*``.
+        """Report this transport under ``<name>.*``.
 
-        Counter objects are cached so :meth:`send` pays no registry lookup;
-        the size histogram exposes per-message wire overhead.  Repeated
-        attachment (harness re-runs, a transport moved to a fresh
-        :class:`~repro.obs.Observability`) *replaces* the cached handles —
-        instruments are get-or-create in the registry, so attaching twice
-        to the same registry reuses the same counters rather than
-        double-registering, and attaching under a new name stops feeding
-        the old one.
+        The counts are read when the registry is dumped; only the size
+        histogram, which exposes per-message wire overhead, is an
+        instrument.  Re-attaching to the same registry changes nothing;
+        a new registry counts from zero and the old one keeps its values.
         """
+        if self.obs is not None and self.obs is not obs:
+            self.obs.metrics.remove_reader(self._read_metrics)
         self.obs = obs
-        self._c_messages = obs.metrics.counter(f"{name}.messages")
-        self._c_bytes = obs.metrics.counter(f"{name}.bytes")
         self._h_sizes = obs.metrics.histogram(f"{name}.message_bytes")
         if self._trace_host is None or self._trace_host == self._obs_name:
             # attach-derived lane (not pinned by a subclass): follow the
             # new name instead of keeping a stale label forever
             self._trace_host = name
         self._obs_name = name
+        obs.metrics.add_reader(self._read_metrics)
+
+    def _read_metrics(self) -> Dict[str, Dict[str, float]]:
+        name = self._obs_name
+        sent = {"messages": self.messages_sent, "bytes": self.bytes_sent}
+        return {"counters": {f"{name}.{k}": v for k, v in sent.items()}}
 
     def close(self) -> None:
         """Release the transport; subsequent sends raise
@@ -84,9 +84,7 @@ class Transport:
             raise TransportError(f"negative message size {size!r}")
         self.messages_sent += 1
         self.bytes_sent += size
-        if self._c_messages is not None:
-            self._c_messages.inc()
-            self._c_bytes.inc(size)
+        if self._h_sizes is not None:
             self._h_sizes.observe(size)
         tracer = self.obs.tracing if self.obs is not None else None
         if tracer is not None:

@@ -67,6 +67,7 @@ from repro.net.session import CalibratedRate, PeerSession
 from repro.net.tcp import TcpPeer, TcpTransport
 from repro.obs.flight import wide_event
 from repro.obs.health import HealthConfig, HealthMonitor
+from repro.obs.metrics import counts, zero_counts
 
 __all__ = ["PlanRuntimeCache", "NetBrokerEndpoint"]
 
@@ -139,6 +140,19 @@ class NetBrokerEndpoint:
     sessions and the shared-modulation hook derived from their plans.
     """
 
+    #: the broker's own counts; ``shared_runs`` is exactly one per
+    #: publish, however many subscribers (the deepest-common-split claim)
+    COUNTS = ("published", "shared_runs", "forks", "election_frames")
+    #: ``broker.<series>`` → the session count it sums over subscribers
+    SUMMED = {
+        "plan_updates": "plan_updates_applied",
+        "telemetry_frames": "telemetry_frames",
+        "retractions": "retractions",
+        "resplits": "resplits",
+        "absorbed": "absorbed",
+        "ships_suppressed": "ships_suppressed",
+    }
+
     def __init__(
         self,
         partitioned: PartitionedMethod,
@@ -189,13 +203,7 @@ class NetBrokerEndpoint:
         self.subscribers: List[PeerSession] = []
         self._by_peer: Dict[TcpPeer, PeerSession] = {}
         self.lock = threading.Lock()
-        self.published = 0
-        #: shared modulation executions — exactly one per publish, no
-        #: matter how many subscribers (the deepest-common-split claim)
-        self.shared_runs = 0
-        self.shared_cycles_total = 0.0
-        self.fork_cycles_total = 0.0
-        self.forks = 0
+        zero_counts(self)
         self.exposer = None
         #: the shared run's union-of-plans hook and, per subscriber, its
         #: plan runtime and split-edge set; rebuilt lazily after any
@@ -221,17 +229,11 @@ class NetBrokerEndpoint:
         #: ELECTION frame (None when no election traffic has flowed)
         self.leader: Optional[str] = None
         self.leader_priority: Optional[int] = None
-        self.election_frames = 0
-        self.elections_relayed = 0
         self._health_stop = threading.Event()
         self._health_thread: Optional[threading.Thread] = None
         if obs is not None:
             metrics = obs.metrics
-            self._c_published = metrics.counter("broker.published")
-            self._c_forks = metrics.counter("broker.forks")
-            self._c_absorbed = metrics.counter("broker.absorbed")
-            self._c_suppressed = metrics.counter("broker.ships_suppressed")
-            self._c_elections = metrics.counter("broker.election_frames")
+            metrics.add_reader(self._read_metrics)
             # Exact publish-path phase timings, cross-checkable against
             # the sampling profiler's attribution (the encode/enqueue
             # phases live in TcpTransport._deliver, same metric family).
@@ -247,11 +249,6 @@ class NetBrokerEndpoint:
             obs.add_section("fleet", self.health.to_dict)
             obs.add_section("resilience", self._resilience_dump)
         else:
-            self._c_published = None
-            self._c_forks = None
-            self._c_absorbed = None
-            self._c_suppressed = None
-            self._c_elections = None
             self._h_phase_modulate = None
             self._h_phase_fork = None
             self._h_phase_ship = None
@@ -407,9 +404,6 @@ class NetBrokerEndpoint:
             shared_seconds = self.rate.seconds(shared_cycles, shared_elapsed)
             self.published += 1
             self.shared_runs += 1
-            self.shared_cycles_total += shared_cycles
-            if self._c_published is not None:
-                self._c_published.inc()
 
             shared_edge: Optional[Edge] = None
             deep: List[Tuple[PeerSession, PlanRuntime]] = []
@@ -459,8 +453,6 @@ class NetBrokerEndpoint:
                         run_ctx,
                     )
             for sub in subs:
-                if obs is not None:
-                    sub.refresh_gauges()
                 sub.feed_health()
                 sub.resilience_tick()
             if self.published % self.feedback_period == 0:
@@ -555,11 +547,7 @@ class NetBrokerEndpoint:
         if self._h_phase_fork is not None:
             self._h_phase_fork.observe(elapsed)
         self.forks += 1
-        self.fork_cycles_total += meter.cycles
         sub.forks += 1
-        if self._c_forks is not None:
-            self._c_forks.inc()
-            sub.count("fork")
         total_cycles = shared_cycles + meter.cycles
         split_edge = (
             outcome.continuation.edge if outcome.split else None
@@ -623,8 +611,6 @@ class NetBrokerEndpoint:
             # drop-oldest shedding was imminent anyway.
             sub.ships_suppressed += 1
             sub.proxy.record_local_completion()
-            if self._c_suppressed is not None:
-                self._c_suppressed.inc()
             wide_event(
                 "breaker.suppress", peer=sub.name, reason="bulkhead full"
             )
@@ -661,8 +647,6 @@ class NetBrokerEndpoint:
                 sub.shipped += 1
                 if shared:
                     sub.shared_ships += 1
-                if self.obs is not None:
-                    sub.count("ship")
                 return
         self._complete_locally(sub, message)
 
@@ -685,8 +669,6 @@ class NetBrokerEndpoint:
         )
         sub.absorbed += 1
         sub.completed_locally += 1
-        if self._c_absorbed is not None:
-            self._c_absorbed.inc()
 
     def _health_loop(self) -> None:
         """Background evaluator: staleness ticks even when idle."""
@@ -698,12 +680,11 @@ class NetBrokerEndpoint:
 
     def _resilience_dump(self) -> Dict[str, object]:
         return {
-            "retractions": self.retractions,
-            "resplits": self.resplits,
+            "retractions": self._total("retractions"),
+            "resplits": self._total("resplits"),
             "leader": self.leader,
             "leader_priority": self.leader_priority,
             "election_frames": self.election_frames,
-            "elections_relayed": self.elections_relayed,
             "peers": {
                 sub.name: sub.resilience_dump() for sub in self.subscribers
             },
@@ -735,8 +716,6 @@ class NetBrokerEndpoint:
         """
         with self.lock:
             self.election_frames += 1
-            if self._c_elections is not None:
-                self._c_elections.inc()
             if envelope.op == "coordinator":
                 if self.leader != envelope.member:
                     wide_event(
@@ -752,7 +731,6 @@ class NetBrokerEndpoint:
                     continue
                 try:
                     self.transport.send(sub.peer, envelope, 64.0)
-                    self.elections_relayed += 1
                 except TransportError:
                     pass
 
@@ -808,26 +786,26 @@ class NetBrokerEndpoint:
     def retractions(self) -> int:
         return self._total("retractions")
 
-    @property
-    def resplits(self) -> int:
-        return self._total("resplits")
+    def _read_metrics(self) -> Dict[str, Dict[str, float]]:
+        """The ``broker.*`` series, read off the counts at dump time."""
+        counters = {
+            f"broker.{count}": getattr(self, count)
+            for count in ("published", "forks", "election_frames")
+        }
+        for series, count in self.SUMMED.items():
+            counters[f"broker.{series}"] = self._total(count)
+        gauges: Dict[str, float] = {}
+        for sub in list(self.subscribers):
+            sub.series(counters, gauges)
+        return {"counters": counters, "gauges": gauges}
 
     def to_dict(self) -> Dict[str, object]:
         with self.lock:
             return {
-                "published": self.published,
-                "shared_runs": self.shared_runs,
-                "forks": self.forks,
-                "shared_cycles_total": self.shared_cycles_total,
-                "fork_cycles_total": self.fork_cycles_total,
-                "plan_updates_applied": self.plan_updates_applied,
+                **counts(self),
+                **{c: self._total(c) for c in self.SUMMED.values()},
                 "recalibrations": self.rate.recalibrations,
-                "telemetry_frames": self._total("telemetry_frames"),
-                "retractions": self.retractions,
-                "resplits": self.resplits,
                 "leader": self.leader,
-                "election_frames": self.election_frames,
-                "elections_relayed": self.elections_relayed,
                 "fleet": self.health.to_dict(),
                 "plan_cache": {
                     "hits": self.cache.hits,

@@ -49,7 +49,6 @@ from repro.core.runtime.feedback import RemoteProfilingProxy, ingest
 from repro.core.runtime.triggers import FeedbackTrigger, RateTrigger
 from repro.jecho.events import (
     ContinuationEnvelope,
-    EventEnvelope,
     FeedbackEnvelope,
     PlanEnvelope,
 )
@@ -63,6 +62,7 @@ from repro.net.resilience import (
 from repro.net.tcp import FrameServer, ServerConnection, TcpPeer, TcpTransport
 from repro.obs.flight import wide_event
 from repro.obs.health import HealthConfig, HealthMonitor
+from repro.obs.metrics import counts, snapshot_delta, zero_counts
 
 __all__ = ["NetSenderEndpoint", "NetReceiverEndpoint"]
 
@@ -148,6 +148,14 @@ class NetReceiverEndpoint:
     asserts on.
     """
 
+    #: the receiver's counts, plain ints that every telemetry push and
+    #: the live result report
+    COUNTS = (
+        "demodulated", "duplicates_skipped", "feedback_batches",
+        "feedback_rejected", "plan_ships", "drops_injected",
+        "telemetry_pushes", "telemetry_sent", "election_frames",
+    )
+
     def __init__(
         self,
         partitioned: PartitionedMethod,
@@ -225,17 +233,11 @@ class NetReceiverEndpoint:
         self.server.handler = self._handle
         #: the plan currently believed to run on the sender
         self.sender_plan: Optional[PartitioningPlan] = plan
-        self.demodulated = 0
-        self.raw_events = 0
-        self.feedback_batches = 0
-        self.feedback_rejected = 0
-        self.plan_ships = 0
+        zero_counts(self)
         #: monotone idempotency key for shipped plans; burned per ship
         #: *attempt* so a failed attempt's retry uses a strictly fresher
         #: version (the sender ignores versions it has already applied)
         self.plan_version = 0
-        self.drops_injected = 0
-        self.duplicates_skipped = 0
         self.sender_reported_sent: Optional[int] = None
         self.done = threading.Event()
         #: wall-clock window of demodulation activity (for msgs/s)
@@ -260,8 +262,6 @@ class NetReceiverEndpoint:
         #: distinguishable from a resumed one.
         self.instance = uuid.uuid4().hex
         self.telemetry_interval = telemetry_interval
-        self.telemetry_pushes = 0
-        self.telemetry_sent = 0
         self._telemetry_task: Optional[asyncio.Task] = None
         #: tested by the background loops: on 3.11 the ``wait_for`` in
         #: ``ServerConnection.send`` can swallow stop()'s cancel, and a
@@ -278,7 +278,6 @@ class NetReceiverEndpoint:
         #: link).  With no priority configured the endpoint runs solo —
         #: it *is* the leader, exactly the pre-election behaviour.
         self.election: Optional[ElectionMember] = None
-        self.election_frames = 0
         self._election_task: Optional[asyncio.Task] = None
         self._election_outbox: List[Tuple[str, int]] = []
         if election_priority is not None:
@@ -288,6 +287,14 @@ class NetReceiverEndpoint:
                 send=self._queue_election,
                 config=election_config,
             )
+        if obs is not None:
+            obs.metrics.add_reader(self._read_metrics)
+
+    def _read_metrics(self) -> Dict[str, Dict[str, float]]:
+        # telemetry builds walk the whole registry: observability's own
+        # cost, in the obs.overhead family beside tracer/profiler time
+        seconds = self.telemetry_encode_seconds
+        return {"gauges": {"obs.overhead.telemetry_encode_seconds": seconds}}
 
     def _tracer(self):
         return self.obs.tracing if self.obs is not None else None
@@ -340,13 +347,7 @@ class NetReceiverEndpoint:
         """
         build_started = time.perf_counter()
         payload: dict = {
-            "counters": {
-                "demodulated": self.demodulated,
-                "duplicates_skipped": self.duplicates_skipped,
-                "plan_ships": self.plan_ships,
-                "feedback_batches": self.feedback_batches,
-                "feedback_rejected": self.feedback_rejected,
-            },
+            "counters": counts(self),
             "health": self.self_health.peer("self").state,
             "leader": self.is_leader,
         }
@@ -356,8 +357,6 @@ class NetReceiverEndpoint:
 
         payload["codegen_fallbacks"] = dict(codegen.fallback_counts)
         if self.obs is not None:
-            from repro.obs.metrics import snapshot_delta
-
             current = self.obs.metrics.to_dict()
             prev = self._telemetry_prev
             payload["metrics"] = (
@@ -372,13 +371,6 @@ class NetReceiverEndpoint:
         self.telemetry_encode_seconds += (
             time.perf_counter() - build_started
         )
-        if self.obs is not None:
-            # Observability's own cost: telemetry payload builds walk
-            # the full metric registry, so their time is accounted in
-            # the same obs.overhead family as tracer/profiler time.
-            self.obs.metrics.gauge(
-                "obs.overhead.telemetry_encode_seconds"
-            ).set(self.telemetry_encode_seconds)
         return payload
 
     def _greeted(self) -> List[ServerConnection]:
@@ -512,8 +504,6 @@ class NetReceiverEndpoint:
                     envelope.priority,
                 )
                 await self._flush_election()
-        elif isinstance(envelope, EventEnvelope):
-            self.raw_events += 1
         elif isinstance(envelope, Bye):
             self.sender_reported_sent = envelope.sent
             self.done.set()

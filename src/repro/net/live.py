@@ -59,6 +59,7 @@ from repro.net.tcp import TcpTransport
 from repro.obs import Observability, wide_event
 from repro.obs.flight import set_global_recorder
 from repro.obs.health import WEDGED, HealthConfig
+from repro.obs.metrics import counts
 
 __all__ = ["run_publisher", "run_receiver", "main"]
 
@@ -274,22 +275,15 @@ def run_receiver(args: argparse.Namespace) -> Dict[str, object]:
         "name": name,
         "index": args.index,
         "wedges_injected": wedge_state["injected"],
-        "demodulated": endpoint.demodulated,
+        **counts(endpoint),
         "delivered": len(sink.results),
-        "duplicates_skipped": endpoint.duplicates_skipped,
-        "feedback_batches": endpoint.feedback_batches,
-        "plan_ships": endpoint.plan_ships,
-        "telemetry_pushes": endpoint.telemetry_pushes,
-        "telemetry_sent": endpoint.telemetry_sent,
         "leader": endpoint.is_leader,
-        "election_frames": endpoint.election_frames,
         "election": (
             endpoint.election.to_dict()
             if endpoint.election is not None
             else None
         ),
         "self_health": endpoint.self_health.to_dict(),
-        "drops_injected": endpoint.drops_injected,
         "sender_reported_sent": endpoint.sender_reported_sent,
         "initial_plan_edges": sorted(list(e) for e in plan.active),
         "final_plan_edges": (
@@ -312,13 +306,7 @@ def run_receiver(args: argparse.Namespace) -> Dict[str, object]:
             (endpoint.demodulated - 1) / window if window > 0 else 0.0
         ),
         "latency_by_pse": endpoint.latency_quantiles(),
-        "server": {
-            "accepted": endpoint.server.accepted,
-            "frames_received": endpoint.server.frames_received,
-            "frames_sent": endpoint.server.frames_sent,
-            "heartbeats_seen": endpoint.server.heartbeats_seen,
-            "framing_errors": endpoint.server.framing_errors,
-        },
+        "server": counts(endpoint.server),
         "quality": (
             endpoint.quality.report()
             if endpoint.quality is not None

@@ -43,6 +43,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
+from repro.obs.quality import keep_tail
+
 __all__ = [
     "BREAKER_CLOSED",
     "BREAKER_HALF_OPEN",
@@ -130,7 +132,9 @@ class CircuitBreaker:
         self.on_transition = on_transition
         self.state = BREAKER_CLOSED
         self.since = self.clock()
+        #: the newest transitions; ``transitions_total`` counts them all
         self.transitions: List[dict] = []
+        self.transitions_total = 0
         #: consecutive failures while closed
         self.failure_streak = 0
         #: times the breaker has opened since it last closed — the
@@ -255,7 +259,8 @@ class CircuitBreaker:
         }
         self.state = state
         self.since = now
-        self.transitions.append(record)
+        keep_tail(self.transitions, record)
+        self.transitions_total += 1
         if self.on_transition is not None:
             self.on_transition(self, record)
         return record
@@ -276,6 +281,7 @@ class CircuitBreaker:
             "failures_recorded": self.failures_recorded,
             "successes_recorded": self.successes_recorded,
             "transitions": list(self.transitions),
+            "transitions_total": self.transitions_total,
         }
 
 

@@ -36,6 +36,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
+from repro.obs.quality import keep_tail
+
 __all__ = [
     "ROLE_CANDIDATE",
     "ROLE_FOLLOWER",
@@ -114,7 +116,9 @@ class ElectionMember:
         self.last_leader_heard: Optional[float] = None
         self.challenge_deadline: Optional[float] = None
         self.next_coordinator_at: Optional[float] = None
+        #: the newest role changes; ``transitions_total`` counts them all
         self.transitions: List[dict] = []
+        self.transitions_total = 0
         self.elections_started = 0
         self.elections_won = 0
         self.stepdowns = 0
@@ -253,7 +257,8 @@ class ElectionMember:
             "reason": reason,
         }
         self.role = role
-        self.transitions.append(record)
+        keep_tail(self.transitions, record)
+        self.transitions_total += 1
         if self.on_transition is not None:
             self.on_transition(self, record)
 
@@ -269,4 +274,5 @@ class ElectionMember:
             "stepdowns": self.stepdowns,
             "messages_seen": self.messages_seen,
             "transitions": list(self.transitions),
+            "transitions_total": self.transitions_total,
         }

@@ -10,8 +10,8 @@ with phases, so it lives once, here: the one publisher,
 :class:`PeerSession` per subscriber (the
 :class:`~repro.net.endpoint.NetSenderEndpoint` is that broker with one).
 The *data path* — the shared run, its forks and ships — stays with the
-broker; the session binds its own labelled ``broker.*{peer="…"}``
-instruments from the ``obs`` it is given.
+broker, which reads the session's labelled ``broker.*{peer="…"}``
+series (:meth:`PeerSession.series`) from its counts at dump time.
 
 The session is sans-I/O, the shape :mod:`repro.net.resilience.election`
 has: ``send`` and ``clock`` are injected, transport state is read off
@@ -43,6 +43,8 @@ from repro.net.resilience import (
 )
 from repro.obs.flight import wide_event
 from repro.obs.health import WEDGED, HealthMonitor, PeerHealth
+from repro.obs.metrics import counts, zero_counts
+from repro.obs.quality import keep_tail
 
 __all__ = ["RATE_HYSTERESIS", "CalibratedRate", "PeerSession"]
 
@@ -146,6 +148,22 @@ class PeerSession:
     plane (no breaker, no retraction).
     """
 
+    #: the counts :meth:`resilience_dump` reports: ``absorbed`` is the
+    #: part of ``completed_locally`` whose ship the breaker refused or the
+    #: transport failed, ``ships_suppressed`` the ships the bulkhead shed
+    RESILIENCE_COUNTS = (
+        "absorbed", "ships_suppressed", "retractions", "resplits",
+        "plans_deferred",
+    )
+    #: every count, a plain int; the owner's data path writes the delivery
+    #: counts, and each publish lands in exactly one of ``shipped``,
+    #: ``completed_locally``, ``elided`` and ``ships_suppressed``
+    COUNTS = (
+        "plan_updates_applied", "plan_duplicates_ignored", "shipped",
+        "shared_ships", "forks", "elided", "completed_locally",
+        "feedback_flushes", "telemetry_frames",
+    ) + RESILIENCE_COUNTS
+
     def __init__(
         self,
         name: str,
@@ -177,24 +195,10 @@ class PeerSession:
         #: highest PLAN version applied; frames at or below this are
         #: duplicates and must not re-run the apply path
         self.plan_version_applied = 0
-        self.plan_updates_applied = 0
-        self.plan_duplicates_ignored = 0
+        zero_counts(self)
+        #: the newest applied plans' edges (``plan_updates_applied``
+        #: counts them all)
         self.plans_seen: List[str] = []
-        # delivery counters, written by the owner's data path; every
-        # publish lands in exactly one of shipped, completed_locally,
-        # elided and ships_suppressed
-        self.shipped = 0
-        self.shared_ships = 0
-        self.forks = 0
-        self.elided = 0
-        self.completed_locally = 0
-        #: the part of completed_locally whose ship the breaker refused
-        #: or the transport failed (the live half of a retraction)
-        self.absorbed = 0
-        #: ship attempts the bulkhead refused: the message is shed
-        self.ships_suppressed = 0
-        self.feedback_flushes = 0
-        self.telemetry_frames = 0
         #: latest TELEMETRY frame's metadata + payload
         self.last_telemetry: Optional[Dict[str, object]] = None
         self.health: PeerHealth = monitor.peer(name)
@@ -207,13 +211,10 @@ class PeerSession:
         self.retracting = False
         self.retracted = False
         self.retraction_deadline: Optional[float] = None
-        self.retractions = 0
-        self.resplits = 0
         #: the split to restore on recovery
         self.saved_plan: Optional[PartitioningPlan] = None
         #: newest PLAN frame deferred while retracted (kept, not lost)
         self.pending_plan: Optional[PlanEnvelope] = None
-        self.plans_deferred = 0
         #: set by the owner's finish(); a disconnect after the goodbye
         #: drained is an orderly exit, not a fault
         self.bye_sent = False
@@ -230,39 +231,6 @@ class PeerSession:
                 on_transition=self._on_breaker_transition,
             )
             monitor.add_listener(self._on_health_transition)
-        #: event ("plan", "retract", "resplit", "telemetry", "ship",
-        #: "fork") → the metric counters :meth:`count` bumps
-        self.counters: Dict[str, tuple] = {}
-        #: transport-state gauges :meth:`refresh_gauges` writes
-        self.gauges: Dict[str, object] = {}
-        if obs is not None:
-            self._bind_instruments(obs.metrics)
-
-    def _bind_instruments(self, metrics) -> None:
-        """The fleet-wide and ``{peer="name"}``-labelled broker metrics."""
-        label = f'{{peer="{self.name}"}}'
-        self.counters = {
-            "plan": (
-                metrics.counter("broker.plan_updates"),
-                metrics.counter(f"broker.plan_updates{label}"),
-            ),
-            "retract": (metrics.counter("broker.retractions"),),
-            "resplit": (metrics.counter("broker.resplits"),),
-            "telemetry": (metrics.counter("broker.telemetry_frames"),),
-            "ship": (metrics.counter(f"broker.shipped{label}"),),
-            "fork": (metrics.counter(f"broker.forks{label}"),),
-        }
-        self.gauges = {
-            kind: metrics.gauge(f"broker.{kind}{label}")
-            for kind in (
-                "queue_depth", "dropped_frames", "heartbeat_rtt", "connected"
-            )
-        }
-        if self.breaker is not None:
-            gauge = self.gauges["breaker_state"] = metrics.gauge(
-                f"broker.breaker_state{label}"
-            )
-            gauge.set(BREAKER_STATE_CODES[self.breaker.state])
 
     @property
     def plan_edges(self) -> Tuple[Edge, ...]:
@@ -291,10 +259,6 @@ class PeerSession:
             return
         self._apply(envelope)
 
-    def count(self, event: str) -> None:
-        for counter in self.counters.get(event, ()):
-            counter.inc()
-
     def _switch(self, plan: PartitioningPlan) -> None:
         """Put *plan* in force: the one place ``self.plan`` changes."""
         old, self.plan = self.plan, plan
@@ -315,10 +279,10 @@ class PeerSession:
     def _apply(self, envelope: PlanEnvelope) -> None:
         self.plan_version_applied = envelope.version
         self.plan_updates_applied += 1
-        self.plans_seen.append(
-            ",".join(str(e) for e in sorted(envelope.plan.active))
+        keep_tail(
+            self.plans_seen,
+            ",".join(str(e) for e in sorted(envelope.plan.active)),
         )
-        self.count("plan")
         self._switch(envelope.plan)
         tracer = self.obs.tracing if self.obs is not None else None
         if tracer is not None and envelope.trace is not None:
@@ -352,9 +316,6 @@ class PeerSession:
         self, breaker: CircuitBreaker, record: dict
     ) -> None:
         """Breaker edges actuate the split: trip retracts, close re-splits."""
-        gauge = self.gauges.get("breaker_state")
-        if gauge is not None:
-            gauge.set(BREAKER_STATE_CODES[record["to"]])
         wide_event(
             "breaker.transition",
             peer=self.name,
@@ -402,7 +363,6 @@ class PeerSession:
             drained=drained,
             saved_plan=self.saved_plan.name,
         )
-        self.count("retract")
         self._switch(self.retraction_plan)
 
     def resplit(self) -> None:
@@ -428,7 +388,6 @@ class PeerSession:
         else:
             return  # closed before the swap, nothing deferred: no change
         self.resplits += 1
-        self.count("resplit")
         wide_event(
             "breaker.resplit",
             peer=self.name,
@@ -495,7 +454,6 @@ class PeerSession:
     def ingest_telemetry(self, frame: Telemetry) -> None:
         """Fold one pushed TELEMETRY frame into the peer's health."""
         self.telemetry_frames += 1
-        self.count("telemetry")
         payload = frame.payload or {}
         self.last_telemetry = {
             "source": frame.source,
@@ -544,17 +502,23 @@ class PeerSession:
 
     # -- dumps -------------------------------------------------------------------
 
-    def refresh_gauges(self) -> None:
-        """Push the peer's transport health into the labeled gauges."""
-        gauges = self.gauges
-        if not gauges:
-            return
+    def series(
+        self, counters: Dict[str, float], gauges: Dict[str, float]
+    ) -> None:
+        """Add this peer's ``broker.*{peer="name"}`` series, read now."""
+        label = f'{{peer="{self.name}"}}'
         peer = self.peer
-        gauges["queue_depth"].set(peer.queued)
-        gauges["dropped_frames"].set(peer.dropped_frames)
-        gauges["connected"].set(1.0 if peer.connected else 0.0)
-        if peer.last_rtt is not None:
-            gauges["heartbeat_rtt"].set(peer.last_rtt)
+        counters[f"broker.plan_updates{label}"] = self.plan_updates_applied
+        counters[f"broker.shipped{label}"] = self.shipped
+        counters[f"broker.forks{label}"] = self.forks
+        gauges[f"broker.queue_depth{label}"] = peer.queued
+        gauges[f"broker.dropped_frames{label}"] = peer.dropped_frames
+        gauges[f"broker.heartbeat_rtt{label}"] = peer.last_rtt or 0.0
+        gauges[f"broker.connected{label}"] = 1.0 if peer.connected else 0.0
+        if self.breaker is not None:
+            gauges[f"broker.breaker_state{label}"] = BREAKER_STATE_CODES[
+                self.breaker.state
+            ]
 
     def resilience_dump(self) -> Dict[str, object]:
         """Breaker + retraction state for dashboards and dumps."""
@@ -567,13 +531,9 @@ class PeerSession:
                 if self.bulkhead is not None
                 else None
             ),
-            "absorbed": self.absorbed,
-            "ships_suppressed": self.ships_suppressed,
+            **counts(self, self.RESILIENCE_COUNTS),
             "retracting": self.retracting,
             "retracted": self.retracted,
-            "retractions": self.retractions,
-            "resplits": self.resplits,
-            "plans_deferred": self.plans_deferred,
         }
 
     def to_dict(self) -> Dict[str, object]:
@@ -581,16 +541,8 @@ class PeerSession:
             "name": self.name,
             "subscription_id": self.subscription_id,
             "plan_edges": [list(e) for e in self.plan_edges],
-            "plan_updates_applied": self.plan_updates_applied,
-            "plan_duplicates_ignored": self.plan_duplicates_ignored,
+            **counts(self),
             "plans_seen": list(self.plans_seen),
-            "shipped": self.shipped,
-            "shared_ships": self.shared_ships,
-            "forks": self.forks,
-            "elided": self.elided,
-            "completed_locally": self.completed_locally,
-            "feedback_flushes": self.feedback_flushes,
-            "telemetry_frames": self.telemetry_frames,
             "telemetry_last_seq": (
                 self.last_telemetry.get("seq")
                 if self.last_telemetry is not None

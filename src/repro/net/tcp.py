@@ -21,8 +21,8 @@ Reliability model, chosen to match what the adaptation loop needs:
   frame, at-most-once for everything behind it).
 * **Bounded queues with drop-oldest backpressure** — when the outbound
   queue is full the *oldest* frame is dropped (freshest data wins, the
-  right call for sensor streams) and counted in ``obs.metrics`` under
-  ``<name>.dropped_frames``.
+  right call for sensor streams) and counted in the peer's
+  ``dropped_frames`` (summed into ``<name>.dropped_frames``).
 * **Connect/send timeouts** — a peer that accepts but never reads must
   not wedge the writer; a timed-out send raises
   :class:`~repro.errors.SendTimeoutError` internally and is treated as
@@ -86,6 +86,7 @@ from repro.net.framing import (
     encode_batch_parts,
 )
 from repro.obs.flight import wide_event
+from repro.obs.metrics import counts, zero_counts
 
 __all__ = ["TcpPeer", "TcpTransport", "FrameServer", "ServerConnection"]
 
@@ -102,6 +103,21 @@ _PAYLOAD_POOL_CAPACITY = 64
 #: the write loop can gather them into batches without re-encoding
 _QueuedFrame = Tuple[int, bytes, bytes]
 
+#: per-connection :class:`FrameDecoder` stats, kept as ``decoder_<stat>``
+_DECODER_STATS = ("compactions", "batches_decoded", "pooled_payloads")
+
+
+def _add_decoder_stats(owner, decoder: FrameDecoder, seen: List[int]) -> None:
+    """Add *decoder*'s stat growth since *seen* into ``owner.decoder_*``.
+
+    A decoder covers one connection; the owner's ints cover every one.
+    """
+    for i, stat in enumerate(_DECODER_STATS):
+        value = getattr(decoder, stat)
+        field = "decoder_" + stat
+        setattr(owner, field, getattr(owner, field) + value - seen[i])
+        seen[i] = value
+
 
 class TcpPeer:
     """One pooled connection to a remote endpoint.
@@ -109,6 +125,17 @@ class TcpPeer:
     All mutable state is owned by the transport's event loop; the only
     cross-thread entry point is :meth:`_enqueue_threadsafe`.
     """
+
+    #: the connection's counts, plain ints: :meth:`to_dict` reports them
+    #: and the transport sums each into a ``<name>.<count>`` series
+    COUNTS = (
+        "connections", "reconnects", "connect_failures", "dropped_frames",
+        "frames_sent", "frame_bytes_sent", "batches_sent",
+        "batched_frames_sent", "heartbeats_sent", "heartbeats_seen",
+        "send_timeouts", "telemetry_frames_seen", "framing_errors",
+        "decode_errors", "decoder_compactions", "decoder_batches_decoded",
+        "decoder_pooled_payloads",
+    )
 
     def __init__(
         self,
@@ -129,21 +156,10 @@ class TcpPeer:
         #: A fan-out broker caps each subscriber independently so one
         #: slow peer sheds its own backlog without shrinking the others'.
         self.queue_limit = queue_limit
-        self.connections = 0
-        self.reconnects = 0
-        self.dropped_frames = 0
-        self.frames_sent = 0
-        self.frame_bytes_sent = 0
-        self.heartbeats_sent = 0
-        self.heartbeats_seen = 0
-        self.send_timeouts = 0
-        self.batches_sent = 0
-        self.batched_frames_sent = 0
+        zero_counts(self)
         self.last_heard: Optional[float] = None
         self.last_rtt: Optional[float] = None
         self.connected = False
-        self.telemetry_frames_seen = 0
-        self._g_queue = None
         self._subpool = BufferPool()
         self._outbound: Deque[_QueuedFrame] = deque()
         self._wake = asyncio.Event()
@@ -173,33 +189,11 @@ class TcpPeer:
         """The connection's counters, as every dump reports them."""
         return {
             "queued": self.queued,
-            "connections": self.connections,
-            "reconnects": self.reconnects,
-            "dropped_frames": self.dropped_frames,
-            "frames_sent": self.frames_sent,
-            "frame_bytes_sent": self.frame_bytes_sent,
-            "heartbeats_sent": self.heartbeats_sent,
-            "heartbeats_echoed": self.heartbeats_seen,
-            "send_timeouts": self.send_timeouts,
+            **counts(self),
             "last_rtt": self.last_rtt,
-            "telemetry_frames_seen": self.telemetry_frames_seen,
-            "batches_sent": self.batches_sent,
-            "batched_frames_sent": self.batched_frames_sent,
         }
 
     # -- loop-side internals ---------------------------------------------------
-
-    def _set_queue_gauge(self) -> None:
-        gauge = self._g_queue
-        if gauge is None:
-            metrics = self.transport._metrics
-            if metrics is None:
-                return
-            gauge = self._g_queue = metrics.gauge(
-                f'{self.transport._obs_name}.queue_depth'
-                f'{{peer="{self.name}"}}'
-            )
-        gauge.set(len(self._outbound))
 
     def _enqueue(self, frame: _QueuedFrame) -> None:
         if self._closed:
@@ -212,8 +206,6 @@ class TcpPeer:
         if len(self._outbound) >= limit:
             self._outbound.popleft()
             self.dropped_frames += 1
-            if self.transport._c_dropped is not None:
-                self.transport._c_dropped.inc()
             # Sheds happen at line rate when a peer wedges; record the
             # first of every 64 so the flight ring shows the burst
             # without being flooded by it, and warn on the first.
@@ -222,7 +214,7 @@ class TcpPeer:
                 first = dropped == 1
                 wide_event(
                     "net.shed",
-                    recorder=getattr(self.transport._obs, "flight", None),
+                    recorder=getattr(self.transport.obs, "flight", None),
                     dedupe=(
                         f"{self.transport.instance}/{self.name}"
                         if first
@@ -241,7 +233,6 @@ class TcpPeer:
         self._outbound.append(frame)
         self._drained.clear()
         self._wake.set()
-        self._set_queue_gauge()
 
     def _backoff_delay(self, attempt: int) -> float:
         base = self.transport.backoff_base * (2 ** min(attempt, 16))
@@ -259,19 +250,16 @@ class TcpPeer:
                     self.transport.connect_timeout,
                 )
             except (OSError, asyncio.TimeoutError):
-                if self.transport._c_connect_failures is not None:
-                    self.transport._c_connect_failures.inc()
+                self.connect_failures += 1
                 attempt += 1
                 await asyncio.sleep(self._backoff_delay(attempt))
                 continue
             self.connections += 1
             if self.connections > 1:
                 self.reconnects += 1
-                if self.transport._c_reconnects is not None:
-                    self.transport._c_reconnects.inc()
                 wide_event(
                     "net.reconnect",
-                    recorder=getattr(self.transport._obs, "flight", None),
+                    recorder=getattr(self.transport.obs, "flight", None),
                     peer=self.name,
                     reconnects=self.reconnects,
                     queued=len(self._outbound),
@@ -403,8 +391,6 @@ class TcpPeer:
                     )
                 except asyncio.TimeoutError:
                     self.send_timeouts += 1
-                    if self.transport._c_send_timeouts is not None:
-                        self.transport._c_send_timeouts.inc()
                     raise SendTimeoutError(
                         f"send to {self.name} exceeded "
                         f"{self.transport.send_timeout}s"
@@ -423,14 +409,11 @@ class TcpPeer:
                 # whole (receiver dedupe absorbs the duplicates).
                 for _ in run:
                     self._outbound.popleft()
-                self._set_queue_gauge()
                 self.frames_sent += len(run)
                 self.frame_bytes_sent += wire_bytes
                 if len(run) > 1:
                     self.batches_sent += 1
                     self.batched_frames_sent += len(run)
-                if self.transport._c_frame_bytes is not None:
-                    self.transport._c_frame_bytes.inc(wire_bytes)
             if not self._outbound:
                 self._drained.set()
             self._wake.clear()
@@ -454,9 +437,7 @@ class TcpPeer:
                 capacity=_PAYLOAD_POOL_CAPACITY,
             ),
         )
-        seen_compactions = 0
-        seen_batches = 0
-        seen_pooled = 0
+        seen = [0] * len(_DECODER_STATS)
         try:
             while True:
                 data = await reader.read(_READ_CHUNK)
@@ -465,28 +446,10 @@ class TcpPeer:
                 try:
                     frames = decoder.feed(data)
                 except FramingError:
-                    if self.transport._c_framing_errors is not None:
-                        self.transport._c_framing_errors.inc()
+                    self.framing_errors += 1
                     break
                 finally:
-                    # Decoder stats are cumulative per connection; the
-                    # registry counters aggregate deltas across every
-                    # connection this transport ever held.
-                    if self.transport._c_decoder_compactions is not None:
-                        delta = decoder.compactions - seen_compactions
-                        if delta:
-                            self.transport._c_decoder_compactions.inc(delta)
-                        seen_compactions = decoder.compactions
-                        delta = decoder.batches_decoded - seen_batches
-                        if delta:
-                            self.transport._c_batches_decoded.inc(delta)
-                        seen_batches = decoder.batches_decoded
-                        delta = decoder.pooled_payloads - seen_pooled
-                        if delta and (
-                            self.transport._c_pooled_payloads is not None
-                        ):
-                            self.transport._c_pooled_payloads.inc(delta)
-                        seen_pooled = decoder.pooled_payloads
+                    _add_decoder_stats(self, decoder, seen)
                 for kind, payload in frames:
                     self.last_heard = time.monotonic()
                     try:
@@ -494,8 +457,7 @@ class TcpPeer:
                             kind, payload
                         )
                     except (ProtocolError, Exception) as exc:  # noqa: BLE001
-                        if self.transport._c_decode_errors is not None:
-                            self.transport._c_decode_errors.inc()
+                        self.decode_errors += 1
                         if not isinstance(exc, ProtocolError):
                             raise
                         continue
@@ -529,8 +491,6 @@ class TcpPeer:
                 )
             )
             self.heartbeats_sent += 1
-            if self.transport._c_heartbeats is not None:
-                self.transport._c_heartbeats.inc()
 
     async def _wait_drained(self) -> None:
         await self._drained.wait()
@@ -616,22 +576,9 @@ class TcpTransport(Transport):
         self._loop = loop
         self._own_loop = loop is None
         self._thread: Optional[threading.Thread] = None
-        self._c_dropped = None
-        self._c_reconnects = None
-        self._c_connect_failures = None
-        self._c_send_timeouts = None
-        self._c_heartbeats = None
-        self._c_frame_bytes = None
-        self._c_framing_errors = None
-        self._c_decode_errors = None
-        self._c_decoder_compactions = None
-        self._c_batches_decoded = None
-        self._c_pooled_payloads = None
         self._h_rtt = None
         self._h_phase_encode = None
         self._h_phase_enqueue = None
-        self._metrics = None
-        self._obs = None
         self._obs_name = "transport.tcp"
 
     # -- observability ---------------------------------------------------------
@@ -639,27 +586,6 @@ class TcpTransport(Transport):
     def attach_observability(self, obs, *, name: str = "transport.tcp") -> None:
         super().attach_observability(obs, name=name)
         metrics = obs.metrics
-        self._c_dropped = metrics.counter(f"{name}.dropped_frames")
-        self._c_reconnects = metrics.counter(f"{name}.reconnects")
-        self._c_connect_failures = metrics.counter(
-            f"{name}.connect_failures"
-        )
-        self._c_send_timeouts = metrics.counter(f"{name}.send_timeouts")
-        self._c_heartbeats = metrics.counter(f"{name}.heartbeats_sent")
-        self._c_frame_bytes = metrics.counter(f"{name}.frame_bytes")
-        self._c_framing_errors = metrics.counter(
-            f"{name}.framing_errors"
-        )
-        self._c_decode_errors = metrics.counter(f"{name}.decode_errors")
-        self._c_decoder_compactions = metrics.counter(
-            f"{name}.decoder_compactions"
-        )
-        self._c_batches_decoded = metrics.counter(
-            f"{name}.decoder_batches_decoded"
-        )
-        self._c_pooled_payloads = metrics.counter(
-            f"{name}.decoder_pooled_payloads"
-        )
         self._h_rtt = metrics.histogram(f"{name}.heartbeat_rtt")
         # Publish-path phase timers (same family as the broker's
         # modulate/fork/ship phases): the caller-thread encode and the
@@ -670,13 +596,15 @@ class TcpTransport(Transport):
         self._h_phase_enqueue = metrics.histogram(
             'net.publish.phase_seconds{phase="enqueue"}'
         )
-        self._metrics = metrics
-        self._obs = obs
-        self._obs_name = name
-        # Re-attach invalidates per-peer gauge handles bound to the old
-        # registry (same rule as the counters above).
-        for peer in self._peers.values():
-            peer._g_queue = None
+
+    def _read_metrics(self) -> Dict[str, Dict[str, float]]:
+        metrics = super()._read_metrics()
+        name, totals, peers = self._obs_name, metrics["counters"], self.peers
+        for count in TcpPeer.COUNTS:
+            totals[f"{name}.{count}"] = sum(getattr(p, count) for p in peers)
+        # the wire-bytes series is older than the peer count's name
+        totals[f"{name}.frame_bytes"] = totals.pop(f"{name}.frame_bytes_sent")
+        return metrics
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -832,8 +760,6 @@ class ServerConnection:
         self.writer = writer
         self.peername = peername
         self.hello: Optional[Hello] = None
-        self.frames_received = 0
-        self.last_heard: Optional[float] = None
         self.closed = False
 
     async def send(self, envelope: object) -> None:
@@ -888,6 +814,13 @@ class FrameServer:
     coroutine function.
     """
 
+    #: the server's counts, plain ints, each read as ``<name>.<count>``
+    COUNTS = (
+        "accepted", "frames_received", "frames_sent", "heartbeats_seen",
+        "framing_errors", "decoder_compactions", "decoder_batches_decoded",
+        "decoder_pooled_payloads",
+    )
+
     def __init__(
         self,
         codec: Optional[NetEnvelopeCodec] = None,
@@ -903,37 +836,16 @@ class FrameServer:
         self.max_frame = max_frame
         self.handler: Optional[Callable] = None
         self.connections: List[ServerConnection] = []
-        self.accepted = 0
-        self.frames_received = 0
-        self.frames_sent = 0
-        self.heartbeats_seen = 0
-        self.framing_errors = 0
+        zero_counts(self)
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self.obs = obs
         if obs is not None:
-            metrics = obs.metrics
-            self._c_accepted = metrics.counter(f"{name}.accepted")
-            self._c_frames = metrics.counter(f"{name}.frames_received")
-            self._c_heartbeats = metrics.counter(
-                f"{name}.heartbeats_seen"
-            )
-            self._c_decoder_compactions = metrics.counter(
-                f"{name}.decoder_compactions"
-            )
-            self._c_batches_decoded = metrics.counter(
-                f"{name}.decoder_batches_decoded"
-            )
-            self._c_pooled_payloads = metrics.counter(
-                f"{name}.decoder_pooled_payloads"
-            )
-        else:
-            self._c_accepted = None
-            self._c_frames = None
-            self._c_heartbeats = None
-            self._c_decoder_compactions = None
-            self._c_batches_decoded = None
-            self._c_pooled_payloads = None
+            obs.metrics.add_reader(self._read_metrics)
+
+    def _read_metrics(self) -> Dict[str, Dict[str, float]]:
+        totals = counts(self)
+        return {"counters": {f"{self.name}.{c}": totals[c] for c in totals}}
 
     async def start(
         self, host: str = "127.0.0.1", port: int = 0
@@ -967,8 +879,6 @@ class FrameServer:
         conn = ServerConnection(self, writer, peername)
         self.connections.append(conn)
         self.accepted += 1
-        if self._c_accepted is not None:
-            self._c_accepted.inc()
         decoder = FrameDecoder(
             max_frame=self.max_frame,
             payload_pool=BufferPool(
@@ -976,9 +886,7 @@ class FrameServer:
                 capacity=_PAYLOAD_POOL_CAPACITY,
             ),
         )
-        seen_compactions = 0
-        seen_batches = 0
-        seen_pooled = 0
+        seen = [0] * len(_DECODER_STATS)
         try:
             while True:
                 data = await reader.read(_READ_CHUNK)
@@ -990,25 +898,9 @@ class FrameServer:
                     self.framing_errors += 1
                     break
                 finally:
-                    if self._c_decoder_compactions is not None:
-                        delta = decoder.compactions - seen_compactions
-                        if delta:
-                            self._c_decoder_compactions.inc(delta)
-                        seen_compactions = decoder.compactions
-                        delta = decoder.batches_decoded - seen_batches
-                        if delta:
-                            self._c_batches_decoded.inc(delta)
-                        seen_batches = decoder.batches_decoded
-                        delta = decoder.pooled_payloads - seen_pooled
-                        if delta and self._c_pooled_payloads is not None:
-                            self._c_pooled_payloads.inc(delta)
-                        seen_pooled = decoder.pooled_payloads
+                    _add_decoder_stats(self, decoder, seen)
                 for kind, payload in frames:
-                    conn.frames_received += 1
-                    conn.last_heard = time.monotonic()
                     self.frames_received += 1
-                    if self._c_frames is not None:
-                        self._c_frames.inc()
                     envelope, sent_at = self.codec.decode(kind, payload)
                     if isinstance(envelope, Hello):
                         conn.hello = envelope
@@ -1023,8 +915,6 @@ class FrameServer:
                         continue
                     if isinstance(envelope, Heartbeat):
                         self.heartbeats_seen += 1
-                        if self._c_heartbeats is not None:
-                            self._c_heartbeats.inc()
                         try:
                             await conn.send(envelope)  # echo, same stamp
                         except (SendTimeoutError, ConnectionLostError):

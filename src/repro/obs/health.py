@@ -39,6 +39,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
+from repro.obs.quality import keep_tail
+
 __all__ = [
     "DEGRADED",
     "HEALTHY",
@@ -116,7 +118,9 @@ class PeerHealth:
         now = self.clock()
         self.state = HEALTHY
         self.since = now
+        #: the newest transitions; ``transitions_total`` counts them all
         self.transitions: List[dict] = []
+        self.transitions_total = 0
         self.rtt_ewma: Optional[float] = None
         self.last_signal_at = now
         self.connected = True
@@ -275,7 +279,8 @@ class PeerHealth:
         }
         self.state = state
         self.since = now
-        self.transitions.append(record)
+        keep_tail(self.transitions, record)
+        self.transitions_total += 1
         if self.on_transition is not None:
             self.on_transition(self, record)
         return record
@@ -297,6 +302,7 @@ class PeerHealth:
             "drift_total": self.drift_total,
             "telemetry_frames": self.telemetry_frames,
             "transitions": list(self.transitions),
+            "transitions_total": self.transitions_total,
         }
 
 

@@ -5,10 +5,14 @@ unit in this reproduction is single-threaded per (sender, subscription)
 pair, so plain attribute updates are sufficient.  The design goal is the
 paper's own constraint on profiling ("if profiling is expensive, such
 costs can be reduced"): when no registry is attached (the default),
-instrumented code paths cost one ``is None`` check; when attached, a
-counter increment is one float add.
+instrumented code paths cost one ``is None`` check.  A count an object
+already keeps as a plain int is not mirrored into an instrument: the
+object registers a *reader* (:meth:`MetricsRegistry.add_reader`) and the
+registry reads the int when it is dumped, so counting costs the int add
+alone, attached or not, and the series can never disagree with the
+attribute it reports.
 
-Three instrument kinds:
+Three instrument kinds, for values nothing else keeps:
 
 * :class:`Counter` — monotonically increasing total (messages, bytes,
   instructions executed);
@@ -22,7 +26,7 @@ Three instrument kinds:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -32,7 +36,13 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "bucket_quantile",
     "snapshot_delta",
+    "counts",
+    "zero_counts",
 ]
+
+#: returns ``{"counters": {name: value}, "gauges": {name: value}}``
+#: (either key optional), read off its owner's counts at dump time
+Reader = Callable[[], Mapping[str, Mapping[str, float]]]
 
 #: default geometric bucket ladder — wide enough for bytes and seconds
 DEFAULT_BUCKETS: Tuple[float, ...] = (
@@ -197,19 +207,37 @@ def snapshot_delta(
     return {"counters": counters, "histograms": histograms}
 
 
+def zero_counts(owner: object) -> None:
+    """Start every count in ``owner.COUNTS`` at 0 (call from ``__init__``)."""
+    owner.__dict__.update(dict.fromkeys(owner.COUNTS, 0))
+
+
+def counts(owner: object, names: Sequence[str] = ()) -> Dict[str, float]:
+    """``{name: value}`` of ``names``, by default of ``owner.COUNTS``.
+
+    An object declares its counted fields once, as ``COUNTS``; its dumps
+    and its metric reader read them through here, never a hand list.
+    """
+    return {name: getattr(owner, name) for name in names or owner.COUNTS}
+
+
 class MetricsRegistry:
-    """Get-or-create registry of named instruments.
+    """Get-or-create registry of named instruments, plus readers.
 
     Names are dotted paths (``"transport.bytes"``); the registry keeps
     one instrument per name and kind.  Asking for an existing name with a
     different kind is an error — it almost always means two subsystems
-    chose colliding names.
+    chose colliding names.  The same holds for the names readers return:
+    a counter read twice adds up, as two handles of one counter did; any
+    other collision raises on the dump.
     """
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
+        #: reader → its counter values when added, the zero they count from
+        self._readers: Dict[Reader, Dict[str, float]] = {}
 
     def _check_free(self, name: str, want: Dict) -> None:
         for kind, table in (
@@ -245,13 +273,64 @@ class MetricsRegistry:
             histogram = self._histograms[name] = Histogram(name, bounds)
         return histogram
 
+    # -- readers --------------------------------------------------------------
+
+    def add_reader(self, read: Reader) -> None:
+        """Merge ``read()``'s counters and gauges into every dump.
+
+        Its counters count from their values now, as fresh instruments
+        would; adding the same bound method again changes nothing.
+        """
+        if read not in self._readers:
+            self._readers[read] = dict(read().get("counters", {}))
+
+    def remove_reader(self, read: Reader) -> None:
+        """Stop calling ``read``; its last values stay as instruments."""
+        counters, gauges = self._read(read)
+        del self._readers[read]
+        for name, value in counters.items():
+            self.counter(name).inc(value)
+        for name, value in gauges.items():
+            self.gauge(name).set(value)
+
+    def _read(
+        self, read: Reader
+    ) -> Tuple[Dict[str, float], Dict[str, float]]:
+        zero, values = self._readers[read], read()
+        return (
+            {
+                name: float(value - zero.get(name, 0))
+                for name, value in values.get("counters", {}).items()
+            },
+            {n: float(v) for n, v in values.get("gauges", {}).items()},
+        )
+
+    def _values(self) -> Tuple[Dict[str, float], Dict[str, float]]:
+        """Every counter and gauge value, instruments and readers merged."""
+        counters = {name: c.value for name, c in self._counters.items()}
+        gauges = {name: g.value for name, g in self._gauges.items()}
+        for read in list(self._readers):
+            read_counters, read_gauges = self._read(read)
+            for name, value in read_counters.items():
+                if name in gauges or name in self._histograms:
+                    raise ValueError(f"metric {name!r} read under two kinds")
+                counters[name] = counters.get(name, 0.0) + value
+            for name in read_gauges.keys() & (
+                gauges.keys() | counters.keys() | self._histograms.keys()
+            ):
+                raise ValueError(f"gauge {name!r} collides with a metric")
+            gauges.update(read_gauges)
+        return counters, gauges
+
     # -- export ---------------------------------------------------------------
 
     def counters(self) -> List[Counter]:
-        return [self._counters[k] for k in sorted(self._counters)]
-
-    def gauges(self) -> List[Gauge]:
-        return [self._gauges[k] for k in sorted(self._gauges)]
+        """Every counter as of now, readers' included, sorted by name."""
+        out = []
+        for name, value in sorted(self._values()[0].items()):
+            out.append(Counter(name))
+            out[-1].value = value
+        return out
 
     def histograms(self) -> List[Histogram]:
         return [self._histograms[k] for k in sorted(self._histograms)]
@@ -265,10 +344,11 @@ class MetricsRegistry:
         return snapshot_delta(prev, self.to_dict())
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable snapshot of every instrument."""
+        """JSON-serializable snapshot of every instrument and reader."""
+        counters, gauges = self._values()
         return {
-            "counters": {c.name: c.value for c in self.counters()},
-            "gauges": {g.name: g.value for g in self.gauges()},
+            "counters": dict(sorted(counters.items())),
+            "gauges": dict(sorted(gauges.items())),
             "histograms": {
                 h.name: {
                     "bounds": list(h.bounds),

@@ -57,19 +57,26 @@ __all__ = [
     "DriftDetector",
     "AdaptationQuality",
     "REPORT_TAIL",
+    "keep_tail",
 ]
 
 #: drift channels and the prediction each one checks
 DRIFT_CHANNELS = ("bytes", "t_mod", "t_demod")
 
-#: closed windows / drift events / plan transitions kept in the report
+#: records kept by every bounded log: closed windows, drift events and
+#: plan transitions in the report, and the per-peer logs of applied
+#: plans and health, breaker and election transitions
 REPORT_TAIL = 32
 
 _EPS = 1e-12
 
 
-def _keep_tail(items: List[Dict[str, object]], item: Dict[str, object]) -> None:
-    """Append ``item``, keeping only the newest :data:`REPORT_TAIL`."""
+def keep_tail(items: List, item: object) -> None:
+    """Append ``item``, keeping only the newest :data:`REPORT_TAIL`.
+
+    A log bounded this way sits beside an integer total of every
+    append, which is what dumps and dashboards count.
+    """
     items.append(item)
     del items[:-REPORT_TAIL]
 
@@ -211,7 +218,7 @@ class RegretAccounting:
             "transition": self.last_transition,
         }
         self.obs.flight.record("RegretWindow", **window)
-        _keep_tail(self.windows, window)
+        keep_tail(self.windows, window)
         self._c_windows.inc()
         self._g_mean.set(mean)
         self._g_rel.set(rel_mean)
@@ -335,7 +342,7 @@ class DriftDetector:
                 "threshold": threshold,
             }
             self.obs.flight.record("DriftDetected", **event)
-            _keep_tail(self.events, event)
+            keep_tail(self.events, event)
         elif stat.flagged and abs(stat.mean) < threshold / 2:
             # Hysteresis: re-arm only once the residual clearly recovers,
             # so a value oscillating around the threshold fires once.
@@ -392,7 +399,7 @@ class AdaptationQuality:
                 if e in self.cut.pses
             )
         )
-        _keep_tail(
+        keep_tail(
             self.transitions,
             {"at_message": at_message, "pse_ids": list(self.active_pses)},
         )

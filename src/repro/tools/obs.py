@@ -735,7 +735,7 @@ def fleet_view(
             "staleness": ph.get("staleness"),
             "duplicates": ph.get("duplicates_total"),
             "drift": ph.get("drift_total"),
-            "transitions": len(ph.get("transitions") or []),
+            "transitions": ph.get("transitions_total", 0),
         })
     return {
         "overall": fleet.get("overall", "?"),

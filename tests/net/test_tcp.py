@@ -273,12 +273,13 @@ def test_connect_failures_counted():
     instance.start()
     try:
         instance.peer("127.0.0.1", _free_port())
-        failures = next(
-            c
-            for c in obs.metrics.counters()
-            if c.name == "transport.tcp.connect_failures"
+        # the series is read from the peer's count whenever it is dumped
+        assert _wait_until(
+            lambda: obs.metrics.to_dict()["counters"][
+                "transport.tcp.connect_failures"
+            ]
+            >= 2
         )
-        assert _wait_until(lambda: failures.value >= 2)
     finally:
         instance.close()
 

@@ -81,6 +81,45 @@ def test_registry_exports_sorted_and_serializable():
     json.dumps(data)  # round-trippable
 
 
+class _Owner:
+    def __init__(self):
+        self.sent = 3
+        self.queued = 2
+
+    def read(self):
+        return {"counters": {"sent": self.sent}, "gauges": {"q": self.queued}}
+
+
+def test_reader_values_are_read_at_dump_time_from_the_add():
+    reg = MetricsRegistry()
+    owner = _Owner()
+    reg.add_reader(owner.read)
+    reg.add_reader(owner.read)  # the same bound method: read once
+    owner.sent, owner.queued = 10, 5
+    data = reg.to_dict()
+    assert data["counters"] == {"sent": 7.0}  # counts from the add
+    assert data["gauges"] == {"q": 5.0}
+    reg.counter("sent").inc(1)  # a counter name read twice adds up
+    assert [(c.name, c.value) for c in reg.counters()] == [("sent", 8.0)]
+    reg.remove_reader(owner.read)
+    owner.sent = 99
+    assert reg.to_dict()["counters"] == {"sent": 8.0}  # kept, not read
+    assert reg.to_dict()["gauges"] == {"q": 5.0}
+
+
+def test_reader_names_colliding_across_kinds_raise_on_the_dump():
+    reg = MetricsRegistry()
+    reg.add_reader(lambda: {"gauges": {"x": 1.0}})
+    reg.add_reader(lambda: {"gauges": {"x": 2.0}})
+    with pytest.raises(ValueError, match="gauge 'x'"):
+        reg.to_dict()
+    reg = MetricsRegistry()
+    reg.gauge("y")
+    reg.add_reader(lambda: {"counters": {"y": 1}})
+    with pytest.raises(ValueError, match="metric 'y'"):
+        reg.to_dict()
+
+
 # -- bucket_quantile / Histogram.quantile edge cases ---------------------------
 
 
