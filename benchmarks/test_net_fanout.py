@@ -41,9 +41,7 @@ FANOUTS = (1, 2, 4, 8)
 
 class _Receiver:
     def __init__(self):
-        self.partitioned, self.sink = build_partitioned_process(
-            n_stages=20, backend="compiled"
-        )
+        self.partitioned, self.sink = build_partitioned_process(n_stages=20)
         rate = _calibrate(self.partitioned, self.sink, SAMPLES)
         self.endpoint = NetReceiverEndpoint(
             self.partitioned,
@@ -72,9 +70,7 @@ class _Receiver:
 
 def _run_fanout(n: int):
     receivers = [_Receiver() for _ in range(n)]
-    partitioned, sink = build_partitioned_process(
-        n_stages=20, backend="compiled"
-    )
+    partitioned, sink = build_partitioned_process(n_stages=20)
     rate = _calibrate(partitioned, sink, SAMPLES)
     transport = TcpTransport(
         NetEnvelopeCodec(partitioned.serializer_registry),

@@ -18,6 +18,7 @@ from repro.apps.imagestream.data import DISPLAY_SIZE, ImageFrame
 from repro.core.api import MethodPartitioner
 from repro.core.costmodels import DataSizeCostModel
 from repro.core.partitioned import PartitionedMethod
+from repro.ir.interpreter import DEFAULT_BACKEND
 from repro.ir.registry import FunctionRegistry, default_registry
 from repro.serialization import SerializerRegistry
 
@@ -105,7 +106,7 @@ def build_partitioned_push(
     *,
     display_size: int = DISPLAY_SIZE,
     display: Optional[DisplaySink] = None,
-    backend: str = "compiled",
+    backend: str = DEFAULT_BACKEND,
 ) -> Tuple[PartitionedMethod, DisplaySink]:
     """Partition the image handler under the data-size cost model."""
     registry, serializer_registry, sink = build_image_registries(display)

@@ -36,8 +36,6 @@ class Table2Config:
     display_size: int = DISPLAY_SIZE
     small_size: int = SMALL_SIZE
     large_size: int = LARGE_SIZE
-    #: execution backend for the adaptive version ("compiled" or "tree")
-    backend: str = "compiled"
 
 
 def _version_factories(config: Table2Config) -> Dict[str, Callable[[], Version]]:
@@ -49,7 +47,7 @@ def _version_factories(config: Table2Config) -> Dict[str, Callable[[], Version]]
             display_size=config.display_size
         ),
         "Method Partitioning": lambda: make_mp_image_version(
-            display_size=config.display_size, backend=config.backend
+            display_size=config.display_size
         ),
     }
 

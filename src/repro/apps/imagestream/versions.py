@@ -30,6 +30,7 @@ from repro.apps.imagestream.app import (
 from repro.apps.imagestream.data import DISPLAY_SIZE, ImageFrame
 from repro.apps.mp_version import MethodPartitioningVersion
 from repro.core.runtime.triggers import CompositeTrigger, DiffTrigger, RateTrigger
+from repro.ir.interpreter import DEFAULT_BACKEND
 from repro.serialization import SerializerRegistry, measure_size
 
 #: sender-side cycles for type checking / dispatch in the manual versions
@@ -108,7 +109,7 @@ def make_mp_image_version(
     display: Optional[DisplaySink] = None,
     sample_period: int = 1,
     adaptive: bool = True,
-    backend: str = "compiled",
+    backend: str = DEFAULT_BACKEND,
 ) -> MethodPartitioningVersion:
     """The Method Partitioning implementation for Table 2.
 

@@ -41,7 +41,7 @@ PAPER_PLEN = (0.0, 2.0)
 PAPER_APROB = 0.5
 
 
-def _make_version(name: str, obs=None, backend: str = "compiled") -> Version:
+def _make_version(name: str, obs=None) -> Version:
     if name == "Consumer Version":
         return ConsumerVersion()
     if name == "Producer Version":
@@ -49,7 +49,7 @@ def _make_version(name: str, obs=None, backend: str = "compiled") -> Version:
     if name == "Divided Version":
         return DividedVersion()
     if name == "Method Partitioning":
-        return make_mp_sensor_version(obs=obs, backend=backend)
+        return make_mp_sensor_version(obs=obs)
     raise ValueError(f"unknown version {name!r}")
 
 
@@ -58,13 +58,12 @@ def _run_one(
     version_name: str,
     n_messages: int,
     obs=None,
-    backend: str = "compiled",
 ) -> PipelineResult:
     sim = Simulator()
     testbed = make_testbed(sim)
     # Observability attaches to the adaptive version only: the manual
     # versions have no decision loop to trace.
-    version = _make_version(version_name, obs=obs, backend=backend)
+    version = _make_version(version_name, obs=obs)
     events = reading_stream(n_messages)
     return run_pipeline(testbed, version, events)
 
@@ -77,7 +76,7 @@ def _avg_ms(results: Sequence[PipelineResult]) -> float:
 
 
 def run_table3(
-    *, n_messages: int = 150, obs=None, backend: str = "compiled"
+    *, n_messages: int = 150, obs=None
 ) -> Dict[str, Dict[str, float]]:
     """version → direction → avg processing time (ms)."""
     table: Dict[str, Dict[str, float]] = {}
@@ -89,7 +88,6 @@ def run_table3(
                 name,
                 n_messages,
                 obs=obs,
-                backend=backend,
             )
             row[direction] = 1000.0 * result.avg_processing_time
         table[name] = row
@@ -132,7 +130,6 @@ def run_table4(
     aprob: float = PAPER_APROB,
     plen=PAPER_PLEN,
     obs=None,
-    backend: str = "compiled",
 ) -> Dict[Tuple[float, float], Dict[str, float]]:
     """(producer LIndex, consumer LIndex) → version → avg ms.
 
@@ -156,7 +153,6 @@ def run_table4(
                         name,
                         n_messages,
                         obs=obs,
-                        backend=backend,
                     )
                 )
             row[name] = _avg_ms(results)
@@ -190,7 +186,6 @@ def run_figure7(
     seeds: Sequence[int] = (1, 2, 3),
     lindex: float = 0.8,
     obs=None,
-    backend: str = "compiled",
 ) -> Dict[str, List[Tuple[float, float]]]:
     """version → [(consumer AProb, avg ms)] with producer load-free."""
     curves: Dict[str, List[Tuple[float, float]]] = {
@@ -215,7 +210,6 @@ def run_figure7(
                         name,
                         n_messages,
                         obs=obs,
-                        backend=backend,
                     )
                 )
             curves[name].append((aprob, _avg_ms(results)))
@@ -230,7 +224,6 @@ def run_figure8(
     aprob: float = PAPER_APROB,
     versions: Sequence[str] = VERSION_NAMES,
     obs=None,
-    backend: str = "compiled",
 ) -> Dict[str, List[Tuple[float, float]]]:
     """version → [(expected consumer PLen seconds, avg ms)]."""
     curves: Dict[str, List[Tuple[float, float]]] = {
@@ -252,7 +245,6 @@ def run_figure8(
                         name,
                         n_messages,
                         obs=obs,
-                        backend=backend,
                     )
                 )
             curves[name].append((plen_expected, _avg_ms(results)))

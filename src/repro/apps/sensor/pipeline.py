@@ -21,6 +21,7 @@ from repro.apps.sensor.data import SensorReading
 from repro.core.api import MethodPartitioner
 from repro.core.costmodels import ExecutionTimeCostModel, NetworkParameters
 from repro.core.partitioned import PartitionedMethod
+from repro.ir.interpreter import DEFAULT_BACKEND
 from repro.ir.registry import FunctionRegistry, default_registry
 from repro.serialization import SerializerRegistry
 
@@ -127,7 +128,7 @@ def build_partitioned_process(
     n_stages: int = N_STAGES,
     sink: Optional[DeliverySink] = None,
     network: Optional[NetworkParameters] = None,
-    backend: str = "compiled",
+    backend: str = DEFAULT_BACKEND,
 ) -> Tuple[PartitionedMethod, DeliverySink]:
     """Partition the sensor handler under the execution-time cost model."""
     registry, serializer_registry, sink = build_sensor_registries(sink)

@@ -33,6 +33,7 @@ from repro.apps.sensor.pipeline import (
 )
 from repro.core.costmodels import NetworkParameters
 from repro.core.runtime.triggers import CompositeTrigger, DiffTrigger, RateTrigger
+from repro.ir.interpreter import DEFAULT_BACKEND
 from repro.serialization import SerializerRegistry, measure_size
 
 #: sender-side dispatch/type-check cycles in the manual versions
@@ -168,7 +169,7 @@ def make_mp_sensor_version(
     sample_period: int = 1,
     adaptive: bool = True,
     obs=None,
-    backend: str = "compiled",
+    backend: str = DEFAULT_BACKEND,
 ) -> MethodPartitioningVersion:
     """The Method Partitioning implementation for Tables 3-4 / Figs 7-8.
 

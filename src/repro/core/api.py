@@ -43,7 +43,7 @@ from repro.core.costmodels.base import CostModel
 from repro.core.partitioned import PartitionedMethod
 from repro.ir.builder import lower_function
 from repro.ir.function import IRFunction
-from repro.ir.interpreter import Interpreter
+from repro.ir.interpreter import DEFAULT_BACKEND, Interpreter
 from repro.ir.registry import FunctionRegistry, default_registry
 from repro.ir.validate import validate_function
 from repro.serialization import SerializerRegistry
@@ -55,12 +55,10 @@ class MethodPartitioner:
     The only application knowledge required is the cost model passed to
     :meth:`partition` — the paper's "minimal deployment-time knowledge".
 
-    ``backend`` selects the execution backend for every modulator /
-    demodulator produced from this partitioner: ``"compiled"`` (default,
-    closure-compiled hot path), ``"codegen"`` (Python source generation,
-    fastest; falls back to the closure backend per function when a handler
-    uses features it cannot lower) or ``"tree"`` (the reference
-    tree-walking evaluator).
+    Every modulator / demodulator produced from this partitioner runs on
+    generated Python source (``"codegen"``, the default); ``backend="tree"``
+    runs the reference tree-walking evaluator the equivalence tests
+    compare against.
     """
 
     def __init__(
@@ -68,7 +66,7 @@ class MethodPartitioner:
         registry: Optional[FunctionRegistry] = None,
         serializer_registry: Optional[SerializerRegistry] = None,
         *,
-        backend: str = "compiled",
+        backend: str = DEFAULT_BACKEND,
         analysis_cache: bool = True,
     ) -> None:
         self.registry = registry or default_registry()

@@ -135,9 +135,9 @@ class PlanRuntime(SplitHook):
         self._inter: Dict[Edge, FrozenSet[Var]] = {
             e: p.inter for e, p in cut.pses.items()
         }
-        # Compiled-backend fast path: the current split set as one frozenset
-        # (O(1) membership in the hot loop) and per-edge capture specs as
-        # name tuples.  Tuple order follows each INTER frozenset's own
+        # Codegen fast path: the current split set as one frozenset (the
+        # generated code inlines a split at exactly these edges) and
+        # per-edge capture specs as name tuples.  Tuple order follows each INTER frozenset's own
         # iteration order so both backends build identical capture dicts.
         self._split_set: FrozenSet[Edge] = self._forced
         self._capture_specs: Dict[Edge, Tuple[str, ...]] = {

@@ -10,15 +10,13 @@ Public surface:
   that drives StopNode marking.
 * :class:`Interpreter`, :class:`CycleMeter`, :class:`Continuation`,
   :class:`Outcome`, :class:`SplitHook` — execution with split/profiling
-  hooks.
-* :func:`compile_function` / :class:`CompiledFunction` — the
-  closure-compilation backend behind ``Interpreter(backend="compiled")``.
+  hooks, on generated source (:mod:`repro.ir.codegen`, the default) or
+  the reference tree walker.
 * :func:`format_function` — Jimple-style listing for diagnostics.
 * :func:`validate_function` — structural checks.
 """
 
 from repro.ir.builder import lower_function
-from repro.ir.compiler import CompiledFunction, compile_function
 from repro.ir.function import IRFunction
 from repro.ir.inliner import inline_calls
 from repro.ir.instructions import (
@@ -78,8 +76,6 @@ __all__ = [
     "ClassEntry",
     "default_registry",
     "Interpreter",
-    "CompiledFunction",
-    "compile_function",
     "CycleMeter",
     "Continuation",
     "Outcome",

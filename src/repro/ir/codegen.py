@@ -1,18 +1,18 @@
 """Source-codegen backend for the IR interpreter.
 
-The closure backend (:mod:`repro.ir.compiler`) removed per-instruction
-*dispatch* but still executes every operand through the register dict: each
-``x = y + z`` costs two dict loads, one dict store, and a closure frame.
-This module goes one step further and lowers an
+The tree walker (:class:`~repro.ir.interpreter.Interpreter`) dispatches
+every instruction and evaluates every operand through the register dict:
+one ``x = y + z`` costs a handful of Python calls.  This module lowers an
 :class:`~repro.ir.function.IRFunction` to **generated Python source** that
-is compiled once with :func:`compile`/``exec``:
+is compiled once with :func:`compile`/``exec``, the counterpart of the
+paper's compiler-generated modulator and demodulator classes:
 
 * IR registers become real Python locals (``LOAD_FAST`` instead of dict
   lookups); register names that are not valid identifiers (Jimple-style
   temps like ``$t3``) are mangled reversibly,
 * basic blocks become straight-line Python code; control transfers go
   through a binary dispatch tree over block leaders, so a loop iteration
-  pays one ``O(log blocks)`` dispatch instead of one closure call per
+  pays one ``O(log blocks)`` dispatch instead of one dispatch per
   instruction,
 * constants, operator applications, and registry entries are baked into
   the generated code object's globals,
@@ -27,18 +27,17 @@ profiling units see identical observations: one ``instr_cycles`` charge per
 executed instruction (accumulated in a local and flushed in a ``finally``
 so mid-block errors leave the meter exactly as the tree-walker would) and
 per-call ``cycle_cost(*args)``/``default_call_cycles`` charges in the same
-order as the reference backends.
+order as the tree walker.
 
 Semantics are byte-identical to the tree-walking backend — same
 :class:`~repro.ir.interpreter.Outcome`/continuation contents including
 capture-dict ordering, same cycle-meter charges, same
 :class:`~repro.errors.InterpreterError` messages.  The differential suite
-in ``tests/integration/test_backend_equivalence.py`` enforces this across
-all three backends.
+in ``tests/integration/test_backend_equivalence.py`` enforces this.
 
 Anything the generated code cannot reproduce exactly falls back to the
-closure backend for that execution, with a counted warning rather than a
-crash:
+tree walker for that execution (:meth:`CodegenFunction.execute` returns
+``None``), with a counted warning rather than a crash:
 
 * generic split hooks (no ``split_edge_set``) — the per-edge
   ``should_split`` protocol needs a live env dict per edge,
@@ -100,14 +99,14 @@ from repro.ir.values import (
 
 _EMPTY_EDGES: FrozenSet[Edge] = frozenset()
 
-#: Why executions fell back to the closure backend, by reason.
+#: Why executions fell back to the tree walker, by reason.
 fallback_counts: Dict[str, int] = {}
 
 _warned: Set[Tuple[str, str]] = set()
 
 
 def fallback_total() -> int:
-    """Total number of executions routed to the closure backend."""
+    """Total number of executions routed to the tree walker."""
     return sum(fallback_counts.values())
 
 
@@ -133,8 +132,8 @@ def _count_fallback(fname: str, reason: str) -> None:
             "codegen.fallback",
             dedupe=f"{fname}:{reason}",
             warn=(
-                f"codegen backend: {fname}: falling back to the closure "
-                f"backend ({reason})"
+                f"codegen backend: {fname}: falling back to the tree "
+                f"interpreter ({reason})"
             ),
             stacklevel=4,
             function=fname,
@@ -816,9 +815,9 @@ class _Variant:
 class CodegenFunction:
     """An :class:`IRFunction` lowered to generated Python source.
 
-    ``execute`` has the same contract as
-    :meth:`repro.ir.compiler.CompiledFunction.execute` and returns
-    ``(outcome, steps)``.
+    ``execute`` returns ``(outcome, steps)``, or ``None`` when the call
+    has a shape the generated code cannot reproduce; the interpreter then
+    runs it on the tree walker.
     """
 
     __slots__ = (
@@ -829,7 +828,6 @@ class CodegenFunction:
         "_variants",
         "_extra_entries",
         "_disabled",
-        "_compiled",
     )
 
     def __init__(
@@ -842,20 +840,6 @@ class CodegenFunction:
         self._variants: Dict[tuple, _Variant] = {}
         self._extra_entries: Set[int] = set()
         self._disabled = False
-        self._compiled = None
-
-    # -- fallback --------------------------------------------------------------
-
-    def _closure_backend(self):
-        if self._compiled is None:
-            from repro.ir.compiler import compile_function
-
-            self._compiled = compile_function(self.fn, self.registry)
-        return self._compiled
-
-    def _fallback(self, reason: str, env, start_pc, **kwargs):
-        _count_fallback(self.name, reason)
-        return self._closure_backend().execute(env, start_pc, **kwargs)
 
     # -- variant management ----------------------------------------------------
 
@@ -896,17 +880,9 @@ class CodegenFunction:
         meter=None,
         max_steps: int,
         trace_ctx: Optional[Tuple[int, int]] = None,
-    ) -> Tuple[Outcome, int]:
-        kwargs = dict(
-            split_hook=split_hook,
-            edge_observer=edge_observer,
-            observe_edges=observe_edges,
-            meter=meter,
-            max_steps=max_steps,
-            trace_ctx=trace_ctx,
-        )
+    ) -> Optional[Tuple[Outcome, int]]:
         if self._disabled:
-            return self._closure_backend().execute(env, start_pc, **kwargs)
+            return None
 
         split_set: Optional[FrozenSet[Edge]] = None
         capture_specs: Optional[Dict[Edge, Tuple[str, ...]]] = None
@@ -914,12 +890,15 @@ class CodegenFunction:
             split_set = split_hook.split_edge_set()
             if split_set is None:
                 # Per-edge should_split protocol needs a live env per edge.
-                return self._fallback("generic split hook", env, start_pc, **kwargs)
+                _count_fallback(self.name, "generic split hook")
+                return None
             capture_specs = split_hook.capture_specs()
         if edge_observer is not None and observe_edges is None:
-            return self._fallback("observe-all edge observer", env, start_pc, **kwargs)
+            _count_fallback(self.name, "observe-all edge observer")
+            return None
         if meter is not None and type(meter) is not CycleMeter:
-            return self._fallback("custom cycle meter", env, start_pc, **kwargs)
+            _count_fallback(self.name, "custom cycle meter")
+            return None
 
         split_edges = split_set if split_set is not None else _EMPTY_EDGES
         obs_edges = (
@@ -940,7 +919,7 @@ class CodegenFunction:
         except Exception as exc:  # noqa: BLE001 - any emission failure
             self._disabled = True
             _count_fallback(self.name, f"source generation failed: {exc}")
-            return self._closure_backend().execute(env, start_pc, **kwargs)
+            return None
 
         capture = None
         if split_hook is not None:
@@ -985,9 +964,8 @@ def codegen_function(
 ) -> CodegenFunction:
     """Lower *fn* once to a source-codegen artifact; cached on the function.
 
-    Same cache-key discipline as :func:`repro.ir.compiler.compile_function`:
-    IR identity plus registry version, so re-registration forces a fresh
-    generation with new baked entries.
+    The cache key is IR identity plus registry version, so re-registration
+    forces a fresh generation with new baked entries.
     """
     key = (
         id(registry),

@@ -175,11 +175,10 @@ class SplitHook:
     The default implementation never splits; plans provide real hooks.
 
     Hooks that know their full split set up front should additionally
-    implement :meth:`split_edge_set` and :meth:`capture_specs`: the compiled
-    backend then reduces the per-edge split check to one frozenset
-    membership test and captures live variables from precomputed name
-    tuples, never touching the per-edge ``should_split``/``live_vars``
-    protocol on the hot path.
+    implement :meth:`split_edge_set` and :meth:`capture_specs`: the codegen
+    backend then inlines the split check at exactly those edges and
+    captures live variables from precomputed name tuples, never touching
+    the per-edge ``should_split``/``live_vars`` protocol on the hot path.
     """
 
     def should_split(self, edge: Edge) -> bool:
@@ -192,8 +191,9 @@ class SplitHook:
     def split_edge_set(self) -> Optional[FrozenSet[Edge]]:
         """Every edge that would currently split, or None if unknown.
 
-        ``None`` (the default) makes the compiled backend fall back to
-        calling :meth:`should_split` per traversed edge.
+        ``None`` (the default) makes the codegen backend hand the
+        execution to the tree walker, which calls :meth:`should_split`
+        per traversed edge.
         """
         return None
 
@@ -206,23 +206,24 @@ class SplitHook:
         return None
 
 
+#: The backend every partitioned method runs on unless a test asks for
+#: the reference tree walker.
+DEFAULT_BACKEND = "codegen"
+
+
 class Interpreter:
     """Executes IR functions against a function registry.
 
-    Three execution backends share this front end:
+    Two execution backends share this front end:
 
-    * ``"compiled"`` (default) — each function is lowered once into
-      per-instruction closures (:mod:`repro.ir.compiler`) and the loop runs
-      those; split checks are O(1) set membership when the hook provides
-      its edge set.
-    * ``"codegen"`` — each function is lowered once to generated Python
-      source compiled with ``compile()``/``exec``
+    * ``"codegen"`` (:data:`DEFAULT_BACKEND`) — each function is lowered
+      once to generated Python source compiled with ``compile()``/``exec``
       (:mod:`repro.ir.codegen`); registers become real locals and split
       checks are inlined per active plan.  Executions the generated code
-      cannot reproduce exactly fall back to the closure backend with a
+      cannot reproduce exactly run on the tree walker instead, with a
       counted warning.
-    * ``"tree"`` — the original tree-walking evaluator; kept as the
-      reference semantics for the differential equivalence suite.
+    * ``"tree"`` — the tree-walking evaluator below; the reference
+      semantics the differential equivalence suite compares against.
     """
 
     def __init__(
@@ -231,17 +232,17 @@ class Interpreter:
         *,
         max_steps: int = 50_000_000,
         obs=None,
-        backend: str = "compiled",
+        backend: str = DEFAULT_BACKEND,
     ) -> None:
-        if backend not in ("compiled", "tree", "codegen"):
+        if backend not in ("codegen", "tree"):
             raise ValueError(
                 f"unknown interpreter backend {backend!r}; "
-                f"expected 'codegen', 'compiled' or 'tree'"
+                f"expected 'codegen' or 'tree'"
             )
         self.registry = registry
         self.max_steps = max_steps
         self.backend = backend
-        self._compile = None  # lazy import of repro.ir.compiler / codegen
+        self._codegen = None  # lazy import of repro.ir.codegen
         self.obs = None
         self._c_instructions = None
         self._c_executions = None
@@ -357,16 +358,13 @@ class Interpreter:
     ) -> Outcome:
         if self._c_executions is not None:
             self._c_executions.inc()
-        if self.backend != "tree":
-            compile_function = self._compile
-            if compile_function is None:
-                if self.backend == "codegen":
-                    from repro.ir.codegen import codegen_function as compile_function
-                else:
-                    from repro.ir.compiler import compile_function
+        if self.backend == "codegen":
+            codegen_function = self._codegen
+            if codegen_function is None:
+                from repro.ir.codegen import codegen_function
 
-                self._compile = compile_function
-            outcome, steps = compile_function(fn, self.registry).execute(
+                self._codegen = codegen_function
+            result = codegen_function(fn, self.registry).execute(
                 env,
                 start_pc,
                 split_hook=split_hook,
@@ -376,13 +374,16 @@ class Interpreter:
                 max_steps=self.max_steps,
                 trace_ctx=trace_ctx,
             )
-            if outcome.split:
-                if self._c_captured is not None:
-                    self._c_captured.inc()
+            if result is not None:
+                outcome, steps = result
+                if outcome.split:
+                    if self._c_captured is not None:
+                        self._c_captured.inc()
+                        self._c_instructions.inc(steps)
+                elif self._c_instructions is not None:
                     self._c_instructions.inc(steps)
-            elif self._c_instructions is not None:
-                self._c_instructions.inc(steps)
-            return outcome
+                return outcome
+            # None: a shape the generated code cannot run; walk the tree.
         instrs = fn.instrs
         n = len(instrs)
         pc = start_pc

@@ -86,7 +86,7 @@ def _calibrate(partitioned, sink, n_samples: int, repeats: int = 5) -> float:
     """
     from repro.ir.interpreter import CycleMeter
 
-    # Warm up interpreter/compiled-closure caches before timing.
+    # Warm up the generated-code cache before timing.
     partitioned.run_reference(make_reading(0, n_samples))
     best = None
     for i in range(repeats):
@@ -156,9 +156,7 @@ def run_receiver(args: argparse.Namespace) -> Dict[str, object]:
     if args.quality:
         # Small window so regret windows close within a short stream.
         obs.enable_quality(regret_window=16)
-    partitioned, sink = build_partitioned_process(
-        n_stages=args.n_stages, backend=args.backend
-    )
+    partitioned, sink = build_partitioned_process(n_stages=args.n_stages)
     plan = receiver_heavy_plan(partitioned.cut)
     rate = _calibrate(partitioned, sink, args.samples)
     endpoint = NetReceiverEndpoint(
@@ -319,9 +317,7 @@ def run_receiver(args: argparse.Namespace) -> Dict[str, object]:
 def run_publisher(args: argparse.Namespace) -> Dict[str, object]:
     """One modulator publishing to every ``--ports`` receiver."""
     obs = _observability("publisher", PUBLISHER_ID_BASE, args)
-    partitioned, sink = build_partitioned_process(
-        n_stages=args.n_stages, backend=args.backend
-    )
+    partitioned, sink = build_partitioned_process(n_stages=args.n_stages)
     plan = receiver_heavy_plan(partitioned.cut)
     rate = _calibrate(partitioned, sink, args.samples)
     transport = TcpTransport(
@@ -404,8 +400,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--samples", type=int, default=64,
                         help="samples per sensor reading")
     parser.add_argument("--n-stages", type=int, default=20)
-    parser.add_argument("--backend", default="compiled",
-                        choices=("tree", "compiled", "codegen"))
     parser.add_argument("--timeout", type=float, default=60.0,
                         help="overall per-process deadline (seconds)")
     parser.add_argument("--out", default=None,

@@ -21,7 +21,7 @@ Design constraints, in order:
   ``is None`` check, exactly like the metrics idiom.
 * **Deterministic.**  Trace and span ids are monotone counters and
   sampling uses a credit accumulator, never randomness — so the tree
-  walker and the compiled backend produce *identical* span sequences
+  walker and the codegen backend produce *identical* span sequences
   for identical inputs (asserted by the backend-equivalence suite).
 * **Simulated-time aware.**  ``clock`` is pluggable;
   :meth:`~repro.simnet.simulator.Simulator.attach_observability`

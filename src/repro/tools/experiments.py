@@ -11,12 +11,6 @@ Usage::
 benchmark suite (``pytest benchmarks/ --benchmark-only``) runs the
 full-size versions and asserts the paper's shapes.
 
-``--backend {compiled,tree,codegen}`` selects the execution backend for
-the adaptive (Method Partitioning) runs.  All three produce byte-identical
-results; ``tree`` is the reference tree-walking interpreter, ``compiled``
-(the default) is the closure-compiled fast path, ``codegen`` lowers each
-handler to generated Python source once and runs the compiled module.
-
 ``--obs-report FILE`` attaches an :class:`repro.obs.Observability` to the
 adaptive (Method Partitioning) runs, prints the instrumentation report
 after the experiment output, and writes the raw dump as JSON to FILE
@@ -45,47 +39,38 @@ import traceback
 EXPERIMENTS = ("table2", "table3", "table4", "figure7", "figure8")
 
 
-def run_table2(quick: bool, obs=None, backend: str = "compiled") -> str:
+def run_table2(quick: bool, obs=None) -> str:
     from repro.apps.imagestream import (
         Table2Config,
         format_table2,
         run_table2 as run,
     )
 
-    config = Table2Config(n_frames=100 if quick else 300, backend=backend)
+    config = Table2Config(n_frames=100 if quick else 300)
     return format_table2(run(config))
 
 
-def run_table3(quick: bool, obs=None, backend: str = "compiled") -> str:
+def run_table3(quick: bool, obs=None) -> str:
     from repro.apps.sensor import format_table3, run_table3 as run
 
-    return format_table3(
-        run(n_messages=60 if quick else 200, obs=obs, backend=backend)
-    )
+    return format_table3(run(n_messages=60 if quick else 200, obs=obs))
 
 
-def run_table4(quick: bool, obs=None, backend: str = "compiled") -> str:
+def run_table4(quick: bool, obs=None) -> str:
     from repro.apps.sensor import format_table4, run_table4 as run
 
     seeds = (1, 2) if quick else (1, 2, 3, 4, 5)
     return format_table4(
-        run(
-            n_messages=60 if quick else 150,
-            seeds=seeds,
-            obs=obs,
-            backend=backend,
-        )
+        run(n_messages=60 if quick else 150, seeds=seeds, obs=obs)
     )
 
 
-def run_figure7(quick: bool, obs=None, backend: str = "compiled") -> str:
+def run_figure7(quick: bool, obs=None) -> str:
     from repro.apps.sensor import format_curves, run_figure7 as run
     from repro.tools.charts import render_chart
 
     seeds = (1,) if quick else (1, 2, 3)
-    curves = run(
-        n_messages=60 if quick else 150, seeds=seeds, obs=obs, backend=backend
-    )
+    curves = run(n_messages=60 if quick else 150, seeds=seeds, obs=obs)
     return (
         format_curves(curves, "Consumer AProb")
         + "\n\n"
@@ -93,14 +78,12 @@ def run_figure7(quick: bool, obs=None, backend: str = "compiled") -> str:
     )
 
 
-def run_figure8(quick: bool, obs=None, backend: str = "compiled") -> str:
+def run_figure8(quick: bool, obs=None) -> str:
     from repro.apps.sensor import format_curves, run_figure8 as run
     from repro.tools.charts import render_chart
 
     seeds = (1,) if quick else (1, 2, 3)
-    curves = run(
-        n_messages=150 if quick else 400, seeds=seeds, obs=obs, backend=backend
-    )
+    curves = run(n_messages=150 if quick else 400, seeds=seeds, obs=obs)
     return (
         format_curves(curves, "Consumer PLen(s)")
         + "\n\n"
@@ -125,14 +108,6 @@ def main(argv=None) -> int:
         "experiment", choices=EXPERIMENTS + ("all",)
     )
     parser.add_argument("--quick", action="store_true")
-    parser.add_argument(
-        "--backend",
-        choices=("compiled", "tree", "codegen"),
-        default="compiled",
-        help="execution backend for the Method Partitioning version "
-        "(default: compiled; 'tree' is the reference tree-walker, "
-        "'codegen' lowers handlers to generated Python source)",
-    )
     parser.add_argument(
         "--obs-report",
         metavar="FILE",
@@ -202,7 +177,7 @@ def main(argv=None) -> int:
     for name in names:
         started = time.perf_counter()
         try:
-            text = _RUNNERS[name](args.quick, obs=obs, backend=args.backend)
+            text = _RUNNERS[name](args.quick, obs=obs)
         except Exception as exc:
             failures.append(name)
             print(

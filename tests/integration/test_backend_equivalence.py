@@ -1,8 +1,8 @@
-"""Differential suite: the compiled and codegen backends are byte-identical
-to the tree walker.
+"""Differential suite: the codegen backend is byte-identical to the tree
+walker.
 
 Every sample application handler is pushed through a modulator/demodulator
-pair under *all three* execution backends, across every usable partitioning plan
+pair under both execution backends, across every usable partitioning plan
 — including a single-edge plan for each non-poisoned PSE, so resume from a
 continuation is exercised at every split point.  Compared per message:
 
@@ -42,7 +42,7 @@ from repro.serialization import SerializerRegistry
 from repro.simnet import Simulator, intel_pair, wireless_testbed
 from tests.conftest import PUSH_SOURCE, ImageData
 
-BACKENDS = ("tree", "compiled", "codegen")
+BACKENDS = ("tree", "codegen")
 
 
 def _all_plans(cut):
@@ -121,16 +121,15 @@ def _assert_equivalent(build, events, snapshot_sink):
         traces[backend] = _trace(partitioned, events)
         sinks[backend] = snapshot_sink(sink)
     tree_log, tree_counters, tree_spans = traces["tree"]
+    log, counters, spans = traces["codegen"]
     assert any(span[3] == "modulate" for span in tree_spans)
-    for backend in BACKENDS[1:]:
-        log, counters, spans = traces[backend]
-        assert len(tree_log) == len(log), backend
-        for tree_entry, entry in zip(tree_log, log):
-            assert tree_entry == entry, backend
-        assert tree_counters == counters, backend
-        # identical span sequences: names, trace/span ids, parentage, attrs
-        assert tree_spans == spans, backend
-        assert sinks["tree"] == sinks[backend], backend
+    assert len(tree_log) == len(log)
+    for tree_entry, entry in zip(tree_log, log):
+        assert tree_entry == entry
+    assert tree_counters == counters
+    # identical span sequences: names, trace/span ids, parentage, attrs
+    assert tree_spans == spans
+    assert sinks["tree"] == sinks["codegen"]
 
 
 # -- the paper's running example (Appendix A push, data-size model) ----------
@@ -210,8 +209,7 @@ def test_sensor_pipeline_backend_parity():
             version.plan_updates_applied,
             version.sink.results,
         )
-    for backend in BACKENDS[1:]:
-        assert outcomes["tree"] == outcomes[backend], backend
+    assert outcomes["tree"] == outcomes["codegen"]
 
 
 def test_imagestream_pipeline_backend_parity():
@@ -229,5 +227,4 @@ def test_imagestream_pipeline_backend_parity():
             version.plan_updates_applied,
             [(f.width, f.height, f.pixels) for f in version.display.frames],
         )
-    for backend in BACKENDS[1:]:
-        assert outcomes["tree"] == outcomes[backend], backend
+    assert outcomes["tree"] == outcomes["codegen"]

@@ -23,7 +23,7 @@ from repro.simnet.perturbation import PerturbationSpec
 from repro.simnet.simulator import Simulator
 
 
-def _run(obs, n_messages=90, seed=1, backend="compiled"):
+def _run(obs, n_messages=90, seed=1, backend="codegen"):
     sim = Simulator()
     testbed = intel_pair(
         sim,
@@ -168,12 +168,12 @@ def test_drift_feeds_trigger_and_forces_recompute():
 
 def test_regret_sequence_identical_across_backends():
     """Backend equivalence extends to the quality layer: the tree walker
-    and the compiled backend must produce the same regret trail."""
+    and the codegen backend must produce the same regret trail."""
     sequences = {}
-    for backend in ("tree", "compiled"):
+    for backend in ("tree", "codegen"):
         obs = Observability()
         obs.enable_quality(regret_window=16)
         version = _run(obs, n_messages=60, backend=backend)
         sequences[backend] = list(version.quality.regret.sequence)
     assert sequences["tree"], "regret trail must not be empty"
-    assert sequences["tree"] == sequences["compiled"]
+    assert sequences["tree"] == sequences["codegen"]

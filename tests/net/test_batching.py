@@ -240,6 +240,10 @@ def test_batching_master_switch(transport, harness):
 def test_batching_resumes_after_reconnect(transport, harness):
     instance = transport()
     peer = _connected_peer(instance, harness)
+    # ``peer.connected`` is the client's view: the server may not have
+    # registered the connection yet, and aborting an empty list would
+    # leave nothing to reconnect from.
+    assert _wait_until(lambda: harness.server.connections)
     harness.loop.call_soon_threadsafe(
         lambda: [c.abort() for c in list(harness.server.connections)]
     )
@@ -290,9 +294,7 @@ class ReceiverHarness:
     """A NetReceiverEndpoint served from a dedicated event-loop thread."""
 
     def __init__(self, **kwargs):
-        self.partitioned, self.sink = build_partitioned_process(
-            n_stages=20, backend="compiled"
-        )
+        self.partitioned, self.sink = build_partitioned_process(n_stages=20)
         self.plan = receiver_heavy_plan(self.partitioned.cut)
         rate = _calibrate(self.partitioned, self.sink, SAMPLES)
         self.endpoint = NetReceiverEndpoint(
@@ -325,9 +327,7 @@ def test_dedupe_high_water_spans_batch_boundaries():
     batches.  The per-source high-water mark must absorb the overlap:
     every continuation demodulated exactly once."""
     receiver_side = ReceiverHarness(trigger=IDLE)
-    partitioned, _sink = build_partitioned_process(
-        n_stages=20, backend="compiled"
-    )
+    partitioned, _sink = build_partitioned_process(n_stages=20)
     plan = receiver_heavy_plan(partitioned.cut)
     modulator = partitioned.make_modulator(plan=plan)
     messages = []

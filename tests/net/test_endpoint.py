@@ -38,9 +38,7 @@ class ReceiverHarness:
     """A NetReceiverEndpoint served from a dedicated event-loop thread."""
 
     def __init__(self, rate=None, **kwargs):
-        self.partitioned, self.sink = build_partitioned_process(
-            n_stages=20, backend="compiled"
-        )
+        self.partitioned, self.sink = build_partitioned_process(n_stages=20)
         self.plan = receiver_heavy_plan(self.partitioned.cut)
         if rate is None:
             rate = _calibrate(self.partitioned, self.sink, SAMPLES)
@@ -93,9 +91,7 @@ def test_live_subscription_ships_plan_and_delivers():
     harness = ReceiverHarness(
         trigger=RateTrigger(period=5), rate_scale=4.0
     )
-    partitioned, sink = build_partitioned_process(
-        n_stages=20, backend="compiled"
-    )
+    partitioned, sink = build_partitioned_process(n_stages=20)
     plan = receiver_heavy_plan(partitioned.cut)
     rate = _calibrate(partitioned, sink, SAMPLES)
     transport = TcpTransport(
@@ -168,9 +164,7 @@ def test_identical_recomputes_ship_plan_once():
     harness = ReceiverHarness(
         rate=FIXED_RATE, trigger=RateTrigger(period=5), rate_scale=1.0
     )
-    partitioned, _sink = build_partitioned_process(
-        n_stages=20, backend="compiled"
-    )
+    partitioned, _sink = build_partitioned_process(n_stages=20)
     plan = receiver_heavy_plan(partitioned.cut)
     transport = TcpTransport(
         NetEnvelopeCodec(partitioned.serializer_registry),

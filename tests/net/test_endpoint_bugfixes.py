@@ -51,9 +51,7 @@ class ReceiverHarness:
     """A NetReceiverEndpoint served from a dedicated event-loop thread."""
 
     def __init__(self, **kwargs):
-        self.partitioned, self.sink = build_partitioned_process(
-            n_stages=20, backend="compiled"
-        )
+        self.partitioned, self.sink = build_partitioned_process(n_stages=20)
         self.plan = receiver_heavy_plan(self.partitioned.cut)
         rate = _calibrate(self.partitioned, self.sink, SAMPLES)
         self.endpoint = NetReceiverEndpoint(
@@ -82,9 +80,7 @@ class ReceiverHarness:
 
 
 def _sender(harness, **kwargs):
-    partitioned, sink = build_partitioned_process(
-        n_stages=20, backend="compiled"
-    )
+    partitioned, sink = build_partitioned_process(n_stages=20)
     plan = receiver_heavy_plan(partitioned.cut)
     rate = _calibrate(partitioned, sink, SAMPLES)
     transport = TcpTransport(

@@ -14,7 +14,10 @@
 
 from __future__ import annotations
 
+import gc
 import sys
+
+import pytest
 
 from repro.apps.sensor.data import make_reading
 from repro.apps.sensor.pipeline import build_partitioned_process
@@ -38,6 +41,7 @@ from repro.net.endpoint import NetSenderEndpoint
 from repro.net.framing import NetEnvelopeCodec
 from repro.net.resilience import BREAKER_CLOSED, BreakerConfig
 from repro.obs import Observability
+from repro.obs.health import HealthConfig
 from repro.serialization import SerializerRegistry
 
 from tests.net.test_resilience import FakeClock
@@ -204,21 +208,32 @@ def test_sender_frames_match_the_classic_sender_byte_for_byte():
 
 #: Python-level calls per publish of the classic sender (its own
 #: modulator, ship and session tick) on the stream below, measured on
-#: CPython 3.11 before the sender became a one-subscriber broker
-CLASSIC_SENDER_CALLS_PER_PUBLISH = 68.75
+#: CPython 3.11 after generated code became the default backend
+CLASSIC_SENDER_CALLS_PER_PUBLISH = 65.75
 
-#: the small_flood pipeline workload's handler: a near-empty loop
+#: Python-level calls per ``Demodulator.process`` of the handler below:
+#: generated code runs the whole loop in one frame, so the count does
+#: not grow with ``N_ITERS`` (15 on CPython 3.11; the retired closure
+#: backend made 73 at 2 iterations and 3 033 at 150)
+DEMODULATE_CALLS = 16
+
+#: the pipeline workloads' arithmetic handler: small_flood runs it with
+#: N_ITERS = 2 (a near-empty loop), dispatch_bound with 150
 ARITH_SOURCE = """
 def handle(x):
     acc = 0
     i = 0
-    while i < 2:
+    while i < N_ITERS:
         a = i * 3 + x
         b = a % 7
         acc = acc + a - b
         i = i + 1
     emit(acc)
 """
+
+#: 64 warm-up events, then the 256 that are counted
+EVENTS = [(i * 7919) % (1 << 20) for i in range(256)]
+WARM_UP = EVENTS[:64]
 
 
 #: Python-level calls an attached ``obs`` may add per publish: the
@@ -228,37 +243,57 @@ def handle(x):
 WATCHING_CALLS_PER_PUBLISH = 3.0
 
 
-def _calls_per_publish(obs=None) -> float:
+def _arith(n_iters=2):
     registry = default_registry()
     registry.register_function(
         "emit", lambda value: None, receiver_only=True, pure=False
     )
-    partitioned = MethodPartitioner(
-        registry, SerializerRegistry()
-    ).partition(ARITH_SOURCE, DataSizeCostModel())
-    sender = NetSenderEndpoint(
-        partitioned,
-        FakeTransport(),
-        FakePeer(),
-        plan=receiver_heavy_plan(partitioned.cut),
-        obs=obs,
+    return MethodPartitioner(registry, SerializerRegistry()).partition(
+        ARITH_SOURCE, DataSizeCostModel(), constants={"N_ITERS": n_iters}
     )
-    events = [(i * 7919) % (1 << 20) for i in range(256)]
-    for event in events[:64]:
-        sender.publish(event)
+
+
+def _calls_per_item(process, items) -> float:
+    """Python-level calls per ``process(item)`` over *items*.
+
+    The cyclic collector is off while counting: a collection runs every
+    ``gc.callbacks`` entry (Hypothesis installs one once its tests have
+    run), calls that belong to no item.
+    """
     calls = [0]
 
     def count(frame, event, arg):
         if event == "call":
             calls[0] += 1
 
+    gc.collect()
+    gc.disable()
     sys.setprofile(count)
     try:
-        for event in events:
-            sender.publish(event)
+        for item in items:
+            process(item)
     finally:
         sys.setprofile(None)
-    return calls[0] / len(events)
+        gc.enable()
+    return calls[0] / len(items)
+
+
+def _calls_per_publish(obs=None) -> float:
+    partitioned = _arith()
+    sender = NetSenderEndpoint(
+        partitioned,
+        FakeTransport(),
+        FakePeer(),
+        plan=receiver_heavy_plan(partitioned.cut),
+        obs=obs,
+        # The health machine re-evaluates once its state is min_dwell
+        # (0.1 s) old, so on a slow run the count would follow the wall
+        # clock; an hour's dwell keeps it a count of the publish path.
+        health_config=HealthConfig(min_dwell=3600.0),
+    )
+    for event in WARM_UP:
+        sender.publish(event)
+    return _calls_per_item(sender.publish, EVENTS)
 
 
 def test_publish_costs_no_more_calls_than_the_classic_sender():
@@ -270,6 +305,22 @@ def test_watching_the_publish_path_costs_few_calls():
     distributions it times, not a shadow instrument per count."""
     watched = _calls_per_publish(Observability())
     assert watched <= _calls_per_publish() + WATCHING_CALLS_PER_PUBLISH
+
+
+@pytest.mark.parametrize("n_iters", [2, 150])
+def test_demodulate_calls_do_not_grow_with_the_loop(n_iters):
+    partitioned = _arith(n_iters)
+    modulator = partitioned.make_modulator(
+        plan=receiver_heavy_plan(partitioned.cut)
+    )
+    demodulator = partitioned.make_demodulator()
+    warm_up, counted = (
+        [modulator.process(event).message for event in events]
+        for events in (WARM_UP, EVENTS)
+    )
+    for message in warm_up:
+        demodulator.process(message)
+    assert _calls_per_item(demodulator.process, counted) <= DEMODULATE_CALLS
 
 
 # -- rules every publisher shares -----------------------------------------------------

@@ -200,7 +200,9 @@ def test_telemetry_pushes_reach_subscribed_client():
         # Per-process push counter: strictly increasing, gap-free here.
         seqs = [f.seq for f in frames[:2]]
         assert seqs == sorted(seqs)
-        assert endpoint.telemetry_sent >= 2
+        # Counted after ``await conn.send``: the client can read the
+        # frame before the push loop resumes to count it.
+        assert _wait_until(lambda: endpoint.telemetry_sent >= 2)
     finally:
         if transport is not None:
             transport.close()

@@ -82,7 +82,7 @@ def test_experiments_rejects_unknown():
 
 
 def test_experiments_failure_exits_nonzero(capsys, monkeypatch):
-    def boom(quick, obs=None, backend="compiled"):
+    def boom(quick, obs=None):
         raise RuntimeError("synthetic failure")
 
     monkeypatch.setitem(experiments_cli._RUNNERS, "table3", boom)
@@ -97,11 +97,11 @@ def test_experiments_failure_exits_nonzero(capsys, monkeypatch):
 def test_experiments_all_continues_past_failure(capsys, monkeypatch):
     ran = []
 
-    def boom(quick, obs=None, backend="compiled"):
+    def boom(quick, obs=None):
         raise RuntimeError("boom")
 
     def make_ok(name):
-        def ok(quick, obs=None, backend="compiled"):
+        def ok(quick, obs=None):
             ran.append(name)
             return f"{name} ok"
 
