@@ -11,27 +11,84 @@ starts and stops:
 * the :class:`Demodulator` (inside the **receiver**) resumes the handler at
   the continuation's PSE with the handed-over variables restored.
 
-Profiling code "inserted along each PSE" is realized by the hooks around
-the split/resume boundary, gated by the Profiling Unit's per-PSE flags.
+Both halves, and the net broker's shared run and forks, execute through
+one primitive, :meth:`PartitionedMethod.run`.  Profiling code "inserted
+along each PSE" is its one edge observer, gated by the Profiling Unit's
+per-PSE flags.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.continuation import ContinuationCodec, ContinuationMessage
 from repro.core.convexcut import ConvexCutResult, PSE
 from repro.core.plan import PartitioningPlan, PlanRuntime, static_optimal_plan
 from repro.core.runtime.profiling import ProfilingUnit
 from repro.core.runtime.reconfig import ReconfigurationUnit
-from repro.core.runtime.triggers import FeedbackTrigger
 from repro.errors import PartitionError
 from repro.ir.function import IRFunction
-from repro.ir.interpreter import CycleMeter, Edge, Interpreter, Outcome
+from repro.ir.interpreter import (
+    CycleMeter,
+    Edge,
+    Interpreter,
+    Outcome,
+    SplitHook,
+)
 from repro.ir.registry import FunctionRegistry
 from repro.serialization import SerializerRegistry, measure_size
+
+
+#: one traversed PSE edge of a run: (edge, cycles before it, INTER size,
+#: or None when the measurement gate skipped it)
+Observation = Tuple[Edge, float, Optional[float]]
+
+
+def record_sender_run(
+    unit,
+    observations: List[Observation],
+    split_edge: Optional[Edge],
+    offset: float = 0.0,
+) -> None:
+    """Feed one sender-side run's edge observations into *unit*.
+
+    The one sender-side recording rule, shared by the modulator, each
+    subscriber's copy of the broker's shared run, and each fork.
+    *split_edge* is where *unit*'s message split (a deep subscriber
+    traverses the shared split edge without splitting there); *offset*
+    is the work done before the run began (a fork resumes after the
+    shared run's cycles).
+    """
+    record = unit.record_edge_observation
+    for edge, cycles, size in observations:
+        record(
+            edge,
+            data_size=size,
+            work_before=offset + cycles,
+            is_split=(edge == split_edge),
+        )
+
+
+def open_span(
+    tracer,
+    name: str,
+    parent: Optional[Tuple[int, int]],
+    *,
+    new_trace: bool = False,
+):
+    """Begin span *name* of a run: a child of the trace context *parent*
+    or, with *new_trace* and no parent, the root of a trace the tracer
+    samples in.  Returns ``(span, trace context for the run)``, or
+    ``(None, None)`` when there is nothing to trace."""
+    if parent is not None:
+        span = tracer.begin(name, trace_id=parent[0], parent_id=parent[1])
+    else:
+        trace_id = tracer.start_trace() if new_trace else None
+        if trace_id is None:
+            return None, None
+        span = tracer.begin(name, trace_id=trace_id)
+    return span, (span.trace_id, span.span_id)
 
 
 @dataclass
@@ -77,7 +134,7 @@ class Modulator:
 
     ``record_rates=False`` lets an external harness (e.g. the simulation
     pipeline) supply its own seconds-per-cycle rate measurements instead of
-    the modulator's wall-clock/cycle ones.
+    the modulator's cycle-count ones.
     """
 
     def __init__(
@@ -86,7 +143,6 @@ class Modulator:
         *,
         plan: Optional[PartitioningPlan] = None,
         profiling: Optional[ProfilingUnit] = None,
-        wall_clock: bool = False,
         record_rates: bool = True,
         obs=None,
     ) -> None:
@@ -94,19 +150,12 @@ class Modulator:
         self.plan_runtime = PlanRuntime(partitioned.cut)
         self.plan_runtime.apply_plan(plan or static_optimal_plan(partitioned.cut))
         self.profiling = profiling
-        self.wall_clock = wall_clock
         self.record_rates = record_rates
-        self._interp = partitioned.interpreter
-        self._codec = partitioned.codec
         self.obs = obs
         if obs is not None:
             self._c_switches = obs.metrics.counter("modulator.plan_switches")
         else:
             self._c_switches = None
-
-    def _pse_id_str(self, edge: Edge) -> str:
-        pse = self.partitioned.cut.pses.get(edge)
-        return str(pse.pse_id) if pse is not None else f"forced{edge}"
 
     def apply_plan(self, plan: PartitioningPlan) -> None:
         """Adaptation actuation: flip the flag values (paper section 2.6)."""
@@ -143,145 +192,53 @@ class Modulator:
             profiling.record_message()
         obs = self.obs
         tracer = obs.tracing if obs is not None else None
-        span = None
-        run_ctx: Optional[Tuple[int, int]] = None
-        traced_edges: Optional[list] = None
+        span = run_ctx = None
         if tracer is not None:
-            trace_id = (
-                trace_ctx[0]
-                if trace_ctx is not None
-                else tracer.start_trace()
+            span, run_ctx = open_span(
+                tracer, "modulate", trace_ctx, new_trace=True
             )
-            if trace_id is not None:
-                span = tracer.begin(
-                    "modulate",
-                    trace_id=trace_id,
-                    parent_id=(
-                        trace_ctx[1] if trace_ctx is not None else None
-                    ),
-                )
-                run_ctx = (trace_id, span.span_id)
-        meter = CycleMeter()
-        observations: list = []
-        observer = None
-        if profiling is not None:
-            # The interpreter filters to PSE edges via observe_edges, so the
-            # observer body never sees (or re-checks) a non-PSE edge.
-            def observer(edge: Edge, env: Dict[str, object]) -> None:
-                size: Optional[float] = None
-                if profiling.should_measure(edge):
-                    size = self.partitioned.measure_inter(edge, env)
-                observations.append((edge, meter.cycles, size))
-
-        elif span is not None:
-            # Tracing without profiling still wants the traversed PSE
-            # edges for the span attributes.
-            traced_edges = []
-
-            def observer(edge: Edge, env: Dict[str, object]) -> None:
-                traced_edges.append(edge)
-
-        started = time.perf_counter() if self.wall_clock else 0.0
-        outcome = self._interp.run(
-            self.partitioned.function,
+        partitioned = self.partitioned
+        outcome, message, observations, cycles = partitioned.run(
             args,
-            split_hook=self.plan_runtime,
-            edge_observer=observer,
-            observe_edges=self.partitioned.pse_edges,
-            meter=meter,
-            trace_ctx=run_ctx,
+            self.plan_runtime,
+            profiling.should_measure if profiling is not None else None,
+            run_ctx,
         )
-        elapsed = (
-            time.perf_counter() - started if self.wall_clock else meter.cycles
-        )
-
-        split_edge: Optional[Edge] = (
-            outcome.continuation.edge if outcome.split else None
-        )
+        elided = message is not None and partitioned.elides(message)
         if profiling is not None:
-            for edge, work_before, size in observations:
-                profiling.record_edge_observation(
-                    edge,
-                    data_size=size,
-                    work_before=work_before,
-                    is_split=(edge == split_edge),
-                )
-            if self.record_rates:
-                profiling.record_sender_rate(elapsed, meter.cycles)
-
-        if outcome.returned:
-            if profiling is not None:
-                profiling.record_local_completion()
-            if span is not None:
-                self._finish_span(
-                    span, observations, traced_edges, meter, "completed"
-                )
-            return ModulatorResult(
-                completed=True,
-                value=outcome.value,
-                cycles=meter.cycles,
-                span=span,
+            record_sender_run(
+                profiling,
+                observations,
+                None if message is None else message.edge,
             )
-
-        continuation = outcome.continuation
-        pse = self.partitioned.cut.pses.get(split_edge)
-        pse_id = pse.pse_id if pse is not None else f"forced{split_edge}"
-        message = ContinuationMessage.from_continuation(continuation, pse_id)
-        elided = (
-            pse is not None and pse.noop_resume and not message.variables
-        )
-        if profiling is not None:
-            if elided:
+            if self.record_rates:
+                profiling.record_sender_rate(cycles, cycles)
+            if message is None or elided:
                 profiling.record_local_completion()
             else:
                 # Pair this message's modulator cycles with the
                 # demodulator's (FIFO) so total per-message work is known.
-                profiling.record_mod_total(meter.cycles)
+                profiling.record_mod_total(cycles)
         if span is not None:
-            self._finish_span(
+            partitioned.end_span(
+                tracer,
                 span,
                 observations,
-                traced_edges,
-                meter,
-                "elided" if elided else "split",
-                pse_id=str(pse_id),
-                edge=split_edge,
+                cycles,
+                "completed"
+                if message is None
+                else "elided" if elided else "split",
+                message,
             )
         return ModulatorResult(
-            completed=False,
+            completed=message is None,
+            value=outcome.value,
             message=None if elided else message,
-            edge=split_edge,
-            cycles=meter.cycles,
+            edge=None if message is None else message.edge,
+            cycles=cycles,
             elided=elided,
             span=span,
         )
-
-    def _finish_span(
-        self,
-        span,
-        observations,
-        traced_edges,
-        meter: CycleMeter,
-        outcome: str,
-        *,
-        pse_id: Optional[str] = None,
-        edge: Optional[Edge] = None,
-    ) -> None:
-        edges = (
-            [o[0] for o in observations]
-            if traced_edges is None
-            else traced_edges
-        )
-        attrs: Dict[str, object] = {
-            "pses": [self._pse_id_str(e) for e in edges],
-            "cycles": meter.cycles,
-            "outcome": outcome,
-        }
-        if pse_id is not None:
-            attrs["pse"] = pse_id
-            attrs["edge"] = list(edge)
-        span.attrs = attrs
-        self.obs.tracing.end(span)
 
 
 class Demodulator:
@@ -297,15 +254,12 @@ class Demodulator:
         partitioned: "PartitionedMethod",
         *,
         profiling: Optional[ProfilingUnit] = None,
-        wall_clock: bool = False,
         record_rates: bool = True,
         obs=None,
     ) -> None:
         self.partitioned = partitioned
         self.profiling = profiling
-        self.wall_clock = wall_clock
         self.record_rates = record_rates
-        self._interp = partitioned.interpreter
         self.obs = obs
 
     def process(self, message: ContinuationMessage) -> DemodulatorResult:
@@ -313,85 +267,42 @@ class Demodulator:
         profiling = self.profiling
         obs = self.obs
         tracer = obs.tracing if obs is not None else None
-        span = None
-        traced_edges: Optional[list] = None
-        if tracer is not None and message.trace is not None:
-            span = tracer.begin(
-                "demodulate",
-                trace_id=message.trace[0],
-                parent_id=message.trace[1],
-            )
-        meter = CycleMeter()
-        observations: list = []
-        observer = None
-        if profiling is not None:
-
-            def observer(edge: Edge, env: Dict[str, object]) -> None:
-                size: Optional[float] = None
-                if profiling.should_measure(edge):
-                    size = self.partitioned.measure_inter(edge, env)
-                observations.append((edge, meter.cycles, size))
-
-        elif span is not None:
-            traced_edges = []
-
-            def observer(edge: Edge, env: Dict[str, object]) -> None:
-                traced_edges.append(edge)
-
-        started = time.perf_counter() if self.wall_clock else 0.0
-        outcome = self._interp.resume(
-            self.partitioned.function,
-            message.to_continuation(),
-            edge_observer=observer,
-            observe_edges=self.partitioned.pse_edges,
-            meter=meter,
+        span = run_ctx = None
+        if tracer is not None:
+            span, run_ctx = open_span(tracer, "demodulate", message.trace)
+        partitioned = self.partitioned
+        outcome, nested, observations, cycles = partitioned.run(
+            message,
+            None,
+            profiling.should_measure if profiling is not None else None,
+            run_ctx,
         )
-        elapsed = (
-            time.perf_counter() - started if self.wall_clock else meter.cycles
-        )
-        if not outcome.returned:
+        if nested is not None:
             raise PartitionError(
-                f"{self.partitioned.function.name}: demodulator split again "
-                f"at {outcome.continuation.edge}; nested partitioning is not "
+                f"{partitioned.function.name}: demodulator split again "
+                f"at {nested.edge}; nested partitioning is not "
                 f"supported (paper section 7)"
             )
         if profiling is not None:
-            total = meter.cycles
             for edge, work_at_edge, size in observations:
                 profiling.record_edge_observation(
-                    edge, data_size=size, work_after=total - work_at_edge
+                    edge, data_size=size, work_after=cycles - work_at_edge
                 )
             # The resume edge itself: everything this side did is its
             # residual.  Do not re-count the traversal — the modulator
             # already counted it when it split here.
             profiling.record_edge_observation(
-                message.edge, work_after=total, count_traversal=False
+                message.edge, work_after=cycles, count_traversal=False
             )
-            profiling.record_demod_total(total)
+            profiling.record_demod_total(cycles)
             if self.record_rates:
-                profiling.record_receiver_rate(elapsed, total)
+                profiling.record_receiver_rate(cycles, cycles)
         if span is not None:
-            pses = self.partitioned.cut.pses
-            edges = (
-                [o[0] for o in observations]
-                if traced_edges is None
-                else traced_edges
+            partitioned.end_span(
+                tracer, span, observations, cycles, "completed", message
             )
-            span.attrs = {
-                "pse": str(message.pse_id),
-                "edge": list(message.edge),
-                "pses": [
-                    str(pses[e].pse_id) if e in pses else str(e)
-                    for e in edges
-                ],
-                "cycles": meter.cycles,
-            }
-            tracer.end(span)
         return DemodulatorResult(
-            value=outcome.value,
-            edge=message.edge,
-            cycles=meter.cycles,
-            span=span,
+            value=outcome.value, edge=message.edge, cycles=cycles, span=span
         )
 
 
@@ -420,84 +331,136 @@ class PartitionedMethod:
     def pses(self) -> Dict[Edge, PSE]:
         return self.cut.pses
 
-    def measure_inter(self, edge: Edge, env: Dict[str, object]) -> float:
-        """Size-calculation tool: wire size of INTER(edge) from a live env.
+    def run(
+        self,
+        entry,
+        split_hook: Optional[SplitHook] = None,
+        gate: Optional[Callable[[Edge], bool]] = None,
+        trace_ctx: Optional[Tuple[int, int]] = None,
+    ) -> Tuple[
+        Outcome, Optional[ContinuationMessage], List[Observation], float
+    ]:
+        """Start or resume the handler once: the only code that runs a half.
 
-        The one sizing rule for every side that profiles a traversed PSE
-        — modulator, demodulator and the net broker's shared and forked
-        runs."""
-        payload = {
-            name: env[name] for name in self._inter_names[edge] if name in env
+        *entry* is the event's argument tuple (a modulator, the broker's
+        shared run) or a :class:`ContinuationMessage` to resume (a
+        demodulator, a fork, a continuation completed at the sender).
+        *split_hook* decides where the run stops.  *gate* is a profiling
+        unit's or proxy's ``should_measure``: it picks the traversed PSE
+        edges whose INTER set is sized from the live environment — the
+        profiling code "along each PSE" (paper section 2.5).  The edge
+        observer exists only when *gate* or *trace_ctx* wants the edges,
+        so an unprofiled, untraced run takes generated code's
+        observer-free variant; it always watches the PSE edges only.
+
+        Returns ``(outcome, message, observations, cycles)``: *message*
+        is the continuation to ship when the run split (None when it
+        returned), and *observations* holds one :data:`Observation` per
+        PSE edge traversed.
+        """
+        meter = CycleMeter()
+        observations: List[Observation] = []
+        observer = None
+        if gate is not None or trace_ctx is not None:
+            inter_names = self._inter_names
+            registry = self.serializer_registry
+
+            def observer(edge: Edge, env: Dict[str, object]) -> None:
+                size: Optional[float] = None
+                if gate is not None and gate(edge):
+                    size = float(
+                        measure_size(
+                            {
+                                name: env[name]
+                                for name in inter_names[edge]
+                                if name in env
+                            },
+                            registry,
+                            use_self_sizing=True,
+                        )
+                    )
+                observations.append((edge, meter.cycles, size))
+
+        interpreter = self.interpreter
+        if isinstance(entry, ContinuationMessage):
+            start, entry = interpreter.resume, entry.to_continuation()
+        else:
+            start = interpreter.run
+        outcome = start(
+            self.function,
+            entry,
+            split_hook=split_hook,
+            edge_observer=observer,
+            observe_edges=self.pse_edges,
+            meter=meter,
+            trace_ctx=trace_ctx,
+        )
+        continuation = outcome.continuation
+        if continuation is None:
+            return outcome, None, observations, meter.cycles
+        edge = continuation.edge
+        pse = self.cut.pses.get(edge)
+        message = ContinuationMessage(
+            function=continuation.function,
+            pse_id=pse.pse_id if pse is not None else f"forced{edge}",
+            edge=edge,
+            variables=dict(continuation.variables),
+            trace=continuation.trace,
+        )
+        return outcome, message, observations, meter.cycles
+
+    def elides(self, message: ContinuationMessage) -> bool:
+        """Whether *message* is dropped instead of shipped: a no-op resume
+        with nothing to hand over (the paper's filtered events)."""
+        pse = self.cut.pses.get(message.edge)
+        return pse is not None and pse.noop_resume and not message.variables
+
+    def clone(self, message: ContinuationMessage) -> ContinuationMessage:
+        """*message* through the codec and back: what its receiver would
+        deserialize, sharing no mutable state with the original."""
+        codec = self.codec
+        return codec.decode(codec.encode(message))
+
+    def end_span(
+        self,
+        tracer,
+        span,
+        observations: List[Observation],
+        cycles: float,
+        outcome: str,
+        message: Optional[ContinuationMessage] = None,
+        **extra: object,
+    ) -> None:
+        """Close a run's span with the attributes every run span carries:
+        the traversed PSE ids, the cycles, the outcome and, for a run
+        that split or resumed, the PSE and edge of *message*."""
+        pses = self.cut.pses
+        attrs: Dict[str, object] = {
+            "pses": [str(pses[edge].pse_id) for edge, _, _ in observations],
+            "cycles": cycles,
+            "outcome": outcome,
+            **extra,
         }
-        return float(
-            measure_size(
-                payload, self.serializer_registry, use_self_sizing=True
-            )
-        )
+        if message is not None:
+            attrs["pse"] = str(message.pse_id)
+            attrs["edge"] = list(message.edge)
+        span.attrs = attrs
+        tracer.end(span)
 
-    def make_profiling_unit(
-        self,
-        *,
-        ewma_alpha: float = 0.3,
-        sample_period: int = 1,
-        obs=None,
-    ) -> ProfilingUnit:
-        return ProfilingUnit(
-            self.cut,
-            ewma_alpha=ewma_alpha,
-            sample_period=sample_period,
-            obs=obs,
-        )
+    # The factories bind this handler (or its cut) and pass the keyword
+    # options through to the class they build.
 
-    def make_modulator(
-        self,
-        *,
-        plan: Optional[PartitioningPlan] = None,
-        profiling: Optional[ProfilingUnit] = None,
-        wall_clock: bool = False,
-        record_rates: bool = True,
-        obs=None,
-    ) -> Modulator:
-        return Modulator(
-            self,
-            plan=plan,
-            profiling=profiling,
-            wall_clock=wall_clock,
-            record_rates=record_rates,
-            obs=obs,
-        )
+    def make_profiling_unit(self, **options) -> ProfilingUnit:
+        return ProfilingUnit(self.cut, **options)
 
-    def make_demodulator(
-        self,
-        *,
-        profiling: Optional[ProfilingUnit] = None,
-        wall_clock: bool = False,
-        record_rates: bool = True,
-        obs=None,
-    ) -> Demodulator:
-        return Demodulator(
-            self,
-            profiling=profiling,
-            wall_clock=wall_clock,
-            record_rates=record_rates,
-            obs=obs,
-        )
+    def make_modulator(self, **options) -> Modulator:
+        return Modulator(self, **options)
 
-    def make_reconfiguration_unit(
-        self,
-        *,
-        trigger: Optional[FeedbackTrigger] = None,
-        location: str = "receiver",
-        obs=None,
-        quality=None,
-    ) -> ReconfigurationUnit:
-        return ReconfigurationUnit(
-            self.cut,
-            trigger=trigger,
-            location=location,
-            obs=obs,
-            quality=quality,
-        )
+    def make_demodulator(self, **options) -> Demodulator:
+        return Demodulator(self, **options)
+
+    def make_reconfiguration_unit(self, **options) -> ReconfigurationUnit:
+        return ReconfigurationUnit(self.cut, **options)
 
     def make_quality(self, obs):
         """Build the adaptation-quality layer when *obs* opted in.

@@ -49,7 +49,12 @@ from collections import OrderedDict
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.continuation import ContinuationMessage
-from repro.core.partitioned import PartitionedMethod
+from repro.core.partitioned import (
+    Observation,
+    PartitionedMethod,
+    open_span,
+    record_sender_run,
+)
 from repro.core.plan import (
     PartitioningPlan,
     PlanRuntime,
@@ -59,7 +64,7 @@ from repro.core.plan import (
 )
 from repro.core.runtime.feedback import RemoteProfilingProxy
 from repro.errors import TransportError
-from repro.ir.interpreter import CycleMeter, Edge
+from repro.ir.interpreter import Edge
 from repro.jecho.events import ContinuationEnvelope, PlanEnvelope
 from repro.net.framing import Bye, Election, Telemetry
 from repro.net.resilience import BreakerConfig, Bulkhead
@@ -71,8 +76,6 @@ from repro.obs.metrics import counts, zero_counts
 
 __all__ = ["PlanRuntimeCache", "NetBrokerEndpoint"]
 
-#: one traversed PSE edge of a run: (edge, cycles before it, INTER size)
-Observation = Tuple[Edge, float, Optional[float]]
 #: a subscriber as the publish path sees it: (session, plan runtime,
 #: split-edge set of that runtime)
 Route = Tuple[PeerSession, PlanRuntime, FrozenSet[Edge]]
@@ -369,89 +372,55 @@ class NetBrokerEndpoint:
                 routes = self._union()
             obs = self.obs
             tracer = obs.tracing if obs is not None else None
-            span = None
-            run_ctx: Optional[Tuple[int, int]] = None
+            span = run_ctx = None
             if tracer is not None:
-                trace_id = tracer.start_trace()
-                if trace_id is not None:
-                    span = tracer.begin("modulate", trace_id=trace_id)
-                    run_ctx = (trace_id, span.span_id)
+                span, run_ctx = open_span(
+                    tracer, "modulate", None, new_trace=True
+                )
             partitioned = self.partitioned
-            gate = subs[0].proxy  # all proxies share the sampling cadence
-            meter = CycleMeter()
-            observations: List[Observation] = []
-
-            def observer(edge: Edge, env: Dict[str, object]) -> None:
-                size: Optional[float] = None
-                if gate.should_measure(edge):
-                    size = partitioned.measure_inter(edge, env)
-                observations.append((edge, meter.cycles, size))
-
             started = time.perf_counter()
-            outcome = partitioned.interpreter.run(
-                partitioned.function,
-                (event,),
-                split_hook=self._union_runtime,
-                edge_observer=observer,
-                observe_edges=partitioned.pse_edges,
-                meter=meter,
-                trace_ctx=run_ctx,
+            # all proxies share the sampling cadence, so one gates the run
+            _outcome, shared_msg, observations, shared_cycles = (
+                partitioned.run(
+                    (event,),
+                    self._union_runtime,
+                    subs[0].proxy.should_measure,
+                    run_ctx,
+                )
             )
             shared_elapsed = time.perf_counter() - started
             if self._h_phase_modulate is not None:
                 self._h_phase_modulate.observe(shared_elapsed)
-            shared_cycles = meter.cycles
             shared_seconds = self.rate.seconds(shared_cycles, shared_elapsed)
             self.published += 1
             self.shared_runs += 1
-
-            shared_edge: Optional[Edge] = None
+            # Shallow subscribers first: each send encodes the frame on
+            # this thread, so shipped bytes are immune to any mutation a
+            # later fork's execution performs on shared values.  The work
+            # up to the deepest common split is identical for every
+            # subscriber, so each proxy records the same observations.
             deep: List[Tuple[PeerSession, PlanRuntime]] = []
-            if outcome.returned:
-                # No forced edge on this path: the whole handler ran at
-                # the broker; every subscriber "completed locally".
-                for sub in subs:
-                    self._replay_shared(sub, observations, None)
-                    sub.proxy.record_local_completion()
-                    sub.completed_locally += 1
-                    if shared_cycles > 0:
-                        sub.proxy.record_sender_rate(
-                            shared_seconds, shared_cycles
-                        )
-            else:
-                continuation = outcome.continuation
-                shared_edge = continuation.edge
-                pse = partitioned.cut.pses.get(shared_edge)
-                shared_msg = ContinuationMessage.from_continuation(
-                    continuation,
-                    pse.pse_id if pse is not None else f"forced{shared_edge}",
-                )
-                # Shallow subscribers first: each send encodes the frame
-                # on this thread, so shipped bytes are immune to any
-                # mutation a later fork's execution performs on shared
-                # values.
-                for sub, runtime, splits in routes:
-                    if shared_edge in splits:
-                        self._replay_shared(sub, observations, shared_edge)
-                        self._ship(
-                            sub, shared_msg, shared_cycles, shared=True
-                        )
-                        if shared_cycles > 0:
-                            sub.proxy.record_sender_rate(
-                                shared_seconds, shared_cycles
-                            )
-                    else:
-                        deep.append((sub, runtime))
-                for sub, runtime in deep:
-                    self._replay_shared(sub, observations, None)
-                    self._fork(
+            for sub, runtime, splits in routes:
+                if shared_msg is not None and shared_msg.edge not in splits:
+                    record_sender_run(sub.proxy, observations, None)
+                    deep.append((sub, runtime))
+                else:
+                    self._ship(
                         sub,
-                        runtime,
+                        observations,
                         shared_msg,
                         shared_cycles,
-                        shared_elapsed,
-                        run_ctx,
+                        shared_seconds,
                     )
+            for sub, runtime in deep:
+                self._fork(
+                    sub,
+                    runtime,
+                    shared_msg,
+                    shared_cycles,
+                    shared_elapsed,
+                    run_ctx,
+                )
             for sub in subs:
                 sub.feed_health()
                 sub.resilience_tick()
@@ -460,39 +429,15 @@ class NetBrokerEndpoint:
                     if sub.proxy.pending > 0:
                         sub.flush_feedback()
             if span is not None:
-                span.attrs = (
-                    {"outcome": "completed"}
-                    if shared_edge is None
-                    else {
-                        "outcome": "split",
-                        "edge": list(shared_edge),
-                        "cycles": shared_cycles,
-                        "forks": len(deep),
-                    }
+                partitioned.end_span(
+                    tracer,
+                    span,
+                    observations,
+                    shared_cycles,
+                    "completed" if shared_msg is None else "split",
+                    shared_msg,
+                    forks=len(deep),
                 )
-                tracer.end(span)
-
-    def _replay_shared(
-        self,
-        sub: PeerSession,
-        observations: List[Observation],
-        split_edge: Optional[Edge],
-    ) -> None:
-        """Feed the shared run's edge observations into one peer's proxy.
-
-        The work up to the deepest common split is identical for every
-        subscriber, so each proxy sees the same records — only
-        ``is_split`` differs (a deep subscriber traverses the shared
-        edge without splitting there).
-        """
-        record = sub.proxy.record_edge_observation
-        for edge, work_before, size in observations:
-            record(
-                edge,
-                data_size=size,
-                work_before=work_before,
-                is_split=(edge == split_edge),
-            )
 
     def _fork(
         self,
@@ -505,102 +450,81 @@ class NetBrokerEndpoint:
     ) -> None:
         """Resume the shared continuation under *sub*'s deeper plan.
 
-        The clone passes through the codec so the fork's environment
+        The resume runs on a codec clone, so the fork's environment
         shares no mutable state with the shared message or with other
         forks — exactly what the receiver would have deserialized had
         the wire carried it.
         """
         partitioned = self.partitioned
-        codec = partitioned.codec
-        clone = codec.decode(codec.encode(shared_msg))
+        clone = partitioned.clone(shared_msg)
         tracer = self.obs.tracing if self.obs is not None else None
-        fork_span = None
-        fork_ctx: Optional[Tuple[int, int]] = None
-        if tracer is not None and run_ctx is not None:
-            fork_span = tracer.begin(
-                "fork",
-                trace_id=run_ctx[0],
-                parent_id=run_ctx[1],
-                attrs={"peer": sub.name},
-            )
-            fork_ctx = (run_ctx[0], fork_span.span_id)
-        meter = CycleMeter()
-        fork_obs: List[Observation] = []
-
-        def observer(edge: Edge, env: Dict[str, object]) -> None:
-            size: Optional[float] = None
-            if sub.proxy.should_measure(edge):
-                size = partitioned.measure_inter(edge, env)
-            fork_obs.append((edge, meter.cycles, size))
-
+        span = fork_ctx = None
+        if tracer is not None:
+            span, fork_ctx = open_span(tracer, "fork", run_ctx)
         started = time.perf_counter()
-        outcome = partitioned.interpreter.resume(
-            partitioned.function,
-            clone.to_continuation(),
-            split_hook=runtime,
-            edge_observer=observer,
-            observe_edges=partitioned.pse_edges,
-            meter=meter,
-            trace_ctx=fork_ctx,
+        _outcome, message, observations, cycles = partitioned.run(
+            clone, runtime, sub.proxy.should_measure, fork_ctx
         )
         elapsed = time.perf_counter() - started
         if self._h_phase_fork is not None:
             self._h_phase_fork.observe(elapsed)
         self.forks += 1
         sub.forks += 1
-        total_cycles = shared_cycles + meter.cycles
-        split_edge = (
-            outcome.continuation.edge if outcome.split else None
+        total_cycles = shared_cycles + cycles
+        self._ship(
+            sub,
+            observations,
+            message,
+            total_cycles,
+            self.rate.seconds(total_cycles, shared_elapsed + elapsed),
+            offset=shared_cycles,
         )
-        for edge, fork_work, size in fork_obs:
-            sub.proxy.record_edge_observation(
-                edge,
-                data_size=size,
-                work_before=shared_cycles + fork_work,
-                is_split=(edge == split_edge),
+        if span is not None:
+            partitioned.end_span(
+                tracer,
+                span,
+                observations,
+                cycles,
+                "completed" if message is None else "split",
+                message,
+                peer=sub.name,
             )
-        if outcome.returned:
-            # Possible only when the peer's path holds no forced edge
-            # past the shared split; the work finished broker-side.
-            sub.proxy.record_local_completion()
-            sub.completed_locally += 1
-        else:
-            pse = partitioned.cut.pses.get(split_edge)
-            message = ContinuationMessage.from_continuation(
-                outcome.continuation,
-                pse.pse_id if pse is not None else f"forced{split_edge}",
-            )
-            self._ship(sub, message, total_cycles, shared=False)
-        if total_cycles > 0:
-            sub.proxy.record_sender_rate(
-                self.rate.seconds(total_cycles, shared_elapsed + elapsed),
-                total_cycles,
-            )
-        if fork_span is not None:
-            fork_span.attrs = {
-                "peer": sub.name,
-                "cycles": meter.cycles,
-                "outcome": "return" if outcome.returned else "split",
-            }
-            tracer.end(fork_span)
 
     def _ship(
         self,
         sub: PeerSession,
-        message: ContinuationMessage,
+        observations: List[Observation],
+        message: Optional[ContinuationMessage],
         total_cycles: float,
-        *,
-        shared: bool,
+        seconds: float,
+        offset: float = 0.0,
     ) -> None:
-        """Send one continuation to one subscriber (lock held).
+        """Record one sender-side run for *sub* and end its message (lock
+        held).
 
-        Every continuation ends exactly one way: elided (a no-op
+        ``offset`` is the shared run's cycles for a fork and 0 for the
+        shared run itself.  Every message ends exactly one way: completed
+        by the run (no forced edge on its path), elided (a no-op
         resume), shed by the bulkhead, shipped, or — when the breaker
         does not admit the ship or the send fails — completed here.
+        Only a shipped message leaves a modulator total for the peer's
+        demodulator total to pair with; every other end is a local
+        completion.
         """
-        pse = self.partitioned.cut.pses.get(message.edge)
-        if pse is not None and pse.noop_resume and not message.variables:
-            sub.proxy.record_local_completion()
+        proxy = sub.proxy
+        record_sender_run(
+            proxy,
+            observations,
+            None if message is None else message.edge,
+            offset,
+        )
+        proxy.record_sender_rate(seconds, total_cycles)
+        if message is None:
+            proxy.record_local_completion()
+            sub.completed_locally += 1
+            return
+        if self.partitioned.elides(message):
+            proxy.record_local_completion()
             sub.elided += 1
             return
         admitted = sub.admits()
@@ -610,14 +534,13 @@ class NetBrokerEndpoint:
             # peer's outbound queue already holds `limit` frames, so
             # drop-oldest shedding was imminent anyway.
             sub.ships_suppressed += 1
-            sub.proxy.record_local_completion()
+            proxy.record_local_completion()
             wide_event(
                 "breaker.suppress", peer=sub.name, reason="bulkhead full"
             )
             if sub.breaker is not None:
                 sub.breaker.record_failure("bulkhead full")
             return
-        sub.proxy.record_mod_total(total_cycles)
         if admitted:
             ship_started = (
                 time.perf_counter()
@@ -640,33 +563,24 @@ class NetBrokerEndpoint:
                 if sub.breaker is not None:
                     sub.breaker.record_failure(f"send failed: {exc}")
             else:
+                proxy.record_mod_total(total_cycles)
                 if ship_started is not None:
                     self._h_phase_ship.observe(
                         time.perf_counter() - ship_started
                     )
                 sub.shipped += 1
-                if shared:
+                if offset == 0.0:  # the shared run's own message
                     sub.shared_ships += 1
                 return
-        self._complete_locally(sub, message)
-
-    def _complete_locally(
-        self, sub: PeerSession, message: ContinuationMessage
-    ) -> None:
-        """Run a continuation's tail here instead of at its peer.
-
-        Resumed with no split hook, it runs to the end of the handler,
-        receiver-only natives included: both sides build the same
-        partitioned method from the same program text, so resuming here
-        is the receiver's work minus the bytes.  The resume runs on a
-        codec clone — the shared message may still ship to other peers.
-        """
+        # Completed here instead of at its peer: resumed with no split
+        # hook, it runs to the end of the handler, receiver-only natives
+        # included.  Both sides build the same partitioned method from
+        # the same program text, so this is the receiver's work minus
+        # the bytes.  It runs on a codec clone, because the shared
+        # message may still ship to other peers.
         partitioned = self.partitioned
-        codec = partitioned.codec
-        clone = codec.decode(codec.encode(message))
-        partitioned.interpreter.resume(
-            partitioned.function, clone.to_continuation()
-        )
+        partitioned.run(partitioned.clone(message))
+        proxy.record_local_completion()
         sub.absorbed += 1
         sub.completed_locally += 1
 

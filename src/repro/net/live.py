@@ -52,6 +52,7 @@ from repro.apps.sensor.data import make_reading
 from repro.apps.sensor.pipeline import build_partitioned_process
 from repro.core.plan import receiver_heavy_plan
 from repro.core.runtime.triggers import RateTrigger
+from repro.ir import codegen
 from repro.net.broker import NetBrokerEndpoint
 from repro.net.endpoint import NetReceiverEndpoint
 from repro.net.framing import NetEnvelopeCodec
@@ -305,6 +306,7 @@ def run_receiver(args: argparse.Namespace) -> Dict[str, object]:
         ),
         "latency_by_pse": endpoint.latency_quantiles(),
         "server": counts(endpoint.server),
+        "codegen_fallbacks": dict(codegen.fallback_counts),
         "quality": (
             endpoint.quality.report()
             if endpoint.quality is not None
@@ -383,6 +385,7 @@ def run_publisher(args: argparse.Namespace) -> Dict[str, object]:
         "drained": drained,
         **endpoint.to_dict(),
         "fleet": fleet_final,
+        "codegen_fallbacks": dict(codegen.fallback_counts),
         "transport_totals": {
             "messages_sent": transport.messages_sent,
             "bytes_sent": transport.bytes_sent,

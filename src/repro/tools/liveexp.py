@@ -431,6 +431,16 @@ def _shared_once(run: Run) -> Tuple[bool, str]:
     )
 
 
+def _generated_code(run: Run) -> Tuple[bool, str]:
+    fallbacks = {"publisher": run["publisher"]["codegen_fallbacks"]}
+    for r in run["receivers"]:
+        fallbacks[r["name"]] = r["codegen_fallbacks"]
+    return (
+        not any(fallbacks.values()),
+        ", ".join(f"{n}: {f or 'none'}" for n, f in fallbacks.items()),
+    )
+
+
 def _diverged(run: Run) -> Tuple[bool, str]:
     finals = {
         r["name"]: tuple(tuple(e) for e in r["final_plan_edges"])
@@ -692,6 +702,8 @@ CHECKS: Tuple[Check, ...] = (
     Check("publisher and live receivers agree on final plans", _always,
           _plans_agree),
     Check("modulation shared once per message", _always, _shared_once),
+    Check("generated code ran every half on every host", _always,
+          _generated_code),
     Check("per-peer plans diverged", lambda run: run["n"] >= 2, _diverged),
     Check("drop injected", _has_fault("drop_after"), _drop_injected),
     Check("publisher reconnected", _has_fault("drop_after"), _reconnected),

@@ -174,12 +174,8 @@ def test_demodulator_rejects_nested_split(push_partitioned):
 
 def test_wall_clock_mode_records_rates(push_partitioned):
     profiling = push_partitioned.make_profiling_unit()
-    modulator = push_partitioned.make_modulator(
-        profiling=profiling, wall_clock=True
-    )
-    demodulator = push_partitioned.make_demodulator(
-        profiling=profiling, wall_clock=True
-    )
+    modulator = push_partitioned.make_modulator(profiling=profiling)
+    demodulator = push_partitioned.make_demodulator(profiling=profiling)
     result = modulator.process(ImageData(None, 40, 40))
     if result.message is not None:
         demodulator.process(result.message)

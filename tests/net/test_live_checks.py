@@ -45,6 +45,7 @@ def _receiver(name, plan, demodulated=120, **overrides):
         "final_plan_edges": plan,
         "drops_injected": 0,
         "wedges_injected": 0,
+        "codegen_fallbacks": {},
         "obs": {},
     }
     receiver.update(overrides)
@@ -72,6 +73,7 @@ def one_receiver_run():
             "published": 120,
             "shared_runs": 120,
             "forks": 0,
+            "codegen_fallbacks": {},
             "plan_updates_applied": 1,
             "initial_plan_edges": [[1, 2]],
             "fleet": {"peers": {"receiver0": {"state": "healthy"}}},
@@ -113,6 +115,7 @@ def wedged_fleet_run():
             "published": 120,
             "shared_runs": 120,
             "forks": 224,
+            "codegen_fallbacks": {},
             "plan_updates_applied": 3,
             "initial_plan_edges": [[1, 2]],
             "fleet": {
@@ -197,6 +200,12 @@ BREAKS = {
     ),
     "modulation shared once per message": (
         "one", lambda r: r["publisher"].update(shared_runs=119)
+    ),
+    "generated code ran every half on every host": (
+        "fleet",
+        lambda r: r["publisher"].update(
+            codegen_fallbacks={"generic split hook": 120}
+        ),
     ),
     "per-peer plans diverged": ("fleet", lambda r: _set_plans(r, MOVED)),
     "drop injected": (
@@ -293,6 +302,13 @@ def test_breaking_a_field_fails_exactly_its_row(name):
     run = RUNS[which]()
     mutate(run)
     assert _failed(run) == {name}
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_a_fallback_on_any_receiver_fails_the_generated_code_row(index):
+    run = wedged_fleet_run()
+    run["receivers"][index]["codegen_fallbacks"] = {"custom cycle meter": 1}
+    assert _failed(run) == {"generated code ran every half on every host"}
 
 
 @pytest.mark.parametrize("index", range(3))
