@@ -49,23 +49,20 @@ def record_sender_run(
     unit,
     observations: List[Observation],
     split_edge: Optional[Edge],
-    offset: float = 0.0,
 ) -> None:
     """Feed one sender-side run's edge observations into *unit*.
 
     The one sender-side recording rule, shared by the modulator, each
     subscriber's copy of the broker's shared run, and each fork.
     *split_edge* is where *unit*'s message split (a deep subscriber
-    traverses the shared split edge without splitting there); *offset*
-    is the work done before the run began (a fork resumes after the
-    shared run's cycles).
+    traverses the shared split edge without splitting there).
     """
     record = unit.record_edge_observation
     for edge, cycles, size in observations:
         record(
             edge,
             data_size=size,
-            work_before=offset + cycles,
+            work_before=cycles,
             is_split=(edge == split_edge),
         )
 
@@ -337,6 +334,7 @@ class PartitionedMethod:
         split_hook: Optional[SplitHook] = None,
         gate: Optional[Callable[[Edge], bool]] = None,
         trace_ctx: Optional[Tuple[int, int]] = None,
+        cycles: float = 0.0,
     ) -> Tuple[
         Outcome, Optional[ContinuationMessage], List[Observation], float
     ]:
@@ -352,13 +350,16 @@ class PartitionedMethod:
         observer exists only when *gate* or *trace_ctx* wants the edges,
         so an unprofiled, untraced run takes generated code's
         observer-free variant; it always watches the PSE edges only.
+        *cycles* is the work done before this run: a fork continues the
+        shared run's meter, so its cycle counts add up exactly as a
+        dedicated modulator's would.
 
         Returns ``(outcome, message, observations, cycles)``: *message*
         is the continuation to ship when the run split (None when it
         returned), and *observations* holds one :data:`Observation` per
         PSE edge traversed.
         """
-        meter = CycleMeter()
+        meter = CycleMeter(cycles=cycles)
         observations: List[Observation] = []
         observer = None
         if gate is not None or trace_ctx is not None:

@@ -11,11 +11,14 @@ fed from a single shared modulation:
 * **Deepest common split** — per message the broker runs the handler
   once under the *union* of all subscriber plans
   (:func:`~repro.core.plan.union_plan`), so execution stops at the
-  earliest edge any peer wants.  Subscribers whose plan splits there
-  ship the shared continuation as-is; subscribers wanting a deeper
-  split *fork*: the shared continuation is cloned through the codec
-  (serialize/deserialize, so fork state never aliases shipped state)
-  and resumed under that peer's own flag table until it splits again.
+  earliest edge any peer wants.  Subscribers whose plans split at the
+  same edges form one group.  A group whose plan splits there ships the
+  shared continuation as-is; a group wanting a deeper split *forks*
+  once: the shared continuation is cloned through the codec
+  (serialize/deserialize, so fork state never aliases shipped state),
+  resumed under the group's flag table until it splits again, and that
+  one message ships to every member.  Each distinct message is sized
+  once, whatever the number of peers it ships to.
 * **Per-peer plan cache** — :class:`PlanRuntimeCache` memoizes
   ``PlanRuntime`` flag tables keyed on (handler, active PSE set, plan
   version); a plan switch looks the union's and each peer's runtime up
@@ -76,9 +79,10 @@ from repro.obs.metrics import counts, zero_counts
 
 __all__ = ["PlanRuntimeCache", "NetBrokerEndpoint"]
 
-#: a subscriber as the publish path sees it: (session, plan runtime,
-#: split-edge set of that runtime)
-Route = Tuple[PeerSession, PlanRuntime, FrozenSet[Edge]]
+#: the subscribers whose plans split at the same edges, as the publish
+#: path sees them: (split-edge set, plan runtime of the first member,
+#: the members' sessions in subscription order)
+Route = Tuple[FrozenSet[Edge], PlanRuntime, List[PeerSession]]
 
 
 class PlanRuntimeCache:
@@ -144,7 +148,8 @@ class NetBrokerEndpoint:
     """
 
     #: the broker's own counts; ``shared_runs`` is exactly one per
-    #: publish, however many subscribers (the deepest-common-split claim)
+    #: publish, however many subscribers (the deepest-common-split claim),
+    #: and ``forks`` one per distinct deeper split per publish
     COUNTS = ("published", "shared_runs", "forks", "election_frames")
     #: ``broker.<series>`` → the session count it sums over subscribers
     SUMMED = {
@@ -336,8 +341,9 @@ class NetBrokerEndpoint:
         """Rebuild the deepest-common-split hook and the routes (lock held).
 
         Runs once per plan switch, not per publish: the publish path
-        then tests the shared split edge against each peer's cached
-        split-edge set instead of looking its runtime up again.
+        then tests the shared split edge against each group's cached
+        split-edge set instead of looking runtimes up again.  Peers with
+        equal split-edge sets share a route, so they share its fork.
         """
         cache = self.cache
         self._union_runtime = cache.runtime(
@@ -345,11 +351,15 @@ class NetBrokerEndpoint:
                 (sub.plan for sub in self.subscribers), name="fanout-union"
             )
         )
-        routes: List[Route] = []
+        groups: Dict[FrozenSet[Edge], Route] = {}
         for sub in self.subscribers:
             runtime = cache.runtime(sub.plan, sub.plan_version_applied)
-            routes.append((sub, runtime, runtime.split_edge_set()))
-        self._routes = routes
+            splits = runtime.split_edge_set()
+            if splits in groups:
+                groups[splits][2].append(sub)
+            else:
+                groups[splits] = (splits, runtime, [sub])
+        self._routes = routes = list(groups.values())
         return routes
 
     def _plan_switched(self, plan: PartitioningPlan) -> None:
@@ -394,28 +404,29 @@ class NetBrokerEndpoint:
             shared_seconds = self.rate.seconds(shared_cycles, shared_elapsed)
             self.published += 1
             self.shared_runs += 1
-            # Shallow subscribers first: each send encodes the frame on
-            # this thread, so shipped bytes are immune to any mutation a
-            # later fork's execution performs on shared values.  The work
-            # up to the deepest common split is identical for every
-            # subscriber, so each proxy records the same observations.
-            deep: List[Tuple[PeerSession, PlanRuntime]] = []
-            for sub, runtime, splits in routes:
+            # Shallow groups first: each send encodes the frame on this
+            # thread, so shipped bytes are immune to any mutation a later
+            # fork's execution performs on shared values.  The work up to
+            # the deepest common split is identical for every subscriber,
+            # so each proxy records the same observations.
+            deep: List[Tuple[PlanRuntime, List[PeerSession]]] = []
+            for splits, runtime, members in routes:
                 if shared_msg is not None and shared_msg.edge not in splits:
-                    record_sender_run(sub.proxy, observations, None)
-                    deep.append((sub, runtime))
+                    for sub in members:
+                        record_sender_run(sub.proxy, observations, None)
+                    deep.append((runtime, members))
                 else:
                     self._ship(
-                        sub,
+                        members,
                         observations,
                         shared_msg,
                         shared_cycles,
                         shared_seconds,
                     )
-            for sub, runtime in deep:
+            for runtime, members in deep:
                 self._fork(
-                    sub,
                     runtime,
+                    members,
                     shared_msg,
                     shared_cycles,
                     shared_elapsed,
@@ -441,16 +452,20 @@ class NetBrokerEndpoint:
 
     def _fork(
         self,
-        sub: PeerSession,
         runtime: PlanRuntime,
+        members: List[PeerSession],
         shared_msg: ContinuationMessage,
         shared_cycles: float,
         shared_elapsed: float,
         run_ctx: Optional[Tuple[int, int]],
     ) -> None:
-        """Resume the shared continuation under *sub*'s deeper plan.
+        """Resume the shared continuation once under *members*' deeper
+        plan, and ship the result to each of them.
 
-        The resume runs on a codec clone, so the fork's environment
+        The members' plans split at the same edges, so one resume is
+        what each member's dedicated modulator would have run; all
+        proxies share the sampling cadence, so the first member's gates
+        it.  The resume runs on a codec clone, so the fork's environment
         shares no mutable state with the shared message or with other
         forks — exactly what the receiver would have deserialized had
         the wire carried it.
@@ -462,127 +477,132 @@ class NetBrokerEndpoint:
         if tracer is not None:
             span, fork_ctx = open_span(tracer, "fork", run_ctx)
         started = time.perf_counter()
-        _outcome, message, observations, cycles = partitioned.run(
-            clone, runtime, sub.proxy.should_measure, fork_ctx
+        _outcome, message, observations, total_cycles = partitioned.run(
+            clone,
+            runtime,
+            members[0].proxy.should_measure,
+            fork_ctx,
+            shared_cycles,
         )
         elapsed = time.perf_counter() - started
         if self._h_phase_fork is not None:
             self._h_phase_fork.observe(elapsed)
         self.forks += 1
-        sub.forks += 1
-        total_cycles = shared_cycles + cycles
+        for sub in members:
+            sub.forks += 1
         self._ship(
-            sub,
+            members,
             observations,
             message,
             total_cycles,
             self.rate.seconds(total_cycles, shared_elapsed + elapsed),
-            offset=shared_cycles,
+            forked=True,
         )
         if span is not None:
             partitioned.end_span(
                 tracer,
                 span,
                 observations,
-                cycles,
+                total_cycles - shared_cycles,
                 "completed" if message is None else "split",
                 message,
-                peer=sub.name,
+                peers=[sub.name for sub in members],
             )
 
     def _ship(
         self,
-        sub: PeerSession,
+        members: List[PeerSession],
         observations: List[Observation],
         message: Optional[ContinuationMessage],
         total_cycles: float,
         seconds: float,
-        offset: float = 0.0,
+        forked: bool = False,
     ) -> None:
-        """Record one sender-side run for *sub* and end its message (lock
-        held).
+        """Record one sender-side run for each of *members* and end the
+        run's message for each (lock held).
 
-        ``offset`` is the shared run's cycles for a fork and 0 for the
-        shared run itself.  Every message ends exactly one way: completed
-        by the run (no forced edge on its path), elided (a no-op
-        resume), shed by the bulkhead, shipped, or — when the breaker
-        does not admit the ship or the send fails — completed here.
-        Only a shipped message leaves a modulator total for the peer's
-        demodulator total to pair with; every other end is a local
-        completion.
+        *message* is a fork's when ``forked``, else the shared run's;
+        *total_cycles* counts from the top of the handler.  For each
+        member the message ends exactly one way: completed by the run (no
+        forced edge on its path), elided (a no-op resume), shed by the
+        bulkhead, shipped, or — when the breaker does not admit the ship
+        or the send fails — completed here.  Only a shipped message
+        leaves a modulator total for the peer's demodulator total to pair
+        with; every other end is a local completion.  The message is
+        sized once, at its first ship.
         """
-        proxy = sub.proxy
-        record_sender_run(
-            proxy,
-            observations,
-            None if message is None else message.edge,
-            offset,
-        )
-        proxy.record_sender_rate(seconds, total_cycles)
-        if message is None:
-            proxy.record_local_completion()
-            sub.completed_locally += 1
-            return
-        if self.partitioned.elides(message):
-            proxy.record_local_completion()
-            sub.elided += 1
-            return
-        admitted = sub.admits()
-        bh = sub.bulkhead
-        if admitted and bh is not None and not bh.admit(sub.peer.queued):
-            # Admission refused before paying for the encode: the
-            # peer's outbound queue already holds `limit` frames, so
-            # drop-oldest shedding was imminent anyway.
-            sub.ships_suppressed += 1
-            proxy.record_local_completion()
-            wide_event(
-                "breaker.suppress", peer=sub.name, reason="bulkhead full"
-            )
-            if sub.breaker is not None:
-                sub.breaker.record_failure("bulkhead full")
-            return
-        if admitted:
-            ship_started = (
-                time.perf_counter()
-                if self._h_phase_ship is not None
-                else None
-            )
-            size = float(self.partitioned.codec.size(message))
-            envelope = ContinuationEnvelope(
-                continuation=message, subscription_id=sub.subscription_id
-            )
-            if self.obs is not None:
-                tracer = self.obs.tracing
-                if tracer is not None:
-                    tracer.observe_pse(str(message.pse_id), size=size)
-            try:
-                self.transport.send(sub.peer, envelope, size)
-            except TransportError as exc:
-                # A failing send is a breaker signal, and the message
-                # must not be lost: it completes here below.
-                if sub.breaker is not None:
-                    sub.breaker.record_failure(f"send failed: {exc}")
-            else:
-                proxy.record_mod_total(total_cycles)
-                if ship_started is not None:
-                    self._h_phase_ship.observe(
-                        time.perf_counter() - ship_started
-                    )
-                sub.shipped += 1
-                if offset == 0.0:  # the shared run's own message
-                    sub.shared_ships += 1
-                return
-        # Completed here instead of at its peer: resumed with no split
-        # hook, it runs to the end of the handler, receiver-only natives
-        # included.  Both sides build the same partitioned method from
-        # the same program text, so this is the receiver's work minus
-        # the bytes.  It runs on a codec clone, because the shared
-        # message may still ship to other peers.
         partitioned = self.partitioned
-        partitioned.run(partitioned.clone(message))
-        proxy.record_local_completion()
-        sub.absorbed += 1
-        sub.completed_locally += 1
+        split_edge = None if message is None else message.edge
+        elided = message is not None and partitioned.elides(message)
+        size: Optional[float] = None
+        for sub in members:
+            proxy = sub.proxy
+            record_sender_run(proxy, observations, split_edge)
+            proxy.record_sender_rate(seconds, total_cycles)
+            if message is None:
+                proxy.record_local_completion()
+                sub.completed_locally += 1
+                continue
+            if elided:
+                proxy.record_local_completion()
+                sub.elided += 1
+                continue
+            admitted = sub.admits()
+            bh = sub.bulkhead
+            if admitted and bh is not None and not bh.admit(sub.peer.queued):
+                # Admission refused before paying for the encode: the
+                # peer's outbound queue already holds `limit` frames, so
+                # drop-oldest shedding was imminent anyway.
+                sub.ships_suppressed += 1
+                proxy.record_local_completion()
+                wide_event(
+                    "breaker.suppress", peer=sub.name, reason="bulkhead full"
+                )
+                if sub.breaker is not None:
+                    sub.breaker.record_failure("bulkhead full")
+                continue
+            if admitted:
+                ship_started = (
+                    time.perf_counter()
+                    if self._h_phase_ship is not None
+                    else None
+                )
+                if size is None:
+                    size = float(partitioned.codec.size(message))
+                envelope = ContinuationEnvelope(
+                    continuation=message, subscription_id=sub.subscription_id
+                )
+                if self.obs is not None:
+                    tracer = self.obs.tracing
+                    if tracer is not None:
+                        tracer.observe_pse(str(message.pse_id), size=size)
+                try:
+                    self.transport.send(sub.peer, envelope, size)
+                except TransportError as exc:
+                    # A failing send is a breaker signal, and the message
+                    # must not be lost: it completes here below.
+                    if sub.breaker is not None:
+                        sub.breaker.record_failure(f"send failed: {exc}")
+                else:
+                    proxy.record_mod_total(total_cycles)
+                    if ship_started is not None:
+                        self._h_phase_ship.observe(
+                            time.perf_counter() - ship_started
+                        )
+                    sub.shipped += 1
+                    if not forked:
+                        sub.shared_ships += 1
+                    continue
+            # Completed here instead of at its peer: resumed with no
+            # split hook, it runs to the end of the handler, receiver-only
+            # natives included.  Both sides build the same partitioned
+            # method from the same program text, so this is the
+            # receiver's work minus the bytes.  It runs on a codec clone,
+            # because the message may still ship to other peers.
+            partitioned.run(partitioned.clone(message))
+            proxy.record_local_completion()
+            sub.absorbed += 1
+            sub.completed_locally += 1
 
     def _health_loop(self) -> None:
         """Background evaluator: staleness ticks even when idle."""

@@ -3,10 +3,14 @@
 :class:`TcpTransport` implements the synchronous
 :class:`~repro.jecho.transport.Transport` interface over real sockets:
 ``send(destination, envelope, size)`` encodes the envelope as one frame
-and enqueues it on the destination peer's bounded outbound queue; an
-asyncio machinery (either a background thread owning its own event
-loop — the default, so ordinary synchronous code can use it — or an
-externally provided running loop) drains the queues onto sockets.
+on the caller's thread and hands it to an asyncio machinery (either a
+background thread owning its own event loop — the default, so ordinary
+synchronous code can use it — or an externally provided running loop),
+which moves it onto the destination peer's bounded outbound queue and
+drains the queues onto sockets.  The hand-off is one transport-wide
+pending list: the loop is woken only when that list goes from empty to
+non-empty, so a burst of sends costs one wake-up, not one per frame,
+and every peer's frames keep their send order.
 
 Reliability model, chosen to match what the adaptation loop needs:
 
@@ -62,7 +66,7 @@ import threading
 import time
 import uuid
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.errors import (
     ConnectionLostError,
@@ -122,8 +126,9 @@ def _add_decoder_stats(owner, decoder: FrameDecoder, seen: List[int]) -> None:
 class TcpPeer:
     """One pooled connection to a remote endpoint.
 
-    All mutable state is owned by the transport's event loop; the only
-    cross-thread entry point is :meth:`_enqueue_threadsafe`.
+    All mutable state is owned by the transport's event loop; frames
+    from other threads arrive through the transport's pending list (see
+    :meth:`TcpTransport._take_pending`).
     """
 
     #: the connection's counts, plain ints: :meth:`to_dict` reports them
@@ -576,6 +581,10 @@ class TcpTransport(Transport):
         self._loop = loop
         self._own_loop = loop is None
         self._thread: Optional[threading.Thread] = None
+        #: frames handed off by ``send`` and not yet on a peer's queue,
+        #: in send order; the loop takes them all at once
+        self._pending: List[Tuple[TcpPeer, _QueuedFrame]] = []
+        self._pending_lock = threading.Lock()
         self._h_rtt = None
         self._h_phase_encode = None
         self._h_phase_enqueue = None
@@ -681,28 +690,45 @@ class TcpTransport(Transport):
         self, destination: Destination, envelope: object, size: float
     ) -> None:
         peer = self._resolve(destination)
+        loop = self._loop or self._require_loop()
         # Encoding happens on the caller's thread (after the base class
         # restamped the trace context) so the loop thread only does IO;
         # header and payload stay separate so the write loop can gather
         # runs of frames into one batch without re-encoding.
         h_encode = self._h_phase_encode
-        if h_encode is None:
-            parts = self.codec.encode_frame_parts(
-                envelope, sent_at=time.time()
-            )
-            self._require_loop().call_soon_threadsafe(peer._enqueue, parts)
-            return
-        t0 = time.perf_counter()
+        if h_encode is not None:
+            t0 = time.perf_counter()
         parts = self.codec.encode_frame_parts(envelope, sent_at=time.time())
-        t1 = time.perf_counter()
-        h_encode.observe(t1 - t0)
-        self._require_loop().call_soon_threadsafe(peer._enqueue, parts)
-        self._h_phase_enqueue.observe(time.perf_counter() - t1)
+        if h_encode is not None:
+            t1 = time.perf_counter()
+            h_encode.observe(t1 - t0)
+        with self._pending_lock:
+            pending = self._pending
+            pending.append((peer, parts))
+            if len(pending) == 1:
+                loop.call_soon_threadsafe(self._take_pending)
+        if h_encode is not None:
+            self._h_phase_enqueue.observe(time.perf_counter() - t1)
+
+    def _take_pending(self) -> None:
+        """Move every handed-off frame onto its peer's queue (loop side).
+
+        One call per burst: ``_deliver`` wakes the loop only when the
+        pending list goes from empty to non-empty, so a burst of sends
+        costs one self-pipe wake-up, and per-peer order is send order.
+        """
+        with self._pending_lock:
+            pending, self._pending = self._pending, []
+        for peer, parts in pending:
+            peer._enqueue(parts)
 
     # -- draining / shutdown ---------------------------------------------------
 
     async def adrain(self, timeout: float = 10.0) -> bool:
-        """Await every peer queue empty; False on timeout."""
+        """Await every peer queue empty; False on timeout.
+
+        Frames still on the pending list are covered: the wake-up that
+        moves them was scheduled before this coroutine's waits."""
         try:
             await asyncio.wait_for(
                 asyncio.gather(
@@ -716,6 +742,8 @@ class TcpTransport(Transport):
 
     def drain(self, timeout: float = 10.0) -> bool:
         """Block until every queue is flushed (threaded mode only)."""
+        if self.closed:
+            return False
         loop = self._require_loop()
         future = asyncio.run_coroutine_threadsafe(
             self.adrain(timeout), loop
@@ -726,13 +754,21 @@ class TcpTransport(Transport):
             return False
 
     async def aclose(self) -> None:
+        """Stop every peer and await its connection task's end."""
         for peer in self._peers.values():
             peer._close()
+        # one turn for a peer whose task is still being scheduled: it
+        # starts, sees the peer closed and ends
         await asyncio.sleep(0)
+        await asyncio.gather(
+            *(p._task for p in self._peers.values() if p._task is not None),
+            return_exceptions=True,
+        )
         self.closed = True
 
     def close(self, timeout: float = 5.0) -> None:
-        """Stop every peer, the loop thread (if owned), and the transport."""
+        """Stop every peer, the loop thread and its loop (if owned), and
+        the transport."""
         if self.closed:
             return
         loop = self._loop
@@ -744,6 +780,8 @@ class TcpTransport(Transport):
                 pass
             loop.call_soon_threadsafe(loop.stop)
             self._thread.join(timeout)
+            if not self._thread.is_alive():
+                loop.close()
         super().close()
 
 
@@ -836,6 +874,8 @@ class FrameServer:
         self.max_frame = max_frame
         self.handler: Optional[Callable] = None
         self.connections: List[ServerConnection] = []
+        #: the running ``_handle_client`` tasks, awaited by ``stop``
+        self._clients: Set[asyncio.Task] = set()
         zero_counts(self)
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -860,6 +900,9 @@ class FrameServer:
         return bound[0], bound[1]
 
     async def stop(self) -> None:
+        """Close the listener, drop every connection and await the end of
+        each connection's handler, so none is left for the loop's
+        shutdown to cancel."""
         for conn in list(self.connections):
             try:
                 conn.abort()
@@ -869,6 +912,8 @@ class FrameServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+        if self._clients:
+            await asyncio.wait(set(self._clients), timeout=self.send_timeout)
 
     async def _handle_client(
         self,
@@ -877,6 +922,8 @@ class FrameServer:
     ) -> None:
         peername = str(writer.get_extra_info("peername"))
         conn = ServerConnection(self, writer, peername)
+        task = asyncio.current_task()
+        self._clients.add(task)
         self.connections.append(conn)
         self.accepted += 1
         decoder = FrameDecoder(
@@ -934,3 +981,4 @@ class FrameServer:
                 await writer.wait_closed()
             except (OSError, asyncio.CancelledError):
                 pass
+            self._clients.discard(task)

@@ -23,6 +23,7 @@ from repro.net.broker import NetBrokerEndpoint, PlanRuntimeCache
 from repro.net.endpoint import NetReceiverEndpoint
 from repro.net.framing import NetEnvelopeCodec
 from repro.net.live import _calibrate
+from repro.net.resilience import ElectionConfig
 from repro.net.tcp import TcpTransport
 
 SAMPLES = 64
@@ -67,6 +68,7 @@ class ReceiverHarness:
         ).result(5.0)
         self.loop.call_soon_threadsafe(self.loop.stop)
         self.thread.join(5.0)
+        self.loop.close()
 
 
 def _broker(transport_kwargs=None, **kwargs):
@@ -216,6 +218,50 @@ def test_per_peer_pse_divergence_and_forked_continuations():
         transport.close()
         fast.stop()
         slow.stop()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a follower's _maybe_reconfigure returns early, so under a "
+    "receiver election only the leader's own subscription re-plans",
+)
+def test_a_followers_subscription_replans_when_its_load_shifts():
+    """Plans are per subscription: the broker applies a PLAN to the
+    subscriber whose connection carried it, and each receiver profiles
+    only its own stream.  A follower whose host slows down must still
+    move its own subscription sender-ward, whoever leads."""
+    config = ElectionConfig(
+        challenge_timeout=0.1, coordinator_interval=0.1, leader_timeout=0.5
+    )
+    leader, follower = (
+        ReceiverHarness(
+            trigger=RateTrigger(period=5),
+            name=name,
+            election_priority=priority,
+            election_config=config,
+        )
+        for name, priority in (("leader", 2), ("follower", 1))
+    )
+    broker, transport = _broker()
+    try:
+        broker.subscribe(leader.host, leader.port, name="leader")
+        sub = broker.subscribe(follower.host, follower.port, name="follower")
+        elected = leader.endpoint.election
+        assert _wait_until(
+            lambda: elected.is_leader
+            and follower.endpoint.election.leader_id == elected.member_id
+        )
+        follower.endpoint.rate_scale = 16.0
+        for i in range(400):
+            broker.publish(make_reading(i, SAMPLES))
+            if sub.plan_updates_applied >= 1:
+                break
+            time.sleep(0.002)
+        assert sub.plan_updates_applied >= 1
+    finally:
+        transport.close()
+        leader.stop()
+        follower.stop()
 
 
 def test_wedged_subscriber_does_not_stall_the_others():

@@ -6,7 +6,7 @@
   ``codec.size`` and ``NetEnvelopeCodec``), across a PLAN switch and a
   trip → retract → re-split;
 * a hot-path budget: Python-level calls per publish, and what an attached
-  ``obs`` may add to it;
+  ``obs`` may add to it; at fan-out, one fork per distinct deeper split;
 * the rules the broker now applies to every publisher: a failed send
   completes the message here, and plan switches and feedback flushes
   show in ``obs``.
@@ -142,22 +142,26 @@ class ReferenceSender:
             )
 
 
-def _middle_plan(cut) -> PartitioningPlan:
-    """Per TargetPath, the middle one of its PSEs."""
+def _path_plan(cut, position) -> PartitioningPlan:
+    """Per TargetPath, its middle or its last PSE; "first" is the
+    receiver-heavy plan."""
+    if position == "first":
+        return receiver_heavy_plan(cut)
     active = set()
     for path, edges in cut.path_pse_edges:
         order = {e: i for i, e in enumerate(path.edges)}
         ranked = sorted(edges, key=lambda e: order.get(e, 1 << 30))
         if ranked:
-            active.add(ranked[len(ranked) // 2])
-    return PartitioningPlan(active=frozenset(active), name="middle")
+            pick = len(ranked) // 2 if position == "middle" else -1
+            active.add(ranked[pick])
+    return PartitioningPlan(active=frozenset(active), name=position)
 
 
 def test_sender_frames_match_the_classic_sender_byte_for_byte():
     partitioned, _ = build_partitioned_process(n_stages=8)
     ref_partitioned, _ = build_partitioned_process(n_stages=8)
     cut = partitioned.cut
-    start, middle = receiver_heavy_plan(cut), _middle_plan(cut)
+    start, middle = receiver_heavy_plan(cut), _path_plan(cut, "middle")
     assert middle.active != start.active
     codec = NetEnvelopeCodec(partitioned.serializer_registry)
     transport = RecordingTransport(codec)
@@ -216,24 +220,46 @@ def test_sender_frames_match_the_classic_sender_byte_for_byte():
     assert transport.frames == reference_wire.frames
 
 
-@pytest.mark.parametrize("n_stages", [6, 8])
-def test_each_forked_peer_sees_the_frames_of_a_dedicated_sender(n_stages):
+#: split positions on every path, shallowest first
+DEPTHS = ("first", "middle", "last")
+
+#: the pipeline benchmark's fan-out: 20 sensor stages, 64 samples, two
+#: peers on the middle PSE of each path and two on the last
+FANOUT4_MIXED = ("middle", "middle", "last", "last")
+
+
+@pytest.mark.parametrize(
+    "n_stages, positions",
+    [
+        pytest.param(6, ("middle", "first"), id="6"),
+        pytest.param(8, ("middle", "first"), id="8"),
+        pytest.param(20, FANOUT4_MIXED, id="fanout4_mixed"),
+    ],
+)
+def test_each_forked_peer_sees_the_frames_of_a_dedicated_sender(
+    n_stages, positions
+):
     """A fork's feedback is the execution a dedicated modulator would
-    have seen: beside a shallow peer that ships the shared run, the deep
-    peer (subscribed first) forks every message, and each peer's CONT
-    and FEEDBACK frames equal those of a reference on its plan alone."""
+    have seen: beside the shallow peers that ship the shared run, the
+    deep peers fork every message — once for all of them, since they
+    share a plan — and each peer's CONT and FEEDBACK frames equal those
+    of a reference on its plan alone."""
     partitioned, _ = build_partitioned_process(n_stages=n_stages)
     cut = partitioned.cut
-    plans = {"deep": _middle_plan(cut), "shallow": receiver_heavy_plan(cut)}
-    assert plans["deep"].active != plans["shallow"].active
+    deep = max(positions, key=DEPTHS.index)
     codec = NetEnvelopeCodec(partitioned.serializer_registry)
     transport = RecordingTransport(codec)
     broker = NetBrokerEndpoint(
         partitioned, transport, rate_override=RATE, recalibrate=lambda: RATE
     )
     references = {}
-    for subscription_id, (name, plan) in enumerate(plans.items(), 1):
-        broker.subscribe("h", subscription_id, name=name, plan=plan)
+    subs = {}
+    for subscription_id, position in enumerate(positions, 1):
+        name = f"{position}{subscription_id}"
+        plan = _path_plan(cut, position)
+        subs[name] = broker.subscribe(
+            "h", subscription_id, name=name, plan=plan
+        )
         peer = FakePeer()
         peer.name = name
         references[name] = ReferenceSender(
@@ -243,15 +269,19 @@ def test_each_forked_peer_sees_the_frames_of_a_dedicated_sender(n_stages):
             peer,
             subscription_id=subscription_id,
         )
-    for i in range(40):
+    messages = 40
+    for i in range(messages):
         broker.publish(make_reading(i, SAMPLES))
         for reference in references.values():
             reference.publish(make_reading(i, SAMPLES))
-    assert broker.forks == 40
+    assert broker.forks == messages
     for name, reference in references.items():
         frames = [frame for frame in transport.frames if frame[0] == name]
         assert len({kind for _, kind, _, _ in frames}) == 2
         assert frames == reference.transport.frames
+        forked = name.startswith(deep)
+        assert subs[name].forks == (messages if forked else 0)
+        assert subs[name].shared_ships == (0 if forked else messages)
 
 
 # -- hot-path budget ----------------------------------------------------------------
@@ -355,6 +385,64 @@ def test_watching_the_publish_path_costs_few_calls():
     distributions it times, not a shadow instrument per count."""
     watched = _calls_per_publish(Observability())
     assert watched <= _calls_per_publish() + WATCHING_CALLS_PER_PUBLISH
+
+
+def _fanout_broker(positions, n_stages=20):
+    """A broker on the sensor chain with one subscriber per position,
+    shipping through an encoding transport."""
+    partitioned, _ = build_partitioned_process(n_stages=n_stages)
+    broker = NetBrokerEndpoint(
+        partitioned,
+        RecordingTransport(NetEnvelopeCodec(partitioned.serializer_registry)),
+        rate_override=RATE,
+        recalibrate=lambda: RATE,
+        health_config=HealthConfig(min_dwell=3600.0),
+    )
+    for port, position in enumerate(positions, 1):
+        broker.subscribe(
+            "h", port, plan=_path_plan(partitioned.cut, position)
+        )
+    return broker
+
+
+#: Python-level calls per publish at ``fanout4_mixed``'s shape (20
+#: stages, 64 samples, four subscribers): 1 126.75 on CPython 3.11 while
+#: every deep subscriber forked on its own; one fork per distinct deeper
+#: split and one size per distinct message bring it to 909.75
+FANOUT4_CALLS_PER_PUBLISH = 0.85 * 1126.75
+
+
+def test_fanout_publish_stays_within_its_call_budget():
+    broker = _fanout_broker(FANOUT4_MIXED)
+    readings = [make_reading(i, 64) for i in range(48)]
+    for reading in readings[:16]:
+        broker.publish(reading)
+    assert (
+        _calls_per_item(broker.publish, readings[16:])
+        <= FANOUT4_CALLS_PER_PUBLISH
+    )
+
+
+@pytest.mark.parametrize(
+    "positions, groups",
+    [
+        pytest.param(("first",), 0, id="one-peer"),
+        pytest.param(("middle", "middle"), 0, id="one-plan"),
+        pytest.param(FANOUT4_MIXED, 1, id="fanout4_mixed"),
+        pytest.param(
+            ("first", "last", "middle", "last", "middle"), 2, id="two-deeper"
+        ),
+    ],
+)
+def test_forks_per_publish_count_distinct_deeper_splits(positions, groups):
+    broker = _fanout_broker(positions, n_stages=8)
+    for i in range(8):
+        broker.publish(make_reading(i, SAMPLES))
+    assert broker.forks == 8 * groups
+    # every subscriber deeper than the shared split still counts its own
+    shallowest = min(positions, key=DEPTHS.index)
+    deep = sum(position != shallowest for position in positions)
+    assert sum(sub.forks for sub in broker.subscribers) == 8 * deep
 
 
 @pytest.mark.parametrize("n_iters", [2, 150])

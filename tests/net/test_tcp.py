@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import asyncio
+import gc
 import socket
+import sys
 import threading
 import time
 import warnings
@@ -63,6 +65,7 @@ class ServerHarness:
         ).result(5.0)
         self.loop.call_soon_threadsafe(self.loop.stop)
         self.thread.join(5.0)
+        self.loop.close()
 
 
 @pytest.fixture
@@ -213,6 +216,8 @@ def test_first_shed_warns_once_and_the_burst_is_sampled():
     instance.attach_observability(obs, name="transport.tcp")
     peer = TcpPeer(instance, "127.0.0.1", 1, name="wedged-peer")
     frame = instance.codec.encode_frame_parts(EventEnvelope(payload=0))
+    # earlier tests' garbage must not warn in here when it is collected
+    gc.collect()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for _ in range(4 + 200):
@@ -357,3 +362,196 @@ def test_heartbeat_rtt_histogram_survives_reattach_and_exposes(
         and s["labels"]["le"] == "+Inf"
     )
     assert inf_bucket["value"] == count_sample["value"]
+
+
+# -- the send hand-off ---------------------------------------------------------
+
+
+def test_a_burst_of_sends_wakes_the_loop_once():
+    loop = asyncio.new_event_loop()
+    try:
+        instance = TcpTransport(loop=loop, queue_limit=2000)
+        peer = TcpPeer(instance, "127.0.0.1", 1)
+        wakeups = []
+        schedule = loop.call_soon_threadsafe
+
+        def counted(callback, *args):
+            wakeups.append(callback)
+            return schedule(callback, *args)
+
+        loop.call_soon_threadsafe = counted
+        for i in range(1000):
+            instance.send(peer, EventEnvelope(payload=i, seq=i), 8.0)
+        assert len(wakeups) == 1
+        assert peer.queued == 0  # still handed off, not yet queued
+        loop.run_until_complete(asyncio.sleep(0))
+        assert peer.queued == 1000
+        # the next burst owes one more wake-up
+        instance.send(peer, EventEnvelope(payload=0), 8.0)
+        assert len(wakeups) == 2
+    finally:
+        loop.close()
+
+
+def test_interleaved_sends_stay_fifo_per_peer():
+    loop = asyncio.new_event_loop()
+    try:
+        instance = TcpTransport(loop=loop)
+        peers = [TcpPeer(instance, "127.0.0.1", port) for port in (1, 2)]
+        for i in range(40):
+            instance.send(peers[i % 3 == 0], EventEnvelope(payload=i), 8.0)
+            if i % 7 == 0:  # the loop takes the list mid-stream
+                loop.run_until_complete(asyncio.sleep(0))
+        loop.run_until_complete(asyncio.sleep(0))
+        for index, peer in enumerate(peers):
+            payloads = [
+                instance.codec.decode(kind, payload)[0].payload
+                for kind, _header, payload in peer._outbound
+            ]
+            assert payloads == [i for i in range(40) if (i % 3 == 0) == index]
+    finally:
+        loop.close()
+
+
+def test_concurrent_senders_lose_no_frame_and_keep_their_order():
+    """Senders on more threads than cores race the loop thread for the
+    pending list; every frame must reach its peer's queue once, in its
+    sender's order."""
+    senders, per_sender = 4, 300
+    instance = TcpTransport(queue_limit=senders * per_sender).start()
+    peers = [TcpPeer(instance, "127.0.0.1", port) for port in range(1, 5)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(
+                target=lambda peer=peer: [
+                    instance.send(peer, EventEnvelope(payload=i), 8.0)
+                    for i in range(per_sender)
+                ]
+            )
+            for peer in peers
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30.0)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    try:
+        # the last wake-up was scheduled before this no-op
+        asyncio.run_coroutine_threadsafe(
+            asyncio.sleep(0), instance._loop
+        ).result(5.0)
+        for peer in peers:
+            payloads = [
+                instance.codec.decode(kind, payload)[0].payload
+                for kind, _header, payload in peer._outbound
+            ]
+            assert payloads == list(range(per_sender))
+    finally:
+        instance.close()
+
+
+def test_drain_right_after_send_covers_the_handed_off_frames(harness):
+    async def send_then_drain():
+        instance = TcpTransport(loop=asyncio.get_running_loop())
+        peer = instance.peer(harness.host, harness.port)
+        for i in range(5):
+            instance.send(peer, EventEnvelope(payload=i, seq=i), 8.0)
+        # no await between the sends and the drain: every frame is still
+        # on the pending list, none on the peer's queue
+        assert peer.queued == 0
+        drained = await instance.adrain(5.0)
+        sent = peer.frames_sent
+        await instance.aclose()
+        return drained, sent
+
+    drained, sent = asyncio.run(send_then_drain())
+    assert drained
+    assert sent == 6  # hello + 5 events
+    assert _wait_until(lambda: len(harness.received) == 5)
+
+
+def test_rejected_sends_leave_nothing_handed_off():
+    unstarted = TcpTransport()
+    with pytest.raises(TransportError):
+        unstarted.send(
+            TcpPeer(unstarted, "127.0.0.1", 1), EventEnvelope(payload=1), 8.0
+        )
+    assert unstarted._pending == []
+    loop = asyncio.new_event_loop()
+    try:
+        closed = TcpTransport(loop=loop)
+        loop.run_until_complete(closed.aclose())
+        with pytest.raises(ConnectionLostError):
+            closed.send(
+                TcpPeer(closed, "127.0.0.1", 1), EventEnvelope(payload=1), 8.0
+            )
+        assert closed._pending == []
+    finally:
+        loop.close()
+
+
+# -- shutdown ------------------------------------------------------------------
+
+
+def test_start_stop_cycles_log_no_asyncio_error():
+    """Stopping a server lets its connection handlers end, and closing a
+    transport awaits its peers' tasks: nothing is left for the loop's
+    shutdown to cancel or for the collector to find pending, in either
+    stop order, embedded or threaded."""
+    errors = []
+
+    def record(_loop, context):
+        errors.append(context["message"])
+
+    async def embedded(server_first):
+        loop = asyncio.get_running_loop()
+        loop.set_exception_handler(record)
+        server = FrameServer()
+        got = asyncio.Event()
+        server.handler = lambda *_args: got.set()
+        host, port = await server.start()
+        instance = TcpTransport(loop=loop)
+        instance.send((host, port), EventEnvelope(payload=1), 8.0)
+        await asyncio.wait_for(got.wait(), 5.0)
+        if server_first:
+            await server.stop()
+            await instance.aclose()
+        else:
+            await instance.aclose()
+            await server.stop()
+
+    def threaded(server_first):
+        loop = asyncio.new_event_loop()
+        loop.set_exception_handler(record)
+        thread = threading.Thread(target=loop.run_forever, daemon=True)
+        thread.start()
+        server = FrameServer()
+        got = threading.Event()
+        server.handler = lambda *_args: got.set()
+        host, port = asyncio.run_coroutine_threadsafe(
+            server.start(), loop
+        ).result(5.0)
+        instance = TcpTransport().start()
+        instance._loop.set_exception_handler(record)
+        instance.send((host, port), EventEnvelope(payload=1), 8.0)
+        assert got.wait(5.0)
+        stop_server = asyncio.run_coroutine_threadsafe(server.stop(), loop)
+        if server_first:
+            stop_server.result(5.0)
+            instance.close()
+        else:
+            instance.close()
+            stop_server.result(5.0)
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(5.0)
+        loop.close()
+
+    for cycle in range(50):
+        asyncio.run(embedded(server_first=cycle % 2 == 0))
+        threaded(server_first=cycle % 2 == 0)
+    gc.collect()  # a pending task left behind reports when collected
+    assert errors == []
