@@ -69,7 +69,7 @@ from repro.core.runtime.feedback import RemoteProfilingProxy
 from repro.errors import TransportError
 from repro.ir.interpreter import Edge
 from repro.jecho.events import ContinuationEnvelope, PlanEnvelope
-from repro.net.framing import Bye, Election, Telemetry
+from repro.net.framing import Bye, Telemetry
 from repro.net.resilience import BreakerConfig, Bulkhead
 from repro.net.session import CalibratedRate, PeerSession
 from repro.net.tcp import TcpPeer, TcpTransport
@@ -150,7 +150,7 @@ class NetBrokerEndpoint:
     #: the broker's own counts; ``shared_runs`` is exactly one per
     #: publish, however many subscribers (the deepest-common-split claim),
     #: and ``forks`` one per distinct deeper split per publish
-    COUNTS = ("published", "shared_runs", "forks", "election_frames")
+    COUNTS = ("published", "shared_runs", "forks")
     #: ``broker.<series>`` → the session count it sums over subscribers
     SUMMED = {
         "plan_updates": "plan_updates_applied",
@@ -233,10 +233,6 @@ class NetBrokerEndpoint:
             (breaker_config or BreakerConfig()) if resilience else None
         )
         self._retraction_plan = sender_heavy_plan(partitioned.cut)
-        #: the last receiver to announce coordinatorship via a relayed
-        #: ELECTION frame (None when no election traffic has flowed)
-        self.leader: Optional[str] = None
-        self.leader_priority: Optional[int] = None
         self._health_stop = threading.Event()
         self._health_thread: Optional[threading.Thread] = None
         if obs is not None:
@@ -616,9 +612,6 @@ class NetBrokerEndpoint:
         return {
             "retractions": self._total("retractions"),
             "resplits": self._total("resplits"),
-            "leader": self.leader,
-            "leader_priority": self.leader_priority,
-            "election_frames": self.election_frames,
             "peers": {
                 sub.name: sub.resilience_dump() for sub in self.subscribers
             },
@@ -627,9 +620,6 @@ class NetBrokerEndpoint:
     # -- control plane (transport loop thread) -----------------------------------
 
     def _on_inbound(self, envelope: object, peer: TcpPeer) -> None:
-        if isinstance(envelope, Election):
-            self._relay_election(envelope, peer)
-            return
         with self.lock:
             sub = self._by_peer.get(peer)
             if sub is None:
@@ -638,35 +628,6 @@ class NetBrokerEndpoint:
                 sub.ingest_telemetry(envelope)
             elif isinstance(envelope, PlanEnvelope):
                 sub.on_plan(envelope)
-
-    def _relay_election(self, envelope: Election, peer: TcpPeer) -> None:
-        """Fan an ELECTION frame out to the other receivers.
-
-        Receivers cannot see each other directly — their only shared
-        vertex is this broker — so the bully protocol's broadcasts are
-        relayed here: every inbound announcement goes to every *other*
-        subscriber.  The broker also shadows the outcome (``leader``)
-        for the fleet table of ``obs watch``.
-        """
-        with self.lock:
-            self.election_frames += 1
-            if envelope.op == "coordinator":
-                if self.leader != envelope.member:
-                    wide_event(
-                        "election.leader",
-                        leader=envelope.member,
-                        priority=envelope.priority,
-                        term=envelope.term,
-                    )
-                self.leader = envelope.member
-                self.leader_priority = envelope.priority
-            for sub in self.subscribers:
-                if sub.peer is peer:
-                    continue
-                try:
-                    self.transport.send(sub.peer, envelope, 64.0)
-                except TransportError:
-                    pass
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -724,7 +685,7 @@ class NetBrokerEndpoint:
         """The ``broker.*`` series, read off the counts at dump time."""
         counters = {
             f"broker.{count}": getattr(self, count)
-            for count in ("published", "forks", "election_frames")
+            for count in ("published", "forks")
         }
         for series, count in self.SUMMED.items():
             counters[f"broker.{series}"] = self._total(count)
@@ -739,7 +700,6 @@ class NetBrokerEndpoint:
                 **counts(self),
                 **{c: self._total(c) for c in self.SUMMED.values()},
                 "recalibrations": self.rate.recalibrations,
-                "leader": self.leader,
                 "fleet": self.health.to_dict(),
                 "plan_cache": {
                     "hits": self.cache.hits,

@@ -53,12 +53,8 @@ from repro.jecho.events import (
     PlanEnvelope,
 )
 from repro.net.broker import NetBrokerEndpoint
-from repro.net.framing import Bye, Election, NetEnvelopeCodec, Telemetry
-from repro.net.resilience import (
-    BreakerConfig,
-    ElectionConfig,
-    ElectionMember,
-)
+from repro.net.framing import Bye, NetEnvelopeCodec, Telemetry
+from repro.net.resilience import BreakerConfig
 from repro.net.tcp import FrameServer, ServerConnection, TcpPeer, TcpTransport
 from repro.obs.flight import wide_event
 from repro.obs.health import HealthConfig, HealthMonitor
@@ -153,7 +149,7 @@ class NetReceiverEndpoint:
     COUNTS = (
         "demodulated", "duplicates_skipped", "feedback_batches",
         "feedback_rejected", "plan_ships", "drops_injected",
-        "telemetry_pushes", "telemetry_sent", "election_frames",
+        "telemetry_pushes", "telemetry_sent",
     )
 
     def __init__(
@@ -171,8 +167,6 @@ class NetReceiverEndpoint:
         obs=None,
         telemetry_interval: float = 0.25,
         health_config: Optional[HealthConfig] = None,
-        election_priority: Optional[int] = None,
-        election_config: Optional[ElectionConfig] = None,
     ) -> None:
         """``telemetry_interval`` paces the TELEMETRY push loop started
         by :meth:`start` — every interval the receiver pushes its
@@ -273,20 +267,6 @@ class NetReceiverEndpoint:
         #: wedges so the fault is visible on both ends.
         self.self_health = HealthMonitor(obs=obs, config=health_config)
         self.self_health.peer("self")
-        #: bully election among the receivers of one sender, relayed
-        #: frame-by-frame through the broker (receivers share no direct
-        #: link).  With no priority configured the endpoint runs solo —
-        #: it *is* the leader, exactly the pre-election behaviour.
-        self.election: Optional[ElectionMember] = None
-        self._election_task: Optional[asyncio.Task] = None
-        self._election_outbox: List[Tuple[str, int]] = []
-        if election_priority is not None:
-            self.election = ElectionMember(
-                f"{name}#{self.instance[:6]}",
-                election_priority,
-                send=self._queue_election,
-                config=election_config,
-            )
         if obs is not None:
             obs.metrics.add_reader(self._read_metrics)
 
@@ -308,23 +288,18 @@ class NetReceiverEndpoint:
             self._telemetry_task = asyncio.get_running_loop().create_task(
                 self._telemetry_loop()
             )
-        if self.election is not None and self._election_task is None:
-            self._election_task = asyncio.get_running_loop().create_task(
-                self._election_loop()
-            )
         return bound
 
     async def stop(self) -> None:
         self._stopping = True
-        for attr in ("_telemetry_task", "_election_task"):
-            task = getattr(self, attr)
-            if task is not None:
-                task.cancel()
-                try:
-                    await task
-                except asyncio.CancelledError:
-                    pass
-                setattr(self, attr, None)
+        task = self._telemetry_task
+        if task is not None:
+            task.cancel()
+            try:
+                await task
+            except asyncio.CancelledError:
+                pass
+            self._telemetry_task = None
         await self.server.stop()
         if self.exposer is not None:
             self.exposer.close()
@@ -349,10 +324,7 @@ class NetReceiverEndpoint:
         payload: dict = {
             "counters": counts(self),
             "health": self.self_health.peer("self").state,
-            "leader": self.is_leader,
         }
-        if self.election is not None:
-            payload["election"] = self.election.to_dict()
         from repro.ir import codegen
 
         payload["codegen_fallbacks"] = dict(codegen.fallback_counts)
@@ -412,59 +384,6 @@ class NetReceiverEndpoint:
         self.telemetry_sent += sent
         return sent
 
-    # -- leader election (event-loop thread) -----------------------------------
-
-    @property
-    def is_leader(self) -> bool:
-        """Whether this receiver owns the ReconfigurationUnit.
-
-        Solo receivers (no election configured) always lead; in a fleet
-        exactly one member holds the coordinator role at a time, so only
-        one process recomputes and ships plans for the shared sender.
-        """
-        if self.election is None:
-            return True
-        return self.election.is_leader
-
-    def _queue_election(self, op: str, term: int) -> None:
-        """ElectionMember's send hook: park the frame for async flush.
-
-        ``tick()`` and ``on_message()`` are synchronous; connection
-        writes are not — the outbox decouples the state machine from
-        the wire without threading (everything runs on the loop).
-        """
-        self._election_outbox.append((op, term))
-
-    async def _flush_election(self) -> None:
-        member = self.election
-        if member is None or not self._election_outbox:
-            return
-        outbox, self._election_outbox = self._election_outbox, []
-        conns = self._greeted()
-        for op, term in outbox:
-            envelope = Election(
-                op=op,
-                term=term,
-                member=member.member_id,
-                priority=member.priority,
-            )
-            for conn in conns:
-                try:
-                    await conn.send(envelope)
-                except TransportError:
-                    continue  # reconnect machinery owns dead conns
-
-    async def _election_loop(self) -> None:
-        member = self.election
-        interval = min(
-            member.config.challenge_timeout,
-            member.config.coordinator_interval,
-        ) / 2.0
-        while not self._stopping:
-            await asyncio.sleep(interval)
-            member.tick()
-            await self._flush_election()
-
     def expose_metrics(self, host: str = "127.0.0.1", port: int = 0):
         """Serve this process's observability over HTTP (OpenMetrics).
 
@@ -493,17 +412,7 @@ class NetReceiverEndpoint:
             await self._handle_continuation(envelope, sent_at, conn)
         elif isinstance(envelope, FeedbackEnvelope):
             self._handle_feedback(envelope)
-            await self._maybe_reconfigure(conn)
-        elif isinstance(envelope, Election):
-            self.election_frames += 1
-            if self.election is not None:
-                self.election.on_message(
-                    envelope.op,
-                    envelope.term,
-                    envelope.member,
-                    envelope.priority,
-                )
-                await self._flush_election()
+            await self._maybe_reconfigure(conn, envelope.subscription_id)
         elif isinstance(envelope, Bye):
             self.sender_reported_sent = envelope.sent
             self.done.set()
@@ -589,7 +498,7 @@ class NetReceiverEndpoint:
             self.drops_injected += 1
             conn.abort()
             return
-        await self._maybe_reconfigure(conn)
+        await self._maybe_reconfigure(conn, envelope.subscription_id)
 
     def _handle_feedback(self, envelope: FeedbackEnvelope) -> None:
         try:
@@ -603,12 +512,17 @@ class NetReceiverEndpoint:
             return
         self.feedback_batches += 1
 
-    async def _maybe_reconfigure(self, conn: ServerConnection) -> None:
-        if not self.is_leader:
-            # Only the elected leader owns the ReconfigurationUnit:
-            # followers keep profiling (their observations still count)
-            # but never race the leader with conflicting plan ships.
-            return
+    async def _maybe_reconfigure(
+        self, conn: ServerConnection, subscription_id: int
+    ) -> None:
+        """Give the trigger a chance; ship a changed plan as a PLAN frame.
+
+        The plan belongs to the subscription whose CONT or FEEDBACK frame
+        triggered the re-plan, and the frame names it.  The publisher
+        routes PLAN frames by connection: each subscription's receiver
+        owns that subscription's plan, so no other receiver's plan can
+        conflict with it.
+        """
         plan = self.reconfig.consider(self.profiling)
         if plan is None:
             return
@@ -626,7 +540,9 @@ class NetReceiverEndpoint:
         # duplicate — permanent sender/receiver divergence.
         self.plan_version += 1
         envelope = PlanEnvelope(
-            subscription_id=1, plan=plan, version=self.plan_version
+            subscription_id=subscription_id,
+            plan=plan,
+            version=self.plan_version,
         )
         tracer = self._tracer()
         if tracer is not None and self.reconfig.last_trace_ctx is not None:

@@ -81,7 +81,6 @@ __all__ = [
     "KIND_BYE",
     "KIND_BATCH",
     "KIND_TELEMETRY",
-    "KIND_ELECTION",
     "KIND_NAMES",
     "BATCHABLE_KINDS",
     "encode_frame",
@@ -94,7 +93,6 @@ __all__ = [
     "Heartbeat",
     "Bye",
     "Telemetry",
-    "Election",
 ]
 
 #: two magic bytes opening every frame
@@ -123,9 +121,6 @@ KIND_BATCH = 0x20
 # Fleet telemetry: a receiver pushing its metrics/health deltas
 # upstream (see Telemetry below).
 KIND_TELEMETRY = 0x21
-# Leader election among receivers sharing a sender (bully protocol,
-# relayed through the broker).
-KIND_ELECTION = 0x22
 
 KIND_NAMES = {
     KIND_HELLO: "hello",
@@ -137,7 +132,6 @@ KIND_NAMES = {
     KIND_PLAN: "plan",
     KIND_BATCH: "batch",
     KIND_TELEMETRY: "telemetry",
-    KIND_ELECTION: "election",
 }
 
 #: kinds that may ride inside a KIND_BATCH frame.  Control frames are
@@ -527,38 +521,6 @@ class Telemetry:
         self.payload = payload if payload is not None else {}
 
 
-class Election:
-    """One bully-election announcement (receiver ↔ receiver via broker).
-
-    ``op`` is one of ``"election"`` (challenge), ``"ok"`` (a
-    higher-ranked member suppressing a challenger) or ``"coordinator"``
-    (the winner announcing / heartbeating leadership); ``term`` is the
-    challenger's monotone election round, ``member``/``priority`` are
-    the sender's identity and rank (ties broken by the member id), and
-    ``sent_at`` is the sender's wall clock.  The frame is
-    control-adjacent like :class:`Telemetry`: never batched — a
-    coordinator heartbeat queued behind an accumulating data batch
-    would read as leader death.
-    """
-
-    __slots__ = ("op", "term", "member", "priority", "sent_at")
-
-    def __init__(
-        self,
-        *,
-        op: str = "",
-        term: int = 0,
-        member: str = "",
-        priority: int = 0,
-        sent_at: float = 0.0,
-    ) -> None:
-        self.op = op
-        self.term = term
-        self.member = member
-        self.priority = priority
-        self.sent_at = sent_at
-
-
 class NetEnvelopeCodec:
     """Map JECho envelopes (and control frames) to/from frame payloads.
 
@@ -635,16 +597,6 @@ class NetEnvelopeCodec:
                     envelope.seq,
                     envelope.sent_at if sent_at == 0.0 else sent_at,
                     envelope.payload,
-                )
-            )
-        if isinstance(envelope, Election):
-            return KIND_ELECTION, ser(
-                (
-                    envelope.op,
-                    envelope.term,
-                    envelope.member,
-                    envelope.priority,
-                    envelope.sent_at if sent_at == 0.0 else sent_at,
                 )
             )
         raise ProtocolError(
@@ -736,22 +688,6 @@ class NetEnvelopeCodec:
                         seq=seq,
                         sent_at=sent_at,
                         payload=payload,
-                    ),
-                    sent_at,
-                )
-            if kind == KIND_ELECTION:
-                op, term, member, priority, sent_at = value
-                if op not in ("election", "ok", "coordinator"):
-                    raise ProtocolError(
-                        f"unknown election op {op!r}"
-                    )
-                return (
-                    Election(
-                        op=op,
-                        term=int(term),
-                        member=str(member),
-                        priority=int(priority),
-                        sent_at=sent_at,
                     ),
                     sent_at,
                 )

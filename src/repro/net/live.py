@@ -171,7 +171,6 @@ def run_receiver(args: argparse.Namespace) -> Dict[str, object]:
         name=name,
         obs=obs,
         telemetry_interval=args.telemetry_interval,
-        election_priority=args.election_priority,
     )
     wedge_state = {"injected": 0}
 
@@ -276,12 +275,6 @@ def run_receiver(args: argparse.Namespace) -> Dict[str, object]:
         "wedges_injected": wedge_state["injected"],
         **counts(endpoint),
         "delivered": len(sink.results),
-        "leader": endpoint.is_leader,
-        "election": (
-            endpoint.election.to_dict()
-            if endpoint.election is not None
-            else None
-        ),
         "self_health": endpoint.self_health.to_dict(),
         "sender_reported_sent": endpoint.sender_reported_sent,
         "initial_plan_edges": sorted(list(e) for e in plan.active),
@@ -451,9 +444,6 @@ def main(argv=None) -> int:
     recv.add_argument("--telemetry-interval", type=float, default=0.25,
                       help="seconds between pushed TELEMETRY frames "
                       "(0 disables the push loop)")
-    recv.add_argument("--election-priority", type=int, default=None,
-                      help="join the receiver-side bully election with "
-                      "this rank (omitted = run solo, always leader)")
     recv.add_argument("--kill-after-plan-ships", type=int, default=0,
                       help="chaos fault: SIGKILL this process right "
                       "after its Nth shipped plan (0 disables)")

@@ -1,10 +1,11 @@
-"""Resilience control plane: circuit breakers, bulkheads, elections.
+"""Resilience control plane: circuit breakers and bulkheads.
 
-The actuator layer on top of PR 8's fleet telemetry — per-peer
-circuit breakers and bulkheads (:mod:`.breaker`) that the broker uses
-to retract/re-split live partitions, and bully-style leader election
-(:mod:`.election`) so exactly one receiver owns reconfiguration when
-many share a sender.  The chaos suite driving both lives in
+The actuator layer on top of the fleet telemetry — per-peer circuit
+breakers and bulkheads (:mod:`.breaker`) that the broker uses to
+retract/re-split live partitions.  No receiver coordinates with
+another: each subscription's receiver owns that subscription's plan,
+and the broker applies a PLAN to the subscriber whose connection
+carried it.  The chaos suite driving the plane lives in
 :mod:`repro.tools.chaos`.
 """
 
@@ -17,16 +18,6 @@ from .breaker import (
     Bulkhead,
     CircuitBreaker,
 )
-from .election import (
-    OP_COORDINATOR,
-    OP_ELECTION,
-    OP_OK,
-    ROLE_CANDIDATE,
-    ROLE_FOLLOWER,
-    ROLE_LEADER,
-    ElectionConfig,
-    ElectionMember,
-)
 
 __all__ = [
     "BREAKER_CLOSED",
@@ -36,12 +27,4 @@ __all__ = [
     "BreakerConfig",
     "Bulkhead",
     "CircuitBreaker",
-    "ElectionConfig",
-    "ElectionMember",
-    "OP_COORDINATOR",
-    "OP_ELECTION",
-    "OP_OK",
-    "ROLE_CANDIDATE",
-    "ROLE_FOLLOWER",
-    "ROLE_LEADER",
 ]

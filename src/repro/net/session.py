@@ -13,12 +13,11 @@ The *data path* — the shared run, its forks and ships — stays with the
 broker, which reads the session's labelled ``broker.*{peer="…"}``
 series (:meth:`PeerSession.series`) from its counts at dump time.
 
-The session is sans-I/O, the shape :mod:`repro.net.resilience.election`
-has: ``send`` and ``clock`` are injected, transport state is read off
-the injected ``peer`` (``connected``, ``last_heard``, ``last_rtt``,
-``dropped_frames``, ``send_timeouts``, ``queued``, ``to_dict()``), and
-there is no thread, no socket and no lock — the owner serializes every
-call under its own publish lock.
+The session is sans-I/O: ``send`` and ``clock`` are injected,
+transport state is read off the injected ``peer`` (``connected``,
+``last_heard``, ``last_rtt``, ``dropped_frames``, ``send_timeouts``,
+``queued``, ``to_dict()``), and there is no thread, no socket and no
+lock — the owner serializes every call under its own publish lock.
 """
 
 from __future__ import annotations

@@ -65,7 +65,7 @@ DRIFT_CHANNELS = ("bytes", "t_mod", "t_demod")
 
 #: records kept by every bounded log: closed windows, drift events and
 #: plan transitions in the report, and the per-peer logs of applied
-#: plans and health, breaker and election transitions
+#: plans and health and breaker transitions
 REPORT_TAIL = 32
 
 _EPS = 1e-12

@@ -20,11 +20,11 @@ asserts the resilience control plane's contract held:
   plan, so the publisher takes the plan apply from a peer that no
   longer exists.  It must apply the plan, trip the breaker when the
   silence registers, retract, and finish the stream locally, exiting 0.
-* ``leader_kill`` — three receivers share one publisher and run the
-  bully election; the highest-ranked member is SIGKILLed mid-stream.
-  The survivors must elect the next-highest rank within the timeout
-  window while the publisher retracts the dead peer's split and keeps
-  the healthy peers streaming.
+* ``receiver_kill`` — three receivers on different loads share one
+  publisher, and one of them is SIGKILLed mid-stream.  The publisher
+  must retract the dead peer's split and keep the survivors streaming,
+  and every survivor's subscription must keep adapting: each receiver
+  owns its own subscription's plan, so no peer waits on another.
 
 The process scenarios launch the ``publisher`` and ``receiver`` roles
 of :mod:`repro.net.live` through :func:`repro.tools.liveexp.launch`,
@@ -419,45 +419,39 @@ def _scenario_kill_mid_apply(
     return _outcome(statuses, results, checks)
 
 
-def _scenario_leader_kill(
+def _scenario_receiver_kill(
     outdir: Path, quick: bool
 ) -> Tuple[dict, List[Check], List[dict]]:
-    """Kill the elected leader out of three publisher-relayed receivers."""
+    """Kill one of three receivers; the survivors keep adapting."""
     messages = 450 if quick else 650
     timeout = 10.0
-    fanout = 3
-    kill_index = 2  # highest priority => the bootstrap leader
+    rate_scales = (4.0, 8.0, 16.0)
+    kill_index = 2
     killed = f"receiver{kill_index}"
 
-    def decapitate(fleet: Fleet) -> None:
-        # Let the bootstrap election settle, then decapitate.
+    def kill(fleet: Fleet) -> None:
         time.sleep(1.5)
         fleet.receivers[kill_index].send_signal(signal.SIGKILL)
 
     statuses, results, _ = _launch(
         outdir,
         [
-            {
-                "rate_scale": 1.0 + i,
-                "trigger_period": 1000000,
-                "election_priority": i + 1,
-            }
-            for i in range(fanout)
+            {"rate_scale": scale, "trigger_period": 5}
+            for scale in rate_scales
         ],
         messages=messages,
         timeout=timeout,
         wait=timeout + 40,
         publisher={"queue_limit": 256},
-        during=decapitate,
+        during=kill,
     )
     checks: List[Check] = []
     pub = results["publisher"]
-    survivors = [
-        results[f"receiver{i}"] for i in range(fanout) if i != kill_index
-    ]
+    others = [i for i in range(len(rate_scales)) if i != kill_index]
+    survivors = [results[f"receiver{i}"] for i in others]
     _check(
         checks,
-        "leader died by SIGKILL, publisher and survivors exited clean",
+        "receiver died by SIGKILL, publisher and survivors exited clean",
         statuses[killed] == -signal.SIGKILL
         and all(s == 0 for name, s in statuses.items() if name != killed)
         and pub is not None
@@ -467,21 +461,8 @@ def _scenario_leader_kill(
     if pub is None or any(r is None for r in survivors):
         return _outcome(statuses, results, checks)
 
-    leaders = [r["name"] for r in survivors if r.get("leader")]
-    _check(
-        checks,
-        "survivors re-elected exactly one leader: the next rank",
-        leaders == ["receiver1"],
-        f"leaders among survivors: {leaders}",
-    )
-    pub_leader = str(pub.get("leader") or "")
-    _check(
-        checks,
-        "publisher observed the new coordinator",
-        pub_leader.startswith("receiver1#"),
-        f"publisher leader: {pub_leader!r}",
-    )
-    dead = pub["subscribers"][kill_index]
+    subs = pub["subscribers"]
+    dead = subs[kill_index]
     dead_breaker = dead.get("breaker") or {}
     _check(
         checks,
@@ -499,6 +480,17 @@ def _scenario_leader_kill(
             f"{r['name']}: {r['demodulated']}/{messages}" for r in survivors
         ),
     )
+    alive = [subs[i] for i in others]
+    _check(
+        checks,
+        "every survivor's subscription applied a plan",
+        all(int(sub["plan_updates_applied"]) >= 1 for sub in alive),
+        ", ".join(
+            f"{sub['name']}: {sub['plan_updates_applied']}" for sub in alive
+        ),
+    )
+    conserved, accounted = CONSERVATION.predicate({"publisher": pub})
+    _check(checks, CONSERVATION.name, conserved, accounted)
     return _outcome(statuses, results, checks)
 
 
@@ -508,7 +500,7 @@ SCENARIOS: Dict[
     "plan_storm": _scenario_plan_storm,
     "partition": _scenario_partition,
     "kill_mid_apply": _scenario_kill_mid_apply,
-    "leader_kill": _scenario_leader_kill,
+    "receiver_kill": _scenario_receiver_kill,
 }
 
 

@@ -206,6 +206,7 @@ def launch(
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
+            proc.stdout.close()
     results = {name: _load_json(outdir / f"{name}.json") for name in statuses}
     return statuses, results, value
 

@@ -739,7 +739,6 @@ def fleet_view(
         })
     return {
         "overall": fleet.get("overall", "?"),
-        "leader": resilience.get("leader"),
         "retractions": resilience.get("retractions"),
         "peers": peers,
         "unhealthy": [
@@ -754,8 +753,6 @@ def fleet_view(
 
 def _fleet_lines(view: Mapping) -> List[str]:
     header = f"  fleet: {view['overall']}"
-    if view.get("leader"):
-        header += f"   leader: {view['leader']}"
     if view["unhealthy"]:
         header += f"   not healthy: {', '.join(view['unhealthy'])}"
     if view["open_breakers"]:

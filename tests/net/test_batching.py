@@ -72,6 +72,7 @@ class ServerHarness:
         ).result(5.0)
         self.loop.call_soon_threadsafe(self.loop.stop)
         self.thread.join(5.0)
+        self.loop.close()
 
 
 @pytest.fixture
@@ -319,6 +320,7 @@ class ReceiverHarness:
         ).result(5.0)
         self.loop.call_soon_threadsafe(self.loop.stop)
         self.thread.join(5.0)
+        self.loop.close()
 
 
 def test_dedupe_high_water_spans_batch_boundaries():

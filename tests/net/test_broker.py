@@ -23,7 +23,6 @@ from repro.net.broker import NetBrokerEndpoint, PlanRuntimeCache
 from repro.net.endpoint import NetReceiverEndpoint
 from repro.net.framing import NetEnvelopeCodec
 from repro.net.live import _calibrate
-from repro.net.resilience import ElectionConfig
 from repro.net.tcp import TcpTransport
 
 SAMPLES = 64
@@ -220,38 +219,20 @@ def test_per_peer_pse_divergence_and_forked_continuations():
         slow.stop()
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="a follower's _maybe_reconfigure returns early, so under a "
-    "receiver election only the leader's own subscription re-plans",
-)
 def test_a_followers_subscription_replans_when_its_load_shifts():
     """Plans are per subscription: the broker applies a PLAN to the
     subscriber whose connection carried it, and each receiver profiles
-    only its own stream.  A follower whose host slows down must still
-    move its own subscription sender-ward, whoever leads."""
-    config = ElectionConfig(
-        challenge_timeout=0.1, coordinator_interval=0.1, leader_timeout=0.5
-    )
-    leader, follower = (
-        ReceiverHarness(
-            trigger=RateTrigger(period=5),
-            name=name,
-            election_priority=priority,
-            election_config=config,
-        )
-        for name, priority in (("leader", 2), ("follower", 1))
+    only its own stream.  A receiver whose host slows down must move its
+    own subscription sender-ward, whoever else shares the sender."""
+    first, second = (
+        ReceiverHarness(trigger=RateTrigger(period=5), name=name)
+        for name in ("first", "second")
     )
     broker, transport = _broker()
     try:
-        broker.subscribe(leader.host, leader.port, name="leader")
-        sub = broker.subscribe(follower.host, follower.port, name="follower")
-        elected = leader.endpoint.election
-        assert _wait_until(
-            lambda: elected.is_leader
-            and follower.endpoint.election.leader_id == elected.member_id
-        )
-        follower.endpoint.rate_scale = 16.0
+        broker.subscribe(first.host, first.port, name="first")
+        sub = broker.subscribe(second.host, second.port, name="second")
+        second.endpoint.rate_scale = 16.0
         for i in range(400):
             broker.publish(make_reading(i, SAMPLES))
             if sub.plan_updates_applied >= 1:
@@ -260,8 +241,39 @@ def test_a_followers_subscription_replans_when_its_load_shifts():
         assert sub.plan_updates_applied >= 1
     finally:
         transport.close()
-        leader.stop()
-        follower.stop()
+        first.stop()
+        second.stop()
+
+
+def test_plan_frames_name_the_subscription_they_replan():
+    """A receiver subscribed as the broker's second subscriber profiles
+    subscription 2, so its PLAN frames say 2."""
+    idle = ReceiverHarness(trigger=RateTrigger(period=10**9))
+    loaded = ReceiverHarness(trigger=RateTrigger(period=5), rate_scale=16.0)
+    broker, transport = _broker()
+    try:
+        broker.subscribe(idle.host, idle.port, name="idle")
+        sub = broker.subscribe(loaded.host, loaded.port, name="loaded")
+        assert sub.subscription_id == 2
+        frames = []
+        on_plan = sub.on_plan
+
+        def recording(envelope):
+            frames.append(envelope.subscription_id)
+            on_plan(envelope)
+
+        sub.on_plan = recording
+        for i in range(400):
+            broker.publish(make_reading(i, SAMPLES))
+            if sub.plan_updates_applied >= 1:
+                break
+            time.sleep(0.002)
+        assert sub.plan_updates_applied >= 1
+        assert frames and set(frames) == {2}
+    finally:
+        transport.close()
+        idle.stop()
+        loaded.stop()
 
 
 def test_wedged_subscriber_does_not_stall_the_others():

@@ -23,7 +23,6 @@ from repro.net.resilience import (
     BREAKER_STATE_CODES,
     BreakerConfig,
     CircuitBreaker,
-    ElectionMember,
 )
 from repro.net.tcp import TcpTransport
 from repro.obs import Observability
@@ -114,7 +113,6 @@ def _expected(broker, transport, servers):
     counters = {
         "broker.published": broker.published,
         "broker.forks": broker.forks,
-        "broker.election_frames": broker.election_frames,
         "transport.tcp.messages": transport.messages_sent,
         "transport.tcp.bytes": transport.bytes_sent,
     }
@@ -242,14 +240,3 @@ def test_breaker_transitions_keep_a_tail_and_count_every_transition():
     # calls alternate trip / probe, so the newest trip is call N - 2
     _assert_tail([t["to"] for t in dump["transitions"]], BREAKER_HALF_OPEN)
     assert dump["transitions"][-2]["reason"] == f"trip {N - 2}"
-
-
-def test_election_transitions_keep_a_tail_and_count_every_transition():
-    member = ElectionMember(
-        "m", 1, send=lambda op, term: None, clock=FakeClock()
-    )
-    for _ in range(N):
-        member.start_election("flap")
-    assert member.transitions_total == N
-    assert member.to_dict()["transitions_total"] == N
-    _assert_tail([t["term"] for t in member.transitions], N)

@@ -65,6 +65,7 @@ class ReceiverHarness:
         ).result(5.0)
         self.loop.call_soon_threadsafe(self.loop.stop)
         self.thread.join(5.0)
+        self.loop.close()
 
 
 def test_ctor_validation():

@@ -77,6 +77,7 @@ class ReceiverHarness:
         ).result(5.0)
         self.loop.call_soon_threadsafe(self.loop.stop)
         self.thread.join(5.0)
+        self.loop.close()
 
 
 def _sender(harness, **kwargs):
@@ -253,7 +254,7 @@ def test_failed_plan_ship_reverts_and_retry_uses_fresh_version():
     new_plan = sender_heavy_plan(partitioned.cut)
 
     receiver.reconfig.queued.append(new_plan)
-    asyncio.run(receiver._maybe_reconfigure(_StubConn(fail=True)))
+    asyncio.run(receiver._maybe_reconfigure(_StubConn(fail=True), 1))
     # optimistic update reverted, version burned anyway: the failed
     # attempt's bytes may still have reached the sender
     assert receiver.sender_plan is initial
@@ -262,7 +263,7 @@ def test_failed_plan_ship_reverts_and_retry_uses_fresh_version():
 
     receiver.reconfig.queued.append(new_plan)
     good = _StubConn()
-    asyncio.run(receiver._maybe_reconfigure(good))
+    asyncio.run(receiver._maybe_reconfigure(good, 1))
     assert receiver.sender_plan is new_plan
     assert receiver.plan_ships == 1
     assert [e.version for e in good.sent] == [2]  # strictly fresher
@@ -274,7 +275,7 @@ def test_plan_ship_with_no_live_connection_reverts_without_burning_sends():
     receiver = NetReceiverEndpoint(partitioned, plan=initial, trigger=IDLE)
     receiver.reconfig = _StubReconfig()
     receiver.reconfig.queued.append(sender_heavy_plan(partitioned.cut))
-    asyncio.run(receiver._maybe_reconfigure(_StubConn(closed=True)))
+    asyncio.run(receiver._maybe_reconfigure(_StubConn(closed=True), 1))
     assert receiver.sender_plan is initial
     assert receiver.plan_ships == 0
 

@@ -23,7 +23,6 @@ from repro.net.framing import (
     KIND_BATCH,
     KIND_BYE,
     KIND_CONT,
-    KIND_ELECTION,
     KIND_EVENT,
     KIND_FEEDBACK,
     KIND_HEARTBEAT,
@@ -34,7 +33,6 @@ from repro.net.framing import (
     SUB_HEADER_SIZE,
     BufferPool,
     Bye,
-    Election,
     FrameDecoder,
     Heartbeat,
     Hello,
@@ -699,37 +697,18 @@ def test_recycled_buffer_mutation_cannot_alias_decoded_values():
     assert decoded_a.payload["tag"] == "aa"
 
 
-# -- election frames ------------------------------------------------------------
+# -- retired kinds ---------------------------------------------------------------
 
 
-def test_election_envelope_roundtrip():
-    codec = NetEnvelopeCodec()
-    env = Election(op="coordinator", term=7, member="r2#abc123", priority=5)
-    kind, payload = codec.encode(env, sent_at=3.5)
-    assert kind == KIND_ELECTION
-    decoded, sent_at = codec.decode(kind, payload)
-    assert sent_at == 3.5
-    assert decoded.op == "coordinator"
-    assert decoded.term == 7
-    assert decoded.member == "r2#abc123"
-    assert decoded.priority == 5
-
-
-def test_election_frames_are_not_batchable():
-    codec = NetEnvelopeCodec()
-    kind, payload = codec.encode(
-        Election(op="election", term=1, member="m", priority=1)
-    )
-    with pytest.raises(FramingError):
-        encode_batch_parts([(kind, payload)])
-
-
-def test_unknown_election_op_rejected():
-    codec = NetEnvelopeCodec()
-    kind, payload = codec.encode(
-        Election(op="election", term=1, member="m", priority=1)
-    )
-    # Corrupt the op in-band: re-serialize with a bogus op string.
-    bogus = codec._serializer.serialize(("usurp", 1, "m", 1, 0.0))
-    with pytest.raises(ProtocolError):
-        codec.decode(kind, bogus)
+def test_retired_election_kind_is_refused():
+    """0x22 carried the receiver election, which is gone: a frame of
+    that kind is an unknown kind on every path."""
+    serializer = NetEnvelopeCodec()._serializer
+    payload = serializer.serialize(("coordinator", 1, "m", 1, 0.0))
+    header = MAGIC + bytes([PROTOCOL_VERSION, 0x22])
+    with pytest.raises(FramingError, match="unknown frame kind 0x22"):
+        FrameDecoder().feed(header + len(payload).to_bytes(4, "big") + payload)
+    with pytest.raises(FramingError, match="unknown frame kind 0x22"):
+        NetEnvelopeCodec().decode(0x22, payload)
+    with pytest.raises(FramingError, match="unknown frame kind 0x22"):
+        encode_frame(0x22, payload)

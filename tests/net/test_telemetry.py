@@ -209,6 +209,7 @@ def test_telemetry_pushes_reach_subscribed_client():
         asyncio.run_coroutine_threadsafe(endpoint.stop(), loop).result(5.0)
         loop.call_soon_threadsafe(loop.stop)
         thread.join(5.0)
+        loop.close()
 
 
 def test_stop_never_strands_the_telemetry_loop():
@@ -246,3 +247,4 @@ def test_stop_never_strands_the_telemetry_loop():
         run(endpoint.stop())
         loop.call_soon_threadsafe(loop.stop)
         thread.join(5.0)
+        loop.close()

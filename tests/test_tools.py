@@ -516,7 +516,6 @@ def _fleet_dump(tmp_path, name, state="healthy", breaker="closed"):
             },
         },
         "resilience": {
-            "leader": "r0",
             "peers": {"r0": {"breaker": {"state": breaker}}},
         },
     }
@@ -532,7 +531,6 @@ def test_fleetmon_once_healthy_fleet_exits_zero(tmp_path, capsys):
     frame = json.loads(capsys.readouterr().out)
     view = frame["sources"][str(path)]["fleet"]
     assert view["unhealthy"] == []
-    assert view["leader"] == "r0"
 
 
 def test_fleetmon_once_unhealthy_peer_exits_nonzero(tmp_path, capsys):
