@@ -88,8 +88,9 @@ class RunningStat:
 
 class FeedbackSummary(NamedTuple):
     """What a proxy recorded between two flushes, folded (see
-    :mod:`repro.core.runtime.feedback`); as a plain tuple it is also the
-    FEEDBACK frame's wire form, name-free and sparse.
+    :mod:`repro.core.runtime.feedback`), name-free and sparse; its
+    FEEDBACK wire form is :func:`~repro.core.runtime.feedback.pack_summary`'s
+    fixed layout, which carries it bit for bit.
 
     An entry is flat, ``(src, dst, traversals, splits, group...)``, one
     per PSE edge traversed, with a group per stat that has ``k > 0``:

@@ -10,12 +10,15 @@ A TCP stream has no message boundaries, so every message travels as a
     4       4     payload length, big-endian unsigned
     8       n     payload bytes
 
-The payload of every application frame is one value encoded with
+The payload of every application frame is one tuple encoded with
 :class:`repro.serialization.Serializer` — the exact wire format whose
 sizes the cost models optimize, so what the profiler *measures* is what
 the socket *carries*.  Continuation frames embed the continuation wire
 tuple produced by :func:`repro.core.continuation.wire_payload`
-unchanged.  The header's :data:`PROTOCOL_VERSION` is the only wire
+unchanged.  A FEEDBACK frame's summary is the exception: it rides in
+its tuple as one opaque bytes field, packed by
+:func:`repro.core.runtime.feedback.pack_summary` in a fixed layout of
+its own.  The header's :data:`PROTOCOL_VERSION` is the only wire
 version: peers of another build fail at their first frame, and nothing
 is negotiated.
 
@@ -56,7 +59,7 @@ from repro.core.continuation import (
     wire_payload,
 )
 from repro.core.plan import PartitioningPlan
-from repro.core.runtime.profiling import FeedbackSummary
+from repro.core.runtime.feedback import pack_summary, unpack_summary
 from repro.errors import FramingError, ProtocolError
 from repro.jecho.events import (
     ContinuationEnvelope,
@@ -100,7 +103,7 @@ MAGIC = b"MP"
 #: the one wire version: the frame layout plus every envelope shape
 #: below.  Bump it whenever any envelope shape changes; the decoder
 #: refuses frames of any other version, the hello included.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 #: frame header bytes (magic + version + kind + length)
 HEADER_SIZE = 8
 #: default ceiling on payload size — a corrupt length prefix must not
@@ -561,13 +564,12 @@ class NetEnvelopeCodec:
                 )
             )
         if isinstance(envelope, FeedbackEnvelope):
+            try:
+                body = pack_summary(envelope.demod_stats)
+            except (struct.error, TypeError, ValueError, IndexError) as exc:
+                raise ProtocolError(f"unencodable feedback: {exc!r}") from exc
             return KIND_FEEDBACK, ser(
-                (
-                    envelope.subscription_id,
-                    envelope.seq,
-                    envelope.trace,
-                    envelope.demod_stats,
-                )
+                (envelope.subscription_id, envelope.seq, envelope.trace, body)
             )
         if isinstance(envelope, PlanEnvelope):
             plan = envelope.plan
@@ -640,10 +642,10 @@ class NetEnvelopeCodec:
                 env.trace = None if trace is None else (trace[0], trace[1])
                 return env, sent_at
             if kind == KIND_FEEDBACK:
-                sub_id, seq, trace, summary = value
+                sub_id, seq, trace, body = value
                 env = FeedbackEnvelope(
                     subscription_id=sub_id,
-                    demod_stats=FeedbackSummary(*summary),
+                    demod_stats=unpack_summary(body),
                     seq=seq,
                 )
                 env.trace = None if trace is None else (trace[0], trace[1])
@@ -693,7 +695,7 @@ class NetEnvelopeCodec:
                 )
         except ProtocolError:
             raise
-        except (TypeError, ValueError, IndexError) as exc:
+        except (struct.error, TypeError, ValueError, IndexError) as exc:
             raise ProtocolError(
                 f"malformed {KIND_NAMES.get(kind, hex(kind))} frame: "
                 f"{type(exc).__name__}: {exc}"

@@ -879,6 +879,7 @@ class FrameServer:
         zero_counts(self)
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._stopping = False
         self.obs = obs
         if obs is not None:
             obs.metrics.add_reader(self._read_metrics)
@@ -892,6 +893,7 @@ class FrameServer:
     ) -> Tuple[str, int]:
         """Bind and listen; returns the actual ``(host, port)``."""
         self._loop = asyncio.get_running_loop()
+        self._stopping = False
         self._server = await asyncio.start_server(
             self._handle_client, host, port
         )
@@ -902,18 +904,28 @@ class FrameServer:
     async def stop(self) -> None:
         """Close the listener, drop every connection and await the end of
         each connection's handler, so none is left for the loop's
-        shutdown to cancel."""
+        shutdown to cancel.  A connection accepted before the listener
+        closed but registered only while ``stop`` runs aborts itself."""
+        self._stopping = True
+        server, self._server = self._server, None
+        if server is not None:
+            # Stop accepting, and let an accept in flight reach
+            # _handle_client (accept task, connection_made, first step)
+            # before the close: 3.11 leaks a socket accepted after it.
+            for sock in server.sockets:
+                self._loop.remove_reader(sock.fileno())
+            for _ in range(3):
+                await asyncio.sleep(0)
+            server.close()
         for conn in list(self.connections):
             try:
                 conn.abort()
             except Exception:  # noqa: BLE001 - already gone
                 pass
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
         if self._clients:
             await asyncio.wait(set(self._clients), timeout=self.send_timeout)
+        if server is not None:  # 3.12 waits here for open connections
+            await server.wait_closed()
 
     async def _handle_client(
         self,
@@ -926,6 +938,8 @@ class FrameServer:
         self._clients.add(task)
         self.connections.append(conn)
         self.accepted += 1
+        if self._stopping:
+            conn.abort()
         decoder = FrameDecoder(
             max_frame=self.max_frame,
             payload_pool=BufferPool(

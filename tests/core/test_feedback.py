@@ -8,20 +8,34 @@ the twin, to floating-point rounding.
 """
 
 import dataclasses
+import functools
 import random
+import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.apps.sensor.data import SensorReading
 from repro.apps.sensor.pipeline import build_partitioned_process
 from repro.core.plan import PartitioningPlan, receiver_heavy_plan
-from repro.core.runtime.feedback import RemoteProfilingProxy, ingest
-from repro.core.runtime.profiling import RunningStat
+from repro.core.runtime.feedback import (
+    RemoteProfilingProxy,
+    ingest,
+    pack_summary,
+    packed_size,
+    unpack_summary,
+)
+from repro.core.runtime.profiling import (
+    K_IS_TRAVERSALS,
+    STAT_NAMES,
+    FeedbackSummary,
+    RunningStat,
+)
 from repro.core.runtime.triggers import RateTrigger
 from repro.jecho.events import FeedbackEnvelope
-from repro.net.framing import NetEnvelopeCodec
+from repro.errors import ProtocolError
+from repro.net.framing import KIND_FEEDBACK, NetEnvelopeCodec
 from tests.conftest import ImageData
 
 REL = 1e-9
@@ -322,8 +336,9 @@ def test_invalid_sample_period():
 # -- (c) plans are unchanged --------------------------------------------------
 
 
-def _shift_trace(use_oracle):
-    """12 receiver-rate shifts on the sensor chain; the plan after each."""
+def _shift_trace(use_oracle, codec=None):
+    """12 receiver-rate shifts on the sensor chain; the plan after each.
+    With a *codec*, every flush crosses it as a FEEDBACK frame."""
     partitioned, _ = build_partitioned_process(n_stages=20)
     unit = partitioned.make_profiling_unit()
     proxy = RemoteProfilingProxy(partitioned.cut)
@@ -348,6 +363,11 @@ def _shift_trace(use_oracle):
         )
         if (i + 1) % 8 == 0:
             summary, _ = recorder.flush()
+            if codec is not None:
+                envelope = FeedbackEnvelope(
+                    subscription_id=1, demod_stats=summary
+                )
+                summary = codec.decode(*codec.encode(envelope))[0].demod_stats
             if not use_oracle:
                 ingest(unit, summary)
         new_plan = reconfig.consider(unit)
@@ -369,6 +389,12 @@ def test_scripted_shift_trace_yields_the_oracles_plans():
     # the trace does adapt: the plan follows every toggle of the rate
     assert len(switches) >= 12
     assert len({tuple(map(tuple, p)) for p in per_shift}) >= 2
+
+
+def test_the_shift_trace_is_the_same_through_the_wire():
+    """The packed FEEDBACK body is lossless: every plan switch lands on
+    the same message as when the summaries are ingested in memory."""
+    assert _shift_trace(False, NetEnvelopeCodec()) == _shift_trace(False)
 
 
 # -- (d) frame bytes and the size estimate (wire round trip: test_framing) ------
@@ -427,17 +453,19 @@ def _frame_bytes(summary):
 
 
 @pytest.mark.parametrize(
-    "position, budget", [("middle", 2048), ("last", 3072)]
+    "position, budget",
+    [("middle", 640), ("last", 1024)],
+    ids=["middle", "last"],
 )
 def test_feedback_frame_byte_budget(position, budget):
     """O(#PSEs traversed), not O(observations): 8x the messages add only
-    their mod totals to the frame."""
+    their 8-byte mod totals to the frame."""
     summary8, _ = _sensor_summary(position, 8)
     summary64, _ = _sensor_summary(position, 64)
     assert summary64.records == 8 * summary8.records
     assert len(summary64.entries) == len(summary8.entries)
     assert _frame_bytes(summary8) <= budget
-    assert _frame_bytes(summary64) - _frame_bytes(summary8) <= 56 * 10
+    assert _frame_bytes(summary64) - _frame_bytes(summary8) <= 56 * 8
 
 
 @pytest.mark.parametrize(
@@ -453,7 +481,198 @@ def test_flush_size_estimate_is_the_encoded_size(make):
     """The size charged to the transport, the simulated link and the
     ``feedback.bytes`` counter is what the codec puts on the wire."""
     summary, size = make()
-    assert size == pytest.approx(_frame_bytes(summary), rel=0.15)
+    assert size == _frame_bytes(summary)
+
+
+# -- (e) the packed layout ----------------------------------------------------
+
+u32 = st.integers(0, (1 << 32) - 1)
+#: every float, NaN and signed zero included; compared bit for bit
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def folds(draw, floats=any_float):
+    """``(first, mean)``: equal bit for bit (a constant fold) or not."""
+    first = draw(floats)
+    return first, draw(st.one_of(st.just(first), floats))
+
+
+@st.composite
+def summaries(draw, edges=None, alpha=None, floats=any_float):
+    """A summary in the form ``flush`` builds: stat groups in tag order,
+    each with an explicit or an implied k.  *edges* draws the entries'
+    edges from a cut; None draws any u32 pairs."""
+    edge = st.tuples(u32, u32) if edges is None else st.sampled_from(edges)
+    entries = []
+    for src, dst in draw(st.lists(edge, max_size=6, unique=edges is not None)):
+        traversals, splits = draw(u32), draw(u32)
+        entry = (src, dst, traversals, splits)
+        for tag in range(len(STAT_NAMES)):
+            kind = draw(st.sampled_from(("absent", "implied", "explicit")))
+            if kind == "implied":
+                entry += (tag + K_IS_TRAVERSALS, *draw(folds(floats)))
+            elif kind == "explicit":
+                entry += (tag, draw(u32), *draw(folds(floats)))
+        entries.append(entry)
+    return FeedbackSummary(
+        draw(floats) if alpha is None else alpha,
+        draw(u32),
+        draw(u32),
+        draw(u32),
+        (draw(u32), *draw(folds(floats))),
+        draw(st.lists(floats, max_size=5)),
+        tuple(entries),
+    )
+
+
+def _bits(value):
+    """*value* with every float as its IEEE-754 bytes: -0.0 differs
+    from 0.0, and a NaN equals itself."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, tuple):
+        return tuple(map(_bits, value))
+    if isinstance(value, list):
+        return list(map(_bits, value))
+    return value
+
+
+_EDGES = FeedbackSummary(
+    0.3,
+    (1 << 32) - 1,
+    0,
+    (1 << 32) - 1,
+    ((1 << 32) - 1, float("inf"), float("-inf")),
+    [],
+    (
+        ((1 << 32) - 1, 0, (1 << 32) - 1, 0, K_IS_TRAVERSALS, 0.0, -0.0),
+        (7, 8, 0, 0, 1, (1 << 32) - 1, -0.0, -0.0, 2, 0, float("nan"), 1.0),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(summary=summaries())
+@example(summary=_EDGES)
+@example(summary=FeedbackSummary(0.3, 0, 0, 0, (0, 0.0, 0.0), [], ()))
+def test_the_packed_layout_round_trips_bit_for_bit(summary):
+    body = pack_summary(summary)
+    assert _bits(unpack_summary(body)) == _bits(summary)
+    assert packed_size(summary) == _frame_bytes(summary)
+    # ... and through the codec, trace and all
+    codec = NetEnvelopeCodec()
+    envelope = FeedbackEnvelope(subscription_id=3, demod_stats=summary)
+    envelope.trace = (1, 2)
+    decoded, _ = codec.decode(*codec.encode(envelope))
+    assert _bits(decoded.demod_stats) == _bits(summary)
+    assert decoded.trace == (1, 2)
+
+
+def test_the_layout_spends_one_float_on_a_constant_fold():
+    entry = (1, 2, 3, 0, K_IS_TRAVERSALS, 5.0, 5.0)
+    steady = FeedbackSummary(0.3, 3, 3, 0, (3, 1.0, 1.0), [], (entry,))
+    moving = steady._replace(entries=(entry[:-1] + (6.0,),))
+    signed = steady._replace(entries=(entry[:4] + (4, 0.0, -0.0),))
+    assert len(pack_summary(steady)) == 48 + 18 + 8
+    assert len(pack_summary(moving)) == len(pack_summary(steady)) + 8
+    assert len(pack_summary(signed)) == len(pack_summary(moving))
+    assert _bits(unpack_summary(pack_summary(signed))) == _bits(signed)
+
+
+@functools.lru_cache(maxsize=None)
+def _sensor4():
+    return build_partitioned_process(n_stages=4)[0]
+
+
+def _pse_summaries(**kwargs):
+    return summaries(
+        edges=sorted(_sensor4().cut.pses),
+        alpha=_sensor4().make_profiling_unit().ewma_alpha,
+        floats=st.floats(-1e9, 1e9, allow_nan=False),
+        **kwargs,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(summary=_pse_summaries())
+def test_a_unit_ingests_the_decoded_summary_as_the_original(summary):
+    direct = _sensor4().make_profiling_unit()
+    wired = _sensor4().make_profiling_unit()
+    ingest(direct, summary)
+    ingest(wired, unpack_summary(pack_summary(summary)))
+    assert wired.messages_seen == direct.messages_seen
+    assert wired.executions_completed == direct.executions_completed
+    assert wired.measurements_taken == direct.measurements_taken
+    assert _bits(wired.sender_rate.mean) == _bits(direct.sender_rate.mean)
+    assert wired._pending_mod_totals == direct._pending_mod_totals
+    assert wired.snapshot() == direct.snapshot()
+
+
+@settings(max_examples=50, deadline=None)
+@given(summary=_pse_summaries(), wrong=st.sampled_from(("alpha", "edge")))
+def test_a_decodable_but_unmergeable_summary_is_rejected_whole(
+    summary, wrong
+):
+    from repro.net.endpoint import NetReceiverEndpoint
+
+    if wrong == "alpha":
+        summary = summary._replace(alpha=summary.alpha / 2)
+    else:
+        summary = summary._replace(
+            entries=summary.entries + ((90, 91, 1, 1),)
+        )
+    receiver = NetReceiverEndpoint(_sensor4())
+    before = receiver.profiling.snapshot()
+    codec = NetEnvelopeCodec()
+    envelope, _ = codec.decode(
+        *codec.encode(FeedbackEnvelope(subscription_id=1, demod_stats=summary))
+    )
+    receiver._handle_feedback(envelope)
+    assert (receiver.feedback_rejected, receiver.feedback_batches) == (1, 0)
+    assert receiver.profiling.messages_seen == 0
+    assert receiver.profiling.snapshot() == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(summary=summaries(), data=st.data())
+def test_a_body_the_layout_does_not_end_at_is_a_protocol_error(
+    summary, data
+):
+    codec = NetEnvelopeCodec()
+    ser = codec._serializer.serialize
+    body = pack_summary(summary)
+    cut = data.draw(st.integers(0, len(body) - 1), label="cut")
+    bad = [body[:cut], body + data.draw(st.binary(min_size=1), label="tail")]
+    if summary.entries:
+        # the first entry's mask: after the head, the mod totals and the
+        # entry's four u32 counts
+        at = 48 + 8 * len(summary.mod_totals) + 16
+        reserved = data.draw(st.integers(9, 15), label="reserved bit")
+        mask = int.from_bytes(body[at : at + 2], "little") | 1 << reserved
+        bad.append(body[:at] + mask.to_bytes(2, "little") + body[at + 2 :])
+    for blob in bad:
+        with pytest.raises(ProtocolError):
+            codec.decode(KIND_FEEDBACK, ser((1, 2, None, blob)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(summary=summaries(), field=st.integers(0, 4), data=st.data())
+def test_a_count_past_u32_is_a_protocol_error(summary, field, data):
+    huge = data.draw(st.integers(1 << 32, 1 << 63), label="count")
+    if field < 3:
+        name = ("observations", "messages", "local_completions")[field]
+        summary = summary._replace(**{name: huge})
+    elif field == 3:
+        rate = (huge,) + summary.sender_rate[1:]
+        summary = summary._replace(sender_rate=rate)
+    else:
+        entry = (1, 2, huge, 0)
+        summary = summary._replace(entries=summary.entries + (entry,))
+    with pytest.raises(ProtocolError):
+        NetEnvelopeCodec().encode(
+            FeedbackEnvelope(subscription_id=1, demod_stats=summary)
+        )
 
 
 # -- end to end over the simulated pipeline -----------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.continuation import ContinuationMessage, WIRE_VERSION
 from repro.core.plan import PartitioningPlan
-from repro.core.runtime.feedback import RemoteProfilingProxy
+from repro.core.runtime.feedback import RemoteProfilingProxy, pack_summary
 from repro.core.runtime.profiling import FeedbackSummary
 from repro.errors import FramingError, ProtocolError, SerializationError
 from repro.jecho.events import (
@@ -142,28 +142,58 @@ def test_feedback_summary_roundtrip():
 
 
 def test_feedback_of_any_other_shape_is_a_protocol_error():
-    """One feedback shape: a summary of the wrong arity fails at decode,
-    loudly — the pre-summary record tuple and edge->stats dict included."""
+    """One feedback shape, ``(sub_id, seq, trace, packed body)``: any
+    other arity, a body that is not the packed layout — the pre-packing
+    summary tuple included — or a body the layout does not end at fails
+    at decode, loudly."""
     codec = NetEnvelopeCodec()
     ser = codec._serializer.serialize
-    good = tuple(_summary())
-    record = ("message", None, None, None, None, False, True, 0.0, 0.0)
+    body = pack_summary(_summary())
+    # the first entry's mask sits after the 48-byte head, 3 mod totals
+    # and the entry's four u32 counts
+    mask_at = 48 + 3 * 8 + 16
+    reserved = bytearray(body)
+    reserved[mask_at + 1] |= 0x80
+    absent = bytearray(body)
+    absent[mask_at] = 0b010  # k implied, but the stat is not present
     for payload in (
-        (1, 2, None, good[1:]),
-        (1, 2, None, good + (0,)),
+        (1, 2, None),
+        (1, 2, None, body, 0),
         (1, 2, None, None),
-        (1, 2, good),
-        (1, 2, None, True, (record,)),
-        (1, 2, None, False, (((1, 2), (0.5, 3)),)),
+        (1, 2, None, tuple(_summary())),
+        (1, 2, None, body[:-1]),
+        (1, 2, None, body[:10]),
+        (1, 2, None, body + b"\0"),
+        (1, 2, None, bytes(reserved)),
+        (1, 2, None, bytes(absent)),
     ):
         with pytest.raises(ProtocolError):
             codec.decode(KIND_FEEDBACK, ser(payload))
+    env, _ = codec.decode(KIND_FEEDBACK, ser((1, 2, None, body)))
+    assert env.demod_stats == _summary()
+
+
+def test_feedback_the_layout_cannot_carry_is_a_protocol_error_at_encode():
+    codec = NetEnvelopeCodec()
+    entry = _summary().entries[0]
+    for summary in (
+        _summary()._replace(observations=1 << 32),
+        _summary()._replace(messages=-1),
+        _summary()._replace(entries=(entry[:-1],)),
+        # a stat tag out of range, and one repeated
+        _summary()._replace(entries=(entry[:4] + (3, 1, 2.0, 2.0),)),
+        _summary()._replace(entries=(entry + entry[4:7],)),
+    ):
+        with pytest.raises(ProtocolError):
+            codec.encode(
+                FeedbackEnvelope(subscription_id=1, demod_stats=summary)
+            )
 
 
 def test_unmergeable_summary_is_counted_and_never_half_applied():
-    """A summary folded with another α, or truncated inside an entry,
-    decodes — the codec knows neither the unit's α nor its cut — so the
-    receiver rejects it whole and counts it."""
+    """A summary folded with another α, or naming an edge that is not a
+    PSE here, decodes — the codec knows neither the unit's α nor its cut
+    — so the receiver rejects it whole and counts it."""
     from repro.apps.sensor.pipeline import build_partitioned_process
     from repro.net.endpoint import NetReceiverEndpoint
 
@@ -190,7 +220,8 @@ def test_unmergeable_summary_is_counted_and_never_half_applied():
     alpha = receiver.profiling.ewma_alpha
     assert deliver(alpha / 2) == (1, 0, 0, 0)
     assert deliver(
-        alpha, lambda s: s._replace(entries=(s.entries[0][:-1],))
+        alpha,
+        lambda s: s._replace(entries=s.entries + ((90, 91, 1, 1),)),
     ) == (2, 0, 0, 0)
     assert deliver(alpha) == (2, 1, 1, 1)
 
@@ -377,6 +408,15 @@ def test_unknown_version_and_kind_rejected():
         FrameDecoder().feed(
             MAGIC + bytes([PROTOCOL_VERSION, 0x7F]) + bytes(4)
         )
+
+
+def test_a_version_2_frame_is_refused():
+    """Version 2 shipped FEEDBACK summaries as generic tuples; a peer of
+    that build fails at its first frame, whatever the kind."""
+    assert PROTOCOL_VERSION == 3
+    for kind in (KIND_HELLO, KIND_FEEDBACK):
+        with pytest.raises(FramingError, match="version"):
+            FrameDecoder().feed(MAGIC + bytes([2, kind]) + bytes(4))
 
 
 def test_oversized_frame_rejected_before_buffering():

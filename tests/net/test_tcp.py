@@ -555,3 +555,72 @@ def test_start_stop_cycles_log_no_asyncio_error():
         threaded(server_first=cycle % 2 == 0)
     gc.collect()  # a pending task left behind reports when collected
     assert errors == []
+
+
+def test_stop_closes_a_connection_whose_handler_starts_late():
+    """A connection the listener accepted before ``stop`` but whose
+    handler registers only once ``stop`` has listed the connections
+    aborts itself, not left open on the loop."""
+
+    async def scenario():
+        server = FrameServer()
+        entered, release = asyncio.Event(), asyncio.Event()
+        handle = server._handle_client
+
+        async def late(reader, writer):
+            entered.set()
+            await release.wait()
+            await handle(reader, writer)
+
+        server._handle_client = late
+        host, port = await server.start()
+        reader, writer = await asyncio.open_connection(host, port)
+        await entered.wait()
+        stopping = asyncio.ensure_future(server.stop())
+        for _ in range(10):  # well past stop's listing of the connections
+            await asyncio.sleep(0)
+        release.set()
+        await asyncio.wait_for(stopping, 5.0)
+        try:
+            closed = await asyncio.wait_for(reader.read(), 2.0) == b""
+        except ConnectionResetError:
+            closed = True
+        except asyncio.TimeoutError:
+            closed = False
+        writer.close()
+        await writer.wait_closed()
+        return closed, server.connections
+
+    assert asyncio.run(scenario()) == (True, [])
+
+
+def test_stop_closes_a_connection_accepted_just_before_it():
+    """``stop`` called while an accepted socket's transport is still being
+    built: the connection is closed, and nothing is logged or leaked
+    (closing the listener under that accept used to do both)."""
+
+    async def scenario():
+        errors = []
+        loop = asyncio.get_running_loop()
+        loop.set_exception_handler(lambda _loop, ctx: errors.append(ctx))
+        server = FrameServer()
+        host, port = await server.start()
+        before = asyncio.all_tasks()
+        client = socket.create_connection((host, port))
+        # the listener's accept has run once it spawned the task that
+        # builds the connection's transport
+        while not asyncio.all_tasks() - before:
+            await asyncio.sleep(0)
+        await server.stop()
+        client.settimeout(2.0)
+        try:
+            closed = client.recv(1) == b""
+        except ConnectionResetError:
+            closed = True
+        except socket.timeout:
+            closed = False
+        finally:
+            client.close()
+        return closed, [ctx["message"] for ctx in errors]
+
+    assert asyncio.run(scenario()) == (True, [])
