@@ -185,7 +185,7 @@ class MethodPartitioningVersion(Version):
             )
         tracer = self.obs.tracing if self.obs is not None else None
         if tracer is not None:
-            tracer.observe_pse(str(result.message.pse_id), size=size)
+            tracer.observe_pse(result.message.slot.pse_id, size=size)
         return SenderShare(
             payload=result.message,
             size=size,

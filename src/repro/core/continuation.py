@@ -5,172 +5,189 @@ edge (the INTER set) plus the PSE's unique ID into a *continuation
 message* and hands it to the runtime system for delivery.  The demodulator
 restores the variables, jumps to the PSE, and continues processing.
 
-:class:`ContinuationMessage` is the wire object;
-:class:`ContinuationCodec` binds it to the custom serializer so its size
-can both be measured (profiling) and paid (simulated network).
+Both sides build the same cut from the same program text, so the ID is
+the PSE's index in the handler's :class:`ContinuationSchema` and the
+variables travel by position.  Codes follow the sorted PSE edges (the
+forced terminal edges among them) and values each PSE's sorted INTER
+names: neither may depend on the hash seed, which orders sets anew in
+every process.  The wire body is one flat tuple::
 
-Wire format: a message without trace context encodes as the original
-bare 5-tuple ``(function, pse_id, out, in, variables)`` — byte-identical
-to pre-tracing builds, so turning tracing off costs nothing on the wire.
-With trace context the payload grows a versioned header::
+    (code, *values[, absent][, trace_id, parent_span_id])
 
-    ("mp-cont", version, function, pse_id, out, in, variables,
-     trace_id, parent_span_id)
-
-Decoders accept both shapes; a headered payload with an unknown version
-raises :class:`~repro.errors.SerializationError` (the peers disagree
-about the protocol, which must not be silently mis-parsed).
+*absent* is present only when some name was unbound at the split: bit
+*i* marks name *i*, whose value is then None.  The slot's arity tells
+the four lengths apart.  A code the schema does not know raises
+:class:`~repro.errors.SerializationError` (the peers built different
+cuts, which must not be silently mis-parsed); a body of the wrong length
+raises :class:`~repro.errors.ContinuationError`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.errors import ContinuationError, SerializationError
-from repro.ir.interpreter import Continuation, Edge
+from repro.ir.interpreter import Edge
 from repro.serialization import Serializer, SerializerRegistry, measure_size
 
-#: header magic marking a versioned continuation payload
-WIRE_MAGIC = "mp-cont"
-#: current wire version (v1 was the headerless bare 5-tuple)
-WIRE_VERSION = 2
 
+class Slot(NamedTuple):
+    """One split point of a :class:`ContinuationSchema`."""
 
-@dataclass
-class ContinuationMessage:
-    """A serializable remote continuation.
-
-    ``pse_id`` is the paper's "special ID for the PSE"; ``edge`` is its
-    resolved (out, in) instruction pair; ``variables`` is the restored
-    environment for the demodulator; ``trace`` is the optional causal
-    trace context ``(trace_id, parent_span_id)`` carried across hosts.
-    """
-
-    function: str
-    pse_id: str
+    code: int
     edge: Edge
-    variables: Dict[str, object]
-    trace: Optional[Tuple[int, int]] = None
+    #: the INTER names, sorted: the order of a message's values
+    names: Tuple[str, ...]
+    pse_id: str
+    function: str
+    #: resuming here does nothing, so an empty hand-over is elided
+    noop_resume: bool = False
+
+    def pack(
+        self, variables: Dict[str, object], trace: Optional[Tuple] = None
+    ) -> "ContinuationMessage":
+        """The message handing over *variables*, captured at this split:
+        its keys are some or all of the names."""
+        names = self.names
+        absent = 0
+        if len(variables) < len(names):
+            for i, name in enumerate(names):
+                if name not in variables:
+                    absent |= 1 << i
+        values = tuple(map(variables.get, names))
+        return ContinuationMessage(self, values, absent, trace)
+
+
+class ContinuationSchema:
+    """Every split point of one handler, numbered in sorted edge order."""
+
+    def __init__(self, function: str, slots) -> None:
+        """*slots*: one ``(edge, pse_id, names, noop_resume)`` per split
+        point, in any order."""
+        self.function = function
+        self.slots = tuple(
+            Slot(code, edge, tuple(sorted(names)), pse_id, function, noop)
+            for code, (edge, pse_id, names, noop) in enumerate(sorted(slots))
+        )
+        self.by_edge: Dict[Edge, Slot] = {s.edge: s for s in self.slots}
 
     @classmethod
-    def from_continuation(
-        cls, continuation: Continuation, pse_id: str
-    ) -> "ContinuationMessage":
+    def from_cut(cls, function: str, cut) -> "ContinuationSchema":
         return cls(
-            function=continuation.function,
-            pse_id=pse_id,
-            edge=continuation.edge,
-            variables=dict(continuation.variables),
-            trace=continuation.trace,
-        )
-
-    def to_continuation(self) -> Continuation:
-        return Continuation(
-            function=self.function,
-            edge=self.edge,
-            variables=dict(self.variables),
-            trace=self.trace,
-        )
-
-
-def wire_payload(message: ContinuationMessage) -> tuple:
-    """The serializable wire tuple for *message* (v1 bare / v2 headered).
-
-    Shared by :class:`ContinuationCodec` (simulated links) and the
-    network framing codec (:mod:`repro.net.framing`), so continuations
-    are byte-compatible no matter which transport carries them.
-    """
-    if message.trace is None:
-        return (
-            message.function,
-            message.pse_id,
-            message.edge[0],
-            message.edge[1],
-            message.variables,
-        )
-    return (
-        WIRE_MAGIC,
-        WIRE_VERSION,
-        message.function,
-        message.pse_id,
-        message.edge[0],
-        message.edge[1],
-        message.variables,
-        message.trace[0],
-        message.trace[1],
-    )
-
-
-def message_from_wire(payload: object) -> ContinuationMessage:
-    """Rebuild a :class:`ContinuationMessage` from a decoded wire tuple.
-
-    Accepts the bare 5-tuple (wire version 1) and the headered v2 shape;
-    a headered payload with an unknown version raises
-    :class:`~repro.errors.SerializationError`.
-    """
-    if not isinstance(payload, tuple):
-        raise ContinuationError("malformed continuation message")
-    if payload and payload[0] == WIRE_MAGIC:
-        if len(payload) < 2 or payload[1] != WIRE_VERSION:
-            version = payload[1] if len(payload) >= 2 else "<missing>"
-            raise SerializationError(
-                f"continuation wire version {version!r} not supported "
-                f"(this build speaks version {WIRE_VERSION})"
-            )
-        if len(payload) != 9:
-            raise ContinuationError("malformed continuation message")
-        (
-            _magic,
-            _version,
             function,
-            pse_id,
-            out_node,
-            in_node,
-            variables,
-            trace_id,
-            parent_span,
-        ) = payload
-        return ContinuationMessage(
-            function=function,
-            pse_id=pse_id,
-            edge=(out_node, in_node),
-            variables=variables,
-            trace=(trace_id, parent_span),
+            [
+                (e, p.pse_id, [v.name for v in p.inter], p.noop_resume)
+                for e, p in cut.pses.items()
+            ],
         )
-    # headerless legacy payload (wire version 1)
-    if len(payload) != 5:
-        raise ContinuationError("malformed continuation message")
-    function, pse_id, out_node, in_node, variables = payload
-    return ContinuationMessage(
-        function=function,
-        pse_id=pse_id,
-        edge=(out_node, in_node),
-        variables=variables,
-    )
+
+    def read(self, body: tuple, start: int = 0) -> "ContinuationMessage":
+        """The message whose wire body is ``body[start:]``."""
+        code = body[start]
+        if type(code) is not int or not 0 <= code < len(self.slots):
+            raise SerializationError(
+                f"{self.function}: continuation code {code!r} is not one "
+                f"of its {len(self.slots)} split points (the peers built "
+                f"different cuts)"
+            )
+        slot = self.slots[code]
+        first = start + 1
+        end = first + len(slot.names)
+        extra = len(body) - end
+        absent = body[end] if extra in (1, 3) else 0
+        if not 0 <= extra <= 3 or extra & 1 and not (
+            type(absent) is int and 0 < absent < 1 << end - first
+        ):
+            raise ContinuationError(
+                f"malformed continuation message: {len(body) - first} "
+                f"fields after the code of {slot.pse_id}, which has "
+                f"{end - first} names"
+            )
+        message = _new(ContinuationMessage)  # no __init__ call per frame
+        message.slot, message.edge = slot, slot.edge
+        message.values, message.absent = body[first:end], absent
+        message.trace = (body[-2], body[-1]) if extra & 2 else None
+        return message
+
+
+class ContinuationMessage:
+    """A serializable remote continuation: its :class:`Slot` (the PSE),
+    the handed-over values in the slot's name order (None where the
+    ``absent`` mask has the name's bit) and the optional causal trace
+    context ``(trace_id, parent_span_id)`` carried across hosts.  It
+    reads like the :class:`~repro.ir.interpreter.Continuation` it was
+    captured as (``function``, ``edge``, ``variables``), so
+    ``Interpreter.resume`` takes it as is."""
+
+    __slots__ = ("slot", "edge", "values", "absent", "trace")
+
+    def __init__(
+        self,
+        slot: Slot,
+        values: tuple,
+        absent: int = 0,
+        trace: Optional[Tuple[int, int]] = None,
+    ) -> None:
+        self.slot, self.edge = slot, slot.edge
+        self.values, self.absent, self.trace = values, absent, trace
+
+    @property
+    def function(self) -> str:
+        return self.slot.function
+
+    @property
+    def pse_id(self) -> str:
+        return self.slot.pse_id
+
+    @property
+    def variables(self) -> Dict[str, object]:
+        """The hand-over as a fresh name → value dict."""
+        pairs = zip(self.slot.names, self.values)
+        if not self.absent:
+            return dict(pairs)
+        return {
+            n: v for i, (n, v) in enumerate(pairs) if not self.absent >> i & 1
+        }
+
+    def body(self) -> tuple:
+        """The flat wire body (see the module docstring)."""
+        body = (self.slot.code, *self.values)
+        if self.absent:
+            body += (self.absent,)
+        return body if self.trace is None else body + self.trace
+
+
+_new = object.__new__
 
 
 class ContinuationCodec:
-    """Wire encoding of continuation messages via the custom serializer."""
+    """Wire encoding of continuation messages via the custom serializer,
+    so their size can both be measured (profiling) and paid (simulated
+    network).  Decoding resolves codes against ``schema``, which the
+    owning :class:`~repro.core.partitioned.PartitionedMethod` binds."""
 
-    def __init__(self, registry: Optional[SerializerRegistry] = None) -> None:
+    def __init__(
+        self,
+        registry: Optional[SerializerRegistry] = None,
+        schema: Optional[ContinuationSchema] = None,
+    ) -> None:
         self.registry = registry or SerializerRegistry()
+        self.schema = schema or ContinuationSchema("unbound", ())
         self._serializer = Serializer(self.registry)
 
-    @staticmethod
-    def _payload(message: ContinuationMessage) -> tuple:
-        return wire_payload(message)
-
     def encode(self, message: ContinuationMessage) -> bytes:
-        return self._serializer.serialize(self._payload(message))
+        return self._serializer.serialize(message.body())
 
     def decode(self, data: bytes) -> ContinuationMessage:
-        return message_from_wire(self._serializer.deserialize(data))
+        body = self._serializer.deserialize(data)
+        if type(body) is not tuple or not body:
+            raise ContinuationError("malformed continuation message")
+        return self.schema.read(body)
 
     def size(self, message: ContinuationMessage) -> int:
         """Wire size without serializing (the profiling fast path)."""
         return measure_size(
-            self._payload(message), self.registry, use_self_sizing=True
+            message.body(), self.registry, use_self_sizing=True
         )
 
     def payload_size(self, message: ContinuationMessage) -> int:

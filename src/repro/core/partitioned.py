@@ -22,7 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
-from repro.core.continuation import ContinuationCodec, ContinuationMessage
+from repro.core.continuation import (
+    ContinuationCodec,
+    ContinuationMessage,
+    ContinuationSchema,
+)
 from repro.core.convexcut import ConvexCutResult, PSE
 from repro.core.plan import PartitioningPlan, PlanRuntime, static_optimal_plan
 from repro.core.runtime.profiling import ProfilingUnit
@@ -315,14 +319,11 @@ class PartitionedMethod:
     codec: ContinuationCodec
 
     def __post_init__(self) -> None:
-        # Hot-path precomputation: the PSE edge set (so the interpreter
-        # only consults edge observers on PSE edges) and per-PSE INTER
-        # name tuples (so sizing a hand-over never iterates Var objects).
-        pses = self.cut.pses
-        self.pse_edges: FrozenSet[Edge] = frozenset(pses)
-        self._inter_names = {
-            e: tuple(v.name for v in p.inter) for e, p in pses.items()
-        }
+        # The schema numbers the split points for the wire; the PSE edge
+        # set lets the interpreter observe PSE edges only.
+        self.schema = ContinuationSchema.from_cut(self.function.name, self.cut)
+        self.codec.schema = self.schema
+        self.pse_edges: FrozenSet[Edge] = frozenset(self.cut.pses)
 
     @property
     def pses(self) -> Dict[Edge, PSE]:
@@ -363,7 +364,7 @@ class PartitionedMethod:
         observations: List[Observation] = []
         observer = None
         if gate is not None or trace_ctx is not None:
-            inter_names = self._inter_names
+            slots = self.schema.by_edge
             registry = self.serializer_registry
 
             def observer(edge: Edge, env: Dict[str, object]) -> None:
@@ -373,7 +374,7 @@ class PartitionedMethod:
                         measure_size(
                             {
                                 name: env[name]
-                                for name in inter_names[edge]
+                                for name in slots[edge].names
                                 if name in env
                             },
                             registry,
@@ -384,7 +385,7 @@ class PartitionedMethod:
 
         interpreter = self.interpreter
         if isinstance(entry, ContinuationMessage):
-            start, entry = interpreter.resume, entry.to_continuation()
+            start = interpreter.resume
         else:
             start = interpreter.run
         outcome = start(
@@ -399,22 +400,16 @@ class PartitionedMethod:
         continuation = outcome.continuation
         if continuation is None:
             return outcome, None, observations, meter.cycles
-        edge = continuation.edge
-        pse = self.cut.pses.get(edge)
-        message = ContinuationMessage(
-            function=continuation.function,
-            pse_id=pse.pse_id if pse is not None else f"forced{edge}",
-            edge=edge,
-            variables=dict(continuation.variables),
-            trace=continuation.trace,
+        message = self.schema.by_edge[continuation.edge].pack(
+            continuation.variables, continuation.trace
         )
         return outcome, message, observations, meter.cycles
 
     def elides(self, message: ContinuationMessage) -> bool:
         """Whether *message* is dropped instead of shipped: a no-op resume
         with nothing to hand over (the paper's filtered events)."""
-        pse = self.cut.pses.get(message.edge)
-        return pse is not None and pse.noop_resume and not message.variables
+        nothing = message.absent == (1 << len(message.values)) - 1
+        return message.slot.noop_resume and nothing
 
     def clone(self, message: ContinuationMessage) -> ContinuationMessage:
         """*message* through the codec and back: what its receiver would
@@ -443,7 +438,7 @@ class PartitionedMethod:
             **extra,
         }
         if message is not None:
-            attrs["pse"] = str(message.pse_id)
+            attrs["pse"] = message.slot.pse_id
             attrs["edge"] = list(message.edge)
         span.attrs = attrs
         tracer.end(span)

@@ -137,11 +137,11 @@ class PlanRuntime(SplitHook):
         }
         # Codegen fast path: the current split set as one frozenset (the
         # generated code inlines a split at exactly these edges) and
-        # per-edge capture specs as name tuples.  Tuple order follows each INTER frozenset's own
-        # iteration order so both backends build identical capture dicts.
+        # per-edge capture specs as sorted name tuples, the order of the
+        # continuation schema's values.
         self._split_set: FrozenSet[Edge] = self._forced
         self._capture_specs: Dict[Edge, Tuple[str, ...]] = {
-            e: tuple(v.name for v in inter)
+            e: tuple(sorted(v.name for v in inter))
             for e, inter in self._inter.items()
         }
         self.switch_count = 0
@@ -153,12 +153,8 @@ class PlanRuntime(SplitHook):
         return self._flags.get(edge, False) or edge in self._forced
 
     def live_vars(self, edge: Edge) -> FrozenSet[Var]:
-        inter = self._inter.get(edge)
-        if inter is not None:
-            return inter
-        # A forced edge that ConvexCut did not cost (possible only for
-        # poisoned stop entries) still needs a hand-over set.
-        return self._cut.ctx.inter(edge)
+        # forced edges are terminal PSEs: every split edge has a PSE
+        return self._inter[edge]
 
     def split_edge_set(self) -> FrozenSet[Edge]:
         return self._split_set
@@ -178,6 +174,3 @@ class PlanRuntime(SplitHook):
 
     def active_edges(self) -> FrozenSet[Edge]:
         return frozenset(e for e, on in self._flags.items() if on)
-
-    def forced_edges(self) -> FrozenSet[Edge]:
-        return self._forced

@@ -146,11 +146,7 @@ class RemoteProfilingProxy:
     def flush(self) -> Tuple[FeedbackSummary, int]:
         """Empty the window; returns (summary, wire bytes)."""
         window = self._window
-        entries = []
-        for stats in window.stats.values():
-            entry = stats.take_entry()
-            if entry is not None:
-                entries.append(entry)
+        entries = window.take_entries()
         rate = window.sender_rate
         summary = FeedbackSummary(
             self.ewma_alpha,

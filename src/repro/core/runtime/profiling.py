@@ -236,6 +236,9 @@ class ProfilingUnit:
             self.profile_flags[edge] = cut.cost_model.needs_profiling(
                 pse.static_cost
             )
+        self._order = {edge: index for index, edge in enumerate(self.stats)}
+        #: the PSEs recorded since the last :meth:`take_entries`
+        self._touched: Dict[Edge, PSEStats] = {}
         #: effective seconds per abstract cycle on each side
         self.sender_rate = RunningStat(alpha=ewma_alpha)
         self.receiver_rate = RunningStat(alpha=ewma_alpha)
@@ -303,6 +306,7 @@ class ProfilingUnit:
         stats = self.stats.get(edge)
         if stats is None:
             return
+        self._touched[edge] = stats
         self.observations_taken += 1
         if self._c_observations is not None:
             self._c_observations.inc()
@@ -361,6 +365,18 @@ class ProfilingUnit:
         """An execution that never reached the demodulator (elided or
         completed inside the modulator)."""
         self.executions_completed += 1
+
+    def take_entries(self) -> List[tuple]:
+        """Move what was recorded since the last call into flat feedback
+        entries (see :meth:`PSEStats.take_entry`), in stats order.  Only
+        the PSEs recorded since are visited."""
+        touched, self._touched = self._touched, {}
+        entries = []
+        for edge in sorted(touched, key=self._order.__getitem__):
+            entry = touched[edge].take_entry()
+            if entry is not None:
+                entries.append(entry)
+        return entries
 
     def merge(self, summary: FeedbackSummary) -> None:
         """Apply a proxy's flushed summary at once.

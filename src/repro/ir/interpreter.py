@@ -146,10 +146,6 @@ class Continuation:
     variables: Dict[str, object]
     trace: Optional[Tuple[int, int]] = None
 
-    @property
-    def pse_id(self) -> Edge:
-        return self.edge
-
 
 @dataclass
 class Outcome:
@@ -200,8 +196,9 @@ class SplitHook:
     def capture_specs(self) -> Optional[Dict[Edge, Tuple[str, ...]]]:
         """Per-edge live-capture variable names, or None if unknown.
 
-        Name order must match iteration order of :meth:`live_vars`'s
-        frozenset so both backends build identical capture dicts.
+        The names are :meth:`live_vars`'s, sorted: the order of a
+        continuation's values, which must not depend on the hash seed
+        (a frozenset's iteration order does).
         """
         return None
 

@@ -29,7 +29,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.core.continuation import ContinuationMessage
 from repro.core.partitioned import Demodulator, Modulator, PartitionedMethod
 from repro.core.plan import PartitioningPlan
 from repro.core.runtime.profiling import ProfilingUnit

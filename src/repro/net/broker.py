@@ -571,7 +571,7 @@ class NetBrokerEndpoint:
                 if self.obs is not None:
                     tracer = self.obs.tracing
                     if tracer is not None:
-                        tracer.observe_pse(str(message.pse_id), size=size)
+                        tracer.observe_pse(message.slot.pse_id, size=size)
                 try:
                     self.transport.send(sub.peer, envelope, size)
                 except TransportError as exc:

@@ -222,7 +222,9 @@ class NetReceiverEndpoint:
         )
         self.exposer = None
         self.server = FrameServer(
-            codec or NetEnvelopeCodec(), name=name, obs=obs
+            (codec or NetEnvelopeCodec()).bind(partitioned.schema),
+            name=name,
+            obs=obs,
         )
         self.server.handler = self._handle
         #: the plan currently believed to run on the sender
@@ -480,7 +482,7 @@ class NetReceiverEndpoint:
         if self.first_demod_at is None:
             self.first_demod_at = now
         self.last_demod_at = now
-        pse_id = str(envelope.continuation.pse_id)
+        pse_id = envelope.continuation.slot.pse_id
         if sent_at > 0:
             latency = time.time() - sent_at
             if latency >= 0:

@@ -13,10 +13,11 @@ A TCP stream has no message boundaries, so every message travels as a
 The payload of every application frame is one tuple encoded with
 :class:`repro.serialization.Serializer` — the exact wire format whose
 sizes the cost models optimize, so what the profiler *measures* is what
-the socket *carries*.  Continuation frames embed the continuation wire
-tuple produced by :func:`repro.core.continuation.wire_payload`
-unchanged.  A FEEDBACK frame's summary is the exception: it rides in
-its tuple as one opaque bytes field, packed by
+the socket *carries*.  A CONT frame is ``(subscription_id, seq,
+sent_at, *body)``, *body* the flat continuation body of
+:mod:`repro.core.continuation`; decoding it needs the receiving
+handler's schema (:meth:`NetEnvelopeCodec.bind`).  A FEEDBACK frame's
+summary rides in its tuple as one opaque bytes field, packed by
 :func:`repro.core.runtime.feedback.pack_summary` in a fixed layout of
 its own.  The header's :data:`PROTOCOL_VERSION` is the only wire
 version: peers of another build fail at their first frame, and nothing
@@ -50,14 +51,11 @@ Two wire-efficiency layers live here as well:
 
 from __future__ import annotations
 
+import copy
 import struct
 from typing import List, Optional, Tuple
 
-from repro.core.continuation import (
-    ContinuationMessage,
-    message_from_wire,
-    wire_payload,
-)
+from repro.core.continuation import ContinuationSchema
 from repro.core.plan import PartitioningPlan
 from repro.core.runtime.feedback import pack_summary, unpack_summary
 from repro.errors import FramingError, ProtocolError
@@ -103,7 +101,7 @@ MAGIC = b"MP"
 #: the one wire version: the frame layout plus every envelope shape
 #: below.  Bump it whenever any envelope shape changes; the decoder
 #: refuses frames of any other version, the hello included.
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 #: frame header bytes (magic + version + kind + length)
 HEADER_SIZE = 8
 #: default ceiling on payload size — a corrupt length prefix must not
@@ -529,7 +527,8 @@ class NetEnvelopeCodec:
 
     Bound to the application's :class:`SerializerRegistry` so event
     payloads and continuation variables of registered classes cross the
-    wire exactly as the simulator costs them.  ``sent_at`` departure
+    wire exactly as the simulator costs them, and, on a receiver, to its
+    handler's continuation schema (:meth:`bind`).  ``sent_at`` departure
     timestamps ride along on data frames so the receiving process can
     report real one-way latency (same-machine clocks in the harness).
     """
@@ -539,6 +538,15 @@ class NetEnvelopeCodec:
     ) -> None:
         self.registry = registry or SerializerRegistry()
         self._serializer = Serializer(self.registry)
+        #: resolves CONT frames' codes; unbound, it knows none
+        self.schema = ContinuationSchema("unbound", ())
+
+    def bind(self, schema: ContinuationSchema) -> "NetEnvelopeCodec":
+        """A copy of this codec that decodes CONT frames against
+        *schema*, the receiving handler's."""
+        bound = copy.copy(self)
+        bound.schema = schema
+        return bound
 
     # -- encoding --------------------------------------------------------------
 
@@ -551,7 +559,7 @@ class NetEnvelopeCodec:
                     envelope.subscription_id,
                     envelope.seq,
                     sent_at,
-                    wire_payload(envelope.continuation),
+                    *envelope.continuation.body(),
                 )
             )
         if isinstance(envelope, EventEnvelope):
@@ -628,14 +636,10 @@ class NetEnvelopeCodec:
         value = self._serializer.deserialize(payload)
         try:
             if kind == KIND_CONT:
-                sub_id, seq, sent_at, inner = value
-                message: ContinuationMessage = message_from_wire(inner)
                 env = ContinuationEnvelope(
-                    continuation=message,
-                    subscription_id=sub_id,
-                    seq=seq,
+                    self.schema.read(value, 3), value[0], value[1]
                 )
-                return env, sent_at
+                return env, value[2]
             if kind == KIND_EVENT:
                 seq, sent_at, trace, app_payload = value
                 env = EventEnvelope(payload=app_payload, seq=seq)
@@ -695,7 +699,7 @@ class NetEnvelopeCodec:
                 )
         except ProtocolError:
             raise
-        except (struct.error, TypeError, ValueError, IndexError) as exc:
+        except (struct.error, TypeError, ValueError, LookupError) as exc:
             raise ProtocolError(
                 f"malformed {KIND_NAMES.get(kind, hex(kind))} frame: "
                 f"{type(exc).__name__}: {exc}"

@@ -71,7 +71,7 @@ from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 from repro.errors import (
     ConnectionLostError,
     FramingError,
-    ProtocolError,
+    ReproError,
     SendTimeoutError,
     TransportError,
 )
@@ -79,6 +79,7 @@ from repro.jecho.transport import Destination, Transport
 from repro.net.framing import (
     BATCHABLE_KINDS,
     DEFAULT_MAX_FRAME,
+    KIND_NAMES,
     SUB_HEADER_SIZE,
     BufferPool,
     FrameDecoder,
@@ -461,10 +462,8 @@ class TcpPeer:
                         envelope, _ = self.transport.codec.decode(
                             kind, payload
                         )
-                    except (ProtocolError, Exception) as exc:  # noqa: BLE001
+                    except ReproError:
                         self.decode_errors += 1
-                        if not isinstance(exc, ProtocolError):
-                            raise
                         continue
                     if isinstance(envelope, Heartbeat):
                         self.heartbeats_seen += 1
@@ -849,14 +848,15 @@ class FrameServer:
     application envelope (data, continuation, feedback, plan, bye);
     hello and heartbeat frames are handled by the server itself
     (identity, echo).  The handler may be a plain function or a
-    coroutine function.
+    coroutine function.  A frame whose payload the codec refuses is
+    counted in ``decode_errors`` and skipped; its connection stays up.
     """
 
     #: the server's counts, plain ints, each read as ``<name>.<count>``
     COUNTS = (
         "accepted", "frames_received", "frames_sent", "heartbeats_seen",
-        "framing_errors", "decoder_compactions", "decoder_batches_decoded",
-        "decoder_pooled_payloads",
+        "framing_errors", "decode_errors", "decoder_compactions",
+        "decoder_batches_decoded", "decoder_pooled_payloads",
     )
 
     def __init__(
@@ -962,7 +962,20 @@ class FrameServer:
                     _add_decoder_stats(self, decoder, seen)
                 for kind, payload in frames:
                     self.frames_received += 1
-                    envelope, sent_at = self.codec.decode(kind, payload)
+                    try:
+                        envelope, sent_at = self.codec.decode(kind, payload)
+                    except ReproError as exc:
+                        # the frame is refused, the stream is intact
+                        self.decode_errors += 1
+                        wide_event(
+                            "net.decode_error",
+                            recorder=getattr(self.obs, "flight", None),
+                            server=self.name,
+                            peer=peername,
+                            frame=KIND_NAMES[kind],
+                            reason=str(exc),
+                        )
+                        continue
                     if isinstance(envelope, Hello):
                         conn.hello = envelope
                         # The reply is the first frame the client hears

@@ -30,6 +30,7 @@ from repro.core.runtime.profiling import (
     K_IS_TRAVERSALS,
     STAT_NAMES,
     FeedbackSummary,
+    PSEStats,
     RunningStat,
 )
 from repro.core.runtime.triggers import RateTrigger
@@ -466,6 +467,35 @@ def test_feedback_frame_byte_budget(position, budget):
     assert len(summary64.entries) == len(summary8.entries)
     assert _frame_bytes(summary8) <= budget
     assert _frame_bytes(summary64) - _frame_bytes(summary8) <= 56 * 8
+
+
+def test_a_flush_visits_only_the_pses_recorded_since_the_last(monkeypatch):
+    """A flush takes an entry from each PSE recorded since the previous
+    one, in stats order, and from no other."""
+    taken = []
+    take_entry = PSEStats.take_entry
+
+    def counting(stats):
+        taken.append(stats.edge)
+        return take_entry(stats)
+
+    monkeypatch.setattr(PSEStats, "take_entry", counting)
+    partitioned, _ = build_partitioned_process(n_stages=20)
+    proxy = RemoteProfilingProxy(partitioned.cut)
+    modulator = partitioned.make_modulator(
+        plan=positional_plan(partitioned.cut, "middle"), profiling=proxy
+    )
+    for event in sensor_events(8):
+        modulator.process(event)
+    summary, _ = proxy.flush()
+    order = list(partitioned.cut.pses)
+    assert taken == [entry[:2] for entry in summary.entries]
+    assert taken == sorted(taken, key=order.index)
+    assert 0 < len(taken) < len(order)
+    taken.clear()
+    proxy.record_message()
+    proxy.flush()
+    assert taken == []
 
 
 @pytest.mark.parametrize(

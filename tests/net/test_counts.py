@@ -92,6 +92,7 @@ SERVER_SERIES = (
     "accepted",
     "frames_received",
     "heartbeats_seen",
+    "decode_errors",
     "decoder_compactions",
     "decoder_batches_decoded",
     "decoder_pooled_payloads",
@@ -151,7 +152,9 @@ def _expected(broker, transport, servers):
 
 def test_series_keep_their_names_and_kinds_and_equal_their_counts():
     partitioned, _ = build_partitioned_process(n_stages=6)
-    codec = NetEnvelopeCodec(partitioned.serializer_registry)
+    codec = NetEnvelopeCodec(partitioned.serializer_registry).bind(
+        partitioned.schema
+    )
     obs = Observability()
     harnesses = [
         ServerHarness(codec=codec, name=f"server{i}", obs=obs)

@@ -6,11 +6,16 @@ import random
 
 import pytest
 
-from repro.core.continuation import ContinuationMessage, WIRE_VERSION
+from repro.core.continuation import ContinuationSchema
 from repro.core.plan import PartitioningPlan
 from repro.core.runtime.feedback import RemoteProfilingProxy, pack_summary
 from repro.core.runtime.profiling import FeedbackSummary
-from repro.errors import FramingError, ProtocolError, SerializationError
+from repro.errors import (
+    ContinuationError,
+    FramingError,
+    ProtocolError,
+    SerializationError,
+)
 from repro.jecho.events import (
     ContinuationEnvelope,
     EventEnvelope,
@@ -43,6 +48,17 @@ from repro.net.framing import (
 )
 
 
+#: the continuation schema of a handler "f" with two split points
+SCHEMA = ContinuationSchema(
+    "f",
+    [((4, 5), "pse3", ("x", "n"), False), ((1, 2), "p", ("v",), False)],
+)
+
+
+def _message(edge, variables, trace=None):
+    return SCHEMA.by_edge[edge].pack(variables, trace)
+
+
 def _roundtrip(codec, envelope, *, sent_at=0.0):
     kind, payload = codec.encode(envelope, sent_at=sent_at)
     frames = FrameDecoder().feed(encode_frame(kind, payload))
@@ -67,13 +83,9 @@ def test_event_envelope_roundtrip_with_trace_and_timestamp():
 
 
 def test_continuation_v2_traced_roundtrip():
-    codec = NetEnvelopeCodec()
-    message = ContinuationMessage(
-        function="f",
-        pse_id="pse3",
-        edge=(4, 5),
-        variables={"x": [1.0, 2.0], "n": 3},
-        trace=(100, 200),
+    codec = NetEnvelopeCodec().bind(SCHEMA)
+    message = _message(
+        (4, 5), {"x": [1.0, 2.0], "n": 3}, trace=(100, 200)
     )
     env = ContinuationEnvelope(
         continuation=message, subscription_id=2, seq=17
@@ -91,27 +103,33 @@ def test_continuation_v2_traced_roundtrip():
 
 
 def test_continuation_v1_untraced_roundtrip():
-    codec = NetEnvelopeCodec()
-    message = ContinuationMessage(
-        function="g", pse_id="p", edge=(1, 2), variables={}
-    )
+    codec = NetEnvelopeCodec().bind(SCHEMA)
+    message = _message((1, 2), {})
     env = ContinuationEnvelope(
         continuation=message, subscription_id=1, seq=0
     )
+    kind, payload = codec.encode(env)
+    # the three envelope fields, the code, v's placeholder, v's absence
+    assert codec._serializer.deserialize(payload) == (1, 0, 0.0, 0, None, 1)
     out, _ = _roundtrip(codec, env)
     assert out.continuation.trace is None
     assert out.continuation.edge == (1, 2)
+    assert out.continuation.variables == {}
 
 
-def test_continuation_unknown_wire_version_rejected():
-    # Bit-level negotiation: a headered payload from the future must
-    # fail loudly, through the net codec as well.
-    codec = NetEnvelopeCodec()
-    bad = codec._serializer.serialize(
-        (1, 0, 1.0, ("mp-cont", WIRE_VERSION + 1, "f", "p", 1, 2, {}, 0, 0))
-    )
+def test_continuation_unknown_pse_code_rejected():
+    # A code outside the receiver's schema means the peers built
+    # different cuts: it must fail loudly, through the net codec as
+    # well; so must a body of the wrong length, and any CONT frame on a
+    # codec no handler bound, which knows no split point.
+    codec = NetEnvelopeCodec().bind(SCHEMA)
+    ser = codec._serializer.serialize
     with pytest.raises(SerializationError):
-        codec.decode(KIND_CONT, bad)
+        codec.decode(KIND_CONT, ser((1, 0, 1.0, 2, "x")))
+    with pytest.raises(ContinuationError):
+        codec.decode(KIND_CONT, ser((1, 0, 1.0, 1, 3)))
+    with pytest.raises(SerializationError):
+        NetEnvelopeCodec().decode(KIND_CONT, ser((1, 0, 1.0, 0, "v")))
 
 
 def _summary(alpha=0.3):
@@ -282,9 +300,9 @@ def test_hello_instance_roundtrip_and_legacy_decode():
     assert Hello.__slots__ == ("role", "name", "instance")
     ser = codec._serializer.serialize
     for payload in (
-        (1, WIRE_VERSION, "sender", "a"),
-        (1, WIRE_VERSION, "sender", "a", "tok"),
-        (1, WIRE_VERSION, "sender", "a", "tok", ("batch", "telemetry")),
+        (1, 2, "sender", "a"),
+        (1, 2, "sender", "a", "tok"),
+        (1, 2, "sender", "a", "tok", ("batch", "telemetry")),
         ("sender", "a"),
     ):
         with pytest.raises(ProtocolError):
@@ -313,7 +331,7 @@ def test_unencodable_object_raises_protocol_error():
 
 
 def test_malformed_payload_raises_protocol_error():
-    codec = NetEnvelopeCodec()
+    codec = NetEnvelopeCodec().bind(SCHEMA)
     short = codec._serializer.serialize((1,))  # CONT needs 4 fields
     with pytest.raises(ProtocolError):
         codec.decode(KIND_CONT, short)
@@ -323,17 +341,13 @@ def test_malformed_payload_raises_protocol_error():
 
 
 def _sample_frames():
-    codec = NetEnvelopeCodec()
+    codec = NetEnvelopeCodec().bind(SCHEMA)
     envelopes = [
         Hello(role="sender", name="fuzz"),
         EventEnvelope(payload=[1, 2, 3], seq=0),
         ContinuationEnvelope(
-            continuation=ContinuationMessage(
-                function="f",
-                pse_id="p1",
-                edge=(1, 2),
-                variables={"v": list(range(20))},
-                trace=(9, 9),
+            continuation=_message(
+                (1, 2), {"v": list(range(20))}, trace=(9, 9)
             ),
             subscription_id=1,
             seq=1,
@@ -411,12 +425,14 @@ def test_unknown_version_and_kind_rejected():
 
 
 def test_a_version_2_frame_is_refused():
-    """Version 2 shipped FEEDBACK summaries as generic tuples; a peer of
-    that build fails at its first frame, whatever the kind."""
-    assert PROTOCOL_VERSION == 3
-    for kind in (KIND_HELLO, KIND_FEEDBACK):
-        with pytest.raises(FramingError, match="version"):
-            FrameDecoder().feed(MAGIC + bytes([2, kind]) + bytes(4))
+    """Version 2 shipped FEEDBACK summaries as generic tuples and
+    version 3 continuations with names on the wire; a peer of either
+    build fails at its first frame, whatever the kind."""
+    assert PROTOCOL_VERSION == 4
+    for version in (2, 3):
+        for kind in (KIND_HELLO, KIND_FEEDBACK, KIND_CONT):
+            with pytest.raises(FramingError, match="version"):
+                FrameDecoder().feed(MAGIC + bytes([version, kind]) + bytes(4))
 
 
 def test_oversized_frame_rejected_before_buffering():
@@ -467,16 +483,11 @@ def frame_bytes_header(kind, length):
 
 
 def _data_frames():
-    codec = NetEnvelopeCodec()
+    codec = NetEnvelopeCodec().bind(SCHEMA)
     envelopes = [
         EventEnvelope(payload=[1, 2, 3], seq=0),
         ContinuationEnvelope(
-            continuation=ContinuationMessage(
-                function="f",
-                pse_id="p1",
-                edge=(1, 2),
-                variables={"v": list(range(8))},
-            ),
+            continuation=_message((1, 2), {"v": list(range(8))}),
             subscription_id=1,
             seq=1,
         ),

@@ -410,8 +410,9 @@ def _fanout_broker(positions, n_stages=20):
 #: every deep subscriber forked on its own; one fork per distinct deeper
 #: split and one size per distinct message bring it to 909.75, and
 #: packing FEEDBACK bodies by their schema, not through the recursive
-#: serializer, to 803.5
-FANOUT4_CALLS_PER_PUBLISH = 830
+#: serializer, to 803.5; the flat continuation body and a feedback flush
+#: that visits only the PSEs recorded since the last bring it to 754.25
+FANOUT4_CALLS_PER_PUBLISH = 780
 
 
 def test_fanout_publish_stays_within_its_call_budget():
@@ -461,6 +462,51 @@ def test_demodulate_calls_do_not_grow_with_the_loop(n_iters):
     for message in warm_up:
         demodulator.process(message)
     assert _calls_per_item(demodulator.process, counted) <= DEMODULATE_CALLS
+
+
+#: ``small_flood``'s CONT payload at its PSE: 112 B while the frame named
+#: the handler, the PSE and its edge and keyed the values by name; 59 B
+#: as the flat body ``(sub, seq, sent_at, code, acc, x)``
+SMALL_FLOOD_CONT_BYTES = 64
+
+#: Python-level calls per ``NetEnvelopeCodec.decode`` of that frame, the
+#: counting helper's own call included: 20 on CPython 3.11 for the named
+#: form, 12 for the flat body
+CONT_DECODE_CALLS = 12
+
+
+def _small_flood_frames():
+    """``small_flood``'s handler and plan, and its CONT frames for the
+    counted events."""
+    partitioned = _arith()
+    modulator = partitioned.make_modulator(
+        plan=receiver_heavy_plan(partitioned.cut)
+    )
+    codec = NetEnvelopeCodec(partitioned.serializer_registry)
+    frames = [
+        codec.encode(
+            ContinuationEnvelope(modulator.process(event).message, 1),
+            sent_at=1.7e9,
+        )
+        for event in EVENTS
+    ]
+    return partitioned, frames
+
+
+def test_small_flood_cont_payload_stays_within_its_byte_budget():
+    _partitioned, frames = _small_flood_frames()
+    assert max(len(payload) for _, payload in frames) <= SMALL_FLOOD_CONT_BYTES
+
+
+def test_cont_decode_stays_within_its_call_budget():
+    partitioned, frames = _small_flood_frames()
+    codec = NetEnvelopeCodec(partitioned.serializer_registry).bind(
+        partitioned.schema
+    )
+    for frame in frames[:64]:
+        codec.decode(*frame)
+    calls = _calls_per_item(lambda frame: codec.decode(*frame), frames[64:])
+    assert calls <= CONT_DECODE_CALLS
 
 
 # -- rules every publisher shares -----------------------------------------------------

@@ -12,9 +12,12 @@ import warnings
 
 import pytest
 
+from repro.core.continuation import ContinuationSchema
 from repro.errors import ConnectionLostError, TransportError
 from repro.jecho.events import EventEnvelope
 from repro.net.framing import (
+    KIND_CONT,
+    KIND_FEEDBACK,
     PROTOCOL_VERSION,
     Hello,
     NetEnvelopeCodec,
@@ -321,6 +324,38 @@ def test_server_counts_framing_errors(harness):
     assert _wait_until(lambda: harness.server.framing_errors == 1)
 
 
+@pytest.mark.parametrize(
+    "kind, body",
+    [
+        pytest.param(KIND_FEEDBACK, (1, 0, None, bytes(5)), id="feedback"),
+        pytest.param(KIND_CONT, (1, 0, 1.0, 7, "v"), id="unknown-code"),
+        pytest.param(KIND_CONT, (1, 0, 1.0, 0), id="wrong-arity"),
+    ],
+)
+def test_a_refused_frame_is_skipped_and_its_connection_kept(kind, body):
+    """A frame whose payload does not decode is counted, recorded and
+    skipped: the next frame on the same connection still arrives."""
+    obs = Observability()
+    schema = ContinuationSchema("f", [((1, 2), "pse0", ("v",), False)])
+    harness = ServerHarness(codec=NetEnvelopeCodec().bind(schema), obs=obs)
+    codec = harness.server.codec
+    try:
+        with socket.create_connection(
+            (harness.host, harness.port), timeout=5.0
+        ) as sock:
+            sock.sendall(
+                encode_frame(kind, codec._serializer.serialize(body))
+                + codec.encode_frame(EventEnvelope(payload="after", seq=3))
+            )
+            assert _wait_until(lambda: len(harness.received) == 1)
+        assert harness.received[0][0].payload == "after"
+        assert harness.server.decode_errors == 1
+        assert harness.server.framing_errors == 0
+        assert obs.flight.count("net.decode_error") == 1
+    finally:
+        harness.stop()
+
+
 def test_heartbeat_rtt_histogram_survives_reattach_and_exposes(
     transport, harness
 ):
@@ -346,7 +381,10 @@ def test_heartbeat_rtt_histogram_survives_reattach_and_exposes(
     assert hist.count >= seen  # samples survived, none lost
     assert _wait_until(lambda: hist.count > seen)  # and new ones land
 
-    families = parse_openmetrics(render_openmetrics(obs.to_dict()))
+    # Heartbeats keep landing: compare the exposition with the snapshot
+    # it was rendered from, never with the live histogram.
+    snapshot = obs.to_dict()
+    families = parse_openmetrics(render_openmetrics(snapshot))
     rtt = families["transport_tcp_heartbeat_rtt"]
     assert rtt["type"] == "histogram"
     count_sample = next(
@@ -354,7 +392,11 @@ def test_heartbeat_rtt_histogram_survives_reattach_and_exposes(
         for s in rtt["samples"]
         if s["name"] == "transport_tcp_heartbeat_rtt_count"
     )
-    assert count_sample["value"] == hist.count
+    histograms = snapshot["metrics"]["histograms"]
+    assert (
+        count_sample["value"]
+        == histograms["transport.tcp.heartbeat_rtt"]["count"]
+    )
     inf_bucket = next(
         s
         for s in rtt["samples"]

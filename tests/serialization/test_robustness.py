@@ -9,7 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.continuation import ContinuationCodec, ContinuationMessage
+from repro.core.continuation import (
+    ContinuationCodec,
+    ContinuationMessage,
+    Slot,
+)
 from repro.errors import ContinuationError, ReproError, SerializationError
 from repro.serialization import Serializer, SerializerRegistry
 
@@ -83,11 +87,16 @@ def test_demodulator_rejects_corrupt_edge(push_partitioned, image_data_cls):
     modulator = push_partitioned.make_modulator()
     result = modulator.process(image_data_cls(None, 30, 30))
     message = result.message
+    slot = message.slot
     corrupt = ContinuationMessage(
-        function=message.function,
-        pse_id=message.pse_id,
-        edge=(message.edge[0], 9999),
-        variables=message.variables,
+        Slot(
+            slot.code,
+            (message.edge[0], 9999),
+            slot.names,
+            slot.pse_id,
+            slot.function,
+        ),
+        message.values,
     )
     demodulator = push_partitioned.make_demodulator()
     with pytest.raises(ReproError):
@@ -98,11 +107,10 @@ def test_demodulator_rejects_wrong_function(push_partitioned, image_data_cls):
     modulator = push_partitioned.make_modulator()
     result = modulator.process(image_data_cls(None, 30, 30))
     message = result.message
+    slot = message.slot
     wrong = ContinuationMessage(
-        function="somebody_else",
-        pse_id=message.pse_id,
-        edge=message.edge,
-        variables=message.variables,
+        Slot(slot.code, slot.edge, slot.names, slot.pse_id, "somebody_else"),
+        message.values,
     )
     demodulator = push_partitioned.make_demodulator()
     with pytest.raises(ReproError):
@@ -114,12 +122,11 @@ def test_demodulator_missing_variables_fail_cleanly(
 ):
     modulator = push_partitioned.make_modulator()
     result = modulator.process(image_data_cls(None, 30, 30))
-    stripped = ContinuationMessage(
-        function=result.message.function,
-        pse_id=result.message.pse_id,
-        edge=result.message.edge,
-        variables={},  # live variables lost in transit
+    names = result.message.slot.names
+    stripped = ContinuationMessage(  # live variables lost in transit
+        result.message.slot, (None,) * len(names), (1 << len(names)) - 1
     )
+    assert stripped.variables == {}
     demodulator = push_partitioned.make_demodulator()
     with pytest.raises(ReproError, match="before assignment"):
         demodulator.process(stripped)
