@@ -44,17 +44,17 @@ class Slot(NamedTuple):
     noop_resume: bool = False
 
     def pack(
-        self, variables: Dict[str, object], trace: Optional[Tuple] = None
+        self, env: Dict[str, object], trace: Optional[Tuple] = None
     ) -> "ContinuationMessage":
-        """The message handing over *variables*, captured at this split:
-        its keys are some or all of the names."""
+        """The message handing over this split's names from *env*, the
+        run's environment at the split; a name *env* lacks is absent."""
         names = self.names
         absent = 0
-        if len(variables) < len(names):
+        if not all(map(env.__contains__, names)):
             for i, name in enumerate(names):
-                if name not in variables:
+                if name not in env:
                     absent |= 1 << i
-        values = tuple(map(variables.get, names))
+        values = tuple(map(env.get, names))
         return ContinuationMessage(self, values, absent, trace)
 
 

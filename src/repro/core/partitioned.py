@@ -6,8 +6,8 @@ method" (paper section 2.1).  In this reproduction both halves execute the
 starts and stops:
 
 * the :class:`Modulator` (inside the message **sender**) runs the handler
-  from the top under the plan's split hook, so it stops at the first active
-  or forced PSE and emits a :class:`ContinuationMessage`;
+  from the top until the first edge of the plan's split-edge set (an
+  active or forced PSE), and emits a :class:`ContinuationMessage`;
 * the :class:`Demodulator` (inside the **receiver**) resumes the handler at
   the continuation's PSE with the handed-over variables restored.
 
@@ -33,16 +33,12 @@ from repro.core.runtime.profiling import ProfilingUnit
 from repro.core.runtime.reconfig import ReconfigurationUnit
 from repro.errors import PartitionError
 from repro.ir.function import IRFunction
-from repro.ir.interpreter import (
-    CycleMeter,
-    Edge,
-    Interpreter,
-    Outcome,
-    SplitHook,
-)
+from repro.ir.interpreter import CycleMeter, Edge, Interpreter, Outcome
 from repro.ir.registry import FunctionRegistry
 from repro.serialization import SerializerRegistry, measure_size
 
+
+_NO_EDGES: FrozenSet[Edge] = frozenset()
 
 #: one traversed PSE edge of a run: (edge, cycles before it, INTER size,
 #: or None when the measurement gate skipped it)
@@ -201,7 +197,7 @@ class Modulator:
         partitioned = self.partitioned
         outcome, message, observations, cycles = partitioned.run(
             args,
-            self.plan_runtime,
+            self.plan_runtime.split_edges,
             profiling.should_measure if profiling is not None else None,
             run_ctx,
         )
@@ -274,7 +270,7 @@ class Demodulator:
         partitioned = self.partitioned
         outcome, nested, observations, cycles = partitioned.run(
             message,
-            None,
+            _NO_EDGES,
             profiling.should_measure if profiling is not None else None,
             run_ctx,
         )
@@ -324,6 +320,7 @@ class PartitionedMethod:
         self.schema = ContinuationSchema.from_cut(self.function.name, self.cut)
         self.codec.schema = self.schema
         self.pse_edges: FrozenSet[Edge] = frozenset(self.cut.pses)
+        self.interpreter.prepare(self.function)
 
     @property
     def pses(self) -> Dict[Edge, PSE]:
@@ -332,7 +329,7 @@ class PartitionedMethod:
     def run(
         self,
         entry,
-        split_hook: Optional[SplitHook] = None,
+        split_edges: FrozenSet[Edge] = _NO_EDGES,
         gate: Optional[Callable[[Edge], bool]] = None,
         trace_ctx: Optional[Tuple[int, int]] = None,
         cycles: float = 0.0,
@@ -344,7 +341,9 @@ class PartitionedMethod:
         *entry* is the event's argument tuple (a modulator, the broker's
         shared run) or a :class:`ContinuationMessage` to resume (a
         demodulator, a fork, a continuation completed at the sender).
-        *split_hook* decides where the run stops.  *gate* is a profiling
+        The run stops at the first edge in *split_edges*, and the schema
+        packs the message from its environment there, stamped with
+        *trace_ctx*.  *gate* is a profiling
         unit's or proxy's ``should_measure``: it picks the traversed PSE
         edges whose INTER set is sized from the live environment — the
         profiling code "along each PSE" (paper section 2.5).  The edge
@@ -391,17 +390,16 @@ class PartitionedMethod:
         outcome = start(
             self.function,
             entry,
-            split_hook=split_hook,
+            split_edges=split_edges,
             edge_observer=observer,
             observe_edges=self.pse_edges,
             meter=meter,
-            trace_ctx=trace_ctx,
         )
         continuation = outcome.continuation
         if continuation is None:
             return outcome, None, observations, meter.cycles
         message = self.schema.by_edge[continuation.edge].pack(
-            continuation.variables, continuation.trace
+            continuation.variables, trace_ctx
         )
         return outcome, message, observations, meter.cycles
 

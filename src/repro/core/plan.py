@@ -14,13 +14,12 @@ receiver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, Iterable, Optional
 
-from repro.core.convexcut import ConvexCutResult, PSE
+from repro.core.convexcut import ConvexCutResult
 from repro.errors import InvalidPlanError
-from repro.ir.interpreter import Edge, SplitHook
-from repro.ir.values import Var
+from repro.ir.interpreter import Edge
 
 
 @dataclass(frozen=True)
@@ -120,57 +119,28 @@ def validate_plan(cut: ConvexCutResult, plan: PartitioningPlan) -> None:
         )
 
 
-class PlanRuntime(SplitHook):
-    """The modulator's live flag table; a :class:`SplitHook` for the
-    interpreter.
+class PlanRuntime:
+    """The modulator's live flag table, as the interpreter reads it.
 
-    ``switch_count`` tracks plan applications so experiments can report
-    adaptation-actuation counts; each application is O(#PSE) flag writes.
+    ``split_edges`` is where a run stops: the plan's active PSE edges
+    plus the forced terminal ones.  Applying a plan is one validation
+    and one set union; ``switch_count`` tracks plan applications so
+    experiments can report adaptation-actuation counts.
     """
 
     def __init__(self, cut: ConvexCutResult) -> None:
         self._cut = cut
-        self._flags: Dict[Edge, bool] = {e: False for e in cut.pses}
         self._forced: FrozenSet[Edge] = cut.terminal_edges()
-        self._inter: Dict[Edge, FrozenSet[Var]] = {
-            e: p.inter for e, p in cut.pses.items()
-        }
-        # Codegen fast path: the current split set as one frozenset (the
-        # generated code inlines a split at exactly these edges) and
-        # per-edge capture specs as sorted name tuples, the order of the
-        # continuation schema's values.
-        self._split_set: FrozenSet[Edge] = self._forced
-        self._capture_specs: Dict[Edge, Tuple[str, ...]] = {
-            e: tuple(sorted(v.name for v in inter))
-            for e, inter in self._inter.items()
-        }
+        self.split_edges: FrozenSet[Edge] = self._forced
         self.switch_count = 0
         self.current_plan: Optional[PartitioningPlan] = None
 
-    # -- SplitHook interface -------------------------------------------------
-
-    def should_split(self, edge: Edge) -> bool:
-        return self._flags.get(edge, False) or edge in self._forced
-
-    def live_vars(self, edge: Edge) -> FrozenSet[Var]:
-        # forced edges are terminal PSEs: every split edge has a PSE
-        return self._inter[edge]
-
-    def split_edge_set(self) -> FrozenSet[Edge]:
-        return self._split_set
-
-    def capture_specs(self) -> Dict[Edge, Tuple[str, ...]]:
-        return self._capture_specs
-
-    # -- plan application -------------------------------------------------------
-
     def apply_plan(self, plan: PartitioningPlan) -> None:
         validate_plan(self._cut, plan)
-        for edge in self._flags:
-            self._flags[edge] = edge in plan.active
-        self._split_set = plan.active | self._forced
+        self.split_edges = plan.active | self._forced
         self.current_plan = plan
         self.switch_count += 1
 
     def active_edges(self) -> FrozenSet[Edge]:
-        return frozenset(e for e, on in self._flags.items() if on)
+        plan = self.current_plan
+        return frozenset() if plan is None else plan.active

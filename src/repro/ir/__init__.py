@@ -9,9 +9,9 @@ Public surface:
   classes a handler may reference; entries carry the ``receiver_only`` flag
   that drives StopNode marking.
 * :class:`Interpreter`, :class:`CycleMeter`, :class:`Continuation`,
-  :class:`Outcome`, :class:`SplitHook` — execution with split/profiling
-  hooks, on generated source (:mod:`repro.ir.codegen`, the default) or
-  the reference tree walker.
+  :class:`Outcome` — execution that stops at a set of split edges, with
+  edge-observer and metering hooks, on generated source
+  (:mod:`repro.ir.codegen`, the default) or the reference tree walker.
 * :func:`format_function` — Jimple-style listing for diagnostics.
 * :func:`validate_function` — structural checks.
 """
@@ -37,7 +37,6 @@ from repro.ir.interpreter import (
     Edge,
     Interpreter,
     Outcome,
-    SplitHook,
 )
 from repro.ir.printer import format_edge, format_function, format_unit_graph
 from repro.ir.registry import (
@@ -79,7 +78,6 @@ __all__ = [
     "CycleMeter",
     "Continuation",
     "Outcome",
-    "SplitHook",
     "Edge",
     "format_function",
     "format_edge",

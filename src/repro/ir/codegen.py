@@ -19,8 +19,8 @@ paper's compiler-generated modulator and demodulator classes:
 * split checks are inlined at the exact UG edges of the active plan: the
   generated source is *specialized per (split set, observe set, metered)*
   — unwatched edges have no code at all, watched edges carry the observer
-  call and the live-variable capture.  Specializations are cached; plans
-  change rarely relative to message traffic.
+  call and the split's return of the environment.  Specializations are
+  cached; plans change rarely relative to message traffic.
 
 The metering protocol is preserved so ConvexCut's cost model and the
 profiling units see identical observations: one ``instr_cycles`` charge per
@@ -29,25 +29,19 @@ so mid-block errors leave the meter exactly as the tree-walker would) and
 per-call ``cycle_cost(*args)``/``default_call_cycles`` charges in the same
 order as the tree walker.
 
-Semantics are byte-identical to the tree-walking backend — same
-:class:`~repro.ir.interpreter.Outcome`/continuation contents including
-capture-dict ordering, same cycle-meter charges, same
-:class:`~repro.errors.InterpreterError` messages.  The differential suite
-in ``tests/integration/test_backend_equivalence.py`` enforces this.
+Semantics are identical to the tree-walking backend — same
+:class:`~repro.ir.interpreter.Outcome` values and split environments,
+same cycle-meter charges, same :class:`~repro.errors.InterpreterError`
+messages.  The differential suite in
+``tests/integration/test_backend_equivalence.py`` enforces this.
 
-Anything the generated code cannot reproduce exactly falls back to the
-tree walker for that execution (:meth:`CodegenFunction.execute` returns
-``None``), with a counted warning rather than a crash:
-
-* generic split hooks (no ``split_edge_set``) — the per-edge
-  ``should_split`` protocol needs a live env dict per edge,
-* observe-all edge observers (``observe_edges=None`` with an observer),
-* non-:class:`~repro.ir.interpreter.CycleMeter` meters (codegen writes
-  meter fields directly instead of calling ``charge_instr`` per step),
-* any source-generation failure.
-
-Fallback counts are recorded in :data:`fallback_counts` and surfaced once
-per (function, reason) through :mod:`warnings`.
+There is no runtime fallback to the tree walker.  The interpreter
+refuses the shapes generated code cannot reproduce (an observer without
+its edge set, a meter that is not exactly a
+:class:`~repro.ir.interpreter.CycleMeter`) on both backends, and a
+source-generation failure raises :class:`~repro.errors.InterpreterError`
+naming the function — at partition time, since building a
+:class:`~repro.core.partitioned.PartitionedMethod` emits one variant.
 """
 
 from __future__ import annotations
@@ -94,51 +88,12 @@ from repro.ir.values import (
     Operand,
     OperandExpr,
     UnaryOp,
-    Var,
 )
 
 _EMPTY_EDGES: FrozenSet[Edge] = frozenset()
 
-#: Why executions fell back to the tree walker, by reason.
+#: Always empty: ``benchmarks/pipeline/harness.py`` still reads it.
 fallback_counts: Dict[str, int] = {}
-
-_warned: Set[Tuple[str, str]] = set()
-
-
-def fallback_total() -> int:
-    """Total number of executions routed to the tree walker."""
-    return sum(fallback_counts.values())
-
-
-def reset_fallback_counts() -> None:
-    from repro.obs.flight import reset_wide_event_dedupe
-
-    fallback_counts.clear()
-    _warned.clear()
-    reset_wide_event_dedupe("codegen.fallback")
-
-
-def _count_fallback(fname: str, reason: str) -> None:
-    fallback_counts[reason] = fallback_counts.get(reason, 0) + 1
-    key = (fname, reason)
-    if key not in _warned:
-        _warned.add(key)
-        # One structured wide event (and one RuntimeWarning) per
-        # (function, reason); the per-execution tally stays in
-        # fallback_counts.
-        from repro.obs.flight import wide_event
-
-        wide_event(
-            "codegen.fallback",
-            dedupe=f"{fname}:{reason}",
-            warn=(
-                f"codegen backend: {fname}: falling back to the tree "
-                f"interpreter ({reason})"
-            ),
-            stacklevel=4,
-            function=fname,
-            reason=reason,
-        )
 
 
 # -- name mangling -------------------------------------------------------------
@@ -247,7 +202,7 @@ class _Emitter:
     # -- edge / transfer emission ----------------------------------------------
 
     def _emit_edge(self, indent: int, edge: Edge) -> None:
-        """Observer call and/or split capture at a watched UG edge."""
+        """Observer call and/or split return at a watched UG edge."""
         u, v = edge
         self._emit(indent, "_loc = locals()")
         self._emit(
@@ -268,7 +223,7 @@ class _Emitter:
         if edge in self.split_edges:
             self._emit(
                 indent,
-                f"return ('s', ({u}, {v}), _capture(({u}, {v}), _env)), _n",
+                f"return ('s', ({u}, {v}), _env), _n",
             )
 
     def _emit_transfer(self, indent: int, u: int, v: int, *, inline: bool) -> None:
@@ -716,7 +671,7 @@ class _Emitter:
         )
         self._emit(
             0,
-            "def _mp_exec(env, _start, meter, _observer, _capture, _max_steps):",
+            "def _mp_exec(env, _start, meter, _observer, _max_steps):",
         )
         self._emit(1, "_n = 0")
         if self.metered:
@@ -813,12 +768,7 @@ class _Variant:
 
 
 class CodegenFunction:
-    """An :class:`IRFunction` lowered to generated Python source.
-
-    ``execute`` returns ``(outcome, steps)``, or ``None`` when the call
-    has a shape the generated code cannot reproduce; the interpreter then
-    runs it on the tree walker.
-    """
+    """An :class:`IRFunction` lowered to generated Python source."""
 
     __slots__ = (
         "fn",
@@ -827,7 +777,6 @@ class CodegenFunction:
         "key",
         "_variants",
         "_extra_entries",
-        "_disabled",
     )
 
     def __init__(
@@ -839,17 +788,20 @@ class CodegenFunction:
         self.key = key
         self._variants: Dict[tuple, _Variant] = {}
         self._extra_entries: Set[int] = set()
-        self._disabled = False
 
     # -- variant management ----------------------------------------------------
 
-    def _emit_variant(
+    def variant(
         self,
-        vkey: tuple,
         split_edges: FrozenSet[Edge],
         observe_edges: FrozenSet[Edge],
         metered: bool,
     ) -> _Variant:
+        """The compiled specialization, emitted on first use."""
+        vkey = (split_edges, observe_edges, metered)
+        variant = self._variants.get(vkey)
+        if variant is not None:
+            return variant
         emitter = _Emitter(
             self.fn,
             self.registry,
@@ -858,9 +810,14 @@ class CodegenFunction:
             metered=metered,
             entry_pcs=frozenset(self._extra_entries),
         )
-        source, glb, leaders = emitter.generate()
-        code = compile(source, f"<codegen {self.name}>", "exec")
-        exec(code, glb)
+        try:
+            source, glb, leaders = emitter.generate()
+            exec(compile(source, f"<codegen {self.name}>", "exec"), glb)
+        except Exception as exc:  # noqa: BLE001 - any emission failure
+            raise InterpreterError(
+                f"{self.name}: code generation failed: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
         variant = _Variant(glb["_mp_exec"], leaders, source)
         if len(self._variants) > 64:
             self._variants.clear()
@@ -873,87 +830,40 @@ class CodegenFunction:
         self,
         env: Dict[str, object],
         start_pc: int,
-        *,
-        split_hook=None,
-        edge_observer=None,
-        observe_edges: Optional[FrozenSet[Edge]] = None,
-        meter=None,
+        split_edges: FrozenSet[Edge],
+        edge_observer,
+        observe_edges: Optional[FrozenSet[Edge]],
+        meter: Optional[CycleMeter],
         max_steps: int,
-        trace_ctx: Optional[Tuple[int, int]] = None,
-    ) -> Optional[Tuple[Outcome, int]]:
-        if self._disabled:
-            return None
+    ) -> Tuple[Outcome, int]:
+        """Run from *start_pc* on *env*; returns ``(outcome, steps)``.
 
-        split_set: Optional[FrozenSet[Edge]] = None
-        capture_specs: Optional[Dict[Edge, Tuple[str, ...]]] = None
-        if split_hook is not None:
-            split_set = split_hook.split_edge_set()
-            if split_set is None:
-                # Per-edge should_split protocol needs a live env per edge.
-                _count_fallback(self.name, "generic split hook")
-                return None
-            capture_specs = split_hook.capture_specs()
-        if edge_observer is not None and observe_edges is None:
-            _count_fallback(self.name, "observe-all edge observer")
-            return None
-        if meter is not None and type(meter) is not CycleMeter:
-            _count_fallback(self.name, "custom cycle meter")
-            return None
-
-        split_edges = split_set if split_set is not None else _EMPTY_EDGES
-        obs_edges = (
-            observe_edges if edge_observer is not None else _EMPTY_EDGES
-        )
+        The interpreter has refused the shapes this cannot run: an
+        observer comes with its *observe_edges*, and *meter* is None or
+        exactly a :class:`CycleMeter`.
+        """
+        obs_edges = observe_edges if edge_observer is not None else _EMPTY_EDGES
         metered = meter is not None
-        vkey = (split_edges, obs_edges, metered)
-        variant = self._variants.get(vkey)
-        try:
-            if variant is None:
-                variant = self._emit_variant(vkey, split_edges, obs_edges, metered)
-            if start_pc not in variant.leaders and 0 <= start_pc < len(self.fn.instrs):
-                # A resume entry point we have not specialized for yet:
-                # promote it to a block leader and re-emit.
-                self._extra_entries.add(start_pc)
-                self._variants.clear()
-                variant = self._emit_variant(vkey, split_edges, obs_edges, metered)
-        except Exception as exc:  # noqa: BLE001 - any emission failure
-            self._disabled = True
-            _count_fallback(self.name, f"source generation failed: {exc}")
-            return None
-
-        capture = None
-        if split_hook is not None:
-            hook = split_hook
-            specs = capture_specs
-
-            def capture(edge, envmap, _hook=hook, _specs=specs):
-                names = None if _specs is None else _specs.get(edge)
-                if names is None:
-                    live = _hook.live_vars(edge)
-                    return {
-                        v.name: envmap[v.name]
-                        for v in live
-                        if v.name in envmap
-                    }
-                return {
-                    name: envmap[name] for name in names if name in envmap
-                }
-
+        # the cached lookup inline: a call per run is a call per message
+        variant = self._variants.get((split_edges, obs_edges, metered))
+        if variant is None:
+            variant = self.variant(split_edges, obs_edges, metered)
+        if start_pc not in variant.leaders and 0 <= start_pc < len(self.fn.instrs):
+            # A resume entry point we have not specialized for yet:
+            # promote it to a block leader and re-emit.
+            self._extra_entries.add(start_pc)
+            self._variants.clear()
+            variant = self.variant(split_edges, obs_edges, metered)
         result, count = variant.run(
-            env, start_pc, meter, edge_observer, capture, max_steps
+            env, start_pc, meter, edge_observer, max_steps
         )
         if result[0] == "r":
             return Outcome(kind="return", value=result[1]), count
-        _, edge, captured = result
+        _, edge, split_env = result
         return (
             Outcome(
                 kind="split",
-                continuation=Continuation(
-                    function=self.name,
-                    edge=edge,
-                    variables=captured,
-                    trace=trace_ctx,
-                ),
+                continuation=Continuation(self.name, edge, split_env),
             ),
             count,
         )

@@ -5,15 +5,18 @@ paper's prototype.  It executes an :class:`~repro.ir.function.IRFunction`
 instruction by instruction and exposes the three hooks Method Partitioning
 needs:
 
-* **Split hook** — after executing instruction ``out`` and determining the
-  next instruction ``in``, the interpreter asks the hook whether the edge
-  ``(out, in)`` is an *active* Potential Split Edge.  If so, it captures the
-  live variables of the edge into a :class:`Continuation` and stops: that is
-  the modulator half of the paper's Remote Continuation.  Resuming from a
-  continuation (the demodulator half) starts execution at ``in`` with the
-  restored environment.
-* **Edge observer** — invoked on every traversed edge; the Runtime Profiling
-  Unit uses it (flag-gated) to measure data sizes and timings per PSE.
+* **Split edges** — after executing instruction ``out`` and determining the
+  next instruction ``in``, the interpreter stops if the edge ``(out, in)``
+  is in the run's split-edge set (the plan's active Potential Split Edges)
+  and returns its environment there as a :class:`Continuation`: the
+  modulator half of the paper's Remote Continuation.  Which of those
+  variables cross the wire, and in what order, is the continuation
+  schema's business (:mod:`repro.core.continuation`).  Resuming from a
+  continuation (the demodulator half) starts execution at ``in`` with
+  the handed-over variables as the environment.
+* **Edge observer** — invoked on each traversed edge of a given edge set;
+  the Runtime Profiling Unit uses it (flag-gated) to measure data sizes
+  and timings per PSE.
 * **Cycle meter** — accumulates an abstract cycle count per executed
   instruction, so the same handler can be executed on simulated hosts with
   different speeds and loads (see :mod:`repro.simnet`).
@@ -25,7 +28,7 @@ partitioning plan's job (:mod:`repro.core.plan`).
 from __future__ import annotations
 
 import operator as _op
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Optional, Sequence, Tuple
 
 from repro.errors import InterpreterError
@@ -60,7 +63,6 @@ from repro.ir.values import (
     Operand,
     OperandExpr,
     UnaryOp,
-    Var,
 )
 
 #: A UG edge as a pair of instruction indices (out, in).
@@ -134,17 +136,15 @@ class Continuation:
     """The modulator→demodulator hand-over record (paper section 2.4).
 
     ``edge`` identifies the PSE where processing stopped; ``variables`` maps
-    live-variable names to their values (the INTER set of the edge);
-    ``function`` names the handler so the demodulator can locate the right
-    program to resume.  ``trace`` optionally carries the causal trace
-    context ``(trace_id, parent_span_id)`` across the wire so the
-    receiver's demodulate span joins the sender's trace.
+    variable names to their values: at a split, the whole environment
+    of the run there, from which the schema packs the edge's INTER set;
+    to resume, the environment to resume on.  ``function`` names the
+    handler so the demodulator can locate the right program to resume.
     """
 
     function: str
     edge: Edge
     variables: Dict[str, object]
-    trace: Optional[Tuple[int, int]] = None
 
 
 @dataclass
@@ -165,43 +165,7 @@ class Outcome:
         return self.kind == "split"
 
 
-class SplitHook:
-    """Decides whether a traversed edge is an active split point.
-
-    The default implementation never splits; plans provide real hooks.
-
-    Hooks that know their full split set up front should additionally
-    implement :meth:`split_edge_set` and :meth:`capture_specs`: the codegen
-    backend then inlines the split check at exactly those edges and
-    captures live variables from precomputed name tuples, never touching
-    the per-edge ``should_split``/``live_vars`` protocol on the hot path.
-    """
-
-    def should_split(self, edge: Edge) -> bool:
-        return False
-
-    def live_vars(self, edge: Edge) -> FrozenSet[Var]:
-        """The variables to capture when splitting at *edge*."""
-        return frozenset()
-
-    def split_edge_set(self) -> Optional[FrozenSet[Edge]]:
-        """Every edge that would currently split, or None if unknown.
-
-        ``None`` (the default) makes the codegen backend hand the
-        execution to the tree walker, which calls :meth:`should_split`
-        per traversed edge.
-        """
-        return None
-
-    def capture_specs(self) -> Optional[Dict[Edge, Tuple[str, ...]]]:
-        """Per-edge live-capture variable names, or None if unknown.
-
-        The names are :meth:`live_vars`'s, sorted: the order of a
-        continuation's values, which must not depend on the hash seed
-        (a frozenset's iteration order does).
-        """
-        return None
-
+_NO_EDGES: FrozenSet[Edge] = frozenset()
 
 #: The backend every partitioned method runs on unless a test asks for
 #: the reference tree walker.
@@ -216,11 +180,13 @@ class Interpreter:
     * ``"codegen"`` (:data:`DEFAULT_BACKEND`) — each function is lowered
       once to generated Python source compiled with ``compile()``/``exec``
       (:mod:`repro.ir.codegen`); registers become real locals and split
-      checks are inlined per active plan.  Executions the generated code
-      cannot reproduce exactly run on the tree walker instead, with a
-      counted warning.
+      checks are inlined per active plan.
     * ``"tree"`` — the tree-walking evaluator below; the reference
       semantics the differential equivalence suite compares against.
+
+    Both refuse the same shapes: an edge observer without the edge set
+    it watches, and a meter that is not exactly a :class:`CycleMeter`
+    (generated code writes its fields instead of calling its methods).
     """
 
     def __init__(
@@ -268,17 +234,17 @@ class Interpreter:
         fn: IRFunction,
         args: Sequence[object],
         *,
-        split_hook: Optional[SplitHook] = None,
+        split_edges: FrozenSet[Edge] = _NO_EDGES,
         edge_observer: Optional[Callable[[Edge, Dict[str, object]], None]] = None,
         observe_edges: Optional[FrozenSet[Edge]] = None,
         meter: Optional[CycleMeter] = None,
-        trace_ctx: Optional[Tuple[int, int]] = None,
     ) -> Outcome:
         """Run *fn* from the top with *args* bound to its parameters.
 
-        ``observe_edges`` restricts the edge observer to the given edges
-        (typically the handler's PSE set); ``None`` observes every edge.
-        ``trace_ctx`` is stamped into any captured continuation.
+        The run stops at the first traversed edge in ``split_edges``.
+        ``edge_observer`` is called on each traversed edge in
+        ``observe_edges`` (typically the handler's PSE set), which it
+        requires.
         """
         if len(args) != len(fn.params):
             raise InterpreterError(
@@ -289,14 +255,7 @@ class Interpreter:
         for param, value in zip(fn.params, args):
             env[param.name] = value
         return self._execute(
-            fn,
-            env,
-            start_pc=0,
-            split_hook=split_hook,
-            edge_observer=edge_observer,
-            observe_edges=observe_edges,
-            meter=meter,
-            trace_ctx=trace_ctx,
+            fn, env, 0, split_edges, edge_observer, observe_edges, meter
         )
 
     def resume(
@@ -304,16 +263,19 @@ class Interpreter:
         fn: IRFunction,
         continuation: Continuation,
         *,
-        split_hook: Optional[SplitHook] = None,
+        split_edges: FrozenSet[Edge] = _NO_EDGES,
         edge_observer: Optional[Callable[[Edge, Dict[str, object]], None]] = None,
         observe_edges: Optional[FrozenSet[Edge]] = None,
         meter: Optional[CycleMeter] = None,
-        trace_ctx: Optional[Tuple[int, int]] = None,
     ) -> Outcome:
         """Resume *fn* at a continuation's PSE with its variables restored.
 
         This is the demodulator half of Remote Continuation: execution jumps
         to the edge's *in* node with only the handed-over variables in scope.
+        The run executes on ``continuation.variables`` itself (a
+        :class:`~repro.core.continuation.ContinuationMessage` hands out
+        a fresh dict on every read): resuming one :class:`Continuation`
+        twice takes a copy of its variables per resume.
         """
         if continuation.function != fn.name:
             raise InterpreterError(
@@ -325,19 +287,27 @@ class Interpreter:
             raise InterpreterError(
                 f"{fn.name}: continuation edge {continuation.edge} out of range"
             )
-        env = dict(continuation.variables)
         if self._c_restored is not None:
             self._c_restored.inc()
         return self._execute(
             fn,
-            env,
-            start_pc=in_node,
-            split_hook=split_hook,
-            edge_observer=edge_observer,
-            observe_edges=observe_edges,
-            meter=meter,
-            trace_ctx=trace_ctx,
+            continuation.variables,
+            in_node,
+            split_edges,
+            edge_observer,
+            observe_edges,
+            meter,
         )
+
+    def prepare(self, fn: IRFunction) -> None:
+        """Generate *fn*'s code now (the codegen backend), so that a
+        construct it cannot generate fails here, not at the first run."""
+        if self.backend == "codegen":
+            from repro.ir.codegen import codegen_function
+
+            codegen_function(fn, self.registry).variant(
+                _NO_EDGES, _NO_EDGES, True
+            )
 
     # -- core loop ---------------------------------------------------------------
 
@@ -345,14 +315,22 @@ class Interpreter:
         self,
         fn: IRFunction,
         env: Dict[str, object],
-        *,
         start_pc: int,
-        split_hook: Optional[SplitHook],
+        split_edges: FrozenSet[Edge],
         edge_observer: Optional[Callable[[Edge, Dict[str, object]], None]],
-        observe_edges: Optional[FrozenSet[Edge]] = None,
+        observe_edges: Optional[FrozenSet[Edge]],
         meter: Optional[CycleMeter],
-        trace_ctx: Optional[Tuple[int, int]] = None,
     ) -> Outcome:
+        if edge_observer is not None and observe_edges is None:
+            raise TypeError(
+                f"{fn.name}: an edge observer needs the observe_edges it "
+                f"watches"
+            )
+        if meter is not None and type(meter) is not CycleMeter:
+            raise TypeError(
+                f"{fn.name}: the meter must be a CycleMeter, not "
+                f"{type(meter).__name__}"
+            )
         if self._c_executions is not None:
             self._c_executions.inc()
         if self.backend == "codegen":
@@ -361,26 +339,22 @@ class Interpreter:
                 from repro.ir.codegen import codegen_function
 
                 self._codegen = codegen_function
-            result = codegen_function(fn, self.registry).execute(
+            outcome, steps = codegen_function(fn, self.registry).execute(
                 env,
                 start_pc,
-                split_hook=split_hook,
-                edge_observer=edge_observer,
-                observe_edges=observe_edges,
-                meter=meter,
-                max_steps=self.max_steps,
-                trace_ctx=trace_ctx,
+                split_edges,
+                edge_observer,
+                observe_edges,
+                meter,
+                self.max_steps,
             )
-            if result is not None:
-                outcome, steps = result
-                if outcome.split:
-                    if self._c_captured is not None:
-                        self._c_captured.inc()
-                        self._c_instructions.inc(steps)
-                elif self._c_instructions is not None:
+            if outcome.split:
+                if self._c_captured is not None:
+                    self._c_captured.inc()
                     self._c_instructions.inc(steps)
-                return outcome
-            # None: a shape the generated code cannot run; walk the tree.
+            elif self._c_instructions is not None:
+                self._c_instructions.inc(steps)
+            return outcome
         instrs = fn.instrs
         n = len(instrs)
         pc = start_pc
@@ -405,25 +379,15 @@ class Interpreter:
                     f"{fn.name}: fell off the end at instruction {pc}"
                 )
             edge: Edge = (pc, next_pc)
-            if edge_observer is not None and (
-                observe_edges is None or edge in observe_edges
-            ):
+            if edge_observer is not None and edge in observe_edges:
                 edge_observer(edge, env)
-            if split_hook is not None and split_hook.should_split(edge):
-                live = split_hook.live_vars(edge)
-                captured = {
-                    v.name: env[v.name] for v in live if v.name in env
-                }
-                continuation = Continuation(
-                    function=fn.name,
-                    edge=edge,
-                    variables=captured,
-                    trace=trace_ctx,
-                )
+            if edge in split_edges:
                 if self._c_captured is not None:
                     self._c_captured.inc()
                     self._c_instructions.inc(steps)
-                return Outcome(kind="split", continuation=continuation)
+                return Outcome(
+                    kind="split", continuation=Continuation(fn.name, edge, env)
+                )
             pc = next_pc
 
     def _step(

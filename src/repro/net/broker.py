@@ -16,7 +16,7 @@ fed from a single shared modulation:
   shared continuation as-is; a group wanting a deeper split *forks*
   once: the shared continuation is cloned through the codec
   (serialize/deserialize, so fork state never aliases shipped state),
-  resumed under the group's flag table until it splits again, and that
+  resumed until the group's split edges stop it again, and that
   one message ships to every member.  Each distinct message is sized
   once, whatever the number of peers it ships to.
 * **Per-peer plan cache** — :class:`PlanRuntimeCache` memoizes
@@ -32,7 +32,7 @@ fed from a single shared modulation:
   authoritative Profiling/Reconfiguration Units and ships PLAN frames
   back on its own connection; one :class:`~repro.net.session.PeerSession`
   per peer applies them with version idempotency, and the broker
-  rebuilds the union hook lazily.
+  rebuilds the union's split edges lazily.
 * **One publish path** — a two-process sender is this broker with one
   subscriber (:class:`~repro.net.endpoint.NetSenderEndpoint`): same
   shared run, same ship, same local completion when a peer's breaker
@@ -80,16 +80,17 @@ from repro.obs.metrics import counts, zero_counts
 __all__ = ["PlanRuntimeCache", "NetBrokerEndpoint"]
 
 #: the subscribers whose plans split at the same edges, as the publish
-#: path sees them: (split-edge set, plan runtime of the first member,
-#: the members' sessions in subscription order)
-Route = Tuple[FrozenSet[Edge], PlanRuntime, List[PeerSession]]
+#: path sees them: (split-edge set, the members' sessions in
+#: subscription order)
+Route = Tuple[FrozenSet[Edge], List[PeerSession]]
 
 
 class PlanRuntimeCache:
-    """Memoized :class:`~repro.core.plan.PlanRuntime` flag tables.
+    """Memoized :class:`~repro.core.plan.PlanRuntime` split-edge sets.
 
-    Applying a plan costs O(#PSE) flag writes; subscribers on the same
-    plan, and plans that come back, share one runtime, cached keyed on
+    Applying a plan validates it against the cut and builds its split
+    set; subscribers on the same plan, and plans that come back, share
+    one runtime, cached keyed on
     ``(handler name, active edge set, plan version)`` — the version
     rides along so a re-shipped plan under a fresh idempotency key
     reads as a distinct (if equal-valued) entry, mirroring how the
@@ -104,6 +105,7 @@ class PlanRuntimeCache:
         self.partitioned = partitioned
         self.maxsize = maxsize
         self._entries: "OrderedDict[Tuple, PlanRuntime]" = OrderedDict()
+        # benchmarks/pipeline/harness.py reads hits and misses
         self.hits = 0
         self.misses = 0
 
@@ -144,7 +146,7 @@ class NetBrokerEndpoint:
     ``publish`` runs on the caller's thread; inbound PLAN frames arrive
     on the transport's loop thread and are routed to the subscriber
     whose connection carried them — one lock serializes both around the
-    sessions and the shared-modulation hook derived from their plans.
+    sessions and the shared run's split edges derived from their plans.
     """
 
     #: the broker's own counts; ``shared_runs`` is exactly one per
@@ -213,10 +215,10 @@ class NetBrokerEndpoint:
         self.lock = threading.Lock()
         zero_counts(self)
         self.exposer = None
-        #: the shared run's union-of-plans hook and, per subscriber, its
-        #: plan runtime and split-edge set; rebuilt lazily after any
-        #: subscriber's plan switch (None = stale)
-        self._union_runtime: Optional[PlanRuntime] = None
+        #: the shared run's union-of-plans split edges and the routes;
+        #: rebuilt lazily after any subscriber's plan switch
+        #: (``_routes`` None = stale)
+        self._union_splits: FrozenSet[Edge] = frozenset()
         self._routes: Optional[List[Route]] = None
         #: fleet health — one PeerHealth per subscriber, fed from the
         #: transport on every publish and (optionally) by a background
@@ -331,10 +333,10 @@ class NetBrokerEndpoint:
             self._routes = None
         return sub
 
-    # -- shared modulation hook --------------------------------------------------
+    # -- shared modulation split ------------------------------------------------
 
     def _union(self) -> List[Route]:
-        """Rebuild the deepest-common-split hook and the routes (lock held).
+        """Rebuild the deepest common split and the routes (lock held).
 
         Runs once per plan switch, not per publish: the publish path
         then tests the shared split edge against each group's cached
@@ -342,19 +344,18 @@ class NetBrokerEndpoint:
         equal split-edge sets share a route, so they share its fork.
         """
         cache = self.cache
-        self._union_runtime = cache.runtime(
+        self._union_splits = cache.runtime(
             union_plan(
                 (sub.plan for sub in self.subscribers), name="fanout-union"
             )
-        )
+        ).split_edges
         groups: Dict[FrozenSet[Edge], Route] = {}
         for sub in self.subscribers:
-            runtime = cache.runtime(sub.plan, sub.plan_version_applied)
-            splits = runtime.split_edge_set()
+            splits = cache.runtime(sub.plan, sub.plan_version_applied).split_edges
             if splits in groups:
-                groups[splits][2].append(sub)
+                groups[splits][1].append(sub)
             else:
-                groups[splits] = (splits, runtime, [sub])
+                groups[splits] = (splits, [sub])
         self._routes = routes = list(groups.values())
         return routes
 
@@ -389,7 +390,7 @@ class NetBrokerEndpoint:
             _outcome, shared_msg, observations, shared_cycles = (
                 partitioned.run(
                     (event,),
-                    self._union_runtime,
+                    self._union_splits,
                     subs[0].proxy.should_measure,
                     run_ctx,
                 )
@@ -405,12 +406,12 @@ class NetBrokerEndpoint:
             # fork's execution performs on shared values.  The work up to
             # the deepest common split is identical for every subscriber,
             # so each proxy records the same observations.
-            deep: List[Tuple[PlanRuntime, List[PeerSession]]] = []
-            for splits, runtime, members in routes:
+            deep: List[Route] = []
+            for splits, members in routes:
                 if shared_msg is not None and shared_msg.edge not in splits:
                     for sub in members:
                         record_sender_run(sub.proxy, observations, None)
-                    deep.append((runtime, members))
+                    deep.append((splits, members))
                 else:
                     self._ship(
                         members,
@@ -419,9 +420,9 @@ class NetBrokerEndpoint:
                         shared_cycles,
                         shared_seconds,
                     )
-            for runtime, members in deep:
+            for splits, members in deep:
                 self._fork(
-                    runtime,
+                    splits,
                     members,
                     shared_msg,
                     shared_cycles,
@@ -448,7 +449,7 @@ class NetBrokerEndpoint:
 
     def _fork(
         self,
-        runtime: PlanRuntime,
+        splits: FrozenSet[Edge],
         members: List[PeerSession],
         shared_msg: ContinuationMessage,
         shared_cycles: float,
@@ -475,7 +476,7 @@ class NetBrokerEndpoint:
         started = time.perf_counter()
         _outcome, message, observations, total_cycles = partitioned.run(
             clone,
-            runtime,
+            splits,
             members[0].proxy.should_measure,
             fork_ctx,
             shared_cycles,
@@ -590,7 +591,7 @@ class NetBrokerEndpoint:
                         sub.shared_ships += 1
                     continue
             # Completed here instead of at its peer: resumed with no
-            # split hook, it runs to the end of the handler, receiver-only
+            # split edges, it runs to the end of the handler, receiver-only
             # natives included.  Both sides build the same partitioned
             # method from the same program text, so this is the
             # receiver's work minus the bytes.  It runs on a codec clone,

@@ -170,7 +170,7 @@ class NetReceiverEndpoint:
     ) -> None:
         """``telemetry_interval`` paces the TELEMETRY push loop started
         by :meth:`start` — every interval the receiver pushes its
-        metrics delta, drift/fallback/ring-drop counts and health state
+        metrics delta, drift and ring-drop counts and health state
         to each connection that has said hello.  0 disables the loop
         (pushes can still be driven manually via :meth:`push_telemetry`)."""
         if rate_scale <= 0:
@@ -327,9 +327,6 @@ class NetReceiverEndpoint:
             "counters": counts(self),
             "health": self.self_health.peer("self").state,
         }
-        from repro.ir import codegen
-
-        payload["codegen_fallbacks"] = dict(codegen.fallback_counts)
         if self.obs is not None:
             current = self.obs.metrics.to_dict()
             prev = self._telemetry_prev

@@ -493,7 +493,7 @@ class Telemetry:
 
     ``payload`` is a nested plain-value mapping (the serializer's
     primitive types only): a ``MetricsRegistry.snapshot_delta`` since
-    the previous push plus gauges, drift/fallback/ring-drop counts and
+    the previous push plus gauges, drift and ring-drop counts and
     the pusher's own health state.  ``source``/``instance`` identify the
     pushing process (same semantics as :class:`Hello`), ``seq`` is a
     per-process push counter so the aggregator can spot gaps, and
@@ -634,6 +634,11 @@ class NetEnvelopeCodec:
     def decode(self, kind: int, payload: bytes) -> Tuple[object, float]:
         """``(envelope, sent_at)``; control frames report ``sent_at=0``."""
         value = self._serializer.deserialize(payload)
+        if type(value) is not tuple:
+            raise ProtocolError(
+                f"malformed {KIND_NAMES.get(kind, hex(kind))} frame: a "
+                f"{type(value).__name__} body, not a tuple"
+            )
         try:
             if kind == KIND_CONT:
                 env = ContinuationEnvelope(

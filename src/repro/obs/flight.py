@@ -30,8 +30,7 @@ The module also hosts the :func:`wide_event` helper that replaces
 scattered one-shot ``warnings.warn`` / ``print`` call sites: it records
 into the process-global recorder (when one is installed) and optionally
 emits a deduplicated ``RuntimeWarning`` — at most once per
-``(kind, dedupe)`` key, preserving the one-warning-per-(function,
-reason) behaviour the codegen backend relied on.
+``(kind, dedupe)`` key.
 """
 
 from __future__ import annotations

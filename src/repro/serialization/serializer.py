@@ -27,6 +27,9 @@ _INT_PACK = struct.Struct(">q")
 _FLOAT_PACK = struct.Struct(">d")
 _LEN_PACK = struct.Struct(">I")
 
+#: the memo slot of a tuple or set whose items are still being decoded
+_PENDING = object()
+
 
 class Serializer:
     """Encode/decode Python values against a :class:`SerializerRegistry`."""
@@ -205,11 +208,17 @@ class Serializer:
             (idx,) = _LEN_PACK.unpack_from(data, offset)
             offset += wf.REF_SIZE
             try:
-                return memo[idx], offset
+                value = memo[idx]
             except IndexError:
                 raise SerializationError(
                     f"dangling back-reference {idx}"
                 ) from None
+            if value is _PENDING:
+                raise SerializationError(
+                    f"back-reference {idx} into a tuple or set that is "
+                    f"still being decoded (a cycle through it)"
+                )
+            return value, offset
         if tag == wf.TAG_BYTES:
             (n,) = _LEN_PACK.unpack_from(data, offset)
             offset += wf.LEN_SIZE
@@ -270,7 +279,7 @@ class Serializer:
             # Tuples are immutable: decode into a list first.  A cycle
             # through a tuple cannot be reconstructed; reject it.
             slot = len(memo)
-            memo.append(None)
+            memo.append(_PENDING)
             items: List[object] = []
             for _ in range(n):
                 item, offset = self._decode(data, offset, memo)
@@ -293,7 +302,7 @@ class Serializer:
             offset += wf.LEN_SIZE
             items = []
             slot = len(memo)
-            memo.append(None)
+            memo.append(_PENDING)
             for _ in range(n):
                 item, offset = self._decode(data, offset, memo)
                 items.append(item)

@@ -143,14 +143,19 @@ def test_wrong_arity_payload_raises(codec):
 
 
 def test_trace_survives_continuation_conversion():
+    # A split hands back the run's whole environment: the slot picks and
+    # orders its names, and the packer stamps its own trace context.
     continuation = Continuation(
-        function="h", edge=(5, 6), variables={"n": 1}, trace=(5, 9)
+        function="h", edge=(5, 6), variables={"n": 1, "scratch": 2}
     )
-    message = pack(
-        continuation.edge, continuation.variables, continuation.trace
-    )
+    message = pack(continuation.edge, continuation.variables, (5, 9))
     assert message.trace == (5, 9)
     assert message.body() == (2, 1, 5, 9)
+    partitioned = HANDLERS["arith"]
+    _, message, _, _ = partitioned.run(
+        (3,), partitioned.cut.terminal_edges(), None, (5, 9)
+    )
+    assert message.trace == (5, 9)
 
 
 VALUES = (

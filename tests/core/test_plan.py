@@ -50,7 +50,7 @@ def test_runtime_forced_edges_always_split(push_partitioned):
     runtime = PlanRuntime(push_partitioned.cut)
     runtime.apply_plan(sender_heavy_plan(push_partitioned.cut))
     for edge in push_partitioned.cut.terminal_edges():
-        assert runtime.should_split(edge)
+        assert edge in runtime.split_edges
 
 
 def test_runtime_flags_follow_plan(push_partitioned):
@@ -60,7 +60,7 @@ def test_runtime_flags_follow_plan(push_partitioned):
     assert optional
     plan = PartitioningPlan(active=frozenset(optional[:1]))
     runtime.apply_plan(plan)
-    assert runtime.should_split(optional[0])
+    assert optional[0] in runtime.split_edges
     assert runtime.active_edges() == frozenset(optional[:1])
 
 
@@ -72,18 +72,20 @@ def test_runtime_switch_count_increments(push_partitioned):
     assert runtime.switch_count == n0 + 2
 
 
-def test_runtime_live_vars_are_inter(push_partitioned):
+def test_runtime_split_edges_are_active_plus_forced(push_partitioned):
     cut = push_partitioned.cut
     runtime = PlanRuntime(cut)
-    for edge, pse in cut.pses.items():
-        assert runtime.live_vars(edge) == pse.inter
+    assert runtime.split_edges == cut.terminal_edges()  # before any plan
+    plan = receiver_heavy_plan(cut)
+    runtime.apply_plan(plan)
+    assert runtime.split_edges == plan.active | cut.terminal_edges()
 
 
 def test_runtime_non_pse_edge_never_splits(push_partitioned):
     runtime = PlanRuntime(push_partitioned.cut)
     runtime.apply_plan(sender_heavy_plan(push_partitioned.cut))
     # edge (0, 1) is the identity prefix, never a PSE
-    assert not runtime.should_split((0, 1))
+    assert (0, 1) not in runtime.split_edges
 
 
 def test_plan_repr_readable():

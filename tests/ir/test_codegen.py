@@ -2,22 +2,23 @@
 
 Differential coverage at the application level lives in
 ``tests/integration/test_backend_equivalence.py``; here we pin the
-generated source itself (golden test), the cache and fallback behaviour,
-split/resume entry-point promotion, and error-message parity against the
-tree walker.
+generated source itself (golden test), the cache, the shapes both
+backends refuse, split/resume entry-point promotion, and error-message
+parity against the tree walker.
 """
-
-import re
 
 import pytest
 
+from repro.core.api import MethodPartitioner
+from repro.core.continuation import ContinuationSchema
+from repro.core.costmodels import DataSizeCostModel
 from repro.errors import InterpreterError
 from repro.ir import codegen
 from repro.ir.builder import lower_function
 from repro.ir.codegen import codegen_function, generate_source
-from repro.ir.interpreter import CycleMeter, Interpreter, SplitHook
+from repro.ir.interpreter import CycleMeter, Interpreter
 from repro.ir.registry import default_registry
-from repro.ir.values import Var
+from repro.serialization import SerializerRegistry
 
 
 @pytest.fixture
@@ -30,13 +31,6 @@ def registry():
         "emit", lambda v: None, receiver_only=True, pure=False
     )
     return registry
-
-
-@pytest.fixture(autouse=True)
-def _clean_fallback_counts():
-    codegen.reset_fallback_counts()
-    yield
-    codegen.reset_fallback_counts()
 
 
 SIMPLE = "def f(a):\n    b = a + 1\n    c = b * 2\n    return c\n"
@@ -56,55 +50,12 @@ LOOP_SOURCE = (
 
 #: the UG edge between the two loop-body assignments of LOOP_SOURCE
 LOOP_EDGE = (6, 7)
+LOOP_SPLIT = frozenset({LOOP_EDGE})
 
-
-class _PlanLikeHook(SplitHook):
-    """A fast-path hook like the ones PlanRuntime builds: the full split
-    set and per-edge capture names are known up front."""
-
-    def __init__(self, edges, captures):
-        self._edges = frozenset(edges)
-        self._live = {
-            e: frozenset(Var(n) for n in names)
-            for e, names in captures.items()
-        }
-        # the contract: spec order matches live_vars frozenset iteration
-        self._captures = {
-            e: tuple(v.name for v in live) for e, live in self._live.items()
-        }
-
-    def should_split(self, edge):
-        return edge in self._edges
-
-    def live_vars(self, edge):
-        return self._live.get(edge, frozenset())
-
-    def split_edge_set(self):
-        return self._edges
-
-    def capture_specs(self):
-        return dict(self._captures)
-
-
-class _GenericHook(SplitHook):
-    """Only the per-edge protocol: no split_edge_set/capture_specs."""
-
-    def __init__(self, edges, captures):
-        self._edges = frozenset(edges)
-        self._live = {
-            e: frozenset(Var(n) for n in names)
-            for e, names in captures.items()
-        }
-
-    def should_split(self, edge):
-        return edge in self._edges
-
-    def live_vars(self, edge):
-        return self._live.get(edge, frozenset())
-
-
-def _loop_hook(cls=_PlanLikeHook):
-    return cls({LOOP_EDGE}, {LOOP_EDGE: ("total", "i", "a")})
+#: a split point at LOOP_EDGE handing over the loop's state
+LOOP_SLOT = ContinuationSchema(
+    "f", [(LOOP_EDGE, "pse0", ("total", "i", "a"), False)]
+).slots[0]
 
 
 def _both_errors(registry, source, args):
@@ -197,19 +148,20 @@ def test_split_and_resume_match_tree(registry):
     for backend in ("tree", "codegen"):
         interp = Interpreter(registry, backend=backend)
         meter = CycleMeter()
-        outcome = interp.run(fn, [3], split_hook=_loop_hook(), meter=meter)
+        outcome = interp.run(fn, [3], split_edges=LOOP_SPLIT, meter=meter)
         assert outcome.split, backend
         cont = outcome.continuation
+        env = dict(cont.variables)  # the resume runs on cont.variables
         resumed = interp.resume(fn, cont, meter=meter)
         results[backend] = (
             cont.edge,
-            tuple(cont.variables.items()),  # values *and* dict ordering
+            env,
+            LOOP_SLOT.pack(env).body(),  # the order the schema fixes
             resumed.value,
             meter.cycles,
             meter.instructions,
         )
     assert results["tree"] == results["codegen"]
-    assert codegen.fallback_total() == 0
 
 
 def test_resume_promotes_entry_point(registry):
@@ -217,7 +169,7 @@ def test_resume_promotes_entry_point(registry):
     # variant is re-emitted with the extra entry), not mis-dispatched.
     fn = lower_function(LOOP_SOURCE, registry)
     interp = Interpreter(registry, backend="codegen")
-    outcome = interp.run(fn, [3], split_hook=_loop_hook())
+    outcome = interp.run(fn, [3], split_edges=LOOP_SPLIT)
     artifact = codegen_function(fn, registry)
     resume_pc = outcome.continuation.edge[1]
     assert all(
@@ -256,94 +208,48 @@ def test_observed_edges_see_flushed_meter(registry):
     assert len(readings["codegen"]) == 4  # one per loop iteration
 
 
-# -- fallback to the tree interpreter -----------------------------------------
+# -- shapes both backends refuse ---------------------------------------------
 
 
-def _falls_back(reason):
-    return re.escape(f"falling back to the tree interpreter ({reason})")
-
-
-def test_generic_split_hook_falls_back(registry):
-    fn = lower_function(LOOP_SOURCE, registry)
-    results = {}
-    for backend in ("tree", "codegen"):
-        interp = Interpreter(registry, backend=backend)
-        if backend == "codegen":
-            with pytest.warns(
-                RuntimeWarning, match=_falls_back("generic split hook")
-            ):
-                outcome = interp.run(
-                    fn, [3], split_hook=_loop_hook(_GenericHook)
-                )
-        else:
-            outcome = interp.run(fn, [3], split_hook=_loop_hook(_GenericHook))
-        results[backend] = (
-            outcome.continuation.edge,
-            tuple(outcome.continuation.variables.items()),
-        )
-    assert results["tree"] == results["codegen"]
-    assert codegen.fallback_counts == {"generic split hook": 1}
-
-
-def test_observe_all_observer_falls_back(registry):
+@pytest.mark.parametrize("backend", ["tree", "codegen"])
+def test_observer_without_edge_set_is_refused(registry, backend):
     fn = lower_function(SIMPLE, registry)
-    interp = Interpreter(registry, backend="codegen")
+    interp = Interpreter(registry, backend=backend)
     edges = []
-    with pytest.warns(
-        RuntimeWarning, match=_falls_back("observe-all edge observer")
-    ):
-        interp.run(
-            fn, [1], edge_observer=lambda edge, env: edges.append(edge)
-        )
-    assert edges  # the tree interpreter did observe every edge
-    assert codegen.fallback_counts == {"observe-all edge observer": 1}
+    with pytest.raises(TypeError, match="f: an edge observer needs"):
+        interp.run(fn, [1], edge_observer=lambda edge, env: edges.append(edge))
+    assert edges == []  # refused before the run, not part-way through
 
 
-def test_custom_meter_falls_back(registry):
+@pytest.mark.parametrize("backend", ["tree", "codegen"])
+def test_cycle_meter_subclass_is_refused(registry, backend):
     class TracingMeter(CycleMeter):
         pass
 
     fn = lower_function(SIMPLE, registry)
-    interp = Interpreter(registry, backend="codegen")
+    interp = Interpreter(registry, backend=backend)
     meter = TracingMeter()
-    with pytest.warns(
-        RuntimeWarning, match=_falls_back("custom cycle meter")
-    ):
-        assert interp.run(fn, [1], meter=meter).value == 4
-    assert meter.instructions > 0
-    assert codegen.fallback_counts == {"custom cycle meter": 1}
+    with pytest.raises(TypeError, match="must be a CycleMeter, not TracingMeter"):
+        interp.run(fn, [1], meter=meter)
+    assert meter.instructions == 0
 
 
-def test_source_generation_failure_falls_back_for_good(registry, monkeypatch):
+def test_source_generation_failure_raises_at_partition_time(
+    registry, monkeypatch
+):
     def broken(self):
         raise SyntaxError("synthetic")
 
     monkeypatch.setattr(codegen._Emitter, "generate", broken)
+    message = "f: code generation failed: SyntaxError: synthetic"
+    partitioner = MethodPartitioner(registry, SerializerRegistry())
+    with pytest.raises(InterpreterError, match=message):
+        partitioner.partition(LOOP_SOURCE, DataSizeCostModel())
+    # no tree walker retries the run either
     fn = lower_function(SIMPLE, registry)
-    interp = Interpreter(registry, backend="codegen")
-    reason = "source generation failed: synthetic"
-    with pytest.warns(RuntimeWarning, match=_falls_back(reason)):
-        assert interp.run(fn, [1]).value == 4
-    # disabled after the first failure: the tree walker runs it silently
-    assert interp.run(fn, [2]).value == 6
-    assert codegen_function(fn, registry)._disabled
-    assert codegen.fallback_counts == {reason: 1}
-
-
-def test_fallback_warns_once_but_counts_every_execution(registry):
-    import warnings
-
-    fn = lower_function(SIMPLE, registry)
-    interp = Interpreter(registry, backend="codegen")
-    with pytest.warns(RuntimeWarning, match="observe-all"):
-        interp.run(fn, [1], edge_observer=lambda e, env: None)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)  # second warn = fail
-        interp.run(fn, [1], edge_observer=lambda e, env: None)
-    assert codegen.fallback_counts == {"observe-all edge observer": 2}
-    assert codegen.fallback_total() == 2
-    codegen.reset_fallback_counts()
-    assert codegen.fallback_total() == 0
+    with pytest.raises(InterpreterError, match=message):
+        Interpreter(registry).run(fn, [1])
+    assert Interpreter(registry, backend="tree").run(fn, [1]).value == 4
 
 
 # -- error-message parity ----------------------------------------------------
@@ -391,7 +297,7 @@ def test_max_steps_message_matches(registry):
 GOLDEN = '''\
 # generated by repro.ir.codegen for 'f'
 # split=[(6, 7)] observe=[(6, 7)] metered=True
-def _mp_exec(env, _start, meter, _observer, _capture, _max_steps):
+def _mp_exec(env, _start, meter, _observer, _max_steps):
     _n = 0
     _cy = 0.0
     _fn = 0
@@ -454,7 +360,7 @@ def _mp_exec(env, _start, meter, _observer, _capture, _max_steps):
                     meter.cycles += _cy; _cy = 0.0
                     meter.instructions += _n - _fn; _fn = _n
                     _observer((6, 7), _env)
-                    return ('s', (6, 7), _capture((6, 7), _env)), _n
+                    return ('s', (6, 7), _env), _n
                     # 7: i = i + 1
                     _n += 1; _cy += _ic
                     try:
@@ -509,7 +415,7 @@ def test_unmetered_source_carries_no_meter_code(registry):
     assert "meter.cycles" not in source
     # ...and unwatched edges generate no observer/split code at all
     assert "_observer" not in source.replace(
-        "def _mp_exec(env, _start, meter, _observer, _capture, _max_steps):",
+        "def _mp_exec(env, _start, meter, _observer, _max_steps):",
         "",
     )
 
@@ -547,4 +453,3 @@ def test_watched_edges_leave_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
-    assert not codegen.fallback_counts

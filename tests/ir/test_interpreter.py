@@ -3,16 +3,11 @@ errors."""
 
 import pytest
 
+from repro.core.continuation import ContinuationSchema
 from repro.errors import InterpreterError
 from repro.ir.builder import lower_function
-from repro.ir.interpreter import (
-    Continuation,
-    CycleMeter,
-    Interpreter,
-    SplitHook,
-)
+from repro.ir.interpreter import Continuation, CycleMeter, Interpreter
 from repro.ir.registry import default_registry
-from repro.ir.values import Var
 
 
 @pytest.fixture
@@ -30,6 +25,9 @@ def interp(registry):
 
 
 SIMPLE = "def f(a):\n    b = a + 1\n    c = b * 2\n    return c\n"
+
+#: SIMPLE's UG edges, in execution order
+EDGES = [(0, 1), (1, 2), (2, 3)]
 
 
 def test_run_returns_value(interp, registry):
@@ -99,49 +97,50 @@ def test_meter_reset():
 def test_edge_observer_sees_all_edges(interp, registry):
     fn = lower_function(SIMPLE, registry)
     seen = []
-    interp.run(fn, [1], edge_observer=lambda e, env: seen.append(e))
+    interp.run(
+        fn,
+        [1],
+        edge_observer=lambda e, env: seen.append(e),
+        observe_edges=frozenset(EDGES),
+    )
     # straight-line: edges (0,1), (1,2), (2,3)
-    assert seen == [(0, 1), (1, 2), (2, 3)]
-
-
-class _SplitAt(SplitHook):
-    def __init__(self, edge, live):
-        self.edge = edge
-        self.live = frozenset(live)
-
-    def should_split(self, edge):
-        return edge == self.edge
-
-    def live_vars(self, edge):
-        return self.live
+    assert seen == EDGES
 
 
 def test_split_captures_live_vars(interp, registry):
     fn = lower_function(SIMPLE, registry)
-    hook = _SplitAt((1, 2), [Var("b")])
-    outcome = interp.run(fn, [5], split_hook=hook)
+    outcome = interp.run(fn, [5], split_edges=frozenset({(1, 2)}))
     assert outcome.split
     cont = outcome.continuation
     assert cont.edge == (1, 2)
-    assert cont.variables == {"b": 6}
+    # the run's whole environment there: the schema picks INTER from it
+    assert cont.variables == {"a": 5, "b": 6}
     assert cont.function == "f"
 
 
 def test_resume_completes_from_continuation(interp, registry):
     fn = lower_function(SIMPLE, registry)
-    hook = _SplitAt((1, 2), [Var("b")])
-    cont = interp.run(fn, [5], split_hook=hook).continuation
+    cont = interp.run(fn, [5], split_edges=frozenset({(1, 2)})).continuation
     outcome = interp.resume(fn, cont)
     assert outcome.returned
     assert outcome.value == 12
 
 
+def test_resume_runs_on_the_mapping_it_is_given(registry):
+    fn = lower_function(SIMPLE, registry)
+    env = {"b": 6}
+    cont = Continuation(function="f", edge=(1, 2), variables=env)
+    assert Interpreter(registry, backend="tree").resume(fn, cont).value == 12
+    # no copy: the resumed run assigned into the very mapping handed over
+    assert cont.variables is env
+    assert env == {"b": 6, "c": 12, "$return": 12}
+
+
 def test_split_then_resume_equals_direct(interp, registry):
     fn = lower_function(SIMPLE, registry)
     direct = interp.run(fn, [9]).value
-    for edge in [(0, 1), (1, 2), (2, 3)]:
-        hook = _SplitAt(edge, [Var("a"), Var("b"), Var("c")])
-        outcome = interp.run(fn, [9], split_hook=hook)
+    for edge in EDGES:
+        outcome = interp.run(fn, [9], split_edges=frozenset({edge}))
         assert outcome.split
         resumed = interp.resume(fn, outcome.continuation)
         assert resumed.value == direct
@@ -163,17 +162,21 @@ def test_resume_out_of_range_rejected(interp, registry):
 
 def test_split_captures_only_requested_vars(interp, registry):
     fn = lower_function(SIMPLE, registry)
-    hook = _SplitAt((2, 3), [Var("c")])
-    outcome = interp.run(fn, [5], split_hook=hook)
-    assert set(outcome.continuation.variables) == {"c"}
+    outcome = interp.run(fn, [5], split_edges=frozenset({(2, 3)}))
+    schema = ContinuationSchema("f", [((2, 3), "pse0", ("c",), False)])
+    message = schema.by_edge[(2, 3)].pack(outcome.continuation.variables)
+    assert message.variables == {"c": 12}
 
 
 def test_observer_called_before_split(interp, registry):
     fn = lower_function(SIMPLE, registry)
     seen = []
-    hook = _SplitAt((1, 2), [Var("b")])
     interp.run(
-        fn, [1], split_hook=hook, edge_observer=lambda e, env: seen.append(e)
+        fn,
+        [1],
+        split_edges=frozenset({(1, 2)}),
+        edge_observer=lambda e, env: seen.append(e),
+        observe_edges=frozenset(EDGES),
     )
     # the split edge itself is observed
     assert (1, 2) in seen

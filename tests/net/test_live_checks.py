@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.tools import liveexp
 from repro.tools.liveexp import CHECKS, CONSERVATION, evaluate
 
 MOVED = [[2, 26], [4, 5]]
@@ -45,7 +46,6 @@ def _receiver(name, plan, demodulated=120, **overrides):
         "final_plan_edges": plan,
         "drops_injected": 0,
         "wedges_injected": 0,
-        "codegen_fallbacks": {},
         "obs": {},
     }
     receiver.update(overrides)
@@ -73,7 +73,6 @@ def one_receiver_run():
             "published": 120,
             "shared_runs": 120,
             "forks": 0,
-            "codegen_fallbacks": {},
             "plan_updates_applied": 1,
             "initial_plan_edges": [[1, 2]],
             "fleet": {"peers": {"receiver0": {"state": "healthy"}}},
@@ -115,7 +114,6 @@ def wedged_fleet_run():
             "published": 120,
             "shared_runs": 120,
             "forks": 224,
-            "codegen_fallbacks": {},
             "plan_updates_applied": 3,
             "initial_plan_edges": [[1, 2]],
             "fleet": {
@@ -200,12 +198,6 @@ BREAKS = {
     ),
     "modulation shared once per message": (
         "one", lambda r: r["publisher"].update(shared_runs=119)
-    ),
-    "generated code ran every half on every host": (
-        "fleet",
-        lambda r: r["publisher"].update(
-            codegen_fallbacks={"generic split hook": 120}
-        ),
     ),
     "per-peer plans diverged": ("fleet", lambda r: _set_plans(r, MOVED)),
     "drop injected": (
@@ -305,10 +297,24 @@ def test_breaking_a_field_fails_exactly_its_row(name):
 
 
 @pytest.mark.parametrize("index", range(3))
-def test_a_fallback_on_any_receiver_fails_the_generated_code_row(index):
-    run = wedged_fleet_run()
-    run["receivers"][index]["codegen_fallbacks"] = {"custom cycle meter": 1}
-    assert _failed(run) == {"generated code ran every half on every host"}
+def test_a_receiver_that_exits_nonzero_fails_the_run(
+    index, tmp_path, monkeypatch
+):
+    # A shape the generated code cannot run is refused when the
+    # receiver builds it, so that receiver exits nonzero: the run fails
+    # before any row is judged, whichever receiver it was.
+    def launch(outdir, receivers, publisher, **_):
+        statuses = {"publisher": 0}
+        statuses.update(
+            (f"receiver{i}", int(i == index)) for i in range(len(receivers))
+        )
+        return statuses, {}, None
+
+    monkeypatch.setattr(liveexp, "launch", launch)
+    with pytest.raises(
+        RuntimeError, match=f"receiver{index} exited with status 1"
+    ):
+        liveexp.run_experiment(receivers=3, outdir=tmp_path)
 
 
 @pytest.mark.parametrize("index", range(3))

@@ -196,7 +196,6 @@ def test_telemetry_pushes_reach_subscribed_client():
         assert len(frames) >= 2
         assert frames[0].instance == endpoint.instance
         assert frames[0].payload["health"] == "healthy"
-        assert "codegen_fallbacks" in frames[0].payload
         # Per-process push counter: strictly increasing, gap-free here.
         seqs = [f.seq for f in frames[:2]]
         assert seqs == sorted(seqs)
